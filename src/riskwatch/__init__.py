@@ -26,7 +26,6 @@ from .core import (
     ResolvedPair,
     TimeIndex,
     Window,
-    WindowSpec,
     join,
     window_partition,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "ThresholdPolicy",
     "TimeIndex",
     "Window",
-    "WindowSpec",
     "auc",
     "best_fixed_action_regret",
     "brier",

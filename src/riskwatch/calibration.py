@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import TimeIndex, Window, WindowSpec, ResolvedPair, split_arrays, window_partition
+from .core import TimeIndex, Window, ResolvedPair, split_arrays, window_partition
 from .errors import EmptyWindow
 
 logger = logging.getLogger(__name__)
@@ -197,17 +197,15 @@ def calibration_point(
 
 def ece_trajectory(
     pairs: Iterable[ResolvedPair],
-    spec: WindowSpec | None = None,
     n_bins: int = 10,
     equal_mass: bool = False,
 ) -> Iterator[CalibrationPoint]:
-    """Calibration metrics per window along a resolved stream.
+    """Calibration metrics per period along a resolved stream.
 
     Empty windows cannot arise from window_partition, but a defensive skip
     with a logged warning is kept for pre-sliced window sequences.
     """
-    spec = spec or WindowSpec()
-    for window in window_partition(pairs, spec):
+    for window in window_partition(pairs):
         if not window.pairs:
             logger.warning("ece_trajectory: skipping empty window at %s", window.time)
             continue

@@ -30,7 +30,7 @@ from . import eventlog
 from .alarms import OperatingState
 from .errors import RiskwatchError, UnknownPreset
 from .monitor import MonitorEngine
-from .simulator import ScenarioConfig, generate, preset, preset_names
+from .simulator import ScenarioConfig, drive_engine, generate, preset, preset_names
 
 logger = logging.getLogger(__name__)
 
@@ -142,28 +142,25 @@ def _resolve_scenario(name_or_path: str, seed: int | None) -> tuple[ScenarioConf
     return scenario, config
 
 
-def _run_engine_over(engine: MonitorEngine, events, outcomes) -> MonitorEngine:
-    for event, outcome in zip(events, outcomes):
-        engine.observe_event(event)
-        engine.observe_outcome(outcome)
-    engine.finalize()
-    return engine
-
-
 def _engine_exit_code(engine: MonitorEngine) -> int:
     return EXIT_OK if engine.alarm.state is OperatingState.NORMAL else EXIT_ALARM
 
 
 def _write_outputs(engine: MonitorEngine, out_dir: str | None, fmt: str) -> None:
-    """Report + state snapshot into a directory, or report to stdout."""
+    """State snapshot + report into a directory, or report to stdout.
+
+    The snapshot is saved first: a run with no closed period yet has no
+    report (EmptyReport) but must still leave its checkpoint.
+    """
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        eventlog.save_snapshot_file(engine, os.path.join(out_dir, "state.json"))
     text = eventlog.emit_report(engine.snapshots, engine.alarm.history, fmt=fmt)
     if out_dir is None:
         sys.stdout.write(text)
         return
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, f"report.{fmt}"), "w", encoding="utf-8") as fp:
         fp.write(text)
-    eventlog.save_snapshot_file(engine, os.path.join(out_dir, "state.json"))
 
 
 def _read_log_lines(path: str):
@@ -193,8 +190,7 @@ def _cmd_simulate(args) -> int:
                   encoding="utf-8") as fp:
             eventlog.write_log(fp, output.events, output.outcomes)
 
-        engine = eventlog.engine_from_config(config)
-        _run_engine_over(engine, output.events, output.outcomes)
+        engine = drive_engine(eventlog.engine_from_config(config), output)
         _write_outputs(engine, out_dir, args.format)
 
         config["scenario"] = asdict(seeded)

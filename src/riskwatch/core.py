@@ -3,8 +3,9 @@
 The toolkit processes a totally ordered stream of prediction events that are
 later resolved by outcome records. Everything downstream (calibration, tail
 risk, regret, belief, alarms) consumes resolved pairs grouped into windows,
-so the types and the two stream operations here are the substrate for every
-metric module.
+so the types, the joiner and the two stream operations here are the
+substrate for every metric module. The streaming engine joins through the
+same Joiner as join(), so both apply one set of join rules.
 
 Ordering model: a single writer appends events with strictly increasing
 sequence numbers and nondecreasing periods. Outcomes may arrive out of order
@@ -14,8 +15,8 @@ relative to events; resolved pairs are always emitted in event order.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, fields
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .errors import DuplicateOutcome, OrphanOutcome
 
@@ -97,28 +98,6 @@ class ResolvedPair:
 
 
 @dataclass(frozen=True)
-class WindowSpec:
-    """How to slice a resolved stream into metric windows.
-
-    kind "by_period" groups pairs sharing a period value (the reporting
-    default). kind "by_count" emits, at every step, the window of the most
-    recent `size` pairs (ragged at the head of the stream).
-    """
-
-    kind: str = "by_period"
-    size: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("by_period", "by_count"):
-            raise ValueError(f"unknown window kind {self.kind!r}")
-        if self.kind == "by_count":
-            if self.size is None or self.size < 1:
-                raise ValueError("by_count windows need size >= 1")
-        elif self.size is not None:
-            raise ValueError("by_period windows take no size")
-
-
-@dataclass(frozen=True)
 class Window:
     """A contiguous slice of resolved pairs, stamped with its closing time."""
 
@@ -148,10 +127,7 @@ class MetricSnapshot:
     posterior_mean: float | None = None
     drift_score: float | None = None
 
-    METRIC_FIELDS = (
-        "ece", "brier", "auc", "var", "cvar",
-        "regret_cumulative", "regret_rate", "posterior_mean", "drift_score",
-    )
+    METRIC_FIELDS: ClassVar[tuple[str, ...]]  # every field after time and n
 
     def __post_init__(self):
         if all(getattr(self, f) is None for f in self.METRIC_FIELDS):
@@ -166,6 +142,45 @@ class MetricSnapshot:
         }
 
 
+MetricSnapshot.METRIC_FIELDS = tuple(f.name for f in fields(MetricSnapshot)[2:])
+
+
+class Joiner:
+    """Predictions waiting for their outcome, and the ids already resolved.
+
+    The one place that decides whether a record joins: a repeated event_id
+    raises ValueError, an outcome naming an event_id never seen raises
+    OrphanOutcome and a second outcome for a resolved one raises
+    DuplicateOutcome. match() only checks, so a caller can validate the pair
+    before resolve() changes any state.
+    """
+
+    def __init__(self):
+        self.pending: dict[str, PredictionEvent] = {}
+        self.resolved_ids: set[str] = set()
+
+    def add(self, event: PredictionEvent) -> None:
+        if event.event_id in self.pending or event.event_id in self.resolved_ids:
+            raise ValueError(f"duplicate event_id {event.event_id!r} in event stream")
+        self.pending[event.event_id] = event
+
+    def match(self, outcome: OutcomeRecord) -> ResolvedPair:
+        """The pair this outcome completes; the joiner is left unchanged."""
+        if outcome.event_id in self.resolved_ids:
+            raise DuplicateOutcome(f"second outcome for event_id {outcome.event_id!r}")
+        event = self.pending.get(outcome.event_id)
+        if event is None:
+            raise OrphanOutcome(
+                f"outcome references unknown event_id {outcome.event_id!r}"
+            )
+        return ResolvedPair(event, outcome)
+
+    def resolve(self, pair: ResolvedPair) -> None:
+        """Retire a matched pair's event from pending."""
+        del self.pending[pair.event.event_id]
+        self.resolved_ids.add(pair.event.event_id)
+
+
 def join(
     events: Iterable[PredictionEvent],
     outcomes: Iterable[OutcomeRecord],
@@ -174,69 +189,45 @@ def join(
 
     Pairs are yielded in event-stream order regardless of the order
     outcomes arrive in. Events whose outcomes never arrive are held to the
-    end and dropped with a logged count. An outcome naming an event_id that
-    does not exist in the event stream raises OrphanOutcome; a second
-    outcome for an already-resolved event raises DuplicateOutcome.
+    end and dropped with a logged count. Join errors are the Joiner's: a
+    repeated event_id, an orphaned outcome and a duplicated outcome raise.
     """
     ordered = list(events)
-    known = {ev.event_id for ev in ordered}
-    if len(known) != len(ordered):
-        raise ValueError("event stream contains duplicate event_ids")
+    joiner = Joiner()
+    for ev in ordered:
+        joiner.add(ev)
 
-    resolved: dict[str, OutcomeRecord] = {}
+    matched: dict[str, ResolvedPair] = {}
     cursor = 0  # next event position awaiting emission
-
     for out in outcomes:
-        if out.event_id not in known:
-            raise OrphanOutcome(
-                f"outcome references unknown event_id {out.event_id!r}"
-            )
-        if out.event_id in resolved:
-            raise DuplicateOutcome(
-                f"second outcome for event_id {out.event_id!r}"
-            )
-        resolved[out.event_id] = out
+        pair = joiner.match(out)
+        joiner.resolve(pair)
+        matched[out.event_id] = pair
         # flush the resolved prefix in event order
-        while cursor < len(ordered) and ordered[cursor].event_id in resolved:
-            ev = ordered[cursor]
-            yield ResolvedPair(ev, resolved[ev.event_id])
+        while cursor < len(ordered) and ordered[cursor].event_id in matched:
+            yield matched.pop(ordered[cursor].event_id)
             cursor += 1
 
-    unresolved = len(ordered) - cursor - sum(
-        1 for ev in ordered[cursor:] if ev.event_id in resolved
-    )
-    if unresolved:
-        logger.warning("join: %d events left unresolved at stream end", unresolved)
+    if joiner.pending:
+        logger.warning("join: %d events left unresolved at stream end",
+                       len(joiner.pending))
 
 
-def window_partition(
-    pairs: Iterable[ResolvedPair],
-    spec: WindowSpec,
-) -> Iterator[Window]:
-    """Slice a resolved stream into windows per spec.
+def window_partition(pairs: Iterable[ResolvedPair]) -> Iterator[Window]:
+    """Slice a resolved stream into one window per distinct period.
 
-    by_period: one window per distinct period, in stream order; every pair
-    lands in exactly one window and concatenating windows reproduces the
-    stream. by_count: one window per pair holding the trailing `size` pairs
-    (fewer near the head). Windows carry the TimeIndex of their last pair.
+    Windows come in stream order; every pair lands in exactly one window
+    and concatenating windows reproduces the stream. Windows carry the
+    TimeIndex of their last pair.
     """
-    if spec.kind == "by_period":
-        bucket: list[ResolvedPair] = []
-        for pair in pairs:
-            if bucket and pair.event.time.period != bucket[-1].event.time.period:
-                yield Window(tuple(bucket), bucket[-1].event.time)
-                bucket = []
-            bucket.append(pair)
-        if bucket:
+    bucket: list[ResolvedPair] = []
+    for pair in pairs:
+        if bucket and pair.event.time.period != bucket[-1].event.time.period:
             yield Window(tuple(bucket), bucket[-1].event.time)
-    else:
-        assert spec.size is not None
-        tail: list[ResolvedPair] = []
-        for pair in pairs:
-            tail.append(pair)
-            if len(tail) > spec.size:
-                tail.pop(0)
-            yield Window(tuple(tail), pair.event.time)
+            bucket = []
+        bucket.append(pair)
+    if bucket:
+        yield Window(tuple(bucket), bucket[-1].event.time)
 
 
 def split_arrays(window: Window | Sequence[ResolvedPair]):

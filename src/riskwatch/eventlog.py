@@ -32,6 +32,7 @@ import json
 import logging
 import math
 import os
+from dataclasses import asdict
 from typing import IO, Iterable, Iterator, Sequence
 
 from .alarms import AlarmRecord, ThresholdPolicy
@@ -46,7 +47,7 @@ from .errors import (
     SchemaError,
     VersionMismatch,
 )
-from .monitor import MonitorEngine
+from .monitor import ENGINE_DEFAULTS, MonitorEngine
 from .simulator import ScenarioConfig
 
 logger = logging.getLogger(__name__)
@@ -320,24 +321,15 @@ def report_rows(
     if not snapshots:
         raise EmptyReport("no closed periods to report")
     state_by_period = {rec.time.period: rec.state.value for rec in alarm_history}
-    rows = []
-    for snap in snapshots:
-        row = {
-            "period": snap.time.period,
-            "n": snap.n,
-            "auc": snap.auc,
-            "ece": snap.ece,
-            "brier": snap.brier,
-            "var": snap.var,
-            "cvar": snap.cvar,
-            "regret_cumulative": snap.regret_cumulative,
-            "regret_rate": snap.regret_rate,
-            "posterior_mean": snap.posterior_mean,
-            "drift_score": snap.drift_score,
-            "alarm_state": state_by_period.get(snap.time.period),
-        }
-        rows.append(row)
-    return rows
+
+    def cell(snap: MetricSnapshot, col: str):
+        if col == "period":
+            return snap.time.period
+        if col == "alarm_state":
+            return state_by_period.get(snap.time.period)
+        return getattr(snap, col)
+
+    return [{col: cell(snap, col) for col in REPORT_COLUMNS} for snap in snapshots]
 
 
 def emit_report(
@@ -411,56 +403,10 @@ def read_report(text: str, fmt: str = "csv") -> list[dict]:
 
 def default_config() -> dict:
     """Full config document with every setting at its default."""
-    scenario = ScenarioConfig()
-    policy = ThresholdPolicy()
     return {
-        "scenario": {
-            "periods": scenario.periods,
-            "patients_per_period": scenario.patients_per_period,
-            "base_prevalence": scenario.base_prevalence,
-            "final_prevalence": scenario.final_prevalence,
-            "drift_start_period": scenario.drift_start_period,
-            "class_separation": scenario.class_separation,
-            "miscalibration_gain": scenario.miscalibration_gain,
-            "loss_w_fn": scenario.loss_w_fn,
-            "loss_w_fp": scenario.loss_w_fp,
-            "seed": scenario.seed,
-            "harm_cap": scenario.harm_cap,
-            "baseline_harm_scale": scenario.baseline_harm_scale,
-            "intervention_cost": scenario.intervention_cost,
-            "act_threshold": scenario.act_threshold,
-            "tail_fraction": scenario.tail_fraction,
-            "tail_scale": scenario.tail_scale,
-            "regret_escalation": scenario.regret_escalation,
-        },
-        "policy": {
-            "ece_max": policy.ece_max,
-            "cvar_max": policy.cvar_max,
-            "regret_rate_max": policy.regret_rate_max,
-            "drift_min": policy.drift_min,
-            "consecutive_for_review": policy.consecutive_for_review,
-            "consecutive_for_suspend": policy.consecutive_for_suspend,
-            "recovery_periods": policy.recovery_periods,
-            "conjunctive": policy.conjunctive,
-        },
-        "monitor": {
-            "n_bins": 10,
-            "alpha": 0.95,
-            "drift_samples": 50_000,
-            "drift_seed": 7,
-        },
-        # reporting window; the streaming engine closes windows by period,
-        # by_count windows are an offline library feature
-        "window": {
-            "kind": "by_period",
-            "size": None,
-        },
-        # weights of the observable per-event loss formula, recorded here so
-        # a pipeline that derives losses upstream keeps them auditable
-        "loss": {
-            "w_fn": 3.0,
-            "w_fp": 1.0,
-        },
+        "scenario": asdict(ScenarioConfig()),
+        "policy": asdict(ThresholdPolicy()),
+        "monitor": dict(ENGINE_DEFAULTS),
     }
 
 
@@ -509,17 +455,4 @@ def policy_from_config(config: dict) -> ThresholdPolicy:
 
 
 def engine_from_config(config: dict) -> MonitorEngine:
-    window = config.get("window", {})
-    if window.get("kind", "by_period") != "by_period":
-        raise BadConfig(
-            "the streaming engine reports by period; by_count windows are "
-            "available through the library window API"
-        )
-    mon = config["monitor"]
-    return MonitorEngine(
-        policy=policy_from_config(config),
-        n_bins=mon["n_bins"],
-        alpha=mon["alpha"],
-        drift_samples=mon["drift_samples"],
-        drift_seed=mon["drift_seed"],
-    )
+    return MonitorEngine(policy=policy_from_config(config), **config["monitor"])

@@ -1,10 +1,11 @@
 """Incremental monitoring engine: streams in, per-period snapshots out.
 
 The engine consumes interleaved prediction events and outcome records,
-joins them (events wait in a pending buffer until their outcome arrives),
-accumulates resolved pairs into the currently open period, and on period
-rollover computes a MetricSnapshot (calibration, tail risk, regret,
-belief) and advances the alarm state machine.
+joins them through core.Joiner (events wait there until their outcome
+arrives), scores each decision's regret with regret.step_regret as the
+pair resolves, accumulates resolved pairs into the currently open period,
+and on period rollover computes a MetricSnapshot (calibration, tail risk,
+regret, belief) and advances the alarm state machine.
 
 All engine state is plain JSON-serializable data, so a run can be frozen
 mid-stream with to_state(), persisted, reloaded with from_state() and
@@ -19,19 +20,22 @@ closed is dropped with a warning rather than reopening history.
 
 from __future__ import annotations
 
+import inspect
 import logging
 import math
+from dataclasses import asdict
 
 from . import belief as belief_mod
 from .alarms import AlarmRecord, AlarmState, OperatingState, ThresholdPolicy, evaluate
 from .calibration import auc, brier, ece
-from .core import MetricSnapshot, OutcomeRecord, PredictionEvent, ResolvedPair, TimeIndex
-from .errors import DuplicateOutcome, OrphanOutcome, VersionMismatch
+from .core import Joiner, MetricSnapshot, OutcomeRecord, PredictionEvent, ResolvedPair, TimeIndex
+from .errors import VersionMismatch
+from .regret import step_regret
 from .tailrisk import cvar_tail, var
 
 logger = logging.getLogger(__name__)
 
-ENGINE_STATE_VERSION = 1
+ENGINE_STATE_VERSION = 2
 
 
 class MonitorEngine:
@@ -56,15 +60,13 @@ class MonitorEngine:
         self.events_seen = 0
         self.outcomes_seen = 0
 
-        self._pending: dict[str, PredictionEvent] = {}
-        self._resolved_ids: set[str] = set()
+        self._join = Joiner()
         self._open_period: int | None = None
         self._acc_probs: list[float] = []
         self._acc_ys: list[int] = []
         self._acc_losses: list[float] = []
-        self._acc_chosen: list[int | None] = []
-        self._acc_alts: list[tuple[float, ...] | None] = []
-        self._acc_sequences: list[int] = []
+        self._acc_regrets: list[float] = []  # steps with counterfactual losses only
+        self._acc_last_sequence: int | None = None
         self._baseline: tuple[float, float] | None = None  # frozen Beta(a, b)
         self._regret_cumulative: float | None = None
         self._stale_pairs = 0
@@ -72,31 +74,28 @@ class MonitorEngine:
     # -- stream intake -------------------------------------------------------
 
     def observe_event(self, event: PredictionEvent) -> None:
-        if event.event_id in self._pending or event.event_id in self._resolved_ids:
-            raise ValueError(f"duplicate event_id {event.event_id!r} in event stream")
-        self._pending[event.event_id] = event
+        self._join.add(event)
         self.events_seen += 1
 
     def observe_outcome(self, outcome: OutcomeRecord) -> None:
-        if outcome.event_id in self._resolved_ids:
-            raise DuplicateOutcome(f"second outcome for event_id {outcome.event_id!r}")
-        event = self._pending.pop(outcome.event_id, None)
-        if event is None:
-            raise OrphanOutcome(
-                f"outcome references unknown event_id {outcome.event_id!r}"
-            )
-        self._resolved_ids.add(outcome.event_id)
+        pair = self._join.match(outcome)
+        # scored (and range-checked) before the pair changes any state
+        regret = None
+        if pair.event.action_id is not None and outcome.alt_losses is not None:
+            regret = step_regret(pair.event.action_id, outcome.alt_losses)
+        self._join.resolve(pair)
         self.outcomes_seen += 1
-        self._on_pair(ResolvedPair(event, outcome))
+        self._on_pair(pair, regret)
 
     def finalize(self) -> None:
         """Close the open period and flush warnings for unresolved events."""
         if self._open_period is not None and self._acc_probs:
             self._close_period()
         self._open_period = None
-        if self._pending:
+        if self._join.pending:
             logger.warning(
-                "monitor: %d events left unresolved at stream end", len(self._pending)
+                "monitor: %d events left unresolved at stream end",
+                len(self._join.pending),
             )
         if self._stale_pairs:
             logger.warning(
@@ -106,7 +105,7 @@ class MonitorEngine:
 
     # -- internals -----------------------------------------------------------
 
-    def _on_pair(self, pair: ResolvedPair) -> None:
+    def _on_pair(self, pair: ResolvedPair, regret: float | None) -> None:
         period = pair.event.time.period
         if self._open_period is None:
             self._open_period = period
@@ -119,32 +118,22 @@ class MonitorEngine:
         self._acc_probs.append(pair.event.predicted_prob)
         self._acc_ys.append(pair.outcome.outcome)
         self._acc_losses.append(pair.outcome.loss)
-        if pair.event.action_id is not None and pair.outcome.alt_losses is not None:
-            self._acc_chosen.append(pair.event.action_id)
-            self._acc_alts.append(pair.outcome.alt_losses)
-        else:
-            self._acc_chosen.append(None)
-            self._acc_alts.append(None)
-        self._acc_sequences.append(pair.event.time.sequence)
+        if regret is not None:
+            self._acc_regrets.append(regret)
+        self._acc_last_sequence = pair.event.time.sequence
 
     def _close_period(self) -> None:
         assert self._open_period is not None and self._acc_probs
         period = self._open_period
-        time = TimeIndex(period=period, sequence=self._acc_sequences[-1])
+        time = TimeIndex(period=period, sequence=self._acc_last_sequence)
         n = len(self._acc_probs)
 
-        # regret over the steps that carry counterfactual losses
-        step_regrets = [
-            alts[chosen] - min(alts)
-            for chosen, alts in zip(self._acc_chosen, self._acc_alts)
-            if chosen is not None and alts is not None
-        ]
         regret_rate = None
-        if step_regrets:
-            period_regret = math.fsum(step_regrets)
+        if self._acc_regrets:
+            period_regret = math.fsum(self._acc_regrets)
             base = 0.0 if self._regret_cumulative is None else self._regret_cumulative
             self._regret_cumulative = base + period_regret
-            regret_rate = period_regret / len(step_regrets)
+            regret_rate = period_regret / len(self._acc_regrets)
 
         # rolling belief over this period; baseline frozen at first close
         positives = sum(self._acc_ys)
@@ -177,9 +166,8 @@ class MonitorEngine:
         self._acc_probs = []
         self._acc_ys = []
         self._acc_losses = []
-        self._acc_chosen = []
-        self._acc_alts = []
-        self._acc_sequences = []
+        self._acc_regrets = []
+        self._acc_last_sequence = None
 
     # -- state freezing ------------------------------------------------------
 
@@ -187,20 +175,8 @@ class MonitorEngine:
         """Plain-data image of the full engine state."""
         return {
             "engine_version": ENGINE_STATE_VERSION,
-            "n_bins": self.n_bins,
-            "alpha": self.alpha,
-            "drift_samples": self.drift_samples,
-            "drift_seed": self.drift_seed,
-            "policy": {
-                "ece_max": self.policy.ece_max,
-                "cvar_max": self.policy.cvar_max,
-                "regret_rate_max": self.policy.regret_rate_max,
-                "drift_min": self.policy.drift_min,
-                "consecutive_for_review": self.policy.consecutive_for_review,
-                "consecutive_for_suspend": self.policy.consecutive_for_suspend,
-                "recovery_periods": self.policy.recovery_periods,
-                "conjunctive": self.policy.conjunctive,
-            },
+            **{name: getattr(self, name) for name in ENGINE_DEFAULTS},
+            "policy": asdict(self.policy),
             "events_seen": self.events_seen,
             "outcomes_seen": self.outcomes_seen,
             "open_period": self._open_period,
@@ -208,9 +184,8 @@ class MonitorEngine:
                 "probs": list(self._acc_probs),
                 "ys": list(self._acc_ys),
                 "losses": list(self._acc_losses),
-                "chosen": list(self._acc_chosen),
-                "alts": [list(a) if a is not None else None for a in self._acc_alts],
-                "sequences": list(self._acc_sequences),
+                "regrets": list(self._acc_regrets),
+                "last_sequence": self._acc_last_sequence,
             },
             "baseline": list(self._baseline) if self._baseline else None,
             "regret_cumulative": self._regret_cumulative,
@@ -220,9 +195,9 @@ class MonitorEngine:
                     ev.event_id, ev.time.period, ev.time.sequence,
                     ev.predicted_prob, ev.action_id, ev.model_version, ev.cohort,
                 ]
-                for ev in self._pending.values()
+                for ev in self._join.pending.values()
             ],
-            "resolved_ids": sorted(self._resolved_ids),
+            "resolved_ids": sorted(self._join.resolved_ids),
             "alarm": {
                 "state": self.alarm.state.value,
                 "breach_streak": self.alarm.breach_streak,
@@ -248,13 +223,9 @@ class MonitorEngine:
             raise VersionMismatch(
                 f"engine state version {version!r} != supported {ENGINE_STATE_VERSION}"
             )
-        policy = ThresholdPolicy(**state["policy"])
         engine = cls(
-            policy=policy,
-            n_bins=state["n_bins"],
-            alpha=state["alpha"],
-            drift_samples=state["drift_samples"],
-            drift_seed=state["drift_seed"],
+            policy=ThresholdPolicy(**state["policy"]),
+            **{name: state[name] for name in ENGINE_DEFAULTS},
         )
         engine.events_seen = state["events_seen"]
         engine.outcomes_seen = state["outcomes_seen"]
@@ -263,15 +234,12 @@ class MonitorEngine:
         engine._acc_probs = [float(x) for x in acc["probs"]]
         engine._acc_ys = [int(x) for x in acc["ys"]]
         engine._acc_losses = [float(x) for x in acc["losses"]]
-        engine._acc_chosen = [None if x is None else int(x) for x in acc["chosen"]]
-        engine._acc_alts = [
-            None if a is None else tuple(float(x) for x in a) for a in acc["alts"]
-        ]
-        engine._acc_sequences = [int(x) for x in acc["sequences"]]
+        engine._acc_regrets = [float(x) for x in acc["regrets"]]
+        engine._acc_last_sequence = acc["last_sequence"]
         engine._baseline = tuple(state["baseline"]) if state["baseline"] else None
         engine._regret_cumulative = state["regret_cumulative"]
-        engine._stale_pairs = state.get("stale_pairs", 0)
-        engine._pending = {
+        engine._stale_pairs = state["stale_pairs"]
+        engine._join.pending = {
             row[0]: PredictionEvent(
                 event_id=row[0],
                 time=TimeIndex(period=row[1], sequence=row[2]),
@@ -282,7 +250,7 @@ class MonitorEngine:
             )
             for row in state["pending"]
         }
-        engine._resolved_ids = set(state["resolved_ids"])
+        engine._join.resolved_ids = set(state["resolved_ids"])
         alarm = state["alarm"]
         engine.alarm = AlarmState(
             state=OperatingState(alarm["state"]),
@@ -299,6 +267,15 @@ class MonitorEngine:
         )
         engine.snapshots = [_snapshot_from_dict(d) for d in state["snapshots"]]
         return engine
+
+
+# engine settings and their defaults, read off the constructor: the one list
+# behind the config's monitor section and the settings in to_state()
+ENGINE_DEFAULTS = {
+    name: param.default
+    for name, param in inspect.signature(MonitorEngine).parameters.items()
+    if name != "policy"
+}
 
 
 def _snapshot_to_dict(s: MetricSnapshot) -> dict:

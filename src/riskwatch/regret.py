@@ -1,7 +1,9 @@
 """Decision-regret accounting over a ledger of chosen actions.
 
 Each ledger entry records which action the deployed policy took and what
-every available action would have cost. Two comparators are exposed:
+every available action would have cost. step_regret scores one decision
+(the streaming engine calls it per resolved pair); two comparators are
+exposed over a whole ledger:
 
 * cumulative_regret: per-step hindsight, at every step comparing the chosen
   action's loss to that step's best action. Nonnegative and nondecreasing
@@ -25,6 +27,20 @@ from .core import TimeIndex
 from .errors import EmptyLedger, OutOfOrderEntry, RaggedActionSets
 
 
+def step_regret(chosen_action: int, action_losses: Sequence[float]) -> float:
+    """One decision's hindsight regret: chosen loss minus the step minimum.
+
+    Raises ValueError when chosen_action does not index action_losses; a
+    negative id is out of range, not counted from the end.
+    """
+    if not 0 <= chosen_action < len(action_losses):
+        raise ValueError(
+            f"chosen_action {chosen_action} outside action set of "
+            f"size {len(action_losses)}"
+        )
+    return action_losses[chosen_action] - min(action_losses)
+
+
 @dataclass(frozen=True)
 class DecisionLedgerEntry:
     """One decision: the action taken and the loss of every alternative."""
@@ -36,11 +52,7 @@ class DecisionLedgerEntry:
     def __post_init__(self):
         if len(self.action_losses) == 0:
             raise ValueError("action_losses must be non-empty")
-        if not 0 <= self.chosen_action < len(self.action_losses):
-            raise ValueError(
-                f"chosen_action {self.chosen_action} outside action set of "
-                f"size {len(self.action_losses)}"
-            )
+        step_regret(self.chosen_action, self.action_losses)  # range check
 
     @property
     def chosen_loss(self) -> float:
@@ -104,7 +116,7 @@ def cumulative_regret(
     regret difference is identical across tying actions).
     """
     entries = _entries_of(ledger)
-    per_step = [e.chosen_loss - min(e.action_losses) for e in entries]
+    per_step = [step_regret(e.chosen_action, e.action_losses) for e in entries]
     cumulative = math.fsum(per_step)
     exposure = None
     if safety_bound is not None:

@@ -284,23 +284,29 @@ def preset_names() -> tuple[str, ...]:
     return tuple(sorted(_PRESETS))
 
 
+def drive_engine(engine, output: ScenarioOutput):
+    """Feed a generated scenario through an engine, one event and its
+    outcome at a time, and finalize it. Returns the engine."""
+    for event, outcome in zip(output.events, output.outcomes):
+        engine.observe_event(event)
+        engine.observe_outcome(outcome)
+    engine.finalize()
+    return engine
+
+
 def run_monitor(
     output: ScenarioOutput,
     policy: ThresholdPolicy | None = None,
-    n_bins: int = 10,
-    alpha: float = 0.95,
+    **settings,
 ) -> tuple[list[MetricSnapshot], list[AlarmRecord]]:
     """Feed a generated scenario through the full monitoring pipeline.
 
     Wires the streams through join, per-period windows, calibration, tail
     risk, regret, belief and the alarm machine; returns the per-period
-    metric snapshots and the alarm history.
+    metric snapshots and the alarm history. settings are MonitorEngine
+    keywords (n_bins, alpha, ...) and default to the engine's own.
     """
     from .monitor import MonitorEngine  # local import avoids a cycle at import time
 
-    engine = MonitorEngine(policy=policy or ThresholdPolicy(), n_bins=n_bins, alpha=alpha)
-    for event, outcome in zip(output.events, output.outcomes):
-        engine.observe_event(event)
-        engine.observe_outcome(outcome)
-    engine.finalize()
+    engine = drive_engine(MonitorEngine(policy=policy, **settings), output)
     return list(engine.snapshots), list(engine.alarm.history)

@@ -180,6 +180,28 @@ class TestReplayResume:
         assert (resume_dir / "state.json").read_bytes() == (
             sim_dir / "state.json").read_bytes()
 
+    def test_checkpoint_saved_before_first_close(self, sim_dir, tmp_path, capsys):
+        full_log = sim_dir / "events.ndjson"
+        lines = full_log.read_text().splitlines(True)
+        partial = tmp_path / "partial.ndjson"
+        partial.write_text("".join(lines[:3_001]))  # period 1, still open
+
+        part_dir = tmp_path / "part"
+        code = main(["monitor", "--in", str(partial), "--out", str(part_dir),
+                     "--no-finalize"])
+        assert code == EXIT_DATA  # nothing closed yet, so no report
+        assert "no closed periods" in capsys.readouterr().err
+        assert (part_dir / "state.json").exists()
+
+        whole_dir = tmp_path / "whole"
+        assert main(["monitor", "--in", str(full_log),
+                     "--out", str(whole_dir)]) == EXIT_ALARM
+        resume_dir = tmp_path / "resumed"
+        assert main(["replay", "--snapshot", str(part_dir / "state.json"),
+                     "--in", str(full_log), "--out", str(resume_dir)]) == EXIT_ALARM
+        assert (resume_dir / "report.csv").read_bytes() == (
+            whole_dir / "report.csv").read_bytes()
+
     def test_partial_report_covers_closed_periods_only(self, sim_dir, tmp_path):
         lines = (sim_dir / "events.ndjson").read_text().splitlines(True)
         partial = tmp_path / "partial.ndjson"

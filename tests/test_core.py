@@ -10,7 +10,6 @@ from riskwatch.core import (
     PredictionEvent,
     ResolvedPair,
     TimeIndex,
-    WindowSpec,
     join,
     split_arrays,
     window_partition,
@@ -59,15 +58,6 @@ class TestValidation:
     def test_alt_losses_nonempty(self):
         with pytest.raises(ValueError):
             OutcomeRecord("x", outcome=0, loss=0.0, alt_losses=())
-
-    def test_window_spec(self):
-        with pytest.raises(ValueError):
-            WindowSpec(kind="by_minute")
-        with pytest.raises(ValueError):
-            WindowSpec(kind="by_count")  # needs size
-        with pytest.raises(ValueError):
-            WindowSpec(kind="by_period", size=5)  # takes none
-        WindowSpec(kind="by_count", size=1)
 
     def test_snapshot_needs_a_metric(self):
         with pytest.raises(ValueError):
@@ -130,25 +120,19 @@ class TestWindowing:
 
     def test_by_period_partition(self):
         pairs = self.pairs([1, 1, 2, 2, 2, 4])
-        wins = list(window_partition(pairs, WindowSpec()))
+        wins = list(window_partition(pairs))
         assert [len(w.pairs) for w in wins] == [2, 3, 1]
         assert [w.time.period for w in wins] == [1, 2, 4]
         # concatenation reproduces the stream
         flat = [p for w in wins for p in w.pairs]
         assert flat == pairs
 
-    def test_by_count_trailing(self):
-        pairs = self.pairs([1] * 5)
-        wins = list(window_partition(pairs, WindowSpec(kind="by_count", size=3)))
-        assert [len(w.pairs) for w in wins] == [1, 2, 3, 3, 3]
-        assert wins[-1].pairs == tuple(pairs[-3:])
-
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=50))
     @settings(max_examples=60, deadline=None)
     def test_by_period_covers_stream_exactly(self, raw):
         periods = sorted(raw)  # nondecreasing per the single-writer contract
         pairs = self.pairs(periods)
-        wins = list(window_partition(pairs, WindowSpec()))
+        wins = list(window_partition(pairs))
         assert [p for w in wins for p in w.pairs] == pairs
         seen = [w.time.period for w in wins]
         assert seen == sorted(set(periods))

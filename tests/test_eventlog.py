@@ -2,9 +2,11 @@
 
 import io
 import json
+from dataclasses import asdict
 
 import pytest
 
+from riskwatch.alarms import ThresholdPolicy
 from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex
 from riskwatch.errors import (
     BadConfig,
@@ -34,6 +36,7 @@ from riskwatch.eventlog import (
     write_log,
 )
 from riskwatch.monitor import MonitorEngine
+from riskwatch.simulator import ScenarioConfig
 
 
 def log_text(events, outcomes):
@@ -140,6 +143,36 @@ class TestLenientVsStrict:
         engine = MonitorEngine()
         with pytest.raises(Exception):
             feed_engine(engine, [OutcomeRecord("zzz", 1, 1.0)], strict=True)
+
+    # event "a" names an action outside its two-action set; "b" is valid
+    BAD_ACTION_LOG = (
+        '{"kind": "prediction", "event_id": "a", "period": 1, "seq": 0, '
+        '"prob": 0.5, "action": %d}\n'
+        '{"kind": "outcome", "event_id": "a", "y": 1, "loss": 0.5, '
+        '"alt_losses": [0.1, 0.5]}\n'
+        '{"kind": "prediction", "event_id": "b", "period": 1, "seq": 1, '
+        '"prob": 0.2, "action": 0}\n'
+        '{"kind": "outcome", "event_id": "b", "y": 0, "loss": 0.1, '
+        '"alt_losses": [0.1, 0.3]}\n'
+    )
+
+    @pytest.mark.parametrize("action", [5, -1])
+    def test_out_of_range_action_lenient_skips(self, action, caplog):
+        engine = MonitorEngine()
+        with caplog.at_level("WARNING"):
+            feed_engine(engine, read_log(io.StringIO(self.BAD_ACTION_LOG % action)))
+        engine.finalize()
+        assert "1 unjoinable records skipped" in caplog.text
+        assert engine.outcomes_seen == 1
+        assert engine.snapshots[0].n == 1
+        assert engine.snapshots[0].regret_cumulative == 0.0
+
+    @pytest.mark.parametrize("action", [5, -1])
+    def test_out_of_range_action_strict_raises(self, action):
+        engine = MonitorEngine()
+        records = read_log(io.StringIO(self.BAD_ACTION_LOG % action), strict=True)
+        with pytest.raises(SchemaError, match="outside action set"):
+            feed_engine(engine, records, strict=True)
 
 
 class TestSnapshotIntegrity:
@@ -251,10 +284,21 @@ class TestReports:
 class TestConfig:
     def test_defaults_complete(self):
         config = default_config()
-        assert set(config) == {"scenario", "policy", "monitor", "window", "loss"}
+        assert set(config) == {"scenario", "policy", "monitor"}
         scenario_from_config(config)
         policy_from_config(config)
         engine_from_config(config)
+
+    def test_sections_are_the_defaults_of_their_classes(self):
+        config = default_config()
+        assert config["scenario"] == asdict(ScenarioConfig())
+        assert config["policy"] == asdict(ThresholdPolicy())
+        engine = MonitorEngine()
+        assert config["monitor"] == {
+            name: getattr(engine, name)
+            for name in ("n_bins", "alpha", "drift_samples", "drift_seed")
+        }
+        assert engine_from_config(config).to_state() == engine.to_state()
 
     def test_defaults_when_no_path_no_env(self, monkeypatch):
         monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
@@ -284,6 +328,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("text,fragment", [
         ('{"surprises": {}}', "unknown config section"),
+        ('{"window": {}}', "unknown config section"),
+        ('{"loss": {}}', "unknown config section"),
         ('{"scenario": {"patients": 5}}', "unknown key"),
         ('{"scenario": []}', "must be an object"),
         ('[1, 2]', "root must be"),
@@ -298,13 +344,6 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(BadConfig, match="cannot read"):
             load_config(tmp_path / "absent.json")
-
-    def test_by_count_window_rejected_for_engine(self):
-        config = default_config()
-        config["window"]["kind"] = "by_count"
-        config["window"]["size"] = 100
-        with pytest.raises(BadConfig):
-            engine_from_config(config)
 
     def test_bad_policy_wrapped(self):
         config = default_config()

@@ -6,8 +6,8 @@ from dataclasses import replace
 import pytest
 
 from riskwatch.alarms import OperatingState, ThresholdPolicy
-from riskwatch.calibration import auc, brier, ece
-from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex
+from riskwatch.calibration import auc, brier, ece, ece_trajectory
+from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex, join
 from riskwatch.errors import DuplicateOutcome, OrphanOutcome, VersionMismatch
 from riskwatch.monitor import MonitorEngine
 from riskwatch.simulator import canonical_scenario, generate
@@ -46,6 +46,16 @@ class TestAgreementWithOfflineMetrics:
             assert snap.auc == auc(probs, ys)
             assert snap.var == var(losses, 0.95)
             assert snap.cvar == cvar_tail(losses, 0.95)
+
+    def test_offline_trajectory_matches_engine(self, canonical_output):
+        # the offline join + per-period windows against the engine's join
+        engine = MonitorEngine()
+        drive(engine, canonical_output.events, canonical_output.outcomes)
+        engine.finalize()
+        points = ece_trajectory(join(canonical_output.events, canonical_output.outcomes))
+        assert [(p.time, p.n, p.ece, p.brier, p.auc) for p in points] == [
+            (s.time, s.n, s.ece, s.brier, s.auc) for s in engine.snapshots
+        ]
 
     def test_alarm_history_one_record_per_period(self, canonical_output):
         engine = MonitorEngine()
@@ -133,6 +143,15 @@ class TestJoinDiscipline:
         engine.observe_event(ev(0))
         with pytest.raises(ValueError):
             engine.observe_event(ev(0))
+
+    @pytest.mark.parametrize("action", [5, -1])
+    def test_out_of_range_action_rejected_before_state_changes(self, action):
+        engine = MonitorEngine()
+        engine.observe_event(PredictionEvent("e0", TimeIndex(1, 0), 0.5, action_id=action))
+        before = engine.to_state()
+        with pytest.raises(ValueError, match="outside action set"):
+            engine.observe_outcome(OutcomeRecord("e0", 1, 0.5, alt_losses=(0.1, 0.5)))
+        assert engine.to_state() == before
 
     def test_stale_pair_dropped_with_warning(self, caplog):
         engine = MonitorEngine()
