@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import BadLevel
 
@@ -68,9 +67,13 @@ def credible_interval(
     """
     if not 0.0 < level < 1.0:
         raise BadLevel(f"level must lie in (0, 1), got {level}")
+    # imported when called: no monitor path needs quantiles, and a
+    # module-level scipy import is paid again by every CLI start
+    from scipy.special import betaincinv
+
     tail = (1.0 - level) / 2.0
-    lo = float(stats.beta.ppf(tail, posterior.a, posterior.b))
-    hi = float(stats.beta.ppf(1.0 - tail, posterior.a, posterior.b))
+    lo = float(betaincinv(posterior.a, posterior.b, tail))
+    hi = float(betaincinv(posterior.a, posterior.b, 1.0 - tail))
     return lo, hi
 
 

@@ -164,16 +164,15 @@ def auc(probs: Sequence[float], outcomes: Sequence[int]) -> float | None:
     if n_pos == 0 or n_neg == 0:
         return None
 
+    # a run of tied values at sorted positions i..j (0-based) shares the
+    # 1-based midrank (i + j + 2) / 2; runs split where != holds, so each
+    # NaN is its own run, kept in index order by the stable sort
     order = np.argsort(p, kind="stable")
     sorted_p = p[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_p[1:] != sorted_p[:-1])))
+    ends = np.append(starts[1:], p.size)
     ranks = np.empty(p.size, dtype=float)
-    i = 0
-    while i < p.size:
-        j = i
-        while j + 1 < p.size and sorted_p[j + 1] == sorted_p[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0  # midrank, 1-based
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
 
     rank_sum = math.fsum(ranks[y == 1.0].tolist())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

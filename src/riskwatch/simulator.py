@@ -38,7 +38,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .alarms import AlarmRecord, AlarmState, ThresholdPolicy
 from .core import MetricSnapshot, OutcomeRecord, PredictionEvent, TimeIndex
@@ -142,6 +141,10 @@ def generate_arrays(config: ScenarioConfig, seed: int | None = None) -> dict[str
     Returns flat arrays over all periods: period, y, true_prob, pred_prob,
     loss, loss_monitor, loss_act, action. Deterministic given the seed.
     """
+    # imported when called: monitor, replay and report never generate, and
+    # a module-level scipy import is paid again by every CLI start
+    from scipy.special import ndtri
+
     seed = config.seed if seed is None else seed
     n = config.patients_per_period
     d = config.class_separation

@@ -1,5 +1,7 @@
 """Beta-Bernoulli belief: conjugacy, intervals vs a bisection oracle, drift."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +80,24 @@ class TestCredibleInterval:
         tail = (1.0 - level) / 2.0
         assert lo == pytest.approx(oracle_beta_quantile(a, b, tail), abs=1e-9)
         assert hi == pytest.approx(oracle_beta_quantile(a, b, 1.0 - tail), abs=1e-9)
+
+    def test_equals_scipy_stats_quantiles(self):
+        # the interval came from scipy.stats.beta.ppf before; the switch to
+        # betaincinv keeps every bit
+        from scipy import stats
+
+        mismatches = []
+        for a, b, level in itertools.product(
+            [0.5, 1.0, 2.5, 13.0, 120.0, 500.0, 4000.0],
+            [0.5, 1.0, 7.0, 60.0, 350.0, 4000.0],
+            [0.5, 0.8, 0.9, 0.95, 0.99, 0.999],
+        ):
+            tail = (1.0 - level) / 2.0
+            expected = (float(stats.beta.ppf(tail, a, b)), float(stats.beta.ppf(1.0 - tail, a, b)))
+            got = credible_interval(BetaPosterior(a, b), level=level)
+            if got != expected:
+                mismatches.append((a, b, level, got, expected))
+        assert mismatches == []
 
     def test_interval_brackets_mean_for_symmetric(self):
         lo, hi = credible_interval(BetaPosterior(50.0, 50.0), level=0.95)

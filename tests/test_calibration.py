@@ -52,9 +52,33 @@ def oracle_auc(probs, ys):
     return total / (len(pos) * len(neg))
 
 
+def loop_auc(probs, ys):
+    """The midrank loop auc used before it was vectorised, kept as a reference."""
+    p = np.asarray(probs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    order = np.argsort(p, kind="stable")
+    sorted_p = p[order]
+    ranks = np.empty(p.size, dtype=float)
+    i = 0
+    while i < p.size:
+        j = i
+        while j + 1 < p.size and sorted_p[j + 1] == sorted_p[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j + 2) / 2.0  # midrank, 1-based
+        i = j + 1
+    rank_sum = math.fsum(ranks[y == 1.0].tolist())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 probs_and_ys = st.lists(
     st.tuples(
-        st.floats(0.0, 1.0, allow_nan=False),
+        # no subnormals: halving 5e-324 gives 0.0, a tie the monotone
+        # transform test assumes away
+        st.floats(0.0, 1.0, allow_nan=False, allow_subnormal=False),
         st.integers(0, 1),
     ),
     min_size=1,
@@ -157,6 +181,21 @@ class TestAuc:
         probs = [r[0] for r in rows]
         ys = [r[1] for r in rows]
         assert auc(probs, ys) == oracle_auc(probs, ys)
+
+    @given(st.integers(2, 3000), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_midrank_loop_exactly(self, n, decimals, seed):
+        # rounding to 1-3 decimals leaves at most 1001 distinct values: long runs of ties
+        rng = np.random.default_rng(seed)
+        probs = rng.random(n).round(decimals)
+        ys = (rng.random(n) < rng.random()).astype(int)
+        assert auc(probs, ys) == loop_auc(probs, ys)
+
+    def test_nan_ranks_match_midrank_loop(self):
+        # NaN passes the range check; each NaN is its own run, as in the loop
+        probs = [0.5, float("nan"), 0.2, float("nan"), 0.5, 0.9]
+        ys = [1, 0, 1, 1, 0, 0]
+        assert auc(probs, ys) == loop_auc(probs, ys)
 
     @given(probs_and_ys)
     @settings(max_examples=100, deadline=None)
