@@ -32,7 +32,7 @@ def main():
             baseline = belief  # frozen: everything after is compared to this
 
         lo, hi = credible_interval(belief, 0.95)
-        score = drift_score(baseline, belief, samples=100_000, seed=[7, m])
+        score = drift_score(baseline, belief)
         flag = " <-- rate has moved" if score > 0.95 and m > 1 else ""
         print(
             f"{m:>5} {pos:>7} {belief.mean:>7.4f} [{lo:.4f}, {hi:.4f}] "
@@ -48,7 +48,7 @@ def main():
         (BetaPosterior(250, 750), "rate up 2.5x"),
     ]:
         print(f"Beta(100,900) vs Beta({other.a:.0f},{other.b:.0f}) "
-              f"({label:>15}): {drift_score(a, other, seed=1):.4f}")
+              f"({label:>15}): {drift_score(a, other):.4f}")
 
 
 if __name__ == "__main__":

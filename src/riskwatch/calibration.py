@@ -59,7 +59,7 @@ def _as_prob_outcome(probs: Sequence[float], outcomes: Sequence[int]):
         raise EmptyWindow("calibration window is empty")
     if p.size != y.size:
         raise ValueError(f"length mismatch: {p.size} probs vs {y.size} outcomes")
-    if np.any((p < 0.0) | (p > 1.0)):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # also false for NaN
         raise ValueError("probabilities must lie in [0, 1]")
     return p, y
 
@@ -165,8 +165,7 @@ def auc(probs: Sequence[float], outcomes: Sequence[int]) -> float | None:
         return None
 
     # a run of tied values at sorted positions i..j (0-based) shares the
-    # 1-based midrank (i + j + 2) / 2; runs split where != holds, so each
-    # NaN is its own run, kept in index order by the stable sort
+    # 1-based midrank (i + j + 2) / 2; runs split where != holds
     order = np.argsort(p, kind="stable")
     sorted_p = p[order]
     starts = np.flatnonzero(np.concatenate(([True], sorted_p[1:] != sorted_p[:-1])))

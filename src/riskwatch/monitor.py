@@ -35,7 +35,7 @@ from .tailrisk import cvar_tail, var
 
 logger = logging.getLogger(__name__)
 
-ENGINE_STATE_VERSION = 2
+ENGINE_STATE_VERSION = 3
 
 
 class MonitorEngine:
@@ -46,14 +46,10 @@ class MonitorEngine:
         policy: ThresholdPolicy | None = None,
         n_bins: int = 10,
         alpha: float = 0.95,
-        drift_samples: int = 50_000,
-        drift_seed: int = 7,
     ):
         self.policy = policy or ThresholdPolicy()
         self.n_bins = n_bins
         self.alpha = alpha
-        self.drift_samples = drift_samples
-        self.drift_seed = drift_seed
 
         self.snapshots: list[MetricSnapshot] = []
         self.alarm = AlarmState()
@@ -124,8 +120,7 @@ class MonitorEngine:
 
     def _close_period(self) -> None:
         assert self._open_period is not None and self._acc_probs
-        period = self._open_period
-        time = TimeIndex(period=period, sequence=self._acc_last_sequence)
+        time = TimeIndex(period=self._open_period, sequence=self._acc_last_sequence)
         n = len(self._acc_probs)
 
         regret_rate = None
@@ -141,11 +136,7 @@ class MonitorEngine:
         if self._baseline is None:
             self._baseline = (rolling.a, rolling.b)
         baseline = belief_mod.BetaPosterior(*self._baseline)
-        drift = belief_mod.drift_score(
-            baseline, rolling,
-            samples=self.drift_samples,
-            seed=[self.drift_seed, period],
-        )
+        drift = belief_mod.drift_score(baseline, rolling)
 
         snapshot = MetricSnapshot(
             time=time,

@@ -285,11 +285,10 @@ def test_10_belief_updates_and_drift_separation():
     assert stepped == update_batch(posterior, 3, 2)
 
     for belief in (BetaPosterior(1, 1), BetaPosterior(30, 70), BetaPosterior(500, 500)):
-        score = drift_score(belief, belief, samples=100_000, seed=3)
+        score = drift_score(belief, belief)
         assert 0.48 <= score <= 0.52, belief
 
-    assert drift_score(BetaPosterior(100, 900), BetaPosterior(250, 750),
-                       samples=100_000, seed=3) > 0.99
+    assert drift_score(BetaPosterior(100, 900), BetaPosterior(250, 750)) > 0.99
 
 
 def test_11_bit_identical_resume_and_report_idempotence(canonical_output):

@@ -1,11 +1,14 @@
 """Beta-Bernoulli belief: conjugacy, intervals vs a bisection oracle, drift."""
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betainc
+from scipy import integrate
+from scipy.special import betainc, betaincinv, betaln
 
 from riskwatch.belief import (
     BetaPosterior,
@@ -118,42 +121,87 @@ class TestCredibleInterval:
             credible_interval(BetaPosterior(1.0, 1.0), level=level)
 
 
+def mc_drift(baseline, rolling, samples, seed):
+    """The Monte Carlo estimator drift_score used before it was exact, kept
+    as a reference: folded share of paired posterior draws with
+    p_rolling > p_baseline."""
+    rng = np.random.default_rng(seed)
+    draws_base = rng.beta(baseline.a, baseline.b, size=samples)
+    draws_roll = rng.beta(rolling.a, rolling.b, size=samples)
+    s = float(np.mean(draws_roll > draws_base))
+    return max(s, 1.0 - s)
+
+
+def quad_drift(baseline, rolling):
+    """Folded P(p_rolling > p_baseline) by quadrature over the rolling density."""
+    (a0, b0), (a1, b1) = (baseline.a, baseline.b), (rolling.a, rolling.b)
+    lo = betaincinv(a1, b1, 1e-15)
+    hi = betaincinv(a1, b1, 1.0 - 1e-15)
+    log_norm = betaln(a1, b1)
+
+    def integrand(x):
+        pdf = math.exp((a1 - 1) * math.log(x) + (b1 - 1) * math.log1p(-x) - log_norm)
+        return pdf * betainc(a0, b0, x)
+
+    s, _ = integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
+    s = min(max(s, 0.0), 1.0)
+    return max(s, 1.0 - s)
+
+
+# (a, b) of posteriors built from counts, from a handful of events to the
+# 20k of a 10x-scale period
+GRID = [(1.0, 1.0), (2.0, 1.0), (3.0, 9.0), (37.0, 63.0), (101.0, 899.0),
+        (130.0, 870.0), (250.0, 750.0), (500.0, 500.0), (2401.0, 17601.0),
+        (2601.0, 17401.0)]
+# only the rolling posterior needs whole numbers; a baseline from a
+# non-uniform prior may be fractional
+FRACTIONAL_BASELINES = [(0.5, 0.5), (2.5, 7.25), (120.5, 880.5)]
+
+
 class TestDriftScore:
+    def test_hand_value(self):
+        # P(p_roll > p_base) for Beta(2, 1) against a uniform: integral of 2x * x
+        assert drift_score(BetaPosterior(1, 1), BetaPosterior(2, 1)) == pytest.approx(
+            2.0 / 3.0, abs=1e-12)
+
     def test_identical_posteriors_score_half(self):
-        post = BetaPosterior(37.0, 63.0)
-        s = drift_score(post, post, samples=100_000, seed=5)
-        assert 0.48 <= s <= 0.52
+        for ab in [(1.0, 1.0), (37.0, 63.0), (30.0, 70.0), (500.0, 500.0), (64.0, 3.0)]:
+            post = BetaPosterior(*ab)
+            assert drift_score(post, post) == pytest.approx(0.5, abs=1e-12), ab
 
     def test_separated_posteriors_score_high(self):
-        s = drift_score(
-            BetaPosterior(100.0, 900.0),
-            BetaPosterior(250.0, 750.0),
-            samples=100_000,
-            seed=5,
-        )
-        assert s > 0.99
+        assert drift_score(BetaPosterior(100.0, 900.0), BetaPosterior(250.0, 750.0)) > 0.99
 
     def test_direction_symmetric(self):
-        a, b = BetaPosterior(20.0, 80.0), BetaPosterior(40.0, 60.0)
-        assert drift_score(a, b, seed=9) == drift_score(a, b, seed=9)
-        # folded: both drift directions look alike in magnitude
-        up = drift_score(a, b, samples=50_000, seed=9)
-        down = drift_score(b, a, samples=50_000, seed=9)
-        assert up == pytest.approx(down, abs=0.02)
-        assert up >= 0.5 and down >= 0.5
+        # the swap sums over the other posterior's parameter, so the two
+        # agree to the method's accuracy (about 5e-11 at 20k events), not bitwise
+        for base, roll in itertools.combinations(GRID, 2):
+            up = drift_score(BetaPosterior(*base), BetaPosterior(*roll))
+            down = drift_score(BetaPosterior(*roll), BetaPosterior(*base))
+            assert up == pytest.approx(down, abs=1e-10), (base, roll)
 
     def test_score_bounded(self):
-        s = drift_score(BetaPosterior(1.0, 9.0), BetaPosterior(9.0, 1.0),
-                        samples=2_000, seed=0)
-        assert 0.5 <= s <= 1.0
+        for base, roll in itertools.product(GRID + FRACTIONAL_BASELINES, GRID):
+            assert 0.5 <= drift_score(BetaPosterior(*base), BetaPosterior(*roll)) <= 1.0
 
-    def test_sample_floor_enforced(self):
-        post = BetaPosterior(1.0, 1.0)
-        with pytest.raises(ValueError):
-            drift_score(post, post, samples=999)
+    @pytest.mark.parametrize("base,roll", [
+        *itertools.product(GRID, GRID[::3]),
+        *itertools.product(FRACTIONAL_BASELINES, GRID[:4]),
+    ])
+    def test_matches_quadrature(self, base, roll):
+        base, roll = BetaPosterior(*base), BetaPosterior(*roll)
+        assert drift_score(base, roll) == pytest.approx(quad_drift(base, roll), abs=1e-9)
 
-    def test_seed_sequence_accepted(self):
-        post = BetaPosterior(5.0, 5.0)
-        a = drift_score(post, post, samples=2_000, seed=[7, 3])
-        b = drift_score(post, post, samples=2_000, seed=[7, 3])
-        assert a == b
+    @pytest.mark.parametrize("base,roll", itertools.product(GRID[2:8], GRID[2:8:2]))
+    def test_within_monte_carlo_error(self, base, roll):
+        samples = 100_000
+        base, roll = BetaPosterior(*base), BetaPosterior(*roll)
+        exact = drift_score(base, roll)
+        estimate = mc_drift(base, roll, samples, seed=[7, 3])
+        se = math.sqrt(exact * (1.0 - exact) / samples)
+        assert abs(estimate - exact) <= 6.0 * se + 1.0 / samples
+
+    @pytest.mark.parametrize("roll", [(2.5, 3.0), (3.0, 2.5), (0.5, 0.5)])
+    def test_non_whole_rolling_parameter_raises(self, roll):
+        with pytest.raises(ValueError, match="whole"):
+            drift_score(BetaPosterior(1.0, 1.0), BetaPosterior(*roll))

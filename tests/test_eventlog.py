@@ -296,7 +296,7 @@ class TestConfig:
         engine = MonitorEngine()
         assert config["monitor"] == {
             name: getattr(engine, name)
-            for name in ("n_bins", "alpha", "drift_samples", "drift_seed")
+            for name in ("n_bins", "alpha")
         }
         assert engine_from_config(config).to_state() == engine.to_state()
 
@@ -331,6 +331,7 @@ class TestConfig:
         ('{"window": {}}', "unknown config section"),
         ('{"loss": {}}', "unknown config section"),
         ('{"scenario": {"patients": 5}}', "unknown key"),
+        ('{"monitor": {"drift_samples": 50000}}', "unknown key"),
         ('{"scenario": []}', "must be an object"),
         ('[1, 2]', "root must be"),
         ('{nope', "not valid JSON"),

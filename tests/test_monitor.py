@@ -118,11 +118,12 @@ class TestStateFreezing:
         assert resumed.to_state() == whole.to_state()
 
     def test_version_guard(self):
-        engine = MonitorEngine()
-        state = engine.to_state()
-        state["engine_version"] = 999
-        with pytest.raises(VersionMismatch):
-            MonitorEngine.from_state(state)
+        # 2 is the last version with Monte Carlo drift values and settings
+        for version in (2, 999):
+            state = MonitorEngine().to_state()
+            state["engine_version"] = version
+            with pytest.raises(VersionMismatch):
+                MonitorEngine.from_state(state)
 
 
 class TestJoinDiscipline:
