@@ -133,13 +133,13 @@ def ece(
     Perfectly calibrated predictions score near zero (exactly zero only up
     to sampling noise inside each bin).
     """
-    p, _ = _as_prob_outcome(probs, outcomes)
+    p, y = _as_prob_outcome(probs, outcomes)
     n = p.size
     # fsum keeps the reduction correctly rounded, hence independent of bin
-    # iteration order
+    # iteration order; the bins get the arrays, so nothing is converted twice
     return math.fsum(
         (b.count / n) * abs(b.mean_pred - b.event_rate)
-        for b in reliability_bins(probs, outcomes, n_bins=n_bins, equal_mass=equal_mass)
+        for b in reliability_bins(p, y, n_bins=n_bins, equal_mass=equal_mass)
         if b.count > 0
     )
 

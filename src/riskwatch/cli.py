@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("replay", help="resume a snapshot against its log")
     rep.add_argument("--snapshot", required=True, help="engine snapshot file")
     rep.add_argument("--in", dest="log", required=True,
-                     help="the full original event log (consumed records skipped)")
+                     help="the full original event log; the lines the snapshot "
+                          "consumed are skipped undecoded")
     rep.add_argument("--out", default=None,
                      help="output directory (default: report to stdout)")
     rep.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -188,9 +189,10 @@ def _cmd_simulate(args) -> int:
         output = generate(seeded)
         with open(os.path.join(out_dir, "events.ndjson"), "w",
                   encoding="utf-8") as fp:
-            eventlog.write_log(fp, output.events, output.outcomes)
+            lines = eventlog.write_log(fp, output.events, output.outcomes)
 
         engine = drive_engine(eventlog.engine_from_config(config), output)
+        engine.lines_consumed = lines  # as if monitor had read the log
         _write_outputs(engine, out_dir, args.format)
 
         config["scenario"] = asdict(seeded)
@@ -218,13 +220,22 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_monitor(args) -> int:
-    config = eventlog.load_config(args.policy)
-    engine = eventlog.engine_from_config(config)
+def _run_over_log(engine: MonitorEngine, args) -> int:
+    """Feed the engine the log lines it has not consumed, then write out.
+
+    A fresh engine has consumed none; a resumed one skips its snapshot's
+    lines. --no-finalize leaves the open period, and a final line with no
+    newline, for a later replay.
+    """
     fp = _read_log_lines(args.log)
     try:
-        eventlog.feed_engine(engine, eventlog.read_log(fp, strict=args.strict),
-                             strict=args.strict)
+        first_line = engine.lines_consumed + 1
+        lines = eventlog.unread_lines(fp, engine, hold_partial=args.no_finalize)
+        eventlog.feed_engine(
+            engine,
+            eventlog.read_log(lines, strict=args.strict, first_line=first_line),
+            strict=args.strict,
+        )
     finally:
         if fp is not sys.stdin:
             fp.close()
@@ -232,24 +243,15 @@ def _cmd_monitor(args) -> int:
         engine.finalize()
     _write_outputs(engine, args.out, args.format)
     return _engine_exit_code(engine)
+
+
+def _cmd_monitor(args) -> int:
+    config = eventlog.load_config(args.policy)
+    return _run_over_log(eventlog.engine_from_config(config), args)
 
 
 def _cmd_replay(args) -> int:
-    engine = eventlog.load_snapshot_file(args.snapshot)
-    consumed = engine.events_seen + engine.outcomes_seen
-    fp = _read_log_lines(args.log)
-    try:
-        records = eventlog.read_log(fp, strict=args.strict)
-        for _ in range(consumed):  # skip what the snapshot already saw
-            next(records, None)
-        eventlog.feed_engine(engine, records, strict=args.strict)
-    finally:
-        if fp is not sys.stdin:
-            fp.close()
-    if not args.no_finalize:
-        engine.finalize()
-    _write_outputs(engine, args.out, args.format)
-    return _engine_exit_code(engine)
+    return _run_over_log(eventlog.load_snapshot_file(args.snapshot), args)
 
 
 def _cmd_report(args) -> int:

@@ -146,23 +146,35 @@ MetricSnapshot.METRIC_FIELDS = tuple(f.name for f in fields(MetricSnapshot)[2:])
 
 
 class Joiner:
-    """Predictions waiting for their outcome, and the ids already resolved.
+    """Predictions waiting for their outcome, and the ids resolved lately.
 
-    The one place that decides whether a record joins: a repeated event_id
-    raises ValueError, an outcome naming an event_id never seen raises
-    OrphanOutcome and a second outcome for a resolved one raises
-    DuplicateOutcome. match() only checks, so a caller can validate the pair
-    before resolve() changes any state.
+    The one place that decides whether a record joins. Events must arrive
+    with increasing sequence numbers, so a repeated (or re-fed) event, whose
+    seq is not above the last accepted one, raises ValueError. An outcome
+    naming an id in resolved_ids raises DuplicateOutcome, and one naming an
+    id that is not pending raises OrphanOutcome. The owner may clear
+    resolved_ids to keep its state bounded on an endless stream (the engine
+    does at each period close); a second outcome for a cleared id is then
+    reported as an orphan. match() only checks, so a caller can validate
+    the pair before resolve() changes any state.
     """
 
     def __init__(self):
         self.pending: dict[str, PredictionEvent] = {}
         self.resolved_ids: set[str] = set()
+        self.last_seq: int | None = None
 
     def add(self, event: PredictionEvent) -> None:
+        seq = event.time.sequence
+        if self.last_seq is not None and seq <= self.last_seq:
+            raise ValueError(
+                f"duplicate event_id {event.event_id!r} or out-of-order event: "
+                f"seq {seq} is not above the last accepted seq {self.last_seq}"
+            )
         if event.event_id in self.pending or event.event_id in self.resolved_ids:
             raise ValueError(f"duplicate event_id {event.event_id!r} in event stream")
         self.pending[event.event_id] = event
+        self.last_seq = seq
 
     def match(self, outcome: OutcomeRecord) -> ResolvedPair:
         """The pair this outcome completes; the joiner is left unchanged."""
@@ -190,7 +202,9 @@ def join(
     Pairs are yielded in event-stream order regardless of the order
     outcomes arrive in. Events whose outcomes never arrive are held to the
     end and dropped with a logged count. Join errors are the Joiner's: a
-    repeated event_id, an orphaned outcome and a duplicated outcome raise.
+    repeated event_id or out-of-order seq, an orphaned outcome and a
+    duplicated outcome raise. The Joiner keeps every resolved id here,
+    since the events are all held anyway.
     """
     ordered = list(events)
     joiner = Joiner()

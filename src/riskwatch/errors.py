@@ -96,6 +96,10 @@ class SchemaError(_LineError):
     """Event-log record is well-formed JSON but violates the record schema."""
 
 
+class TruncatedLog(RiskwatchError):
+    """The event log holds fewer lines than the snapshot resumed on it consumed."""
+
+
 class CorruptSnapshot(RiskwatchError):
     """Persisted monitor state failed its checksum or cannot be decoded."""
 

@@ -12,6 +12,10 @@ action, cohort and alt_losses are optional. Ingest is lenient by default
 continues) and strict on request (first bad line raises ParseError or
 SchemaError carrying the line number).
 
+A log is addressed by line: an engine carries the number of log lines
+behind its state, and a resumed run skips that many lines undecoded
+(unread_lines) and numbers the rest from there.
+
 Engine snapshots are single JSON documents wrapping the engine state with
 a format version and a sha256 checksum over the canonically serialized
 state, so a truncated or hand-edited file is rejected instead of silently
@@ -33,6 +37,7 @@ import logging
 import math
 import os
 from dataclasses import asdict
+from itertools import islice
 from typing import IO, Iterable, Iterator, Sequence
 
 from .alarms import AlarmRecord, ThresholdPolicy
@@ -45,6 +50,7 @@ from .errors import (
     OrphanOutcome,
     ParseError,
     SchemaError,
+    TruncatedLog,
     VersionMismatch,
 )
 from .monitor import ENGINE_DEFAULTS, MonitorEngine
@@ -196,17 +202,48 @@ def _parse_record(record: dict, line_number: int) -> PredictionEvent | OutcomeRe
     raise SchemaError(f"unknown record kind {kind!r}", line_number=line_number)
 
 
+def unread_lines(
+    lines: Iterable[str],
+    engine: MonitorEngine,
+    hold_partial: bool = False,
+) -> Iterator[str]:
+    """The lines of a log that the engine has not consumed yet.
+
+    The first engine.lines_consumed lines are skipped without being
+    decoded; a log with fewer lines raises TruncatedLog. Every line handed
+    out advances engine.lines_consumed. With hold_partial, a final line
+    with no newline is left unconsumed, since its writer may still be
+    appending to it.
+    """
+    lines = iter(lines)
+    consumed = engine.lines_consumed
+    present = sum(1 for _ in islice(lines, consumed))
+    if present < consumed:
+        raise TruncatedLog(
+            f"event log has {present} lines but the snapshot consumed "
+            f"{consumed}; was it truncated or rotated?"
+        )
+    for line in lines:
+        if hold_partial and not line.endswith("\n"):
+            return
+        engine.lines_consumed += 1
+        yield line
+
+
 def read_log(
     lines: Iterable[str],
     strict: bool = False,
+    first_line: int = 1,
 ) -> Iterator[PredictionEvent | OutcomeRecord]:
     """Parse an ndjson event log into records, in encounter order.
 
     Lenient mode (default) skips malformed lines with a logged warning;
     strict mode raises on the first one. Blank lines are always skipped.
+    Lines are numbered from first_line, the number of the first line
+    given in the whole log.
     """
     skipped = 0
-    for line_number, line in enumerate(lines, start=1):
+    for line_number, line in enumerate(lines, start=first_line):
         text = line.strip()
         if not text:
             continue

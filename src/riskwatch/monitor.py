@@ -16,6 +16,12 @@ Ordering contract: a single writer appends events with increasing sequence
 numbers and nondecreasing periods, and outcomes arrive after (and near)
 their events. A pair that resolves only after its period has already been
 closed is dropped with a warning rather than reopening history.
+
+State is bounded by the open period, not by the stream: the joiner keeps
+the pending events and the ids resolved since the last close, and a
+repeated event is caught by its sequence number. A second outcome for an
+event resolved before the last close is therefore an orphan, not a
+duplicate.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ import inspect
 import logging
 import math
 from dataclasses import asdict
+
+import numpy as np
 
 from . import belief as belief_mod
 from .alarms import AlarmRecord, AlarmState, OperatingState, ThresholdPolicy, evaluate
@@ -35,7 +43,7 @@ from .tailrisk import cvar_tail, var
 
 logger = logging.getLogger(__name__)
 
-ENGINE_STATE_VERSION = 3
+ENGINE_STATE_VERSION = 4
 
 
 class MonitorEngine:
@@ -55,6 +63,9 @@ class MonitorEngine:
         self.alarm = AlarmState()
         self.events_seen = 0
         self.outcomes_seen = 0
+        # lines of the source log behind this state; kept by the log reader
+        # (eventlog.unread_lines) and only carried by the engine
+        self.lines_consumed = 0
 
         self._join = Joiner()
         self._open_period: int | None = None
@@ -79,9 +90,10 @@ class MonitorEngine:
         regret = None
         if pair.event.action_id is not None and outcome.alt_losses is not None:
             regret = step_regret(pair.event.action_id, outcome.alt_losses)
+        # a close forgets the resolved ids, so resolve this pair after it
+        self._on_pair(pair, regret)
         self._join.resolve(pair)
         self.outcomes_seen += 1
-        self._on_pair(pair, regret)
 
     def finalize(self) -> None:
         """Close the open period and flush warnings for unresolved events."""
@@ -122,6 +134,10 @@ class MonitorEngine:
         assert self._open_period is not None and self._acc_probs
         time = TimeIndex(period=self._open_period, sequence=self._acc_last_sequence)
         n = len(self._acc_probs)
+        # converted once and shared by every metric below
+        probs = np.asarray(self._acc_probs, dtype=float)
+        ys = np.asarray(self._acc_ys, dtype=float)
+        losses = np.asarray(self._acc_losses, dtype=float)
 
         regret_rate = None
         if self._acc_regrets:
@@ -141,11 +157,11 @@ class MonitorEngine:
         snapshot = MetricSnapshot(
             time=time,
             n=n,
-            ece=ece(self._acc_probs, self._acc_ys, n_bins=self.n_bins),
-            brier=brier(self._acc_probs, self._acc_ys),
-            auc=auc(self._acc_probs, self._acc_ys),
-            var=var(self._acc_losses, self.alpha),
-            cvar=cvar_tail(self._acc_losses, self.alpha),
+            ece=ece(probs, ys, n_bins=self.n_bins),
+            brier=brier(probs, ys),
+            auc=auc(probs, ys),
+            var=var(losses, self.alpha),
+            cvar=cvar_tail(losses, self.alpha),
             regret_cumulative=self._regret_cumulative,
             regret_rate=regret_rate,
             posterior_mean=rolling.mean,
@@ -159,6 +175,7 @@ class MonitorEngine:
         self._acc_losses = []
         self._acc_regrets = []
         self._acc_last_sequence = None
+        self._join.resolved_ids.clear()  # later outcomes for them are orphans
 
     # -- state freezing ------------------------------------------------------
 
@@ -170,6 +187,7 @@ class MonitorEngine:
             "policy": asdict(self.policy),
             "events_seen": self.events_seen,
             "outcomes_seen": self.outcomes_seen,
+            "lines_consumed": self.lines_consumed,
             "open_period": self._open_period,
             "acc": {
                 "probs": list(self._acc_probs),
@@ -189,6 +207,7 @@ class MonitorEngine:
                 for ev in self._join.pending.values()
             ],
             "resolved_ids": sorted(self._join.resolved_ids),
+            "last_event_seq": self._join.last_seq,
             "alarm": {
                 "state": self.alarm.state.value,
                 "breach_streak": self.alarm.breach_streak,
@@ -220,6 +239,7 @@ class MonitorEngine:
         )
         engine.events_seen = state["events_seen"]
         engine.outcomes_seen = state["outcomes_seen"]
+        engine.lines_consumed = state["lines_consumed"]
         engine._open_period = state["open_period"]
         acc = state["acc"]
         engine._acc_probs = [float(x) for x in acc["probs"]]
@@ -242,6 +262,7 @@ class MonitorEngine:
             for row in state["pending"]
         }
         engine._join.resolved_ids = set(state["resolved_ids"])
+        engine._join.last_seq = state["last_event_seq"]
         alarm = state["alarm"]
         engine.alarm = AlarmState(
             state=OperatingState(alarm["state"]),

@@ -220,6 +220,102 @@ class TestReplayResume:
         assert "checksum" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def small_lines(tmp_path_factory, small_cfg):
+    """The lines of the small deployment's log: 4 periods of 300 events,
+    each outcome right after its event, so 600 lines per period."""
+    d = tmp_path_factory.mktemp("small")
+    assert main(["simulate", "--scenario", str(small_cfg), "--out", str(d)]) == EXIT_OK
+    return (d / "events.ndjson").read_text().splitlines(True)
+
+
+def write(path, lines):
+    path.write_text("".join(lines))
+    return str(path)
+
+
+class TestLineAddressedReplay:
+    """replay skips the lines its snapshot consumed, not a record count."""
+
+    ORPHAN = '{"kind": "outcome", "event_id": "ghost", "y": 0, "loss": 0.1}\n'
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_resume_over_skipped_lines_is_exact(self, small_lines, tmp_path, strict):
+        # a bad JSON line, an orphan outcome and a blank line in the prefix;
+        # counting records instead of lines re-fed the outcome of event 749
+        lines = small_lines
+        full = (lines[:300] + ["{not json\n"] + lines[300:600] + [self.ORPHAN]
+                + lines[600:900] + ["\n"] + lines[900:])
+        log = write(tmp_path / "full.ndjson", full)
+        prefix = write(tmp_path / "prefix.ndjson", full[:1503])  # mid period 3
+
+        whole = tmp_path / "whole"
+        assert main(["monitor", "--in", log, "--out", str(whole)]) == EXIT_OK
+        part = tmp_path / "part"
+        assert main(["monitor", "--in", prefix, "--out", str(part),
+                     "--no-finalize"]) == EXIT_OK
+        resumed = tmp_path / "resumed"
+        argv = ["replay", "--snapshot", str(part / "state.json"), "--in", log,
+                "--out", str(resumed)]
+        assert main(argv + ["--strict"] * strict) == EXIT_OK
+        for name in ("report.csv", "state.json"):
+            assert (resumed / name).read_bytes() == (whole / name).read_bytes()
+
+    def test_truncated_log_is_refused(self, small_lines, tmp_path, capsys):
+        part = tmp_path / "part"
+        assert main(["monitor", "--in", write(tmp_path / "p.ndjson", small_lines[:1500]),
+                     "--out", str(part), "--no-finalize"]) == EXIT_OK
+        rotated = write(tmp_path / "rotated.ndjson", small_lines[:1000])
+        assert main(["replay", "--snapshot", str(part / "state.json"),
+                     "--in", rotated]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "1000" in err and "1500" in err
+
+    def test_line_numbers_count_from_the_top_of_the_log(
+        self, small_lines, tmp_path, capsys, caplog
+    ):
+        full = small_lines[:1700] + ["{bad\n"] + small_lines[1700:]
+        log = write(tmp_path / "full.ndjson", full)
+        part = tmp_path / "part"
+        assert main(["monitor", "--in", write(tmp_path / "p.ndjson", full[:1500]),
+                     "--out", str(part), "--no-finalize"]) == EXIT_OK
+        snapshot = str(part / "state.json")
+
+        with caplog.at_level("WARNING"):
+            assert main(["replay", "--snapshot", snapshot, "--in", log]) == EXIT_OK
+        assert "event log line 1701 skipped" in caplog.text
+        capsys.readouterr()
+        assert main(["replay", "--snapshot", snapshot, "--in", log,
+                     "--strict"]) == EXIT_DATA
+        assert "line 1701:" in capsys.readouterr().err
+
+    def test_trailing_partial_line_left_for_replay(self, small_lines, tmp_path):
+        log = write(tmp_path / "full.ndjson", small_lines)
+        # the writer is part way through line 1501 (an event line)
+        partial = write(tmp_path / "p.ndjson", small_lines[:1500] + [small_lines[1500][:30]])
+        part = tmp_path / "part"
+        assert main(["monitor", "--in", partial, "--out", str(part),
+                     "--no-finalize"]) == EXIT_OK
+        state = json.loads((part / "state.json").read_text())["state"]
+        assert state["lines_consumed"] == 1500
+
+        whole, resumed = tmp_path / "whole", tmp_path / "resumed"
+        assert main(["monitor", "--in", log, "--out", str(whole)]) == EXIT_OK
+        assert main(["replay", "--snapshot", str(part / "state.json"), "--in", log,
+                     "--out", str(resumed)]) == EXIT_OK
+        for name in ("report.csv", "state.json"):
+            assert (resumed / name).read_bytes() == (whole / name).read_bytes()
+
+    def test_final_run_consumes_unterminated_last_line(self, small_lines, tmp_path):
+        unterminated = small_lines[:-1] + [small_lines[-1].rstrip("\n")]
+        out = tmp_path / "m"
+        assert main(["monitor", "--in", write(tmp_path / "u.ndjson", unterminated),
+                     "--out", str(out)]) == EXIT_OK
+        state = json.loads((out / "state.json").read_text())["state"]
+        assert state["lines_consumed"] == len(small_lines)
+        assert state["pending"] == []
+
+
 class TestReport:
     def test_reemit_json(self, sim_dir, capsys):
         assert main(["report", "--in", str(sim_dir / "state.json"),

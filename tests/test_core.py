@@ -85,6 +85,15 @@ class TestJoin:
         with pytest.raises(ValueError):
             list(join([ev(0), ev(0)], [oc(0)]))
 
+    def test_out_of_order_seq_rejected(self):
+        with pytest.raises(ValueError, match="not above the last accepted seq 2"):
+            list(join([ev(2), ev(1)], [oc(1)]))
+
+    def test_duplicate_outcome_caught_across_periods(self):
+        # join holds every event, so it keeps every resolved id as well
+        with pytest.raises(DuplicateOutcome):
+            list(join([ev(0, period=1), ev(1, period=2)], [oc(0), oc(1), oc(0)]))
+
     def test_unresolved_events_dropped_with_warning(self, caplog):
         events = [ev(0), ev(1)]
         with caplog.at_level("WARNING"):

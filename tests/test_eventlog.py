@@ -14,6 +14,7 @@ from riskwatch.errors import (
     EmptyReport,
     ParseError,
     SchemaError,
+    TruncatedLog,
     VersionMismatch,
 )
 from riskwatch.eventlog import (
@@ -33,6 +34,7 @@ from riskwatch.eventlog import (
     report_rows,
     save_snapshot,
     scenario_from_config,
+    unread_lines,
     write_log,
 )
 from riskwatch.monitor import MonitorEngine
@@ -97,6 +99,15 @@ class TestLenientVsStrict:
             list(read_log(io.StringIO(self.BAD_SCHEMA), strict=True))
         assert err.value.line_number == 1
         assert "prob" in str(err.value)
+
+    def test_lines_numbered_from_first_line(self, caplog):
+        text = self.GOOD + self.BAD_JSON
+        with caplog.at_level("WARNING"):
+            assert len(list(read_log(io.StringIO(text), first_line=41))) == 1
+        assert "event log line 42 skipped" in caplog.text
+        with pytest.raises(ParseError) as err:
+            list(read_log(io.StringIO(text), strict=True, first_line=41))
+        assert err.value.line_number == 42
 
     def test_lenient_skips_and_warns(self, caplog):
         with caplog.at_level("WARNING"):
@@ -173,6 +184,36 @@ class TestLenientVsStrict:
         records = read_log(io.StringIO(self.BAD_ACTION_LOG % action), strict=True)
         with pytest.raises(SchemaError, match="outside action set"):
             feed_engine(engine, records, strict=True)
+
+
+class TestUnreadLines:
+    LINES = ["a\n", "\n", "b\n", "c\n"]
+
+    def test_skips_consumed_lines_and_counts_the_rest(self):
+        engine = MonitorEngine()
+        engine.lines_consumed = 2
+        assert list(unread_lines(io.StringIO("".join(self.LINES)), engine)) == ["b\n", "c\n"]
+        assert engine.lines_consumed == 4
+
+    def test_consumed_lines_are_not_decoded(self):
+        engine = MonitorEngine()
+        engine.lines_consumed = 2
+        lines = ["{not json\n", "[]\n", TestLenientVsStrict.GOOD]
+        records = list(read_log(unread_lines(lines, engine), strict=True, first_line=3))
+        assert [r.event_id for r in records] == ["b"]
+
+    def test_log_shorter_than_consumed_raises(self):
+        engine = MonitorEngine()
+        engine.lines_consumed = 5
+        with pytest.raises(TruncatedLog, match="has 4 lines but the snapshot consumed 5"):
+            list(unread_lines(self.LINES, engine))
+
+    @pytest.mark.parametrize("hold", [False, True])
+    def test_unterminated_last_line_held_back_on_request(self, hold):
+        engine = MonitorEngine()
+        got = list(unread_lines(io.StringIO("a\nb\npart"), engine, hold_partial=hold))
+        assert got == ["a\n", "b\n"] + ([] if hold else ["part"])
+        assert engine.lines_consumed == len(got)
 
 
 class TestSnapshotIntegrity:

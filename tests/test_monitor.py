@@ -1,5 +1,6 @@
 """Streaming engine: agreement with offline metrics, state freezing, joins."""
 
+import io
 import json
 from dataclasses import replace
 
@@ -9,8 +10,9 @@ from riskwatch.alarms import OperatingState, ThresholdPolicy
 from riskwatch.calibration import auc, brier, ece, ece_trajectory
 from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex, join
 from riskwatch.errors import DuplicateOutcome, OrphanOutcome, VersionMismatch
+from riskwatch.eventlog import save_snapshot
 from riskwatch.monitor import MonitorEngine
-from riskwatch.simulator import canonical_scenario, generate
+from riskwatch.simulator import canonical_scenario, drive_engine, generate
 from riskwatch.tailrisk import cvar_tail, var
 
 
@@ -118,8 +120,9 @@ class TestStateFreezing:
         assert resumed.to_state() == whole.to_state()
 
     def test_version_guard(self):
-        # 2 is the last version with Monte Carlo drift values and settings
-        for version in (2, 999):
+        # 2 is the last version with Monte Carlo drift values and settings,
+        # 3 the last with every resolved id and no log line count
+        for version in (2, 3, 999):
             state = MonitorEngine().to_state()
             state["engine_version"] = version
             with pytest.raises(VersionMismatch):
@@ -144,6 +147,31 @@ class TestJoinDiscipline:
         engine.observe_event(ev(0))
         with pytest.raises(ValueError):
             engine.observe_event(ev(0))
+
+    def test_event_at_or_below_last_seq_rejected(self):
+        engine = MonitorEngine()
+        engine.observe_event(ev(0))
+        engine.observe_outcome(oc(0))
+        engine.observe_event(ev(5, period=2))
+        engine.observe_outcome(oc(5))  # closes period 1
+        before = engine.to_state()
+        # a re-fed event, long resolved, and a new id out of order
+        for event in (ev(0), PredictionEvent("new", TimeIndex(2, 3), 0.5)):
+            with pytest.raises(ValueError, match="duplicate event_id"):
+                engine.observe_event(event)
+        assert engine.to_state() == before
+
+    def test_second_outcome_after_its_period_closed_is_orphan(self):
+        engine = MonitorEngine()
+        engine.observe_event(ev(0, period=1))
+        engine.observe_outcome(oc(0))
+        engine.observe_event(ev(1, period=2))
+        engine.observe_outcome(oc(1))  # closes period 1
+        # the pair that closed period 1 is resolved in period 2
+        with pytest.raises(DuplicateOutcome):
+            engine.observe_outcome(oc(1))
+        with pytest.raises(OrphanOutcome):
+            engine.observe_outcome(oc(0))
 
     @pytest.mark.parametrize("action", [5, -1])
     def test_out_of_range_action_rejected_before_state_changes(self, action):
@@ -176,6 +204,40 @@ class TestJoinDiscipline:
         with caplog.at_level("WARNING"):
             engine.finalize()
         assert "1 events left unresolved" in caplog.text
+
+
+class TestBoundedState:
+    """Engine state is sized by the open period, not by the stream."""
+
+    @pytest.fixture(scope="class")
+    def outputs(self):
+        return {n: generate(replace(canonical_scenario(), patients_per_period=n))
+                for n in (500, 5000)}
+
+    def test_finalized_state_does_not_grow_with_the_stream(self, outputs):
+        sizes = {}
+        for n, output in outputs.items():
+            engine = drive_engine(MonitorEngine(), output)
+            state = engine.to_state()
+            assert len(state["snapshots"]) == 12
+            assert state["pending"] == []
+            assert state["resolved_ids"] == []
+            assert state["acc"] == {"probs": [], "ys": [], "losses": [],
+                                    "regrets": [], "last_sequence": None}
+            buf = io.StringIO()
+            save_snapshot(engine, buf)
+            sizes[n] = len(buf.getvalue())
+        assert abs(sizes[5000] - sizes[500]) <= 0.01 * sizes[500]
+
+    def test_mid_period_checkpoint_holds_open_period_ids_only(self, outputs):
+        output = outputs[5000]
+        engine = drive(MonitorEngine(), output.events, output.outcomes,
+                       upto=12_345)  # mid period 3
+        state = engine.to_state()
+        period_of = {e.event_id: e.time.period for e in output.events}
+        assert state["open_period"] == 3
+        assert {period_of[i] for i in state["resolved_ids"]} == {3}
+        assert len(state["resolved_ids"]) == len(state["acc"]["probs"]) == 2_345
 
 
 class TestPartialMetrics:
