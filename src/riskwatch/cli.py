@@ -30,7 +30,8 @@ from . import eventlog
 from .alarms import OperatingState
 from .errors import RiskwatchError, UnknownPreset
 from .monitor import MonitorEngine
-from .simulator import ScenarioConfig, drive_engine, generate, preset, preset_names
+from .simulator import ScenarioConfig, feed_pairs, preset, preset_names, scenario_pairs
+from .simulator import generate  # noqa: F401  (not called; bench/spans.py traces it here)
 
 logger = logging.getLogger(__name__)
 
@@ -170,6 +171,19 @@ def _read_log_lines(path: str):
     return open(path, "r", encoding="utf-8")
 
 
+def _logged(fp, engine: MonitorEngine, pairs):
+    """Pass (event, outcome) pairs on once their two log lines are written.
+
+    The engine counts those lines as consumed, as if it had read them back
+    from the log. Only the pair in hand is held here.
+    """
+    for event, outcome in pairs:
+        fp.write(eventlog.log_line(event))
+        fp.write(eventlog.log_line(outcome))
+        engine.lines_consumed += 2
+        yield event, outcome
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -186,13 +200,11 @@ def _cmd_simulate(args) -> int:
                    else os.path.join(args.out, f"seed-{seeded.seed}"))
         os.makedirs(out_dir, exist_ok=True)
 
-        output = generate(seeded)
+        engine = eventlog.engine_from_config(config)
         with open(os.path.join(out_dir, "events.ndjson"), "w",
                   encoding="utf-8") as fp:
-            lines = eventlog.write_log(fp, output.events, output.outcomes)
-
-        engine = drive_engine(eventlog.engine_from_config(config), output)
-        engine.lines_consumed = lines  # as if monitor had read the log
+            feed_pairs(engine, _logged(fp, engine, scenario_pairs(seeded)))
+        engine.finalize()
         _write_outputs(engine, out_dir, args.format)
 
         config["scenario"] = asdict(seeded)
@@ -231,11 +243,7 @@ def _run_over_log(engine: MonitorEngine, args) -> int:
     try:
         first_line = engine.lines_consumed + 1
         lines = eventlog.unread_lines(fp, engine, hold_partial=args.no_finalize)
-        eventlog.feed_engine(
-            engine,
-            eventlog.read_log(lines, strict=args.strict, first_line=first_line),
-            strict=args.strict,
-        )
+        eventlog.ingest_log(engine, lines, strict=args.strict, first_line=first_line)
     finally:
         if fp is not sys.stdin:
             fp.close()

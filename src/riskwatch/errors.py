@@ -10,13 +10,28 @@ class RiskwatchError(Exception):
     """Base class for all toolkit errors."""
 
 
+class _LineError(RiskwatchError):
+    """An error about one record of an event log; names its 1-based line
+    number once the reader knows it."""
+
+    def __init__(self, message: str, line_number: int | None = None):
+        super().__init__(message)
+        self.line_number = line_number
+
+    def __str__(self) -> str:
+        base = super().__str__()
+        if self.line_number is None:
+            return base
+        return f"line {self.line_number}: {base}"
+
+
 # -- stream plumbing ---------------------------------------------------------
 
-class OrphanOutcome(RiskwatchError):
+class OrphanOutcome(_LineError):
     """An outcome record references an event_id absent from the event stream."""
 
 
-class DuplicateOutcome(RiskwatchError):
+class DuplicateOutcome(_LineError):
     """A second outcome arrived for an event_id that is already resolved."""
 
 
@@ -75,18 +90,6 @@ class UnknownPreset(RiskwatchError):
 
 
 # -- event log / persistence -------------------------------------------------
-
-class _LineError(RiskwatchError):
-    def __init__(self, message: str, line_number: int | None = None):
-        super().__init__(message)
-        self.line_number = line_number
-
-    def __str__(self) -> str:
-        base = super().__str__()
-        if self.line_number is None:
-            return base
-        return f"line {self.line_number}: {base}"
-
 
 class ParseError(_LineError):
     """Event-log line is not valid JSON. Carries the 1-based line number."""

@@ -10,7 +10,9 @@ Event logs are newline-delimited JSON, one record per line, two kinds::
 action, cohort and alt_losses are optional. Ingest is lenient by default
 (malformed lines are counted and logged with their line number, parsing
 continues) and strict on request (first bad line raises ParseError or
-SchemaError carrying the line number).
+SchemaError carrying the line number). ingest_log carries the line
+numbers on into the engine intake, so a record the join rejects is named
+by its line too.
 
 A log is addressed by line: an engine carries the number of log lines
 behind its state, and a resumed run skips that many lines undecoded
@@ -108,6 +110,13 @@ def outcome_to_record(outcome: OutcomeRecord) -> dict:
     return rec
 
 
+def log_line(record: PredictionEvent | OutcomeRecord) -> str:
+    """One record as its line of an ndjson event log, newline included."""
+    if isinstance(record, PredictionEvent):
+        return json.dumps(event_to_record(record)) + "\n"
+    return json.dumps(outcome_to_record(record)) + "\n"
+
+
 def write_log(
     fp: IO[str],
     events: Sequence[PredictionEvent],
@@ -118,14 +127,14 @@ def write_log(
     by_id = {o.event_id: o for o in outcomes}
     lines = 0
     for event in events:
-        fp.write(json.dumps(event_to_record(event)) + "\n")
+        fp.write(log_line(event))
         lines += 1
         outcome = by_id.pop(event.event_id, None)
         if outcome is not None:
-            fp.write(json.dumps(outcome_to_record(outcome)) + "\n")
+            fp.write(log_line(outcome))
             lines += 1
     for orphan in by_id.values():
-        fp.write(json.dumps(outcome_to_record(orphan)) + "\n")
+        fp.write(log_line(orphan))
         lines += 1
     return lines
 
@@ -230,18 +239,12 @@ def unread_lines(
         yield line
 
 
-def read_log(
+def _numbered_records(
     lines: Iterable[str],
-    strict: bool = False,
-    first_line: int = 1,
-) -> Iterator[PredictionEvent | OutcomeRecord]:
-    """Parse an ndjson event log into records, in encounter order.
-
-    Lenient mode (default) skips malformed lines with a logged warning;
-    strict mode raises on the first one. Blank lines are always skipped.
-    Lines are numbered from first_line, the number of the first line
-    given in the whole log.
-    """
+    strict: bool,
+    first_line: int,
+) -> Iterator[tuple[int, PredictionEvent | OutcomeRecord]]:
+    """read_log's records, each with the number of the line it came from."""
     skipped = 0
     for line_number, line in enumerate(lines, start=first_line):
         text = line.strip()
@@ -258,7 +261,7 @@ def read_log(
                 raise SchemaError(
                     "record must be a JSON object", line_number=line_number
                 )
-            yield _parse_record(record, line_number)
+            yield line_number, _parse_record(record, line_number)
         except (ParseError, SchemaError) as exc:
             if strict:
                 raise
@@ -268,6 +271,50 @@ def read_log(
         logger.warning("event log: %d malformed lines skipped", skipped)
 
 
+def read_log(
+    lines: Iterable[str],
+    strict: bool = False,
+    first_line: int = 1,
+) -> Iterator[PredictionEvent | OutcomeRecord]:
+    """Parse an ndjson event log into records, in encounter order.
+
+    Lenient mode (default) skips malformed lines with a logged warning;
+    strict mode raises on the first one. Blank lines are always skipped.
+    Lines are numbered from first_line, the number of the first line
+    given in the whole log.
+    """
+    for _, record in _numbered_records(lines, strict, first_line):
+        yield record
+
+
+def _feed(
+    engine: MonitorEngine,
+    numbered: Iterable[tuple[int | None, PredictionEvent | OutcomeRecord]],
+    strict: bool,
+) -> MonitorEngine:
+    """The engine intake behind feed_engine and ingest_log; a rejected
+    record's error names its line when the line number is not None."""
+    skipped = 0
+    for line_number, record in numbered:
+        try:
+            try:
+                if isinstance(record, PredictionEvent):
+                    engine.observe_event(record)
+                else:
+                    engine.observe_outcome(record)
+            except ValueError as exc:  # a repeated event or an out-of-range action
+                raise SchemaError(str(exc)) from exc
+        except (OrphanOutcome, DuplicateOutcome, SchemaError) as exc:
+            exc.line_number = line_number
+            if strict:
+                raise
+            skipped += 1
+            logger.warning("record for %r skipped: %s", record.event_id, exc)
+    if skipped:
+        logger.warning("event stream: %d unjoinable records skipped", skipped)
+    return engine
+
+
 def feed_engine(
     engine: MonitorEngine,
     records: Iterable[PredictionEvent | OutcomeRecord],
@@ -275,27 +322,23 @@ def feed_engine(
 ) -> MonitorEngine:
     """Drive an engine with a parsed record stream (does not finalize).
 
-    Join problems (orphaned outcome, duplicated outcome or event id) are
-    skipped with a warning in lenient mode and raised in strict mode, same
-    contract as parsing in read_log.
+    Join problems (orphaned outcome, duplicated outcome or event id, an
+    action outside the decision set) are skipped with a warning in lenient
+    mode and raised in strict mode, same contract as parsing in read_log.
     """
-    skipped = 0
-    for record in records:
-        try:
-            if isinstance(record, PredictionEvent):
-                engine.observe_event(record)
-            else:
-                engine.observe_outcome(record)
-        except (OrphanOutcome, DuplicateOutcome, ValueError) as exc:
-            if strict:
-                if isinstance(exc, ValueError):
-                    raise SchemaError(str(exc)) from exc
-                raise
-            skipped += 1
-            logger.warning("record for %r skipped: %s", record.event_id, exc)
-    if skipped:
-        logger.warning("event stream: %d unjoinable records skipped", skipped)
-    return engine
+    return _feed(engine, ((None, record) for record in records), strict)
+
+
+def ingest_log(
+    engine: MonitorEngine,
+    lines: Iterable[str],
+    strict: bool = False,
+    first_line: int = 1,
+) -> MonitorEngine:
+    """read_log then feed_engine over log lines (does not finalize), with
+    every rejected line named by its number, the join rejections too.
+    Lines are numbered from first_line, as in read_log."""
+    return _feed(engine, _numbered_records(lines, strict, first_line), strict)
 
 
 # -- engine snapshots ---------------------------------------------------------

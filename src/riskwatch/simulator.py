@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -135,11 +135,14 @@ def prevalence_at(config: ScenarioConfig, period: int) -> float:
     return config.base_prevalence + (config.final_prevalence - config.base_prevalence) * frac
 
 
-def generate_arrays(config: ScenarioConfig, seed: int | None = None) -> dict[str, np.ndarray]:
-    """Vectorized scenario draw; the array core behind generate().
+def period_arrays(
+    config: ScenarioConfig, seed: int | None = None
+) -> Iterator[dict[str, np.ndarray]]:
+    """Vectorized scenario draw, one period at a time in period order.
 
-    Returns flat arrays over all periods: period, y, true_prob, pred_prob,
-    loss, loss_monitor, loss_act, action. Deterministic given the seed.
+    Yields one dict of arrays per period: period, y, true_prob, pred_prob,
+    loss, loss_monitor, loss_act, action. Each period draws from its own
+    stream, so a chunk does not depend on the periods drawn before it.
     """
     # imported when called: monitor, replay and report never generate, and
     # a module-level scipy import is paid again by every CLI start
@@ -150,10 +153,6 @@ def generate_arrays(config: ScenarioConfig, seed: int | None = None) -> dict[str
     d = config.class_separation
     base_logit = _logit(config.base_prevalence)
 
-    cols: dict[str, list[np.ndarray]] = {
-        k: [] for k in ("period", "y", "true_prob", "pred_prob",
-                        "loss", "loss_monitor", "loss_act", "action")
-    }
     for m in range(1, config.periods + 1):
         rng = np.random.default_rng([seed, m])
         pim = prevalence_at(config, m)
@@ -198,44 +197,71 @@ def generate_arrays(config: ScenarioConfig, seed: int | None = None) -> dict[str
         action = np.where(pred_prob >= config.act_threshold, ACT, MONITOR)
         loss = np.where(action == ACT, loss_act, loss_monitor)
 
-        cols["period"].append(np.full(n, m, dtype=np.int64))
-        cols["y"].append(y)
-        cols["true_prob"].append(true_prob)
-        cols["pred_prob"].append(pred_prob)
-        cols["loss"].append(loss)
-        cols["loss_monitor"].append(loss_monitor)
-        cols["loss_act"].append(loss_act)
-        cols["action"].append(action)
+        yield {
+            "period": np.full(n, m, dtype=np.int64),
+            "y": y,
+            "true_prob": true_prob,
+            "pred_prob": pred_prob,
+            "loss": loss,
+            "loss_monitor": loss_monitor,
+            "loss_act": loss_act,
+            "action": action,
+        }
 
-    return {k: np.concatenate(v) for k, v in cols.items()}
+
+def generate_arrays(config: ScenarioConfig, seed: int | None = None) -> dict[str, np.ndarray]:
+    """The whole scenario draw; the array core behind generate().
+
+    Returns flat arrays over all periods, the period_arrays chunks
+    concatenated. Deterministic given the seed.
+    """
+    chunks = list(period_arrays(config, seed))
+    return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
+
+
+def scenario_records(
+    arrays: dict[str, np.ndarray], start: int = 0
+) -> Iterator[tuple[PredictionEvent, OutcomeRecord]]:
+    """The (event, outcome) pair of each row of scenario arrays.
+
+    Rows are numbered from start, the row's position in the whole
+    scenario: it sets the event_id and the sequence number.
+    """
+    rows = zip(*(arrays[k].tolist() for k in (
+        "period", "pred_prob", "action", "y", "loss", "loss_monitor", "loss_act")))
+    for i, (period, prob, action, y, loss, loss_monitor, loss_act) in enumerate(
+        rows, start=start
+    ):
+        event_id = f"ev-{i:06d}"
+        yield (
+            PredictionEvent(event_id, TimeIndex(period, i), prob, action, "frozen-v1"),
+            OutcomeRecord(event_id, y, loss, (loss_monitor, loss_act)),
+        )
+
+
+def scenario_pairs(
+    config: ScenarioConfig, seed: int | None = None
+) -> Iterator[tuple[PredictionEvent, OutcomeRecord]]:
+    """The scenario's (event, outcome) pairs, drawn one period at a time,
+    so only one period's arrays are held at once."""
+    start = 0
+    for chunk in period_arrays(config, seed):
+        yield from scenario_records(chunk, start)
+        start += chunk["period"].size
 
 
 def generate(config: ScenarioConfig, seed: int | None = None) -> ScenarioOutput:
-    """Materialize one scenario as event/outcome streams plus ground truth."""
+    """Materialize one scenario as event/outcome streams plus ground truth.
+
+    Holds the whole scenario in memory; scenario_pairs streams it.
+    """
     arrays = generate_arrays(config, seed=seed)
-    model_version = "frozen-v1"
-    events, outcomes, truth = [], [], []
-    for i in range(arrays["period"].size):
-        time = TimeIndex(period=int(arrays["period"][i]), sequence=i)
-        events.append(PredictionEvent(
-            event_id=f"ev-{i:06d}",
-            time=time,
-            predicted_prob=float(arrays["pred_prob"][i]),
-            action_id=int(arrays["action"][i]),
-            model_version=model_version,
-        ))
-        outcomes.append(OutcomeRecord(
-            event_id=f"ev-{i:06d}",
-            outcome=int(arrays["y"][i]),
-            loss=float(arrays["loss"][i]),
-            alt_losses=(float(arrays["loss_monitor"][i]), float(arrays["loss_act"][i])),
-        ))
-        truth.append(float(arrays["true_prob"][i]))
+    events, outcomes = zip(*scenario_records(arrays))
     return ScenarioOutput(
         config=config,
-        events=tuple(events),
-        outcomes=tuple(outcomes),
-        truth=tuple(truth),
+        events=events,
+        outcomes=outcomes,
+        truth=tuple(arrays["true_prob"].tolist()),
     )
 
 
@@ -287,12 +313,19 @@ def preset_names() -> tuple[str, ...]:
     return tuple(sorted(_PRESETS))
 
 
+def feed_pairs(engine, pairs: Iterable[tuple[PredictionEvent, OutcomeRecord]]):
+    """Feed (event, outcome) pairs to an engine, each event followed by
+    its outcome; does not finalize. Returns the engine."""
+    for event, outcome in pairs:
+        engine.observe_event(event)
+        engine.observe_outcome(outcome)
+    return engine
+
+
 def drive_engine(engine, output: ScenarioOutput):
     """Feed a generated scenario through an engine, one event and its
     outcome at a time, and finalize it. Returns the engine."""
-    for event, outcome in zip(output.events, output.outcomes):
-        engine.observe_event(event)
-        engine.observe_outcome(outcome)
+    feed_pairs(engine, zip(output.events, output.outcomes))
     engine.finalize()
     return engine
 

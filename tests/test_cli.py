@@ -1,12 +1,17 @@
 """CLI contract: exit codes, file layout, resumable runs, stdin, env config."""
 
+import hashlib
+import io
 import json
 import os
+import tracemalloc
+from dataclasses import asdict, replace
 
 import pytest
 
 from riskwatch.cli import EXIT_ALARM, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from riskwatch.eventlog import CONFIG_ENV_VAR, default_config
+from riskwatch.eventlog import CONFIG_ENV_VAR, default_config, write_log
+from riskwatch.simulator import generate, preset
 
 
 @pytest.fixture(autouse=True)
@@ -79,6 +84,16 @@ class TestSimulate:
                      "--out", str(tmp_path)]) == EXIT_DATA
         assert "weather" in capsys.readouterr().err
 
+    def test_small_canonical_log_is_pinned(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": {"periods": 3,
+                                                "patients_per_period": 200}}))
+        assert main(["simulate", "--scenario", str(cfg),
+                     "--out", str(tmp_path / "s")]) == EXIT_OK
+        digest = hashlib.sha256((tmp_path / "s" / "events.ndjson").read_bytes())
+        assert digest.hexdigest() == (
+            "539148f0da22576859a1d715d82a86bf29b302f14118cdf63cfbf9afa341b55e")
+
     def test_named_preset_accepted(self, tmp_path):
         out = tmp_path / "icu"
         cfg = {"scenario": {"periods": 2, "patients_per_period": 200}}
@@ -94,8 +109,8 @@ class TestMonitor:
         code = main(["monitor", "--in", str(sim_dir / "events.ndjson"),
                      "--out", str(out)])
         assert code == EXIT_ALARM
-        assert (out / "report.csv").read_bytes() == (
-            sim_dir / "report.csv").read_bytes()
+        for name in ("report.csv", "state.json"):
+            assert (out / name).read_bytes() == (sim_dir / name).read_bytes()
 
     def test_quiet_deployment_exits_zero(self, tmp_path, small_cfg):
         sim = tmp_path / "s"
@@ -157,6 +172,67 @@ class TestMonitor:
         monkeypatch.setenv(CONFIG_ENV_VAR, str(strictest))
         assert main(["monitor", "--in", str(sim / "events.ndjson"),
                      "--out", str(tmp_path / "m")]) == EXIT_ALARM
+
+
+def library_log(scenario) -> bytes:
+    buf = io.StringIO()
+    out = generate(scenario)
+    write_log(buf, out.events, out.outcomes)
+    return buf.getvalue().encode()
+
+
+class TestSimulateMatchesLibrary:
+    """simulate streams the scenario, but writes the log write_log(generate())
+    writes, and leaves the state and report monitor leaves over that log."""
+
+    @pytest.mark.parametrize("name,fmt", [
+        ("sepsis_drift", "csv"), ("icu_tail", "json"), ("oncology_regret", "csv"),
+    ])
+    def test_log_state_and_report(self, tmp_path, name, fmt):
+        scenario = replace(preset(name), periods=7, patients_per_period=150, seed=3)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": asdict(scenario)}))
+        sim, mon = tmp_path / "sim", tmp_path / "mon"
+        assert main(["simulate", "--scenario", str(cfg), "--out", str(sim),
+                     "--format", fmt]) == EXIT_OK
+        assert (sim / "events.ndjson").read_bytes() == library_log(scenario)
+        main(["monitor", "--in", str(sim / "events.ndjson"), "--out", str(mon),
+              "--format", fmt])
+        for f in (f"report.{fmt}", "state.json"):
+            assert (sim / f).read_bytes() == (mon / f).read_bytes(), f
+
+    def test_replicates(self, tmp_path, small_cfg):
+        out = tmp_path / "reps"
+        assert main(["simulate", "--scenario", str(small_cfg),
+                     "--out", str(out), "--replicates", "2"]) == EXIT_OK
+        base = replace(preset("sepsis_drift"),
+                       **json.loads(small_cfg.read_text())["scenario"])
+        for seed in (9, 10):
+            log = out / f"seed-{seed}" / "events.ndjson"
+            assert log.read_bytes() == library_log(replace(base, seed=seed))
+
+
+def simulate_peak(tmp_path, periods: int) -> int:
+    """tracemalloc peak of one simulate run at 5000 events per period."""
+    cfg = tmp_path / f"p{periods}.json"
+    cfg.write_text(json.dumps({"scenario": {"periods": periods,
+                                            "patients_per_period": 5000}}))
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--scenario", str(cfg),
+                     "--out", str(tmp_path / f"out{periods}")]) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_the_stream(tmp_path, small_cfg):
+    # warm up, so that imports made on the first run (scipy.special) are
+    # not charged to the first measured one
+    assert main(["simulate", "--scenario", str(small_cfg),
+                 "--out", str(tmp_path / "warm")]) == EXIT_OK
+    two, eight = simulate_peak(tmp_path, 2), simulate_peak(tmp_path, 8)
+    assert eight <= 1.25 * two, (two, eight)
 
 
 class TestReplayResume:
@@ -314,6 +390,76 @@ class TestLineAddressedReplay:
         state = json.loads((out / "state.json").read_text())["state"]
         assert state["lines_consumed"] == len(small_lines)
         assert state["pending"] == []
+
+
+def repeated_event(lines):
+    return lines[:1700] + [lines[1600]] + lines[1700:]
+
+
+def orphan_outcome(lines):
+    return lines[:1700] + [TestLineAddressedReplay.ORPHAN] + lines[1700:]
+
+
+def duplicate_outcome(lines):
+    return lines[:1700] + [lines[1601]] + lines[1700:]
+
+
+def out_of_range_action(lines):
+    # the event on line 1701 names action 5; its outcome, line 1702, is
+    # rejected when its regret is scored
+    bad = lines[1700].replace('"action": 0,', '"action": 5,').replace(
+        '"action": 1,', '"action": 5,')
+    assert bad != lines[1700]
+    return lines[:1700] + [bad] + lines[1701:]
+
+
+class TestJoinRejectionLines:
+    """A record the join rejects is named by its line in the whole log, as
+    parse and schema errors are, also on a replay that skipped a prefix.
+    Every fault sits in period 3 of the small log, after line 1700."""
+
+    FAULTS = [
+        (repeated_event, 1701, "out-of-order event"),
+        (orphan_outcome, 1701, "unknown event_id"),
+        (duplicate_outcome, 1701, "second outcome"),
+        (out_of_range_action, 1702, "outside action set"),
+    ]
+    IDS = ["repeated-event", "orphan", "duplicate-outcome", "action"]
+
+    @pytest.fixture(params=["monitor", "replay"])
+    def argv(self, request, tmp_path):
+        """argv of a run over the whole log: monitor, or replay from a
+        checkpoint whose 1500 lines are skipped undecoded."""
+        def make(log, full):
+            if request.param == "monitor":
+                return ["monitor", "--in", log]
+            part = tmp_path / "part"
+            assert main(["monitor", "--in", write(tmp_path / "p.ndjson", full[:1500]),
+                         "--out", str(part), "--no-finalize"]) == EXIT_OK
+            return ["replay", "--snapshot", str(part / "state.json"), "--in", log]
+        return make
+
+    @pytest.mark.parametrize("fault,line,fragment", FAULTS, ids=IDS)
+    def test_strict_error_names_the_line(self, small_lines, tmp_path, capsys,
+                                         argv, fault, line, fragment):
+        full = fault(small_lines)
+        run = argv(write(tmp_path / "full.ndjson", full), full)
+        capsys.readouterr()
+        assert main(run + ["--strict"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"error: line {line}: " in err and fragment in err
+
+    @pytest.mark.parametrize("fault,line,fragment", FAULTS, ids=IDS)
+    def test_lenient_warning_names_the_line(self, small_lines, tmp_path, caplog,
+                                            argv, fault, line, fragment):
+        full = fault(small_lines)
+        run = argv(write(tmp_path / "full.ndjson", full), full)
+        with caplog.at_level("WARNING"):
+            assert main(run + ["--out", str(tmp_path / "out")]) == EXIT_OK
+        skipped = [r.getMessage() for r in caplog.records
+                   if r.getMessage().startswith("record for")]
+        assert len(skipped) == 1
+        assert f"skipped: line {line}: " in skipped[0] and fragment in skipped[0]
 
 
 class TestReport:

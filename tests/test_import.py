@@ -1,10 +1,10 @@
 """The import and monitor paths stay free of scipy.
 
 Importing scipy.stats takes about a second on a 2-core VM, and every CLI
-call would pay it again. Only generation (generate_arrays) and
-credible_interval need scipy, and each imports it when called. The checks
-run in a fresh interpreter, because this test process has loaded scipy
-already."""
+call would pay it again. Only generation (period_arrays) and
+credible_interval need scipy, and each imports it when called; generation
+needs scipy.special alone. The checks run in a fresh interpreter, because
+this test process has loaded scipy already."""
 
 import json
 import os
@@ -50,6 +50,36 @@ print(json.dumps({
 """
 
 
+def run_child(code: str, *argv) -> str:
+    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+SIMULATE_CHILD = """
+import json, sys
+import riskwatch.cli
+
+code = riskwatch.cli.main(["simulate", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"code": code, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_simulate_path_never_imports_scipy_stats(tmp_path):
+    # scipy.stats adds about 44 MB of RSS, most of what streaming saves
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps({"scenario": {"periods": 2, "patients_per_period": 100}}))
+    got = json.loads(run_child(SIMULATE_CHILD, cfg, tmp_path / "sim"))
+    assert got["code"] == EXIT_OK
+    assert "scipy.special" in got["scipy"]
+    assert not any(m == "scipy.stats" or m.startswith("scipy.stats.")
+                   for m in got["scipy"])
+
+
 def test_monitor_path_never_imports_scipy(tmp_path):
     # the canonical scenario at 300 patients per period, simulated here
     cfg = tmp_path / "small.json"
@@ -61,15 +91,8 @@ def test_monitor_path_never_imports_scipy(tmp_path):
     prefix = tmp_path / "prefix.ndjson"
     prefix.write_text("".join(lines[: len(lines) // 2]))
 
-    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
-    env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(log), str(prefix),
-         str(tmp_path / "part"), str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.splitlines()[-1])
+    got = json.loads(run_child(CHILD, log, prefix, tmp_path / "part",
+                               tmp_path / "out"))
 
     assert got["after_monitor"] == []
     assert got["codes"] == [EXIT_OK, EXIT_ALARM]  # the drift is caught after mid-run

@@ -14,9 +14,12 @@ from riskwatch.simulator import (
     canonical_scenario,
     generate,
     generate_arrays,
+    period_arrays,
     prevalence_at,
     preset,
     preset_names,
+    scenario_pairs,
+    scenario_records,
     stationary_control,
 )
 
@@ -25,6 +28,42 @@ def small(**over):
     base = dict(periods=4, patients_per_period=300, seed=9)
     base.update(over)
     return replace(canonical_scenario(), **base)
+
+
+class TestPeriodStreaming:
+    """generate_arrays and generate are the per-period draw and the row
+    builder applied to the whole scenario at once."""
+
+    @pytest.mark.parametrize("config", [
+        small(),
+        replace(preset("icu_tail"), periods=3, patients_per_period=400, seed=4),
+    ], ids=["canonical", "icu_tail"])
+    def test_arrays_are_the_period_chunks_concatenated(self, config):
+        chunks = list(period_arrays(config))
+        assert [int(c["period"][0]) for c in chunks] == list(range(1, config.periods + 1))
+        whole = generate_arrays(config)
+        assert list(whole) == list(chunks[0])
+        for key, arr in whole.items():
+            joined = np.concatenate([c[key] for c in chunks])
+            assert arr.dtype == joined.dtype, key
+            assert arr.tobytes() == joined.tobytes(), key
+
+    def test_generate_is_the_row_builder(self):
+        config = small()
+        out = generate(config)
+        arrays = generate_arrays(config)
+        pairs = list(scenario_records(arrays))
+        assert out.events == tuple(e for e, _ in pairs)
+        assert out.outcomes == tuple(o for _, o in pairs)
+        assert out.truth == tuple(arrays["true_prob"].tolist())
+        assert [e.time.sequence for e in out.events] == list(range(len(pairs)))
+
+    def test_streamed_pairs_number_rows_across_periods(self):
+        out = generate(small())
+        pairs = list(scenario_pairs(small()))
+        assert [e for e, _ in pairs] == list(out.events)
+        assert [o for _, o in pairs] == list(out.outcomes)
+        assert pairs[300][0].event_id == "ev-000300"  # first row of period 2
 
 
 class TestDeterminism:
