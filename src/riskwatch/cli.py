@@ -166,9 +166,13 @@ def _write_outputs(engine: MonitorEngine, out_dir: str | None, fmt: str) -> None
 
 
 def _read_log_lines(path: str):
+    # bytes that are not UTF-8 decode to lone surrogates, which the reader
+    # rejects as a parse error naming the line
     if path == "-":
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(errors="surrogateescape")
         return sys.stdin
-    return open(path, "r", encoding="utf-8")
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
 def _logged(fp, engine: MonitorEngine, pairs):

@@ -10,9 +10,11 @@ Event logs are newline-delimited JSON, one record per line, two kinds::
 action, cohort and alt_losses are optional. Ingest is lenient by default
 (malformed lines are counted and logged with their line number, parsing
 continues) and strict on request (first bad line raises ParseError or
-SchemaError carrying the line number). ingest_log carries the line
-numbers on into the engine intake, so a record the join rejects is named
-by its line too.
+SchemaError carrying the line number). A line that is not valid UTF-8 is
+a parse error too: the CLI decodes logs with surrogateescape, so a bad
+byte reaches the reader as a lone surrogate instead of failing the whole
+read. ingest_log carries the line numbers on into the engine intake, so a
+record the join rejects is named by its line too.
 
 A log is addressed by line: an engine carries the number of log lines
 behind its state, and a resumed run skips that many lines undecoded
@@ -20,8 +22,10 @@ behind its state, and a resumed run skips that many lines undecoded
 
 Engine snapshots are single JSON documents wrapping the engine state with
 a format version and a sha256 checksum over the canonically serialized
-state, so a truncated or hand-edited file is rejected instead of silently
-resuming from garbage.
+state (sorted keys, no whitespace), so a truncated or hand-edited file is
+rejected instead of silently resuming from garbage. The document holds
+that canonical text itself, on one line; `python -m json.tool` prints it
+readably.
 
 Reports are flat tables, CSV or JSON, one row per closed period, with a
 fixed column order. Undefined metrics serialize as empty cells (CSV) or
@@ -31,6 +35,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -251,6 +256,13 @@ def _numbered_records(
         if not text:
             continue
         try:
+            if not text.isascii():
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError as exc:  # a surrogate-escaped byte
+                    raise ParseError(
+                        "invalid UTF-8", line_number=line_number
+                    ) from exc
             try:
                 record = json.loads(text)
             except json.JSONDecodeError as exc:
@@ -344,20 +356,20 @@ def ingest_log(
 # -- engine snapshots ---------------------------------------------------------
 
 
-def _canonical(state: dict) -> bytes:
-    return json.dumps(state, sort_keys=True, separators=(",", ":")).encode()
+def _canonical(state: dict) -> str:
+    return json.dumps(state, sort_keys=True, separators=(",", ":"))
 
 
 def save_snapshot(engine: MonitorEngine, fp: IO[str]) -> None:
-    """Persist the engine as a checksummed, versioned JSON document."""
-    state = engine.to_state()
-    doc = {
-        "format_version": SNAPSHOT_FORMAT_VERSION,
-        "sha256": hashlib.sha256(_canonical(state)).hexdigest(),
-        "state": state,
-    }
-    json.dump(doc, fp, indent=1)
-    fp.write("\n")
+    """Persist the engine as a checksummed, versioned JSON document.
+
+    The state is serialized once, canonically, and those same bytes are
+    both hashed and written as the document's state.
+    """
+    state = _canonical(engine.to_state())
+    digest = hashlib.sha256(state.encode()).hexdigest()
+    fp.write(f'{{"format_version":{SNAPSHOT_FORMAT_VERSION},'
+             f'"sha256":"{digest}","state":{state}}}\n')
 
 
 def load_snapshot(fp: IO[str]) -> MonitorEngine:
@@ -366,6 +378,8 @@ def load_snapshot(fp: IO[str]) -> MonitorEngine:
         doc = json.load(fp)
     except json.JSONDecodeError as exc:
         raise CorruptSnapshot(f"snapshot is not valid JSON: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorruptSnapshot(f"snapshot is not valid UTF-8: {exc.reason}") from exc
     if not isinstance(doc, dict) or "state" not in doc or "sha256" not in doc:
         raise CorruptSnapshot("snapshot document missing required keys")
     version = doc.get("format_version")
@@ -374,15 +388,24 @@ def load_snapshot(fp: IO[str]) -> MonitorEngine:
             f"snapshot format version {version!r} != supported "
             f"{SNAPSHOT_FORMAT_VERSION}"
         )
-    digest = hashlib.sha256(_canonical(doc["state"])).hexdigest()
+    digest = hashlib.sha256(_canonical(doc["state"]).encode()).hexdigest()
     if digest != doc["sha256"]:
         raise CorruptSnapshot("snapshot checksum mismatch; file damaged or edited")
     return MonitorEngine.from_state(doc["state"])
 
 
 def save_snapshot_file(engine: MonitorEngine, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        save_snapshot(engine, fp)
+    """save_snapshot to a file, atomically: the snapshot is written beside
+    it and renamed over it, so a failed save leaves the old one in place."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fp:
+            save_snapshot(engine, fp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_snapshot_file(path: str | os.PathLike) -> MonitorEngine:

@@ -10,7 +10,10 @@ regret, belief) and advances the alarm state machine.
 All engine state is plain JSON-serializable data, so a run can be frozen
 mid-stream with to_state(), persisted, reloaded with from_state() and
 continued to a bit-identical result; the per-period metric computations
-see exactly the same accumulated values either way.
+see exactly the same accumulated values either way. The state is compact:
+closed-period metrics and alarm records are stored column-wise (one list
+per field), and the open period's values as base64 of their little-endian
+float64 (uint8 for outcomes) bytes, which round-trip bit for bit.
 
 Ordering contract: a single writer appends events with increasing sequence
 numbers and nondecreasing periods, and outcomes arrive after (and near)
@@ -26,6 +29,7 @@ duplicate.
 
 from __future__ import annotations
 
+import base64
 import inspect
 import logging
 import math
@@ -37,13 +41,13 @@ from . import belief as belief_mod
 from .alarms import AlarmRecord, AlarmState, OperatingState, ThresholdPolicy, evaluate
 from .calibration import auc, brier, ece
 from .core import Joiner, MetricSnapshot, OutcomeRecord, PredictionEvent, ResolvedPair, TimeIndex
-from .errors import VersionMismatch
+from .errors import CorruptSnapshot, VersionMismatch
 from .regret import step_regret
 from .tailrisk import cvar_tail, var
 
 logger = logging.getLogger(__name__)
 
-ENGINE_STATE_VERSION = 4
+ENGINE_STATE_VERSION = 5
 
 
 class MonitorEngine:
@@ -190,10 +194,8 @@ class MonitorEngine:
             "lines_consumed": self.lines_consumed,
             "open_period": self._open_period,
             "acc": {
-                "probs": list(self._acc_probs),
-                "ys": list(self._acc_ys),
-                "losses": list(self._acc_losses),
-                "regrets": list(self._acc_regrets),
+                **{name: _pack(getattr(self, f"_acc_{name}"), dtype)
+                   for name, dtype in _ACC_DTYPES.items()},
                 "last_sequence": self._acc_last_sequence,
             },
             "baseline": list(self._baseline) if self._baseline else None,
@@ -212,27 +214,46 @@ class MonitorEngine:
                 "state": self.alarm.state.value,
                 "breach_streak": self.alarm.breach_streak,
                 "clean_streak": self.alarm.clean_streak,
-                "history": [
-                    {
-                        "period": rec.time.period,
-                        "sequence": rec.time.sequence,
-                        "state": rec.state.value,
-                        "breached": list(rec.breached),
-                    }
-                    for rec in self.alarm.history
-                ],
+                "history": _columns(
+                    [
+                        {
+                            "period": rec.time.period,
+                            "sequence": rec.time.sequence,
+                            "state": rec.state.value,
+                            "breached": list(rec.breached),
+                        }
+                        for rec in self.alarm.history
+                    ],
+                    _ALARM_FIELDS,
+                ),
             },
-            "snapshots": [_snapshot_to_dict(s) for s in self.snapshots],
+            "snapshots": _columns(
+                [_snapshot_to_dict(s) for s in self.snapshots], _SNAPSHOT_FIELDS
+            ),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "MonitorEngine":
-        """Rebuild an engine from to_state() output."""
+        """Rebuild an engine from to_state() output.
+
+        A state of another version raises VersionMismatch; one that is not
+        shaped like to_state() output raises CorruptSnapshot.
+        """
+        if not isinstance(state, dict):
+            raise CorruptSnapshot(
+                f"engine state must be an object, got {type(state).__name__}")
         version = state.get("engine_version")
         if version != ENGINE_STATE_VERSION:
             raise VersionMismatch(
                 f"engine state version {version!r} != supported {ENGINE_STATE_VERSION}"
             )
+        try:
+            return cls._thaw(state)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise CorruptSnapshot(f"engine state is malformed: {exc!r}") from exc
+
+    @classmethod
+    def _thaw(cls, state: dict) -> "MonitorEngine":
         engine = cls(
             policy=ThresholdPolicy(**state["policy"]),
             **{name: state[name] for name in ENGINE_DEFAULTS},
@@ -242,10 +263,10 @@ class MonitorEngine:
         engine.lines_consumed = state["lines_consumed"]
         engine._open_period = state["open_period"]
         acc = state["acc"]
-        engine._acc_probs = [float(x) for x in acc["probs"]]
-        engine._acc_ys = [int(x) for x in acc["ys"]]
-        engine._acc_losses = [float(x) for x in acc["losses"]]
-        engine._acc_regrets = [float(x) for x in acc["regrets"]]
+        for name, dtype in _ACC_DTYPES.items():
+            setattr(engine, f"_acc_{name}", _unpack(acc[name], dtype))
+        if not len(engine._acc_probs) == len(engine._acc_ys) == len(engine._acc_losses):
+            raise ValueError("open period values differ in length")
         engine._acc_last_sequence = acc["last_sequence"]
         engine._baseline = tuple(state["baseline"]) if state["baseline"] else None
         engine._regret_cumulative = state["regret_cumulative"]
@@ -274,10 +295,12 @@ class MonitorEngine:
                     state=OperatingState(rec["state"]),
                     breached=tuple(rec["breached"]),
                 )
-                for rec in alarm["history"]
+                for rec in _rows(alarm["history"], _ALARM_FIELDS)
             ),
         )
-        engine.snapshots = [_snapshot_from_dict(d) for d in state["snapshots"]]
+        engine.snapshots = [
+            _snapshot_from_dict(d) for d in _rows(state["snapshots"], _SNAPSHOT_FIELDS)
+        ]
         return engine
 
 
@@ -288,6 +311,34 @@ ENGINE_DEFAULTS = {
     for name, param in inspect.signature(MonitorEngine).parameters.items()
     if name != "policy"
 }
+
+
+# the open period's value lists and the dtype each is packed as
+_ACC_DTYPES = {"probs": "<f8", "ys": "u1", "losses": "<f8", "regrets": "<f8"}
+
+_SNAPSHOT_FIELDS = ("period", "sequence", "n", *MetricSnapshot.METRIC_FIELDS)
+_ALARM_FIELDS = ("period", "sequence", "state", "breached")
+
+
+def _pack(values: list, dtype: str) -> str:
+    """A list of numbers as base64 of their bytes in the given numpy dtype."""
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _unpack(text: str, dtype: str) -> list:
+    """The list _pack() encoded; malformed text raises ValueError."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype).tolist()
+
+
+def _columns(rows: list[dict], fields: tuple[str, ...]) -> dict:
+    """Records stored column-wise: one list per field, in record order."""
+    return {f: [row[f] for row in rows] for f in fields}
+
+
+def _rows(columns: dict, fields: tuple[str, ...]) -> list[dict]:
+    """The records of _columns() output; ragged columns raise ValueError."""
+    return [dict(zip(fields, values))
+            for values in zip(*(columns[f] for f in fields), strict=True)]
 
 
 def _snapshot_to_dict(s: MetricSnapshot) -> dict:

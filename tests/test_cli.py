@@ -4,13 +4,17 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
 from riskwatch.cli import EXIT_ALARM, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from riskwatch.eventlog import CONFIG_ENV_VAR, default_config, write_log
+from riskwatch.monitor import ENGINE_STATE_VERSION
 from riskwatch.simulator import generate, preset
 
 
@@ -93,6 +97,16 @@ class TestSimulate:
         digest = hashlib.sha256((tmp_path / "s" / "events.ndjson").read_bytes())
         assert digest.hexdigest() == (
             "539148f0da22576859a1d715d82a86bf29b302f14118cdf63cfbf9afa341b55e")
+
+    def test_small_canonical_state_is_pinned(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": {"periods": 3,
+                                                "patients_per_period": 200}}))
+        assert main(["simulate", "--scenario", str(cfg),
+                     "--out", str(tmp_path / "s")]) == EXIT_OK
+        digest = hashlib.sha256((tmp_path / "s" / "state.json").read_bytes())
+        assert digest.hexdigest() == (
+            "50974548e85f211ccdc2a0373064df9c55f82e73ed29ed23309ca938b14f97cf")
 
     def test_named_preset_accepted(self, tmp_path):
         out = tmp_path / "icu"
@@ -392,6 +406,20 @@ class TestLineAddressedReplay:
         assert state["pending"] == []
 
 
+@pytest.fixture(params=["monitor", "replay"])
+def argv(request, tmp_path):
+    """argv of a run over the whole log: monitor, or replay from a
+    checkpoint whose 1500 lines are skipped undecoded."""
+    def make(log, full):
+        if request.param == "monitor":
+            return ["monitor", "--in", log]
+        part = tmp_path / "part"
+        assert main(["monitor", "--in", write(tmp_path / "p.ndjson", full[:1500]),
+                     "--out", str(part), "--no-finalize"]) == EXIT_OK
+        return ["replay", "--snapshot", str(part / "state.json"), "--in", log]
+    return make
+
+
 def repeated_event(lines):
     return lines[:1700] + [lines[1600]] + lines[1700:]
 
@@ -426,19 +454,6 @@ class TestJoinRejectionLines:
     ]
     IDS = ["repeated-event", "orphan", "duplicate-outcome", "action"]
 
-    @pytest.fixture(params=["monitor", "replay"])
-    def argv(self, request, tmp_path):
-        """argv of a run over the whole log: monitor, or replay from a
-        checkpoint whose 1500 lines are skipped undecoded."""
-        def make(log, full):
-            if request.param == "monitor":
-                return ["monitor", "--in", log]
-            part = tmp_path / "part"
-            assert main(["monitor", "--in", write(tmp_path / "p.ndjson", full[:1500]),
-                         "--out", str(part), "--no-finalize"]) == EXIT_OK
-            return ["replay", "--snapshot", str(part / "state.json"), "--in", log]
-        return make
-
     @pytest.mark.parametrize("fault,line,fragment", FAULTS, ids=IDS)
     def test_strict_error_names_the_line(self, small_lines, tmp_path, capsys,
                                          argv, fault, line, fragment):
@@ -462,6 +477,71 @@ class TestJoinRejectionLines:
         assert f"skipped: line {line}: " in skipped[0] and fragment in skipped[0]
 
 
+class TestInvalidUtf8:
+    """A log line holding a byte that is not UTF-8 is a parse error on its
+    line, as bad JSON is; the lines around it are read and numbered as
+    before. Line 1701 of the small log's variant below is such a line."""
+
+    # an orphan outcome but for the 0xFF byte (written as its surrogate escape)
+    BAD = '{"kind": "outcome", "event_id": "ghost\udcff", "y": 0, "loss": 0.1}\n'
+
+    def write_bytes(self, path, lines):
+        path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+        return str(path)
+
+    def test_lenient_skips_and_names_the_line(self, small_lines, tmp_path, caplog,
+                                              argv):
+        full = small_lines[:1700] + [self.BAD] + small_lines[1700:]
+        run = argv(self.write_bytes(tmp_path / "full.ndjson", full), full)
+        out, whole = tmp_path / "out", tmp_path / "whole"
+        with caplog.at_level("WARNING"):
+            assert main(run + ["--out", str(out)]) == EXIT_OK
+        assert "event log line 1701 skipped: line 1701: invalid UTF-8" in caplog.text
+        assert "1 malformed lines skipped" in caplog.text
+        assert not any(r.getMessage().startswith("record for") for r in caplog.records)
+        state = json.loads((out / "state.json").read_text())["state"]
+        assert state["lines_consumed"] == len(full)
+        assert main(["monitor", "--in", write(tmp_path / "good.ndjson", small_lines),
+                     "--out", str(whole)]) == EXIT_OK
+        assert (out / "report.csv").read_bytes() == (whole / "report.csv").read_bytes()
+
+    def test_strict_exits_data_naming_the_line(self, small_lines, tmp_path, capsys,
+                                               argv):
+        full = small_lines[:1700] + [self.BAD] + small_lines[1700:]
+        run = argv(self.write_bytes(tmp_path / "full.ndjson", full), full)
+        capsys.readouterr()
+        assert main(run + ["--strict"]) == EXIT_DATA
+        assert "error: line 1701: invalid UTF-8" in capsys.readouterr().err
+
+    def test_three_line_log(self, small_lines, tmp_path, capsys):
+        log = self.write_bytes(tmp_path / "three.ndjson",
+                               [small_lines[0], self.BAD, small_lines[1]])
+        assert main(["monitor", "--in", log]) == EXIT_OK
+        assert main(["monitor", "--in", log, "--strict"]) == EXIT_DATA
+        assert "line 2: invalid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_stdin(self, small_lines, tmp_path, strict):
+        # a real stdin, which the in-process tests replace with a StringIO,
+        # decoding strictly as it does under a UTF-8 locale
+        data = "".join([small_lines[0], self.BAD, small_lines[1]])
+        env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONIOENCODING"] = "utf-8:strict"
+        proc = subprocess.run(
+            [sys.executable, "-m", "riskwatch.cli", "monitor", "--in", "-"]
+            + ["--strict"] * strict,
+            input=data.encode("utf-8", "surrogateescape"), env=env,
+            capture_output=True, timeout=300,
+        )
+        err = proc.stderr.decode()
+        if strict:
+            assert proc.returncode == EXIT_DATA and "line 2: invalid UTF-8" in err
+        else:
+            assert proc.returncode == EXIT_OK, err
+            assert "event log line 2 skipped" in err
+
+
 class TestReport:
     def test_reemit_json(self, sim_dir, capsys):
         assert main(["report", "--in", str(sim_dir / "state.json"),
@@ -469,6 +549,19 @@ class TestReport:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["rows"]) == 12
         assert doc["rows"][-1]["alarm_state"] == "suspended"
+
+    @pytest.mark.parametrize("state", [123, {"engine_version": ENGINE_STATE_VERSION}],
+                             ids=["an-integer", "version-only"])
+    def test_malformed_state_exits_data(self, tmp_path, capsys, state):
+        canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        snap = tmp_path / "state.json"
+        snap.write_text(json.dumps({
+            "format_version": 1,
+            "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+            "state": state,
+        }))
+        assert main(["report", "--in", str(snap)]) == EXIT_DATA
+        assert "engine state" in capsys.readouterr().err
 
     def test_reemit_csv_matches_original(self, sim_dir, tmp_path):
         out = tmp_path / "again.csv"

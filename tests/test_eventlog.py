@@ -1,7 +1,9 @@
 """ndjson log round trips, snapshot integrity, report formats, config."""
 
+import hashlib
 import io
 import json
+import os
 from dataclasses import asdict
 
 import pytest
@@ -17,6 +19,7 @@ from riskwatch.errors import (
     TruncatedLog,
     VersionMismatch,
 )
+from riskwatch import eventlog
 from riskwatch.eventlog import (
     CONFIG_ENV_VAR,
     REPORT_COLUMNS,
@@ -27,17 +30,19 @@ from riskwatch.eventlog import (
     feed_engine,
     load_config,
     load_snapshot,
+    load_snapshot_file,
     outcome_to_record,
     policy_from_config,
     read_log,
     read_report,
     report_rows,
     save_snapshot,
+    save_snapshot_file,
     scenario_from_config,
     unread_lines,
     write_log,
 )
-from riskwatch.monitor import MonitorEngine
+from riskwatch.monitor import ENGINE_STATE_VERSION, MonitorEngine
 from riskwatch.simulator import ScenarioConfig
 
 
@@ -216,15 +221,96 @@ class TestUnreadLines:
         assert engine.lines_consumed == len(got)
 
 
+def checksummed(state) -> io.StringIO:
+    """A snapshot document around any state, with a valid checksum."""
+    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    return io.StringIO(json.dumps({
+        "format_version": 1,
+        "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "state": state,
+    }))
+
+
+def mid_period_engine(output, upto=3_050, lag=50):
+    """An engine part way through period 2 with each outcome `lag` events
+    behind its event: closed history, open-period values and pending events."""
+    engine = MonitorEngine()
+    for i in range(upto):
+        engine.observe_event(output.events[i])
+        if i >= lag:
+            engine.observe_outcome(output.outcomes[i - lag])
+    return engine
+
+
+def _set_acc(name, value):
+    def mutate(state):
+        state["acc"][name] = value
+    return mutate
+
+
+def _drop_last(column):
+    def mutate(state):
+        state["snapshots"][column].pop()
+    return mutate
+
+
 class TestSnapshotIntegrity:
     def make(self, canonical_output, upto=3_000):
         engine = MonitorEngine()
-        feed_engine(
-            engine,
-            (r for pair in zip(canonical_output.events,
-                               canonical_output.outcomes) for r in pair),
-        )
+        pairs = zip(canonical_output.events[:upto], canonical_output.outcomes[:upto])
+        feed_engine(engine, (r for pair in pairs for r in pair))
         return engine
+
+    def test_mid_period_save_load_to_state(self, canonical_output):
+        engine = mid_period_engine(canonical_output)
+        assert engine.snapshots and engine._join.pending
+        assert engine._acc_probs and engine._acc_regrets
+        buf = io.StringIO()
+        save_snapshot(engine, buf)
+        assert load_snapshot(io.StringIO(buf.getvalue())).to_state() == engine.to_state()
+
+    def test_document_is_the_canonical_state_it_hashes(self, canonical_output):
+        engine = mid_period_engine(canonical_output)
+        buf = io.StringIO()
+        save_snapshot(engine, buf)
+        canonical = json.dumps(engine.to_state(), sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        assert buf.getvalue() == (
+            f'{{"format_version":1,"sha256":"{digest}","state":{canonical}}}\n')
+
+    MALFORMED = [
+        (lambda state: 123, "an-integer"),
+        (lambda state: {"engine_version": ENGINE_STATE_VERSION}, "version-only"),
+        (_set_acc("probs", "not base64!"), "bad-base64"),
+        (_set_acc("losses", "AAAAAAAAAA=="), "bytes-not-a-multiple-of-8"),
+        (_set_acc("ys", "AQ=="), "unequal-open-period-values"),
+        (_drop_last("n"), "ragged-history-columns"),
+    ]
+
+    @pytest.mark.parametrize("mutate", [m for m, _ in MALFORMED],
+                             ids=[i for _, i in MALFORMED])
+    def test_malformed_state_with_valid_checksum(self, canonical_output, mutate):
+        state = mid_period_engine(canonical_output).to_state()
+        with pytest.raises(CorruptSnapshot, match="engine state"):
+            load_snapshot(checksummed(mutate(state) or state))
+
+    def test_failed_save_keeps_previous_snapshot(self, canonical_output, tmp_path,
+                                                 monkeypatch):
+        path = tmp_path / "state.json"
+        engine = self.make(canonical_output)
+        save_snapshot_file(engine, path)
+        before = engine.to_state()
+
+        def torn(engine, fp):
+            fp.write('{"format_version":1,"sha256":')
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(eventlog, "save_snapshot", torn)
+        engine.finalize()
+        with pytest.raises(OSError, match="No space"):
+            save_snapshot_file(engine, path)
+        assert os.listdir(tmp_path) == ["state.json"]
+        assert load_snapshot_file(path).to_state() == before
 
     def test_save_load_roundtrip(self, canonical_output):
         engine = self.make(canonical_output)
@@ -254,6 +340,12 @@ class TestSnapshotIntegrity:
     def test_not_json(self):
         with pytest.raises(CorruptSnapshot):
             load_snapshot(io.StringIO("junk"))
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_bytes(b'\xff{"format_version": 1}')
+        with pytest.raises(CorruptSnapshot, match="UTF-8"):
+            load_snapshot_file(path)
 
     def test_missing_keys(self):
         with pytest.raises(CorruptSnapshot):

@@ -2,16 +2,20 @@
 
 import io
 import json
+import math
+import struct
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskwatch.alarms import OperatingState, ThresholdPolicy
 from riskwatch.calibration import auc, brier, ece, ece_trajectory
 from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex, join
 from riskwatch.errors import DuplicateOutcome, OrphanOutcome, VersionMismatch
 from riskwatch.eventlog import save_snapshot
-from riskwatch.monitor import MonitorEngine
+from riskwatch.monitor import MonitorEngine, _pack, _unpack
 from riskwatch.simulator import canonical_scenario, drive_engine, generate
 from riskwatch.tailrisk import cvar_tail, var
 
@@ -121,12 +125,49 @@ class TestStateFreezing:
 
     def test_version_guard(self):
         # 2 is the last version with Monte Carlo drift values and settings,
-        # 3 the last with every resolved id and no log line count
-        for version in (2, 3, 999):
+        # 3 the last with every resolved id and no log line count, 4 the
+        # last with row-wise history and open-period values as JSON lists
+        for version in (2, 3, 4, 999):
             state = MonitorEngine().to_state()
             state["engine_version"] = version
             with pytest.raises(VersionMismatch):
                 MonitorEngine.from_state(state)
+
+
+# zeros of both signs, the subnormal extremes, the largest finite values and
+# 1 with its neighbours, each with the floats 1 ulp either side of it
+_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308]
+EDGE_FLOATS = sorted(
+    {f for x in _EDGES for v in (x, -x)
+     for f in (v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf))},
+    key=repr,
+)
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+class TestPackedValues:
+    """The open period's values are stored packed and come back bit for bit,
+    so the math.fsum reductions see the same inputs in the same order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS),
+                              st.floats().map(lambda x: math.nextafter(x, 0.0)))))
+    def test_float64_round_trip_is_bit_for_bit(self, values):
+        back = _unpack(_pack(values, "<f8"), "<f8")
+        assert all(type(v) is float for v in back)
+        assert bits(back) == bits(values)
+
+    def test_edge_floats_round_trip(self):
+        assert bits(_unpack(_pack(EDGE_FLOATS, "<f8"), "<f8")) == bits(EDGE_FLOATS)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 1)))
+    def test_outcomes_round_trip_as_ints(self, ys):
+        back = _unpack(_pack(ys, "u1"), "u1")
+        assert back == ys and all(type(y) is int for y in back)
 
 
 class TestJoinDiscipline:
@@ -219,11 +260,11 @@ class TestBoundedState:
         for n, output in outputs.items():
             engine = drive_engine(MonitorEngine(), output)
             state = engine.to_state()
-            assert len(state["snapshots"]) == 12
+            assert len(state["snapshots"]["period"]) == 12
             assert state["pending"] == []
             assert state["resolved_ids"] == []
-            assert state["acc"] == {"probs": [], "ys": [], "losses": [],
-                                    "regrets": [], "last_sequence": None}
+            assert state["acc"] == {"probs": "", "ys": "", "losses": "",
+                                    "regrets": "", "last_sequence": None}
             buf = io.StringIO()
             save_snapshot(engine, buf)
             sizes[n] = len(buf.getvalue())
@@ -237,7 +278,8 @@ class TestBoundedState:
         period_of = {e.event_id: e.time.period for e in output.events}
         assert state["open_period"] == 3
         assert {period_of[i] for i in state["resolved_ids"]} == {3}
-        assert len(state["resolved_ids"]) == len(state["acc"]["probs"]) == 2_345
+        probs = _unpack(state["acc"]["probs"], "<f8")
+        assert len(state["resolved_ids"]) == len(probs) == 2_345
 
 
 class TestPartialMetrics:
