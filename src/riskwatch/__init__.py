@@ -25,29 +25,20 @@ from .core import (
     PredictionEvent,
     ResolvedPair,
     TimeIndex,
-    Window,
     join,
-    window_partition,
 )
 from .calibration import (
-    CalibrationPoint,
     ReliabilityBin,
     auc,
     brier,
-    calibration_point,
     ece,
-    ece_trajectory,
     reliability_bins,
 )
 from .tailrisk import (
-    LossWindow,
     QuantileSketch,
-    TailRiskPoint,
     cvar_conditional,
     cvar_tail,
-    cvar_trajectory,
     cvar_variational,
-    event_loss,
     var,
 )
 from .regret import (
@@ -65,7 +56,6 @@ from .alarms import (
     OperatingState,
     ThresholdPolicy,
     evaluate,
-    first_breach,
 )
 from .simulator import (
     ScenarioConfig,
@@ -97,10 +87,8 @@ __all__ = [
     "AlarmRecord",
     "AlarmState",
     "BetaPosterior",
-    "CalibrationPoint",
     "DecisionLedger",
     "DecisionLedgerEntry",
-    "LossWindow",
     "MetricSnapshot",
     "MonitorEngine",
     "OperatingState",
@@ -112,30 +100,23 @@ __all__ = [
     "ResolvedPair",
     "ScenarioConfig",
     "ScenarioOutput",
-    "TailRiskPoint",
     "ThresholdPolicy",
     "TimeIndex",
-    "Window",
     "auc",
     "best_fixed_action_regret",
     "brier",
-    "calibration_point",
     "canonical_scenario",
     "credible_interval",
     "cumulative_regret",
     "cvar_conditional",
     "cvar_tail",
-    "cvar_trajectory",
     "cvar_variational",
     "default_config",
     "drift_score",
     "ece",
-    "ece_trajectory",
     "emit_report",
     "errors",
     "evaluate",
-    "event_loss",
-    "first_breach",
     "generate",
     "generate_arrays",
     "join",
@@ -153,7 +134,6 @@ __all__ = [
     "update",
     "update_batch",
     "var",
-    "window_partition",
     "write_log",
     "__version__",
 ]

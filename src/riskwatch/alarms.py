@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass
 
 from .core import MetricSnapshot, TimeIndex
 from .errors import NoMetrics
@@ -171,16 +170,3 @@ def evaluate(
         history=state.history + (record,),
     )
 
-
-def first_breach(
-    trajectory: Iterable[tuple[TimeIndex, float | None]],
-    bound: float,
-) -> TimeIndex | None:
-    """Time of the first value exceeding the bound; None if none does.
-
-    Undefined values (None) never breach and are skipped.
-    """
-    for time, value in trajectory:
-        if value is not None and value > bound:
-            return time
-    return None

@@ -1,10 +1,10 @@
-"""Calibration-quality metrics over windows of resolved predictions.
+"""Calibration-quality metrics over one period of resolved predictions.
 
 The headline quantity is the binned expected calibration error: group
 predictions into probability bins, compare each bin's mean predicted
 probability with its realized event rate, and average the absolute gaps
 weighted by bin occupancy. Discrimination (auc) and overall probability
-accuracy (brier) ride along so a window can be judged on all three axes
+accuracy (brier) ride along so a period can be judged on all three axes
 at once: a model can stay discriminative while its probabilities drift.
 
 Bin sums are reduced with math.fsum (correctly rounded), so any faithful
@@ -13,17 +13,13 @@ recomputation from the raw pairs reproduces these numbers bit-for-bit.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import TimeIndex, Window, ResolvedPair, split_arrays, window_partition
 from .errors import EmptyWindow
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -41,17 +37,6 @@ class ReliabilityBin:
     event_rate: float | None
 
 
-@dataclass(frozen=True)
-class CalibrationPoint:
-    """Calibration metrics of one window, stamped with its closing time."""
-
-    time: TimeIndex
-    n: int
-    ece: float
-    brier: float
-    auc: float | None
-
-
 def _as_prob_outcome(probs: Sequence[float], outcomes: Sequence[int]):
     p = np.asarray(probs, dtype=float)
     y = np.asarray(outcomes, dtype=float)
@@ -64,60 +49,34 @@ def _as_prob_outcome(probs: Sequence[float], outcomes: Sequence[int]):
     return p, y
 
 
-def _bin_index(p: np.ndarray, n_bins: int, equal_mass: bool) -> np.ndarray:
-    if not equal_mass:
-        # equal-width bins over [0, 1]; p == 1.0 belongs to the last bin
-        return np.minimum((p * n_bins).astype(int), n_bins - 1)
-    # equal-mass bins: rank order split into n_bins contiguous chunks whose
-    # sizes differ by at most one
-    order = np.argsort(p, kind="stable")
-    idx = np.empty(p.size, dtype=int)
-    chunks = np.array_split(np.arange(p.size), n_bins)
-    for b, chunk in enumerate(chunks):
-        idx[order[chunk]] = b
-    return idx
-
-
 def reliability_bins(
     probs: Sequence[float],
     outcomes: Sequence[int],
     n_bins: int = 10,
-    equal_mass: bool = False,
 ) -> list[ReliabilityBin]:
-    """Build the reliability diagram for one window.
+    """Build the reliability diagram for one period.
 
-    Returns exactly n_bins bins in probability order. Empty bins are kept
-    (count 0, mean_pred and event_rate None) so downstream plots keep a
-    fixed geometry.
+    Returns exactly n_bins equal-width bins in probability order. Empty
+    bins are kept (count 0, mean_pred and event_rate None) so downstream
+    plots keep a fixed geometry.
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     p, y = _as_prob_outcome(probs, outcomes)
-    idx = _bin_index(p, n_bins, equal_mass)
-
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    if equal_mass:
-        # report the realized probability range of each occupied chunk
-        edges = None
+    # equal-width bins over [0, 1]; p == 1.0 belongs to the last bin
+    idx = np.minimum((p * n_bins).astype(int), n_bins - 1)
+    edges = np.linspace(0.0, 1.0, n_bins + 1).tolist()
 
     bins: list[ReliabilityBin] = []
     for b in range(n_bins):
         mask = idx == b
         count = int(mask.sum())
         if count == 0:
-            lo, hi = (
-                (b / n_bins, (b + 1) / n_bins) if edges is None else (edges[b], edges[b + 1])
-            )
-            bins.append(ReliabilityBin(float(lo), float(hi), 0, None, None))
+            bins.append(ReliabilityBin(edges[b], edges[b + 1], 0, None, None))
             continue
-        members_p = p[mask]
-        mean_pred = math.fsum(members_p.tolist()) / count
+        mean_pred = math.fsum(p[mask].tolist()) / count
         event_rate = math.fsum(y[mask].tolist()) / count
-        if edges is None:
-            lo, hi = float(members_p.min()), float(members_p.max())
-        else:
-            lo, hi = float(edges[b]), float(edges[b + 1])
-        bins.append(ReliabilityBin(lo, hi, count, mean_pred, event_rate))
+        bins.append(ReliabilityBin(edges[b], edges[b + 1], count, mean_pred, event_rate))
     return bins
 
 
@@ -125,9 +84,8 @@ def ece(
     probs: Sequence[float],
     outcomes: Sequence[int],
     n_bins: int = 10,
-    equal_mass: bool = False,
 ) -> float:
-    """Binned expected calibration error of one window.
+    """Binned expected calibration error of one period.
 
     Sum over occupied bins of (count/n) * |mean predicted - event rate|.
     Perfectly calibrated predictions score near zero (exactly zero only up
@@ -139,7 +97,7 @@ def ece(
     # iteration order; the bins get the arrays, so nothing is converted twice
     return math.fsum(
         (b.count / n) * abs(b.mean_pred - b.event_rate)
-        for b in reliability_bins(p, y, n_bins=n_bins, equal_mass=equal_mass)
+        for b in reliability_bins(p, y, n_bins=n_bins)
         if b.count > 0
     )
 
@@ -156,7 +114,7 @@ def auc(probs: Sequence[float], outcomes: Sequence[int]) -> float | None:
 
     Computed from midranks in O(n log n); tied pairs are credited 0.5,
     which reproduces the brute-force pairwise count exactly. Returns None
-    (undefined, not 0.5) when the window holds a single outcome class.
+    (undefined, not 0.5) when the period holds a single outcome class.
     """
     p, y = _as_prob_outcome(probs, outcomes)
     n_pos = int(y.sum())
@@ -176,35 +134,3 @@ def auc(probs: Sequence[float], outcomes: Sequence[int]) -> float | None:
     rank_sum = math.fsum(ranks[y == 1.0].tolist())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
-
-def calibration_point(
-    window: Window,
-    n_bins: int = 10,
-    equal_mass: bool = False,
-) -> CalibrationPoint:
-    """All calibration metrics for one resolved window."""
-    probs, ys, _ = split_arrays(window)
-    return CalibrationPoint(
-        time=window.time,
-        n=len(probs),
-        ece=ece(probs, ys, n_bins=n_bins, equal_mass=equal_mass),
-        brier=brier(probs, ys),
-        auc=auc(probs, ys),
-    )
-
-
-def ece_trajectory(
-    pairs: Iterable[ResolvedPair],
-    n_bins: int = 10,
-    equal_mass: bool = False,
-) -> Iterator[CalibrationPoint]:
-    """Calibration metrics per period along a resolved stream.
-
-    Empty windows cannot arise from window_partition, but a defensive skip
-    with a logged warning is kept for pre-sliced window sequences.
-    """
-    for window in window_partition(pairs):
-        if not window.pairs:
-            logger.warning("ece_trajectory: skipping empty window at %s", window.time)
-            continue
-        yield calibration_point(window, n_bins=n_bins, equal_mass=equal_mass)

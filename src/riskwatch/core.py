@@ -1,11 +1,10 @@
 """Shared domain types and stream plumbing.
 
 The toolkit processes a totally ordered stream of prediction events that are
-later resolved by outcome records. Everything downstream (calibration, tail
-risk, regret, belief, alarms) consumes resolved pairs grouped into windows,
-so the types, the joiner and the two stream operations here are the
-substrate for every metric module. The streaming engine joins through the
-same Joiner as join(), so both apply one set of join rules.
+later resolved by outcome records. The streaming engine joins them through
+the Joiner here and scores each closed period into a MetricSnapshot; join()
+applies the same Joiner to whole streams, so both follow one set of join
+rules.
 
 Ordering model: a single writer appends events with strictly increasing
 sequence numbers and nondecreasing periods. Outcomes may arrive out of order
@@ -15,8 +14,9 @@ relative to events; resolved pairs are always emitted in event order.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, fields
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator
 
 from .errors import DuplicateOutcome, OrphanOutcome
 
@@ -75,6 +75,7 @@ class OutcomeRecord:
     whatever units the deployment accounts for. alt_losses, when present,
     gives the counterfactual loss of every action in the decision set
     (indexed by action_id) and alt_losses[chosen action] equals loss.
+    Losses are finite, as the engine's snapshot requires.
     """
 
     event_id: str
@@ -85,8 +86,13 @@ class OutcomeRecord:
     def __post_init__(self):
         if self.outcome not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {self.outcome}")
-        if self.alt_losses is not None and len(self.alt_losses) == 0:
-            raise ValueError("alt_losses, when given, must be non-empty")
+        if not math.isfinite(self.loss):
+            raise ValueError(f"loss must be finite, got {self.loss}")
+        if self.alt_losses is not None:
+            if len(self.alt_losses) == 0:
+                raise ValueError("alt_losses, when given, must be non-empty")
+            if not all(map(math.isfinite, self.alt_losses)):
+                raise ValueError(f"alt_losses must be finite, got {self.alt_losses}")
 
 
 @dataclass(frozen=True)
@@ -98,18 +104,10 @@ class ResolvedPair:
 
 
 @dataclass(frozen=True)
-class Window:
-    """A contiguous slice of resolved pairs, stamped with its closing time."""
-
-    pairs: tuple[ResolvedPair, ...]
-    time: TimeIndex
-
-
-@dataclass(frozen=True)
 class MetricSnapshot:
-    """Per-window readout of every monitored metric.
+    """Per-period readout of every monitored metric.
 
-    Any metric may be undefined (None), e.g. auc on a single-class window
+    Any metric may be undefined (None), e.g. auc on a single-class period
     or regret on a log without counterfactual losses. Undefined is a value,
     not an error; downstream consumers (alarms, reports) must handle it.
     n is the number of resolved pairs behind the snapshot.
@@ -226,28 +224,3 @@ def join(
         logger.warning("join: %d events left unresolved at stream end",
                        len(joiner.pending))
 
-
-def window_partition(pairs: Iterable[ResolvedPair]) -> Iterator[Window]:
-    """Slice a resolved stream into one window per distinct period.
-
-    Windows come in stream order; every pair lands in exactly one window
-    and concatenating windows reproduces the stream. Windows carry the
-    TimeIndex of their last pair.
-    """
-    bucket: list[ResolvedPair] = []
-    for pair in pairs:
-        if bucket and pair.event.time.period != bucket[-1].event.time.period:
-            yield Window(tuple(bucket), bucket[-1].event.time)
-            bucket = []
-        bucket.append(pair)
-    if bucket:
-        yield Window(tuple(bucket), bucket[-1].event.time)
-
-
-def split_arrays(window: Window | Sequence[ResolvedPair]):
-    """Pull (probs, outcomes, losses) float/int lists out of a window."""
-    pairs = window.pairs if isinstance(window, Window) else tuple(window)
-    probs = [p.event.predicted_prob for p in pairs]
-    ys = [p.outcome.outcome for p in pairs]
-    losses = [p.outcome.loss for p in pairs]
-    return probs, ys, losses

@@ -1,8 +1,8 @@
 """Exception types raised across the toolkit.
 
 Every error below names the contract it guards; callers that can recover
-(lenient log ingestion, trajectory builders skipping empty windows) catch
-the specific type, everything else is allowed to propagate.
+(lenient log ingestion skipping a bad record) catch the specific type,
+everything else is allowed to propagate.
 """
 
 

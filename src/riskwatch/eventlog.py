@@ -558,4 +558,8 @@ def policy_from_config(config: dict) -> ThresholdPolicy:
 
 
 def engine_from_config(config: dict) -> MonitorEngine:
-    return MonitorEngine(policy=policy_from_config(config), **config["monitor"])
+    policy = policy_from_config(config)
+    try:
+        return MonitorEngine(policy=policy, **config["monitor"])
+    except ValueError as exc:
+        raise BadConfig(f"bad monitor settings: {exc}") from exc

@@ -51,7 +51,11 @@ ENGINE_STATE_VERSION = 5
 
 
 class MonitorEngine:
-    """Streaming metric/alarm pipeline over one deployment's event log."""
+    """Streaming metric/alarm pipeline over one deployment's event log.
+
+    The settings are checked here, before any record is read: n_bins must
+    be an integer >= 1 and alpha lie in (0, 1), else ValueError.
+    """
 
     def __init__(
         self,
@@ -59,6 +63,10 @@ class MonitorEngine:
         n_bins: int = 10,
         alpha: float = 0.95,
     ):
+        if isinstance(n_bins, bool) or not isinstance(n_bins, int) or n_bins < 1:
+            raise ValueError(f"n_bins must be an integer >= 1, got {n_bins!r}")
+        if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
         self.policy = policy or ThresholdPolicy()
         self.n_bins = n_bins
         self.alpha = alpha
@@ -261,10 +269,12 @@ class MonitorEngine:
         engine.events_seen = state["events_seen"]
         engine.outcomes_seen = state["outcomes_seen"]
         engine.lines_consumed = state["lines_consumed"]
+        if engine.lines_consumed < 0:
+            raise ValueError(f"lines_consumed {engine.lines_consumed} is negative")
         engine._open_period = state["open_period"]
         acc = state["acc"]
         for name, dtype in _ACC_DTYPES.items():
-            setattr(engine, f"_acc_{name}", _unpack(acc[name], dtype))
+            setattr(engine, f"_acc_{name}", _unpack(acc[name], dtype, _ACC_VALID[name]))
         if not len(engine._acc_probs) == len(engine._acc_ys) == len(engine._acc_losses):
             raise ValueError("open period values differ in length")
         engine._acc_last_sequence = acc["last_sequence"]
@@ -313,8 +323,15 @@ ENGINE_DEFAULTS = {
 }
 
 
-# the open period's value lists and the dtype each is packed as
+# the open period's value lists, the dtype each is packed as, and the
+# elementwise test a loaded value must pass (to_state() writes no other)
 _ACC_DTYPES = {"probs": "<f8", "ys": "u1", "losses": "<f8", "regrets": "<f8"}
+_ACC_VALID = {
+    "probs": lambda a: (a >= 0.0) & (a <= 1.0),  # also false for NaN
+    "ys": lambda a: a <= 1,
+    "losses": np.isfinite,
+    "regrets": np.isfinite,
+}
 
 _SNAPSHOT_FIELDS = ("period", "sequence", "n", *MetricSnapshot.METRIC_FIELDS)
 _ALARM_FIELDS = ("period", "sequence", "state", "breached")
@@ -325,9 +342,15 @@ def _pack(values: list, dtype: str) -> str:
     return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
 
 
-def _unpack(text: str, dtype: str) -> list:
-    """The list _pack() encoded; malformed text raises ValueError."""
-    return np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype).tolist()
+def _unpack(text: str, dtype: str, valid=None) -> list:
+    """The list _pack() encoded. Malformed text, or a value for which the
+    elementwise predicate valid is false, raises ValueError."""
+    values = np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype)
+    if valid is not None:
+        bad = values[~valid(values)]
+        if bad.size:
+            raise ValueError(f"packed value {bad[0].item()!r} is out of range")
+    return values.tolist()
 
 
 def _columns(rows: list[dict], fields: tuple[str, ...]) -> dict:

@@ -20,8 +20,8 @@ rides along for harm accounting that regret alone does not capture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .core import TimeIndex
 from .errors import EmptyLedger, OutOfOrderEntry, RaggedActionSets

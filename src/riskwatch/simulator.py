@@ -34,12 +34,12 @@ are independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .alarms import AlarmRecord, AlarmState, ThresholdPolicy
+from .alarms import AlarmRecord, ThresholdPolicy
 from .core import MetricSnapshot, OutcomeRecord, PredictionEvent, TimeIndex
 from .errors import BadConfig, UnknownPreset
 
@@ -337,9 +337,9 @@ def run_monitor(
 ) -> tuple[list[MetricSnapshot], list[AlarmRecord]]:
     """Feed a generated scenario through the full monitoring pipeline.
 
-    Wires the streams through join, per-period windows, calibration, tail
-    risk, regret, belief and the alarm machine; returns the per-period
-    metric snapshots and the alarm history. settings are MonitorEngine
+    Drives a MonitorEngine (join, period close with calibration, tail
+    risk, regret and belief, then the alarm machine) and returns the
+    per-period metric snapshots and the alarm history. settings are MonitorEngine
     keywords (n_bins, alpha, ...) and default to the engine's own.
     """
     from .monitor import MonitorEngine  # local import avoids a cycle at import time

@@ -1,4 +1,4 @@
-"""Tail-risk measures over realized loss windows.
+"""Tail-risk measures over a period's realized losses.
 
 Three routes to the same tail:
 
@@ -22,61 +22,18 @@ boundary atom's full weight.
 
 A Greenwald-Khanna sketch rounds out the module for streams too large to
 hold: epsilon-approximate quantiles in sublinear memory. Exact computation
-is preferred whenever the window fits in memory.
+is preferred whenever the losses fit in memory.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import TimeIndex
 from .errors import BadAlpha, EmptyLosses, EmptySketch
-
-
-@dataclass(frozen=True)
-class LossWindow:
-    """Realized losses of one window, stamped with its closing time."""
-
-    losses: tuple[float, ...]
-    time: TimeIndex
-
-
-@dataclass(frozen=True)
-class TailRiskPoint:
-    """Tail-risk readout of one loss window."""
-
-    time: TimeIndex
-    n: int
-    alpha: float
-    var: float
-    cvar: float
-
-
-def event_loss(
-    outcome: int,
-    predicted_prob: float,
-    w_fn: float = 3.0,
-    w_fp: float = 1.0,
-) -> float:
-    """Default observable per-event loss for logs that carry no loss field.
-
-    Charges w_fn * (1 - p) on realized positives (the cost of having
-    underweighted an event that happened) and w_fp * p on realized
-    negatives (the cost of alarm placed on a non-event). The asymmetric
-    default encodes that a missed positive outweighs a false alarm.
-    """
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    if not 0.0 <= predicted_prob <= 1.0:
-        raise ValueError(f"predicted_prob must lie in [0, 1], got {predicted_prob}")
-    if outcome:
-        return w_fn * (1.0 - predicted_prob)
-    return w_fp * predicted_prob
 
 
 def _check(losses: Sequence[float], alpha: float) -> np.ndarray:
@@ -152,21 +109,6 @@ def cvar_variational(losses: Sequence[float], alpha: float = 0.95) -> float:
     excess = np.maximum(x[None, :] - candidates[:, None], 0.0)
     objective = candidates + excess.mean(axis=1) / (1.0 - alpha)
     return float(objective.min())
-
-
-def cvar_trajectory(
-    windows: Iterable[LossWindow],
-    alpha: float = 0.95,
-) -> Iterator[TailRiskPoint]:
-    """var and cvar_tail per loss window along a stream."""
-    for w in windows:
-        yield TailRiskPoint(
-            time=w.time,
-            n=len(w.losses),
-            alpha=alpha,
-            var=var(w.losses, alpha),
-            cvar=cvar_tail(w.losses, alpha),
-        )
 
 
 class QuantileSketch:

@@ -7,7 +7,6 @@ from riskwatch.alarms import (
     OperatingState,
     ThresholdPolicy,
     evaluate,
-    first_breach,
 )
 from riskwatch.core import MetricSnapshot, TimeIndex
 from riskwatch.errors import NoMetrics
@@ -153,13 +152,3 @@ class TestHistoryAndFirstBreach:
             state = evaluate(state, snap(m, ece=0.01), POLICY)
         assert len(state.history) == 5
         assert [r.time.period for r in state.history] == [1, 2, 3, 4, 5]
-
-    def test_first_breach(self):
-        traj = [(TimeIndex(m, m), v) for m, v in
-                [(1, 0.01), (2, None), (3, 0.05), (4, 0.2)]]
-        hit = first_breach(traj, bound=0.13)
-        assert hit is not None and hit.period == 4
-
-    def test_first_breach_none(self):
-        traj = [(TimeIndex(1, 1), 0.01)]
-        assert first_breach(traj, bound=0.13) is None

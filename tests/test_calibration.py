@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskwatch.calibration import auc, brier, ece, reliability_bins
-from riskwatch.core import TimeIndex
 from riskwatch.errors import EmptyWindow
 
 # -- independent oracles -------------------------------------------------------
@@ -137,15 +136,6 @@ class TestEce:
         probs = [r[0] for r in rows]
         ys = [r[1] for r in rows]
         assert 0.0 <= ece(probs, ys, n_bins=n_bins) <= 1.0
-
-    def test_equal_mass_bins_have_balanced_counts(self):
-        rng = np.random.default_rng(3)
-        probs = rng.beta(0.3, 2.0, size=103)  # heavily skewed scores
-        ys = (rng.random(103) < probs).astype(int)
-        bins = reliability_bins(probs, ys, n_bins=10, equal_mass=True)
-        counts = [b.count for b in bins]
-        assert sum(counts) == 103
-        assert max(counts) - min(counts) <= 1
 
 
 @pytest.mark.parametrize("metric", [ece, brier, auc])

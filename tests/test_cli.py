@@ -14,7 +14,7 @@ import pytest
 
 from riskwatch.cli import EXIT_ALARM, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from riskwatch.eventlog import CONFIG_ENV_VAR, default_config, write_log
-from riskwatch.monitor import ENGINE_STATE_VERSION
+from riskwatch.monitor import ENGINE_STATE_VERSION, _pack, _unpack
 from riskwatch.simulator import generate, preset
 
 
@@ -173,6 +173,22 @@ class TestMonitor:
         assert main(["monitor", "--in", str(sim_dir / "events.ndjson"),
                      "--policy", str(policy),
                      "--out", str(tmp_path / "m")]) == EXIT_OK
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    @pytest.mark.parametrize("settings", [{"n_bins": 0}, {"alpha": 1.5}],
+                             ids=["n_bins-0", "alpha-1.5"])
+    def test_bad_monitor_settings_refused_before_any_line(
+        self, sim_dir, tmp_path, capsys, caplog, settings, strict
+    ):
+        policy = tmp_path / "bad.json"
+        policy.write_text(json.dumps({"monitor": settings}))
+        out = tmp_path / "m"
+        argv = ["monitor", "--in", str(sim_dir / "events.ndjson"),
+                "--policy", str(policy), "--out", str(out)]
+        assert main(argv + ["--strict"] * strict) == EXIT_DATA
+        assert "bad monitor settings" in capsys.readouterr().err
+        assert "skipped" not in caplog.text
+        assert not out.exists()
 
     def test_env_config_tightens_thresholds(self, tmp_path, small_cfg,
                                             monkeypatch):
@@ -350,6 +366,25 @@ class TestLineAddressedReplay:
         assert main(argv + ["--strict"] * strict) == EXIT_OK
         for name in ("report.csv", "state.json"):
             assert (resumed / name).read_bytes() == (whole / name).read_bytes()
+
+    def test_out_of_range_open_period_value_is_refused(self, small_lines, tmp_path,
+                                                       capsys):
+        # a checkpoint with a valid checksum whose first open-period outcome is 7
+        part = tmp_path / "part"
+        assert main(["monitor", "--in", write(tmp_path / "p.ndjson", small_lines[:900]),
+                     "--out", str(part), "--no-finalize"]) == EXIT_OK
+        state = json.loads((part / "state.json").read_text())["state"]
+        ys = _unpack(state["acc"]["ys"], "u1")
+        state["acc"]["ys"] = _pack([7] + ys[1:], "u1")
+        canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        (part / "state.json").write_text(json.dumps({
+            "format_version": 1,
+            "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+            "state": state,
+        }))
+        assert main(["replay", "--snapshot", str(part / "state.json"),
+                     "--in", write(tmp_path / "full.ndjson", small_lines)]) == EXIT_DATA
+        assert "out of range" in capsys.readouterr().err
 
     def test_truncated_log_is_refused(self, small_lines, tmp_path, capsys):
         part = tmp_path / "part"

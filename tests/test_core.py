@@ -1,4 +1,6 @@
-"""Stream primitives: validation, the event/outcome join, windowing."""
+"""Stream primitives: validation and the event/outcome join."""
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,8 @@ from riskwatch.core import (
     MetricSnapshot,
     OutcomeRecord,
     PredictionEvent,
-    ResolvedPair,
     TimeIndex,
     join,
-    split_arrays,
-    window_partition,
 )
 from riskwatch.errors import DuplicateOutcome, OrphanOutcome
 
@@ -58,6 +57,14 @@ class TestValidation:
     def test_alt_losses_nonempty(self):
         with pytest.raises(ValueError):
             OutcomeRecord("x", outcome=0, loss=0.0, alt_losses=())
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_losses_finite(self, bad):
+        # an engine that took one could save a snapshot it cannot load
+        with pytest.raises(ValueError, match="loss must be finite"):
+            OutcomeRecord("x", outcome=0, loss=bad)
+        with pytest.raises(ValueError, match="alt_losses must be finite"):
+            OutcomeRecord("x", outcome=0, loss=0.0, alt_losses=(0.0, bad))
 
     def test_snapshot_needs_a_metric(self):
         with pytest.raises(ValueError):
@@ -118,40 +125,3 @@ class TestJoin:
         got = list(join(events, outcomes))
         assert [p.event.event_id for p in got] == [f"e{i}" for i in range(n)]
         assert all(p.event.event_id == p.outcome.event_id for p in got)
-
-
-class TestWindowing:
-    def pairs(self, periods):
-        out = []
-        for i, m in enumerate(periods):
-            out.append(ResolvedPair(ev(i, period=m), oc(i)))
-        return out
-
-    def test_by_period_partition(self):
-        pairs = self.pairs([1, 1, 2, 2, 2, 4])
-        wins = list(window_partition(pairs))
-        assert [len(w.pairs) for w in wins] == [2, 3, 1]
-        assert [w.time.period for w in wins] == [1, 2, 4]
-        # concatenation reproduces the stream
-        flat = [p for w in wins for p in w.pairs]
-        assert flat == pairs
-
-    @given(st.lists(st.integers(1, 6), min_size=1, max_size=50))
-    @settings(max_examples=60, deadline=None)
-    def test_by_period_covers_stream_exactly(self, raw):
-        periods = sorted(raw)  # nondecreasing per the single-writer contract
-        pairs = self.pairs(periods)
-        wins = list(window_partition(pairs))
-        assert [p for w in wins for p in w.pairs] == pairs
-        seen = [w.time.period for w in wins]
-        assert seen == sorted(set(periods))
-
-    def test_split_arrays(self):
-        pairs = [
-            ResolvedPair(ev(0, prob=0.2), oc(0, y=1, loss=3.0)),
-            ResolvedPair(ev(1, prob=0.9), oc(1, y=0, loss=0.5)),
-        ]
-        probs, ys, losses = split_arrays(pairs)
-        assert probs == [0.2, 0.9]
-        assert ys == [1, 0]
-        assert losses == [3.0, 0.5]

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import asdict
 
@@ -42,7 +43,9 @@ from riskwatch.eventlog import (
     unread_lines,
     write_log,
 )
-from riskwatch.monitor import ENGINE_STATE_VERSION, MonitorEngine
+from riskwatch.monitor import (
+    _ACC_DTYPES, ENGINE_STATE_VERSION, MonitorEngine, _pack, _unpack,
+)
 from riskwatch.simulator import ScenarioConfig
 
 
@@ -248,6 +251,16 @@ def _set_acc(name, value):
     return mutate
 
 
+def _set_first(name, value):
+    """Replace the first packed open-period value, keeping the length."""
+    def mutate(state):
+        dtype = _ACC_DTYPES[name]
+        values = _unpack(state["acc"][name], dtype)
+        values[0] = value
+        state["acc"][name] = _pack(values, dtype)
+    return mutate
+
+
 def _drop_last(column):
     def mutate(state):
         state["snapshots"][column].pop()
@@ -278,20 +291,34 @@ class TestSnapshotIntegrity:
         assert buf.getvalue() == (
             f'{{"format_version":1,"sha256":"{digest}","state":{canonical}}}\n')
 
+    RANGE = "engine state is malformed: .*(out of range|negative)"
     MALFORMED = [
-        (lambda state: 123, "an-integer"),
-        (lambda state: {"engine_version": ENGINE_STATE_VERSION}, "version-only"),
-        (_set_acc("probs", "not base64!"), "bad-base64"),
-        (_set_acc("losses", "AAAAAAAAAA=="), "bytes-not-a-multiple-of-8"),
-        (_set_acc("ys", "AQ=="), "unequal-open-period-values"),
-        (_drop_last("n"), "ragged-history-columns"),
+        (lambda state: 123, "an-integer", "engine state"),
+        (lambda state: {"engine_version": ENGINE_STATE_VERSION}, "version-only",
+         "engine state"),
+        (_set_acc("probs", "not base64!"), "bad-base64", "engine state"),
+        (_set_acc("losses", "AAAAAAAAAA=="), "bytes-not-a-multiple-of-8",
+         "engine state"),
+        (_set_acc("ys", "AQ=="), "unequal-open-period-values", "engine state"),
+        (_drop_last("n"), "ragged-history-columns", "engine state"),
+        (_set_first("ys", 7), "outcome-not-0-or-1", RANGE),
+        (_set_first("probs", 1.5), "prob-above-1", RANGE),
+        (_set_first("probs", -1e-300), "prob-below-0", RANGE),
+        (_set_first("probs", math.nan), "prob-nan", RANGE),
+        (_set_first("losses", math.inf), "loss-inf", RANGE),
+        (_set_first("losses", math.nan), "loss-nan", RANGE),
+        (_set_first("regrets", -math.inf), "regret-inf", RANGE),
+        (_set_first("regrets", math.nan), "regret-nan", RANGE),
+        (lambda state: state.update(lines_consumed=-1), "negative-lines-consumed",
+         RANGE),
     ]
 
-    @pytest.mark.parametrize("mutate", [m for m, _ in MALFORMED],
-                             ids=[i for _, i in MALFORMED])
-    def test_malformed_state_with_valid_checksum(self, canonical_output, mutate):
+    @pytest.mark.parametrize("mutate,match", [(m, f) for m, _, f in MALFORMED],
+                             ids=[i for _, i, _ in MALFORMED])
+    def test_malformed_state_with_valid_checksum(self, canonical_output, mutate,
+                                                 match):
         state = mid_period_engine(canonical_output).to_state()
-        with pytest.raises(CorruptSnapshot, match="engine state"):
+        with pytest.raises(CorruptSnapshot, match=match):
             load_snapshot(checksummed(mutate(state) or state))
 
     def test_failed_save_keeps_previous_snapshot(self, canonical_output, tmp_path,
@@ -484,3 +511,14 @@ class TestConfig:
         config["policy"]["recovery_periods"] = 0
         with pytest.raises(BadConfig, match="policy"):
             policy_from_config(config)
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_bins", 0), ("n_bins", True), ("n_bins", 2.5), ("n_bins", "10"),
+        ("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5), ("alpha", float("nan")),
+        ("alpha", "0.9"),
+    ])
+    def test_bad_monitor_settings_wrapped(self, key, value):
+        config = default_config()
+        config["monitor"][key] = value
+        with pytest.raises(BadConfig, match=f"bad monitor settings: {key}"):
+            engine_from_config(config)

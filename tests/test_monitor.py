@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskwatch.alarms import OperatingState, ThresholdPolicy
-from riskwatch.calibration import auc, brier, ece, ece_trajectory
+from riskwatch.calibration import auc, brier, ece
 from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex, join
 from riskwatch.errors import DuplicateOutcome, OrphanOutcome, VersionMismatch
 from riskwatch.eventlog import save_snapshot
@@ -54,13 +54,25 @@ class TestAgreementWithOfflineMetrics:
             assert snap.cvar == cvar_tail(losses, 0.95)
 
     def test_offline_trajectory_matches_engine(self, canonical_output):
-        # the offline join + per-period windows against the engine's join
+        # the offline join, grouped by period here, against the engine's join
         engine = MonitorEngine()
         drive(engine, canonical_output.events, canonical_output.outcomes)
         engine.finalize()
-        points = ece_trajectory(join(canonical_output.events, canonical_output.outcomes))
-        assert [(p.time, p.n, p.ece, p.brier, p.auc) for p in points] == [
-            (s.time, s.n, s.ece, s.brier, s.auc) for s in engine.snapshots
+        by_period = {}
+        for pair in join(canonical_output.events, canonical_output.outcomes):
+            by_period.setdefault(pair.event.time.period, []).append(pair)
+        points = []
+        for pairs in by_period.values():
+            probs = [p.event.predicted_prob for p in pairs]
+            ys = [p.outcome.outcome for p in pairs]
+            losses = [p.outcome.loss for p in pairs]
+            points.append((
+                pairs[-1].event.time, len(pairs), ece(probs, ys), brier(probs, ys),
+                auc(probs, ys), var(losses, 0.95), cvar_tail(losses, 0.95),
+            ))
+        assert points == [
+            (s.time, s.n, s.ece, s.brier, s.auc, s.var, s.cvar)
+            for s in engine.snapshots
         ]
 
     def test_alarm_history_one_record_per_period(self, canonical_output):

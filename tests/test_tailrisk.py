@@ -12,7 +12,6 @@ from riskwatch.tailrisk import (
     cvar_conditional,
     cvar_tail,
     cvar_variational,
-    event_loss,
     var,
 )
 
@@ -167,21 +166,3 @@ class TestEstimatorEquivalence:
                 len(losses) * (1 - alpha)
             )
             assert cvar_tail(losses, alpha) == pytest.approx(ru, abs=1e-9)
-
-
-class TestEventLoss:
-    def test_false_negative_weighting(self):
-        # missed positive: weight w_fn on the shortfall
-        assert event_loss(1, 0.2) == pytest.approx(3.0 * 0.8)
-        # false alarm on a negative: weight w_fp on the excess
-        assert event_loss(0, 0.2) == pytest.approx(1.0 * 0.2)
-
-    def test_custom_weights(self):
-        assert event_loss(1, 0.5, w_fn=2.0, w_fp=1.0) == pytest.approx(1.0)
-        assert event_loss(0, 0.5, w_fn=2.0, w_fp=5.0) == pytest.approx(2.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            event_loss(2, 0.5)
-        with pytest.raises(ValueError):
-            event_loss(1, 1.5)
