@@ -547,7 +547,10 @@ def load_config(path: str | os.PathLike | None = None) -> dict:
 
 
 def scenario_from_config(config: dict) -> ScenarioConfig:
-    return ScenarioConfig(**config["scenario"])
+    try:
+        return ScenarioConfig(**config["scenario"])
+    except TypeError as exc:
+        raise BadConfig(f"bad scenario settings: {exc}") from exc
 
 
 def policy_from_config(config: dict) -> ThresholdPolicy:

@@ -108,6 +108,26 @@ class TestSimulate:
         assert digest.hexdigest() == (
             "50974548e85f211ccdc2a0373064df9c55f82e73ed29ed23309ca938b14f97cf")
 
+    @pytest.mark.parametrize("scenario, extra", [
+        ({"patients_per_period": 100.5}, []),
+        ({"periods": 2.0}, []),
+        ({"patients_per_period": "100"}, []),
+        ({"periods": True}, []),
+        ({"class_separation": float("nan")}, []),
+        ({"loss_w_fn": float("nan")}, []),
+        ({"miscalibration_gain": float("inf")}, []),
+        ({"periods": 2}, ["--seed", "-3"]),
+    ], ids=repr)
+    def test_bad_scenario_refused_before_any_file(self, tmp_path, capsys,
+                                                  scenario, extra):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": scenario}))
+        out = tmp_path / "s"
+        argv = ["simulate", "--scenario", str(cfg), "--out", str(out), *extra]
+        assert main(argv) == EXIT_DATA
+        assert "riskwatch simulate: error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_named_preset_accepted(self, tmp_path):
         out = tmp_path / "icu"
         cfg = {"scenario": {"periods": 2, "patients_per_period": 200}}
@@ -257,8 +277,8 @@ def simulate_peak(tmp_path, periods: int) -> int:
 
 
 def test_simulate_memory_does_not_grow_with_the_stream(tmp_path, small_cfg):
-    # warm up, so that imports made on the first run (scipy.special) are
-    # not charged to the first measured one
+    # warm up, so that imports made on the first run (numpy.random, which
+    # numpy loads lazily) are not charged to the first measured one
     assert main(["simulate", "--scenario", str(small_cfg),
                  "--out", str(tmp_path / "warm")]) == EXIT_OK
     two, eight = simulate_peak(tmp_path, 2), simulate_peak(tmp_path, 8)

@@ -1,11 +1,13 @@
-"""The import and monitor paths stay free of scipy.
+"""Only credible_interval loads scipy; import, monitor and simulate never do.
 
-Importing scipy.stats takes about a second on a 2-core VM, and every CLI
-call would pay it again. Only generation (period_arrays) and
-credible_interval need scipy, and each imports it when called; generation
-needs scipy.special alone. The checks run in a fresh interpreter, because
-this test process has loaded scipy already."""
+Importing scipy.stats takes about a second on a 2-core VM, and
+scipy.special alone adds about 20 MB of resident memory, which every CLI
+call would pay again. credible_interval imports scipy.special when called;
+nothing else in the package imports scipy, which an ast walk checks
+statically. The runtime checks run in a fresh interpreter, because this
+test process has loaded scipy already."""
 
+import ast
 import json
 import os
 import subprocess
@@ -16,6 +18,7 @@ from riskwatch.cli import EXIT_ALARM, EXIT_OK, main
 from riskwatch.eventlog import CONFIG_ENV_VAR
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "riskwatch"
 
 # argv: log, prefix log, checkpoint dir, output dir; prints a JSON summary
 CHILD = """
@@ -40,12 +43,15 @@ from riskwatch.belief import BetaPosterior, credible_interval
 from riskwatch.simulator import ScenarioConfig, generate_arrays
 
 arrays = generate_arrays(ScenarioConfig(periods=2, patients_per_period=50))
+after_generate = scipy_loaded()
+interval = credible_interval(BetaPosterior(3.0, 7.0), level=0.9)
 print(json.dumps({
     "codes": codes,
     "after_monitor": after_monitor,
     "generated": int(arrays["y"].size),
-    "interval": credible_interval(BetaPosterior(3.0, 7.0), level=0.9),
-    "scipy_after_lazy_calls": "scipy" in sys.modules,
+    "after_generate": after_generate,
+    "interval": interval,
+    "after_interval": scipy_loaded(),
 }))
 """
 
@@ -69,15 +75,13 @@ print(json.dumps({"code": code, "scipy": sorted(
 """
 
 
-def test_simulate_path_never_imports_scipy_stats(tmp_path):
-    # scipy.stats adds about 44 MB of RSS, most of what streaming saves
+def test_simulate_path_never_imports_scipy(tmp_path):
+    # scipy.special alone adds about 20 MB of RSS to a simulate run
     cfg = tmp_path / "small.json"
     cfg.write_text(json.dumps({"scenario": {"periods": 2, "patients_per_period": 100}}))
     got = json.loads(run_child(SIMULATE_CHILD, cfg, tmp_path / "sim"))
     assert got["code"] == EXIT_OK
-    assert "scipy.special" in got["scipy"]
-    assert not any(m == "scipy.stats" or m.startswith("scipy.stats.")
-                   for m in got["scipy"])
+    assert got["scipy"] == []
 
 
 def test_monitor_path_never_imports_scipy(tmp_path):
@@ -100,8 +104,55 @@ def test_monitor_path_never_imports_scipy(tmp_path):
     for name in ("report.csv", "state.json"):
         assert (tmp_path / "out" / name).read_bytes() == (sim / name).read_bytes()
 
-    # the lazily importing functions still work, and do load scipy
+    # generation needs no scipy; credible_interval still loads it when called
     assert got["generated"] == 2 * 50
+    assert got["after_generate"] == []
     lo, hi = got["interval"]
     assert 0.0 < lo < 0.3 < hi < 1.0
-    assert got["scipy_after_lazy_calls"]
+    assert "scipy.special" in got["after_interval"]
+
+
+def scipy_import_sites(source: str) -> list[str]:
+    """Where a module imports scipy: the qualified name of the enclosing
+    function, or "<load>" for an import that runs when the module loads
+    (at module level or in a class body)."""
+    sites = []
+
+    def visit(node, qual, in_function):
+        for child in ast.iter_child_nodes(node):
+            names = ([a.name for a in child.names] if isinstance(child, ast.Import)
+                     else [child.module or ""] if isinstance(child, ast.ImportFrom)
+                     else [])
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                sites.append(qual if in_function else "<load>")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{qual}.{child.name}" if qual else child.name,
+                      in_function or not isinstance(child, ast.ClassDef))
+            else:
+                visit(child, qual, in_function)
+
+    visit(ast.parse(source), "", False)
+    return sites
+
+
+def test_only_credible_interval_imports_scipy():
+    sites = {f"{path.stem}.{site}" for path in sorted(PACKAGE.glob("*.py"))
+             for site in scipy_import_sites(path.read_text(encoding="utf-8"))}
+    assert sites == {"belief.credible_interval"}
+
+
+def test_scipy_import_sites_checker():
+    source = (
+        "import os, scipy\n"
+        "class A:\n"
+        "    from scipy import stats\n"
+        "    def m(self):\n"
+        "        def inner():\n"
+        "            import scipy.special as sp\n"
+        "def f():\n"
+        "    if True:\n"
+        "        from scipy.special import ndtri\n"
+        "    from scipyx import y\n"
+        "    from . import scipy_like\n"
+    )
+    assert scipy_import_sites(source) == ["<load>", "<load>", "A.m.inner", "f"]

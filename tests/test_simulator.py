@@ -1,5 +1,6 @@
 """Synthetic deployment generator: determinism, structure, drift mechanics."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from riskwatch.simulator import (
     ACT,
     MONITOR,
     ScenarioConfig,
+    _ndtri,
     canonical_scenario,
     generate,
     generate_arrays,
@@ -206,6 +208,27 @@ class TestConfigValidation:
         with pytest.raises(BadConfig):
             ScenarioConfig(tail_fraction=0.1, tail_scale=0.0)
 
+    @pytest.mark.parametrize("settings", [
+        {"patients_per_period": 100.5},
+        {"periods": 2.0},
+        {"patients_per_period": "100"},
+        {"periods": True},
+        {"drift_start_period": 4.0},
+        {"seed": -3},
+        {"seed": False},
+        {"class_separation": float("nan")},
+        {"loss_w_fn": float("nan")},
+        {"miscalibration_gain": float("inf")},
+        {"base_prevalence": "0.1"},
+        {"tail_scale": True},
+    ], ids=repr)
+    def test_bad_types_and_non_finite_values_rejected(self, settings):
+        with pytest.raises(BadConfig):
+            ScenarioConfig(**settings)
+
+    def test_whole_numbers_accepted_for_float_fields(self):
+        assert ScenarioConfig(loss_w_fn=1, tail_fraction=0).loss_w_fn == 1
+
     def test_drift_start_beyond_horizon_means_no_drift(self):
         # legal config: the ramp simply never arrives in the window
         cfg = ScenarioConfig(periods=3, drift_start_period=10)
@@ -243,3 +266,29 @@ class TestTailPreset:
                                         tail_fraction=0.05, periods=3, seed=4))
         assert cvar_tail(heavy["loss"], 0.95) > cvar_tail(base["loss"], 0.95)
         assert abs(var(heavy["loss"], 0.5) - var(base["loss"], 0.5)) < 0.05
+
+
+class TestNdtri:
+    """The Cephes ndtri port agrees with scipy.special.ndtri bit for bit."""
+
+    def test_bitwise_equal_to_scipy(self):
+        from scipy.special import ndtri  # the oracle
+
+        rng = np.random.default_rng(2024)
+        tails = 10.0 ** rng.uniform(-300.0, 0.0, 100_000)
+        edges = []
+        for c in (math.exp(-2), 1.0 - math.exp(-2), math.exp(-32)):
+            for toward in (0.0, 1.0):
+                v = c
+                for _ in range(5):  # c itself and 4 ulps on each side
+                    edges.append(v)
+                    v = np.nextafter(v, toward)
+        strata = [(np.arange(n) + rng.random(n)) / n
+                  for n in (1, 2, 3, 7, 1000, 20000)]
+        p = np.concatenate([
+            rng.random(1_000_000), tails, 1.0 - tails, edges,
+            [0.0, 1.0, 5e-324, -0.1, 1.1, np.nan], *strata,
+        ])
+        got, want = _ndtri(p), ndtri(p)
+        mismatched = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert mismatched.size == 0, (p[mismatched][:5], got[mismatched][:5])
