@@ -30,7 +30,7 @@ from . import eventlog
 from .alarms import OperatingState
 from .errors import RiskwatchError, UnknownPreset
 from .monitor import MonitorEngine
-from .simulator import ScenarioConfig, feed_pairs, preset, preset_names, scenario_pairs
+from .simulator import ScenarioConfig, preset, preset_names, scenario_pairs
 from .simulator import generate  # noqa: F401  (not called; bench/spans.py traces it here)
 
 logger = logging.getLogger(__name__)
@@ -175,19 +175,6 @@ def _read_log_lines(path: str):
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
-def _logged(fp, engine: MonitorEngine, pairs):
-    """Pass (event, outcome) pairs on once their two log lines are written.
-
-    The engine counts those lines as consumed, as if it had read them back
-    from the log. Only the pair in hand is held here.
-    """
-    for event, outcome in pairs:
-        fp.write(eventlog.log_line(event))
-        fp.write(eventlog.log_line(outcome))
-        engine.lines_consumed += 2
-        yield event, outcome
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -207,7 +194,7 @@ def _cmd_simulate(args) -> int:
         engine = eventlog.engine_from_config(config)
         with open(os.path.join(out_dir, "events.ndjson"), "w",
                   encoding="utf-8") as fp:
-            feed_pairs(engine, _logged(fp, engine, scenario_pairs(seeded)))
+            eventlog.log_pairs(fp, engine, scenario_pairs(seeded))
         engine.finalize()
         _write_outputs(engine, out_dir, args.format)
 
@@ -245,9 +232,8 @@ def _run_over_log(engine: MonitorEngine, args) -> int:
     """
     fp = _read_log_lines(args.log)
     try:
-        first_line = engine.lines_consumed + 1
-        lines = eventlog.unread_lines(fp, engine, hold_partial=args.no_finalize)
-        eventlog.ingest_log(engine, lines, strict=args.strict, first_line=first_line)
+        eventlog.ingest_log(engine, fp, strict=args.strict,
+                            hold_partial=args.no_finalize)
     finally:
         if fp is not sys.stdin:
             fp.close()

@@ -17,8 +17,10 @@ read. ingest_log carries the line numbers on into the engine intake, so a
 record the join rejects is named by its line too.
 
 A log is addressed by line: an engine carries the number of log lines
-behind its state, and a resumed run skips that many lines undecoded
-(unread_lines) and numbers the rest from there.
+behind its state (lines_consumed), and ingest_log skips that many lines
+undecoded, numbers the rest from there and counts each line it reads.
+ingest_log is the only reader that feeds an engine, and log_pairs the only
+writer: it logs simulated pairs and feeds them through the same intake.
 
 Engine snapshots are single JSON documents wrapping the engine state with
 a format version and a sha256 checksum over the canonically serialized
@@ -216,42 +218,13 @@ def _parse_record(record: dict, line_number: int) -> PredictionEvent | OutcomeRe
     raise SchemaError(f"unknown record kind {kind!r}", line_number=line_number)
 
 
-def unread_lines(
-    lines: Iterable[str],
-    engine: MonitorEngine,
-    hold_partial: bool = False,
-) -> Iterator[str]:
-    """The lines of a log that the engine has not consumed yet.
-
-    The first engine.lines_consumed lines are skipped without being
-    decoded; a log with fewer lines raises TruncatedLog. Every line handed
-    out advances engine.lines_consumed. With hold_partial, a final line
-    with no newline is left unconsumed, since its writer may still be
-    appending to it.
-    """
-    lines = iter(lines)
-    consumed = engine.lines_consumed
-    present = sum(1 for _ in islice(lines, consumed))
-    if present < consumed:
-        raise TruncatedLog(
-            f"event log has {present} lines but the snapshot consumed "
-            f"{consumed}; was it truncated or rotated?"
-        )
-    for line in lines:
-        if hold_partial and not line.endswith("\n"):
-            return
-        engine.lines_consumed += 1
-        yield line
-
-
 def _numbered_records(
-    lines: Iterable[str],
+    numbered_lines: Iterable[tuple[int, str]],
     strict: bool,
-    first_line: int,
 ) -> Iterator[tuple[int, PredictionEvent | OutcomeRecord]]:
-    """read_log's records, each with the number of the line it came from."""
+    """The records of (line number, line) pairs, each with its number."""
     skipped = 0
-    for line_number, line in enumerate(lines, start=first_line):
+    for line_number, line in numbered_lines:
         text = line.strip()
         if not text:
             continue
@@ -286,16 +259,14 @@ def _numbered_records(
 def read_log(
     lines: Iterable[str],
     strict: bool = False,
-    first_line: int = 1,
 ) -> Iterator[PredictionEvent | OutcomeRecord]:
     """Parse an ndjson event log into records, in encounter order.
 
     Lenient mode (default) skips malformed lines with a logged warning;
     strict mode raises on the first one. Blank lines are always skipped.
-    Lines are numbered from first_line, the number of the first line
-    given in the whole log.
+    Lines are numbered from 1.
     """
-    for _, record in _numbered_records(lines, strict, first_line):
+    for _, record in _numbered_records(enumerate(lines, start=1), strict):
         yield record
 
 
@@ -304,8 +275,8 @@ def _feed(
     numbered: Iterable[tuple[int | None, PredictionEvent | OutcomeRecord]],
     strict: bool,
 ) -> MonitorEngine:
-    """The engine intake behind feed_engine and ingest_log; a rejected
-    record's error names its line when the line number is not None."""
+    """The engine intake behind feed_engine, ingest_log and log_pairs; a
+    rejected record's error names its line when the line number is not None."""
     skipped = 0
     for line_number, record in numbered:
         try:
@@ -345,12 +316,55 @@ def ingest_log(
     engine: MonitorEngine,
     lines: Iterable[str],
     strict: bool = False,
-    first_line: int = 1,
+    hold_partial: bool = False,
 ) -> MonitorEngine:
-    """read_log then feed_engine over log lines (does not finalize), with
-    every rejected line named by its number, the join rejections too.
-    Lines are numbered from first_line, as in read_log."""
-    return _feed(engine, _numbered_records(lines, strict, first_line), strict)
+    """read_log then feed_engine over the log lines the engine has not
+    consumed yet (does not finalize).
+
+    The first engine.lines_consumed lines are skipped without being
+    decoded; a log with fewer lines raises TruncatedLog. The rest are
+    numbered on from there, and each one read adds 1 to
+    engine.lines_consumed. Every rejected line is named by its number, the
+    join rejections too. With hold_partial, a final line with no newline
+    is left unread, since its writer may still be appending to it.
+    """
+    lines = iter(lines)
+    consumed = engine.lines_consumed
+    present = sum(1 for _ in islice(lines, consumed))
+    if present < consumed:
+        raise TruncatedLog(
+            f"event log has {present} lines but the snapshot consumed "
+            f"{consumed}; was it truncated or rotated?"
+        )
+
+    def unread() -> Iterator[tuple[int, str]]:
+        for line in lines:
+            if hold_partial and not line.endswith("\n"):
+                return
+            engine.lines_consumed += 1
+            yield engine.lines_consumed, line
+
+    return _feed(engine, _numbered_records(unread(), strict), strict)
+
+
+def log_pairs(
+    fp: IO[str],
+    engine: MonitorEngine,
+    pairs: Iterable[tuple[PredictionEvent, OutcomeRecord]],
+) -> MonitorEngine:
+    """Write each (event, outcome) pair's two log lines and feed the
+    engine each record, strictly, as the line just written (does not
+    finalize). The engine counts those lines as consumed, as if it had
+    read them back; only the pair in hand is held."""
+
+    def logged() -> Iterator[tuple[int, PredictionEvent | OutcomeRecord]]:
+        for pair in pairs:
+            for record in pair:
+                fp.write(log_line(record))
+                engine.lines_consumed += 1
+                yield engine.lines_consumed, record
+
+    return _feed(engine, logged(), strict=True)
 
 
 # -- engine snapshots ---------------------------------------------------------

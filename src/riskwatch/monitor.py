@@ -75,8 +75,8 @@ class MonitorEngine:
         self.alarm = AlarmState()
         self.events_seen = 0
         self.outcomes_seen = 0
-        # lines of the source log behind this state; kept by the log reader
-        # (eventlog.unread_lines) and only carried by the engine
+        # lines of the source log behind this state; counted by the log
+        # intake (eventlog.ingest_log, eventlog.log_pairs) and only carried here
         self.lines_consumed = 0
 
         self._join = Joiner()
@@ -151,20 +151,20 @@ class MonitorEngine:
         ys = np.asarray(self._acc_ys, dtype=float)
         losses = np.asarray(self._acc_losses, dtype=float)
 
-        regret_rate = None
+        # computed into locals and committed only once evaluate has passed,
+        # so a failed close (NoMetrics) leaves the engine as it was
+        regret_cumulative, regret_rate = self._regret_cumulative, None
         if self._acc_regrets:
             period_regret = math.fsum(self._acc_regrets)
-            base = 0.0 if self._regret_cumulative is None else self._regret_cumulative
-            self._regret_cumulative = base + period_regret
+            base = 0.0 if regret_cumulative is None else regret_cumulative
+            regret_cumulative = base + period_regret
             regret_rate = period_regret / len(self._acc_regrets)
 
         # rolling belief over this period; baseline frozen at first close
         positives = sum(self._acc_ys)
         rolling = belief_mod.BetaPosterior(1.0 + positives, 1.0 + (n - positives))
-        if self._baseline is None:
-            self._baseline = (rolling.a, rolling.b)
-        baseline = belief_mod.BetaPosterior(*self._baseline)
-        drift = belief_mod.drift_score(baseline, rolling)
+        baseline = self._baseline or (rolling.a, rolling.b)
+        drift = belief_mod.drift_score(belief_mod.BetaPosterior(*baseline), rolling)
 
         snapshot = MetricSnapshot(
             time=time,
@@ -174,13 +174,15 @@ class MonitorEngine:
             auc=auc(probs, ys),
             var=var(losses, self.alpha),
             cvar=cvar_tail(losses, self.alpha),
-            regret_cumulative=self._regret_cumulative,
+            regret_cumulative=regret_cumulative,
             regret_rate=regret_rate,
             posterior_mean=rolling.mean,
             drift_score=drift,
         )
-        self.snapshots.append(snapshot)
         self.alarm = evaluate(self.alarm, snapshot, self.policy)
+        self.snapshots.append(snapshot)
+        self._regret_cumulative = regret_cumulative
+        self._baseline = baseline
 
         self._acc_probs = []
         self._acc_ys = []

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -216,22 +216,19 @@ def prevalence_at(config: ScenarioConfig, period: int) -> float:
     return config.base_prevalence + (config.final_prevalence - config.base_prevalence) * frac
 
 
-def period_arrays(
-    config: ScenarioConfig, seed: int | None = None
-) -> Iterator[dict[str, np.ndarray]]:
+def period_arrays(config: ScenarioConfig) -> Iterator[dict[str, np.ndarray]]:
     """Vectorized scenario draw, one period at a time in period order.
 
     Yields one dict of arrays per period: period, y, true_prob, pred_prob,
     loss, loss_monitor, loss_act, action. Each period draws from its own
     stream, so a chunk does not depend on the periods drawn before it.
     """
-    seed = config.seed if seed is None else seed
     n = config.patients_per_period
     d = config.class_separation
     base_logit = _logit(config.base_prevalence)
 
     for m in range(1, config.periods + 1):
-        rng = np.random.default_rng([seed, m])
+        rng = np.random.default_rng([config.seed, m])
         pim = prevalence_at(config, m)
         since_onset = max(0, m - config.drift_start_period)
         shift = config.miscalibration_gain * since_onset
@@ -286,13 +283,13 @@ def period_arrays(
         }
 
 
-def generate_arrays(config: ScenarioConfig, seed: int | None = None) -> dict[str, np.ndarray]:
+def generate_arrays(config: ScenarioConfig) -> dict[str, np.ndarray]:
     """The whole scenario draw; the array core behind generate().
 
     Returns flat arrays over all periods, the period_arrays chunks
-    concatenated. Deterministic given the seed.
+    concatenated. Deterministic given the config's seed.
     """
-    chunks = list(period_arrays(config, seed))
+    chunks = list(period_arrays(config))
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
 
@@ -317,22 +314,22 @@ def scenario_records(
 
 
 def scenario_pairs(
-    config: ScenarioConfig, seed: int | None = None
+    config: ScenarioConfig,
 ) -> Iterator[tuple[PredictionEvent, OutcomeRecord]]:
     """The scenario's (event, outcome) pairs, drawn one period at a time,
     so only one period's arrays are held at once."""
     start = 0
-    for chunk in period_arrays(config, seed):
+    for chunk in period_arrays(config):
         yield from scenario_records(chunk, start)
         start += chunk["period"].size
 
 
-def generate(config: ScenarioConfig, seed: int | None = None) -> ScenarioOutput:
+def generate(config: ScenarioConfig) -> ScenarioOutput:
     """Materialize one scenario as event/outcome streams plus ground truth.
 
     Holds the whole scenario in memory; scenario_pairs streams it.
     """
-    arrays = generate_arrays(config, seed=seed)
+    arrays = generate_arrays(config)
     events, outcomes = zip(*scenario_records(arrays))
     return ScenarioOutput(
         config=config,
@@ -390,23 +387,6 @@ def preset_names() -> tuple[str, ...]:
     return tuple(sorted(_PRESETS))
 
 
-def feed_pairs(engine, pairs: Iterable[tuple[PredictionEvent, OutcomeRecord]]):
-    """Feed (event, outcome) pairs to an engine, each event followed by
-    its outcome; does not finalize. Returns the engine."""
-    for event, outcome in pairs:
-        engine.observe_event(event)
-        engine.observe_outcome(outcome)
-    return engine
-
-
-def drive_engine(engine, output: ScenarioOutput):
-    """Feed a generated scenario through an engine, one event and its
-    outcome at a time, and finalize it. Returns the engine."""
-    feed_pairs(engine, zip(output.events, output.outcomes))
-    engine.finalize()
-    return engine
-
-
 def run_monitor(
     output: ScenarioOutput,
     policy: ThresholdPolicy | None = None,
@@ -421,5 +401,9 @@ def run_monitor(
     """
     from .monitor import MonitorEngine  # local import avoids a cycle at import time
 
-    engine = drive_engine(MonitorEngine(policy=policy, **settings), output)
+    engine = MonitorEngine(policy=policy, **settings)
+    for event, outcome in zip(output.events, output.outcomes):
+        engine.observe_event(event)
+        engine.observe_outcome(outcome)
+    engine.finalize()
     return list(engine.snapshots), list(engine.alarm.history)

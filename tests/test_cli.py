@@ -128,6 +128,18 @@ class TestSimulate:
         assert "riskwatch simulate: error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_join_rejection_exits_data_naming_the_line(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # generated pairs always join; a repeated pair stands in for a defect
+        from riskwatch import cli
+
+        pairs = list(cli.scenario_pairs(replace(preset("sepsis_drift"), periods=1,
+                                                patients_per_period=3)))
+        monkeypatch.setattr(cli, "scenario_pairs", lambda config: pairs + pairs[1:2])
+        assert main(["simulate", "--out", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "riskwatch simulate: error: line 7:" in err
+
     def test_named_preset_accepted(self, tmp_path):
         out = tmp_path / "icu"
         cfg = {"scenario": {"periods": 2, "patients_per_period": 200}}

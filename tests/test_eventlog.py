@@ -29,9 +29,11 @@ from riskwatch.eventlog import (
     engine_from_config,
     event_to_record,
     feed_engine,
+    ingest_log,
     load_config,
     load_snapshot,
     load_snapshot_file,
+    log_pairs,
     outcome_to_record,
     policy_from_config,
     read_log,
@@ -40,7 +42,6 @@ from riskwatch.eventlog import (
     save_snapshot,
     save_snapshot_file,
     scenario_from_config,
-    unread_lines,
     write_log,
 )
 from riskwatch.monitor import (
@@ -109,12 +110,18 @@ class TestLenientVsStrict:
         assert "prob" in str(err.value)
 
     def test_lines_numbered_from_first_line(self, caplog):
-        text = self.GOOD + self.BAD_JSON
+        # an engine that has consumed 40 lines numbers the next one 41
+        text = "consumed\n" * 40 + self.GOOD + self.BAD_JSON
+        engine = MonitorEngine()
+        engine.lines_consumed = 40
         with caplog.at_level("WARNING"):
-            assert len(list(read_log(io.StringIO(text), first_line=41))) == 1
+            ingest_log(engine, io.StringIO(text))
+        assert engine.events_seen == 1
         assert "event log line 42 skipped" in caplog.text
+        engine = MonitorEngine()
+        engine.lines_consumed = 40
         with pytest.raises(ParseError) as err:
-            list(read_log(io.StringIO(text), strict=True, first_line=41))
+            ingest_log(engine, io.StringIO(text), strict=True)
         assert err.value.line_number == 42
 
     def test_lenient_skips_and_warns(self, caplog):
@@ -195,33 +202,63 @@ class TestLenientVsStrict:
 
 
 class TestUnreadLines:
-    LINES = ["a\n", "\n", "b\n", "c\n"]
+    """ingest_log reads only the lines an engine has not consumed yet."""
+
+    @staticmethod
+    def event(event_id, seq):
+        return (f'{{"kind": "prediction", "event_id": "{event_id}", '
+                f'"period": 1, "seq": {seq}, "prob": 0.5}}\n')
+
+    def pending(self, engine):
+        return list(engine._join.pending)
 
     def test_skips_consumed_lines_and_counts_the_rest(self):
         engine = MonitorEngine()
         engine.lines_consumed = 2
-        assert list(unread_lines(io.StringIO("".join(self.LINES)), engine)) == ["b\n", "c\n"]
+        lines = [self.event("a", 0), "\n", self.event("b", 1), self.event("c", 2)]
+        ingest_log(engine, io.StringIO("".join(lines)), strict=True)
+        assert self.pending(engine) == ["b", "c"]
         assert engine.lines_consumed == 4
 
     def test_consumed_lines_are_not_decoded(self):
         engine = MonitorEngine()
         engine.lines_consumed = 2
         lines = ["{not json\n", "[]\n", TestLenientVsStrict.GOOD]
-        records = list(read_log(unread_lines(lines, engine), strict=True, first_line=3))
-        assert [r.event_id for r in records] == ["b"]
+        ingest_log(engine, lines, strict=True)
+        assert self.pending(engine) == ["b"]
+        assert engine.lines_consumed == 3
 
     def test_log_shorter_than_consumed_raises(self):
         engine = MonitorEngine()
         engine.lines_consumed = 5
+        lines = ["a\n", "\n", "b\n", "c\n"]
         with pytest.raises(TruncatedLog, match="has 4 lines but the snapshot consumed 5"):
-            list(unread_lines(self.LINES, engine))
+            ingest_log(engine, lines)
 
     @pytest.mark.parametrize("hold", [False, True])
     def test_unterminated_last_line_held_back_on_request(self, hold):
         engine = MonitorEngine()
-        got = list(unread_lines(io.StringIO("a\nb\npart"), engine, hold_partial=hold))
-        assert got == ["a\n", "b\n"] + ([] if hold else ["part"])
+        text = self.event("a", 0) + self.event("b", 1) + self.event("part", 2)[:-1]
+        ingest_log(engine, io.StringIO(text), strict=True, hold_partial=hold)
+        got = ["a", "b"] + ([] if hold else ["part"])
+        assert self.pending(engine) == got
         assert engine.lines_consumed == len(got)
+
+
+class TestLogPairs:
+    def test_writes_what_write_log_writes_and_counts_the_lines(self, canonical_output):
+        events, outcomes = canonical_output.events[:300], canonical_output.outcomes[:300]
+        buf, engine = io.StringIO(), MonitorEngine()
+        log_pairs(buf, engine, zip(events, outcomes))
+        assert buf.getvalue() == log_text(events, outcomes)
+        assert engine.lines_consumed == 2 * len(events)
+        assert engine.outcomes_seen == len(outcomes)
+
+    def test_join_rejection_is_strict_and_names_the_line_written(self):
+        pair = (PredictionEvent("a", TimeIndex(1, 0), 0.5), OutcomeRecord("a", 0, 1.0))
+        with pytest.raises(SchemaError, match="line 3") as err:
+            log_pairs(io.StringIO(), MonitorEngine(), [pair, pair])
+        assert err.value.line_number == 3
 
 
 def checksummed(state) -> io.StringIO:

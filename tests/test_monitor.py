@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from riskwatch.alarms import OperatingState, ThresholdPolicy
 from riskwatch.calibration import auc, brier, ece
 from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex, join
-from riskwatch.errors import DuplicateOutcome, OrphanOutcome, VersionMismatch
+from riskwatch.errors import DuplicateOutcome, NoMetrics, OrphanOutcome, VersionMismatch
 from riskwatch.eventlog import save_snapshot
 from riskwatch.monitor import MonitorEngine, _pack, _unpack
-from riskwatch.simulator import canonical_scenario, drive_engine, generate
+from riskwatch.simulator import canonical_scenario, generate
 from riskwatch.tailrisk import cvar_tail, var
 
 
@@ -270,7 +270,8 @@ class TestBoundedState:
     def test_finalized_state_does_not_grow_with_the_stream(self, outputs):
         sizes = {}
         for n, output in outputs.items():
-            engine = drive_engine(MonitorEngine(), output)
+            engine = drive(MonitorEngine(), output.events, output.outcomes)
+            engine.finalize()
             state = engine.to_state()
             assert len(state["snapshots"]["period"]) == 12
             assert state["pending"] == []
@@ -305,6 +306,19 @@ class TestPartialMetrics:
         assert snap.regret_cumulative is None
         assert snap.regret_rate is None
         assert snap.ece is not None
+
+    def test_failed_close_leaves_the_engine_unchanged(self):
+        # regret is the only enabled metric, and no pair has counterfactuals
+        engine = MonitorEngine(policy=ThresholdPolicy(
+            ece_max=None, cvar_max=None, regret_rate_max=0.1))
+        for i in range(4):
+            engine.observe_event(ev(i, prob=0.3))
+            engine.observe_outcome(oc(i, y=i % 2, loss=0.5))
+        before = engine.to_state()
+        for _ in range(2):
+            with pytest.raises(NoMetrics):
+                engine.finalize()
+            assert engine.to_state() == before
 
     def test_single_class_period_has_no_auc(self):
         engine = MonitorEngine()

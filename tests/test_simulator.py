@@ -226,6 +226,14 @@ class TestConfigValidation:
         with pytest.raises(BadConfig):
             ScenarioConfig(**settings)
 
+    @pytest.mark.parametrize("draw", [period_arrays, generate_arrays,
+                                      scenario_pairs, generate],
+                             ids=lambda f: f.__name__)
+    def test_seed_comes_only_from_the_checked_config(self, draw):
+        # replace(config, seed=s) is the route that goes through the checks
+        with pytest.raises(TypeError):
+            draw(small(), seed=3)
+
     def test_whole_numbers_accepted_for_float_fields(self):
         assert ScenarioConfig(loss_w_fn=1, tail_fraction=0).loss_w_fn == 1
 
