@@ -409,12 +409,15 @@ def load_snapshot(fp: IO[str]) -> MonitorEngine:
 
 
 def save_snapshot_file(engine: MonitorEngine, path: str | os.PathLike) -> None:
-    """save_snapshot to a file, atomically: the snapshot is written beside
-    it and renamed over it, so a failed save leaves the old one in place."""
+    """save_snapshot to a file, atomically and durably: written beside it,
+    synced to disk, then renamed over it, so a failed save leaves the old one
+    in place and a power loss cannot leave an empty file."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fp:
             save_snapshot(engine, fp)
+            fp.flush()
+            os.fsync(fp.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

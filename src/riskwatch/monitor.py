@@ -10,10 +10,11 @@ regret, belief) and advances the alarm state machine.
 All engine state is plain JSON-serializable data, so a run can be frozen
 mid-stream with to_state(), persisted, reloaded with from_state() and
 continued to a bit-identical result; the per-period metric computations
-see exactly the same accumulated values either way. The state is compact:
-closed-period metrics and alarm records are stored column-wise (one list
-per field), and the open period's values as base64 of their little-endian
-float64 (uint8 for outcomes) bytes, which round-trip bit for bit.
+see exactly the same accumulated values either way. The open period's
+values are held unboxed, in typed arrays (float64, uint8 for outcomes).
+The state is compact: closed-period metrics and alarm records are stored
+column-wise (one list per field), and the open period's values as base64
+of their little-endian bytes, which round-trip bit for bit.
 
 Ordering contract: a single writer appends events with increasing sequence
 numbers and nondecreasing periods, and outcomes arrive after (and near)
@@ -33,6 +34,7 @@ import base64
 import inspect
 import logging
 import math
+from array import array
 from dataclasses import asdict
 
 import numpy as np
@@ -81,10 +83,10 @@ class MonitorEngine:
 
         self._join = Joiner()
         self._open_period: int | None = None
-        self._acc_probs: list[float] = []
-        self._acc_ys: list[int] = []
-        self._acc_losses: list[float] = []
-        self._acc_regrets: list[float] = []  # steps with counterfactual losses only
+        self._acc_probs = array("d")
+        self._acc_ys = array("B")
+        self._acc_losses = array("d")
+        self._acc_regrets = array("d")  # steps with counterfactual losses only
         self._acc_last_sequence: int | None = None
         self._baseline: tuple[float, float] | None = None  # frozen Beta(a, b)
         self._regret_cumulative: float | None = None
@@ -136,7 +138,7 @@ class MonitorEngine:
             self._stale_pairs += 1
             return
         self._acc_probs.append(pair.event.predicted_prob)
-        self._acc_ys.append(pair.outcome.outcome)
+        self._acc_ys.append(int(pair.outcome.outcome))  # "B" refuses 1.0, a valid outcome
         self._acc_losses.append(pair.outcome.loss)
         if regret is not None:
             self._acc_regrets.append(regret)
@@ -146,10 +148,11 @@ class MonitorEngine:
         assert self._open_period is not None and self._acc_probs
         time = TimeIndex(period=self._open_period, sequence=self._acc_last_sequence)
         n = len(self._acc_probs)
-        # converted once and shared by every metric below
-        probs = np.asarray(self._acc_probs, dtype=float)
-        ys = np.asarray(self._acc_ys, dtype=float)
-        losses = np.asarray(self._acc_losses, dtype=float)
+        # copied once and shared by every metric below; a view, kept alive
+        # by a NoMetrics traceback, would make the next append a BufferError
+        probs = np.array(self._acc_probs, dtype=float)
+        ys = np.array(self._acc_ys, dtype=float)
+        losses = np.array(self._acc_losses, dtype=float)
 
         # computed into locals and committed only once evaluate has passed,
         # so a failed close (NoMetrics) leaves the engine as it was
@@ -184,10 +187,10 @@ class MonitorEngine:
         self._regret_cumulative = regret_cumulative
         self._baseline = baseline
 
-        self._acc_probs = []
-        self._acc_ys = []
-        self._acc_losses = []
-        self._acc_regrets = []
+        self._acc_probs = array("d")
+        self._acc_ys = array("B")
+        self._acc_losses = array("d")
+        self._acc_regrets = array("d")
         self._acc_last_sequence = None
         self._join.resolved_ids.clear()  # later outcomes for them are orphans
 
@@ -276,7 +279,8 @@ class MonitorEngine:
         engine._open_period = state["open_period"]
         acc = state["acc"]
         for name, dtype in _ACC_DTYPES.items():
-            setattr(engine, f"_acc_{name}", _unpack(acc[name], dtype, _ACC_VALID[name]))
+            setattr(engine, f"_acc_{name}",
+                    array(_TYPECODES[dtype], _unpack(acc[name], dtype, _ACC_VALID[name])))
         if not len(engine._acc_probs) == len(engine._acc_ys) == len(engine._acc_losses):
             raise ValueError("open period values differ in length")
         engine._acc_last_sequence = acc["last_sequence"]
@@ -294,7 +298,7 @@ class MonitorEngine:
             )
             for row in state["pending"]
         }
-        engine._join.resolved_ids = set(state["resolved_ids"])
+        engine._join.resolved_ids = dict.fromkeys(state["resolved_ids"])
         engine._join.last_seq = state["last_event_seq"]
         alarm = state["alarm"]
         engine.alarm = AlarmState(
@@ -325,9 +329,10 @@ ENGINE_DEFAULTS = {
 }
 
 
-# the open period's value lists, the dtype each is packed as, and the
+# the open period's value arrays, the dtype each is packed as, and the
 # elementwise test a loaded value must pass (to_state() writes no other)
 _ACC_DTYPES = {"probs": "<f8", "ys": "u1", "losses": "<f8", "regrets": "<f8"}
+_TYPECODES = {"<f8": "d", "u1": "B"}  # the array.array typecode of each dtype
 _ACC_VALID = {
     "probs": lambda a: (a >= 0.0) & (a <= 1.0),  # also false for NaN
     "ys": lambda a: a <= 1,
@@ -339,8 +344,8 @@ _SNAPSHOT_FIELDS = ("period", "sequence", "n", *MetricSnapshot.METRIC_FIELDS)
 _ALARM_FIELDS = ("period", "sequence", "state", "breached")
 
 
-def _pack(values: list, dtype: str) -> str:
-    """A list of numbers as base64 of their bytes in the given numpy dtype."""
+def _pack(values, dtype: str) -> str:
+    """Numbers (a list or an array) as base64 of their bytes in a numpy dtype."""
     return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
 
 

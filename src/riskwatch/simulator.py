@@ -44,6 +44,7 @@ from .core import MetricSnapshot, OutcomeRecord, PredictionEvent, TimeIndex
 from .errors import BadConfig, UnknownPreset
 
 MONITOR, ACT = 0, 1  # action ids of the binary decision set
+_ROW_BLOCK = 1024  # rows scenario_records turns into Python numbers at once
 # the ScenarioConfig fields that take whole numbers; the rest take floats
 _INT_FIELDS = ("periods", "patients_per_period", "drift_start_period", "seed")
 
@@ -222,65 +223,70 @@ def period_arrays(config: ScenarioConfig) -> Iterator[dict[str, np.ndarray]]:
     Yields one dict of arrays per period: period, y, true_prob, pred_prob,
     loss, loss_monitor, loss_act, action. Each period draws from its own
     stream, so a chunk does not depend on the periods drawn before it.
+    This frame holds none of a chunk's arrays; _period_draw makes them.
     """
+    for m in range(1, config.periods + 1):
+        yield _period_draw(config, m)
+
+
+def _period_draw(config: ScenarioConfig, m: int) -> dict[str, np.ndarray]:
+    """The arrays of period m, drawn from its own stream."""
     n = config.patients_per_period
     d = config.class_separation
     base_logit = _logit(config.base_prevalence)
+    rng = np.random.default_rng([config.seed, m])
+    pim = prevalence_at(config, m)
+    since_onset = max(0, m - config.drift_start_period)
+    shift = config.miscalibration_gain * since_onset
 
-    for m in range(1, config.periods + 1):
-        rng = np.random.default_rng([config.seed, m])
-        pim = prevalence_at(config, m)
-        since_onset = max(0, m - config.drift_start_period)
-        shift = config.miscalibration_gain * since_onset
+    # fixed-margin outcomes: expected count, randomized rounding/positions
+    expected = pim * n
+    k = int(expected) + (1 if rng.random() < expected - int(expected) else 0)
+    y = np.zeros(n, dtype=np.int64)
+    y[rng.permutation(n)[:k]] = 1
 
-        # fixed-margin outcomes: expected count, randomized rounding/positions
-        expected = pim * n
-        k = int(expected) + (1 if rng.random() < expected - int(expected) else 0)
-        y = np.zeros(n, dtype=np.int64)
-        y[rng.permutation(n)[:k]] = 1
+    # stratified latent scores per class: jittered equiprobable normal
+    # quantiles, shuffled within class (exact N(d*y, 1) marginals)
+    s = np.empty(n, dtype=float)
+    for cls in (0, 1):
+        idx = np.flatnonzero(y == cls)
+        if idx.size == 0:
+            continue
+        z = _ndtri((np.arange(idx.size) + rng.random(idx.size)) / idx.size)
+        rng.shuffle(z)
+        s[idx] = z + d * cls
 
-        # stratified latent scores per class: jittered equiprobable normal
-        # quantiles, shuffled within class (exact N(d*y, 1) marginals)
-        s = np.empty(n, dtype=float)
-        for cls in (0, 1):
-            idx = np.flatnonzero(y == cls)
-            if idx.size == 0:
-                continue
-            z = _ndtri((np.arange(idx.size) + rng.random(idx.size)) / idx.size)
-            rng.shuffle(z)
-            s[idx] = z + d * cls
+    # generative posterior log-odds at the frozen prevalence
+    u = base_logit + d * s - d * d / 2.0
+    true_prob = 1.0 / (1.0 + np.exp(-(u + (_logit(pim) - base_logit))))
+    pred_prob = 1.0 / (1.0 + np.exp(-(u - shift)))
 
-        # generative posterior log-odds at the frozen prevalence
-        u = base_logit + d * s - d * d / 2.0
-        true_prob = 1.0 / (1.0 + np.exp(-(u + (_logit(pim) - base_logit))))
-        pred_prob = 1.0 / (1.0 + np.exp(-(u - shift)))
+    eps = np.abs(rng.standard_normal(n)) * config.baseline_harm_scale
+    if config.tail_fraction > 0.0:
+        heavy = rng.random(n) < config.tail_fraction
+        eps = np.where(
+            heavy, config.tail_scale * np.exp(rng.standard_normal(n)), eps
+        )
 
-        eps = np.abs(rng.standard_normal(n)) * config.baseline_harm_scale
-        if config.tail_fraction > 0.0:
-            heavy = rng.random(n) < config.tail_fraction
-            eps = np.where(
-                heavy, config.tail_scale * np.exp(rng.standard_normal(n)), eps
-            )
+    under = np.minimum(np.maximum(true_prob - pred_prob, 0.0), config.harm_cap)
+    over = np.minimum(np.maximum(pred_prob - true_prob, 0.0), config.harm_cap)
+    if config.regret_escalation > 0.0:
+        under = under * (1.0 + config.regret_escalation * since_onset)
+    loss_monitor = config.loss_w_fn * y * under + eps
+    loss_act = config.intervention_cost + config.loss_w_fp * (1 - y) * over + eps
+    action = np.where(pred_prob >= config.act_threshold, ACT, MONITOR)
+    loss = np.where(action == ACT, loss_act, loss_monitor)
 
-        under = np.minimum(np.maximum(true_prob - pred_prob, 0.0), config.harm_cap)
-        over = np.minimum(np.maximum(pred_prob - true_prob, 0.0), config.harm_cap)
-        if config.regret_escalation > 0.0:
-            under = under * (1.0 + config.regret_escalation * since_onset)
-        loss_monitor = config.loss_w_fn * y * under + eps
-        loss_act = config.intervention_cost + config.loss_w_fp * (1 - y) * over + eps
-        action = np.where(pred_prob >= config.act_threshold, ACT, MONITOR)
-        loss = np.where(action == ACT, loss_act, loss_monitor)
-
-        yield {
-            "period": np.full(n, m, dtype=np.int64),
-            "y": y,
-            "true_prob": true_prob,
-            "pred_prob": pred_prob,
-            "loss": loss,
-            "loss_monitor": loss_monitor,
-            "loss_act": loss_act,
-            "action": action,
-        }
+    return {
+        "period": np.full(n, m, dtype=np.int64),
+        "y": y,
+        "true_prob": true_prob,
+        "pred_prob": pred_prob,
+        "loss": loss,
+        "loss_monitor": loss_monitor,
+        "loss_act": loss_act,
+        "action": action,
+    }
 
 
 def generate_arrays(config: ScenarioConfig) -> dict[str, np.ndarray]:
@@ -301,16 +307,18 @@ def scenario_records(
     Rows are numbered from start, the row's position in the whole
     scenario: it sets the event_id and the sequence number.
     """
-    rows = zip(*(arrays[k].tolist() for k in (
-        "period", "pred_prob", "action", "y", "loss", "loss_monitor", "loss_act")))
-    for i, (period, prob, action, y, loss, loss_monitor, loss_act) in enumerate(
-        rows, start=start
-    ):
-        event_id = f"ev-{i:06d}"
-        yield (
-            PredictionEvent(event_id, TimeIndex(period, i), prob, action, "frozen-v1"),
-            OutcomeRecord(event_id, y, loss, (loss_monitor, loss_act)),
-        )
+    columns = [arrays[k] for k in (
+        "period", "pred_prob", "action", "y", "loss", "loss_monitor", "loss_act")]
+    for lo in range(0, columns[0].size, _ROW_BLOCK):
+        rows = zip(*(c[lo:lo + _ROW_BLOCK].tolist() for c in columns))
+        for i, (period, prob, action, y, loss, loss_monitor, loss_act) in enumerate(
+            rows, start=start + lo
+        ):
+            event_id = f"ev-{i:06d}"
+            yield (
+                PredictionEvent(event_id, TimeIndex(period, i), prob, action, "frozen-v1"),
+                OutcomeRecord(event_id, y, loss, (loss_monitor, loss_act)),
+            )
 
 
 def scenario_pairs(
@@ -320,8 +328,10 @@ def scenario_pairs(
     so only one period's arrays are held at once."""
     start = 0
     for chunk in period_arrays(config):
-        yield from scenario_records(chunk, start)
+        records = scenario_records(chunk, start)
         start += chunk["period"].size
+        del chunk  # records holds the arrays only until they are used up
+        yield from records
 
 
 def generate(config: ScenarioConfig) -> ScenarioOutput:

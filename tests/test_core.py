@@ -1,6 +1,9 @@
 """Stream primitives: validation and the event/outcome join."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +74,60 @@ class TestValidation:
             MetricSnapshot(time=TimeIndex(1, 0), n=10)
         snap = MetricSnapshot(time=TimeIndex(1, 0), n=10, ece=0.02)
         assert snap.defined() == {"ece": 0.02}
+
+
+class TestSlottedRecords:
+    """The records are frozen dataclasses with __slots__; copying, pickling
+    and replace() must work as they do without slots, on every Python the
+    package supports (3.10's frozen slotted dataclasses differ here)."""
+
+    RECORDS = [
+        TimeIndex(3, 17),
+        PredictionEvent("e1", TimeIndex(2, 5), 0.25, action_id=1, cohort="icu"),
+        OutcomeRecord("e1", 1, 0.5, alt_losses=(0.5, 0.75)),
+        MetricSnapshot(TimeIndex(2, 9), n=40, ece=0.1, auc=None, drift_score=0.5),
+    ]
+    IDS = ["TimeIndex", "PredictionEvent", "OutcomeRecord", "MetricSnapshot"]
+
+    @pytest.mark.parametrize("record", RECORDS, ids=IDS)
+    def test_slotted(self, record):
+        assert "__slots__" in type(record).__dict__
+        assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize("record", RECORDS, ids=IDS)
+    def test_pickle_round_trip(self, record):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(record, protocol=protocol))
+            assert back == record and type(back) is type(record)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=IDS)
+    def test_deepcopy(self, record):
+        back = copy.deepcopy(record)
+        assert back == record and back is not record
+        assert copy.copy(record) == record
+
+    @pytest.mark.parametrize("record", RECORDS, ids=IDS)
+    def test_frozen(self, record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, dataclasses.fields(record)[0].name, None)
+        # a name that is not a field has no slot; CPython 3.11 raises
+        # TypeError from the frozen __setattr__ there, not AttributeError
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = 1
+
+    def test_replace_revalidates(self):
+        event, outcome = self.RECORDS[1], self.RECORDS[2]
+        assert dataclasses.replace(event, predicted_prob=0.5).predicted_prob == 0.5
+        assert dataclasses.replace(outcome, outcome=0).outcome == 0
+        assert dataclasses.replace(TimeIndex(3, 17), period=4) == TimeIndex(4, 17)
+        snap = dataclasses.replace(self.RECORDS[3], ece=None)
+        assert snap.defined() == {"drift_score": 0.5}
+        with pytest.raises(ValueError):
+            dataclasses.replace(event, predicted_prob=1.5)
+        with pytest.raises(ValueError):
+            dataclasses.replace(TimeIndex(3, 17), sequence=-1)
+        with pytest.raises(ValueError):
+            dataclasses.replace(snap, drift_score=None)
 
 
 class TestJoin:

@@ -376,6 +376,29 @@ class TestSnapshotIntegrity:
         assert os.listdir(tmp_path) == ["state.json"]
         assert load_snapshot_file(path).to_state() == before
 
+    def test_save_syncs_the_temp_file_before_the_rename(self, canonical_output,
+                                                         tmp_path, monkeypatch):
+        path = tmp_path / "state.json"
+        calls = []
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            calls.append(("fsync", st.st_ino, st.st_size))
+
+        def replace(src, dst):
+            st = os.stat(src)
+            calls.append(("replace", st.st_ino, st.st_size))
+            real_replace(src, dst)
+
+        real_replace = os.replace
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save_snapshot_file(self.make(canonical_output), path)
+        # one fsync, of the whole temp file (so after the flush), then the rename
+        size = path.stat().st_size
+        assert [c[0] for c in calls] == ["fsync", "replace"]
+        assert calls[0][1:] == calls[1][1:] == (path.stat().st_ino, size)
+
     def test_save_load_roundtrip(self, canonical_output):
         engine = self.make(canonical_output)
         buf = io.StringIO()

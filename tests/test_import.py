@@ -156,3 +156,43 @@ def test_scipy_import_sites_checker():
         "    from . import scipy_like\n"
     )
     assert scipy_import_sites(source) == ["<load>", "<load>", "A.m.inner", "f"]
+
+
+def acc_list_bindings(source: str) -> list[int]:
+    """The lines that bind an _acc_* attribute to a list (a literal, a
+    comprehension or a list() call), tuple assignments included."""
+    def is_list(value):
+        return (isinstance(value, (ast.List, ast.ListComp))
+                or isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id == "list")
+
+    def binds(target, value):
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+            return any(binds(t, v) for t, v in zip(target.elts, value.elts))
+        return (isinstance(target, ast.Attribute) and target.attr.startswith("_acc_")
+                and is_list(value))
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+            and any(binds(t, node.value) for t in
+                    (node.targets if isinstance(node, ast.Assign) else [node.target]))]
+
+
+def test_engine_accumulators_are_never_lists():
+    # a list boxes every value as a float object, about 3x the typed array
+    source = (PACKAGE / "monitor.py").read_text(encoding="utf-8")
+    assert acc_list_bindings(source) == []
+
+
+def test_acc_list_bindings_checker():
+    source = (
+        "self._acc_probs = []\n"
+        "self._acc_ys: list[int] = [0]\n"
+        "self._acc_losses = array('d')\n"
+        "self._acc_regrets = list(values)\n"
+        "self._acc_last_sequence = None\n"
+        "a._acc_x, b = [v for v in w], []\n"
+        "probs = []\n"
+        "self.acc_probs = []\n"
+    )
+    assert acc_list_bindings(source) == [1, 2, 4, 6]

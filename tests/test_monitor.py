@@ -1,9 +1,11 @@
 """Streaming engine: agreement with offline metrics, state freezing, joins."""
 
+import gc
 import io
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -295,6 +297,32 @@ class TestBoundedState:
         assert len(state["resolved_ids"]) == len(probs) == 2_345
 
 
+    def test_open_period_costs_few_bytes_per_pair(self):
+        # The records are built (and kept) outside the traced region, so the
+        # growth is what the engine holds per pair: typed-array values plus
+        # a dict slot for the resolved id, 46 B on CPython 3.11. Float lists
+        # or a set of ids put it near 78 B; 110 B with both.
+        n = 10_000
+        alts = [(0.25 + (i % 13) / 13, 0.5 + (i % 7) / 7) for i in range(n)]
+        events = [PredictionEvent(f"ev-{i:06d}", TimeIndex(1, i), (i % 997) / 997, i % 2)
+                  for i in range(n)]
+        outcomes = [OutcomeRecord(f"ev-{i:06d}", i % 2, alts[i][i % 2], alts[i])
+                    for i in range(n)]
+        engine = MonitorEngine()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for event, outcome in zip(events, outcomes):
+                engine.observe_event(event)
+                engine.observe_outcome(outcome)
+            gc.collect()
+            per_pair = tracemalloc.get_traced_memory()[0] / n
+        finally:
+            tracemalloc.stop()
+        assert engine._open_period == 1 and len(engine._acc_regrets) == n
+        assert per_pair < 64, f"{per_pair:.1f} B per open pair"
+
+
 class TestPartialMetrics:
     def test_no_counterfactuals_means_no_regret_metrics(self):
         engine = MonitorEngine()
@@ -316,9 +344,25 @@ class TestPartialMetrics:
             engine.observe_outcome(oc(i, y=i % 2, loss=0.5))
         before = engine.to_state()
         for _ in range(2):
-            with pytest.raises(NoMetrics):
+            with pytest.raises(NoMetrics) as failed:
                 engine.finalize()
             assert engine.to_state() == before
+        # the traceback keeps the close's arrays alive; they are copies, so
+        # the open period's buffers are free and it still takes records
+        assert failed.traceback
+        engine.observe_event(ev(4, prob=0.3))
+        engine.observe_outcome(oc(4, loss=0.5))
+        assert len(engine._acc_probs) == len(engine._acc_ys) == 5
+
+    def test_float_and_bool_outcomes_are_taken_as_ints(self):
+        # OutcomeRecord accepts 1.0 and True; the outcome array holds bytes
+        engine = MonitorEngine()
+        for i, y in enumerate([1.0, True, 0.0, False, 1]):
+            engine.observe_event(ev(i, prob=0.4))
+            engine.observe_outcome(oc(i, y=y, loss=0.5))
+        assert engine._acc_ys.tolist() == [1, 1, 0, 0, 1]
+        engine.finalize()
+        assert engine.snapshots[0].posterior_mean == 4 / 7
 
     def test_single_class_period_has_no_auc(self):
         engine = MonitorEngine()

@@ -1,12 +1,14 @@
 """Synthetic deployment generator: determinism, structure, drift mechanics."""
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from riskwatch.calibration import auc
+from riskwatch import simulator
 from riskwatch.errors import BadConfig, UnknownPreset
 from riskwatch.simulator import (
     ACT,
@@ -66,6 +68,34 @@ class TestPeriodStreaming:
         assert [e for e, _ in pairs] == list(out.events)
         assert [o for _, o in pairs] == list(out.outcomes)
         assert pairs[300][0].event_id == "ev-000300"  # first row of period 2
+
+    def test_pairs_hold_one_period_of_arrays_at_a_time(self, monkeypatch):
+        config = small()
+        refs = []  # weak references to each period's arrays, in period order
+        live_at_draw = []  # period m's live arrays as period m + 1's draw starts
+        live_at_pair = []  # and as period m + 1's first pair is yielded
+
+        def live(m):
+            return sum(ref() is not None for ref in refs[m - 1])
+
+        def tracked(config):
+            chunks = period_arrays(config)
+            for _ in range(config.periods):
+                if refs:
+                    live_at_draw.append(live(len(refs)))
+                chunk = next(chunks)
+                refs.append([weakref.ref(a) for a in chunk.values()])
+                yield chunk
+                del chunk
+
+        monkeypatch.setattr(simulator, "period_arrays", tracked)
+        period = 1
+        for event, _ in scenario_pairs(config):
+            if event.time.period != period:
+                period = event.time.period
+                live_at_pair.append(live(period - 1))
+        assert len(refs) == config.periods
+        assert live_at_draw == live_at_pair == [0] * (config.periods - 1)
 
 
 class TestDeterminism:
