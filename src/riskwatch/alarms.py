@@ -19,7 +19,7 @@ import enum
 import logging
 from dataclasses import dataclass
 
-from .core import MetricSnapshot, TimeIndex
+from .core import MetricSnapshot, TimeIndex, finite_number
 from .errors import NoMetrics
 
 logger = logging.getLogger(__name__)
@@ -43,6 +43,10 @@ class ThresholdPolicy:
     bound (drift_min is the smallest drift score considered alarming).
     conjunctive=True requires every enabled, defined metric to breach in
     the same period before the period counts as breaching.
+
+    Each setting is checked here, so a bad one fails before any record is
+    read: a bound is None or a finite number, the streak counts are
+    integers, conjunctive is a bool; else ValueError.
     """
 
     ece_max: float | None = 0.045
@@ -55,27 +59,31 @@ class ThresholdPolicy:
     conjunctive: bool = False
 
     def __post_init__(self):
-        if self.consecutive_for_review < 1:
-            raise ValueError("consecutive_for_review must be >= 1")
+        for name in _BOUND_FIELDS.values():
+            bound = getattr(self, name)
+            if bound is not None and not finite_number(bound):
+                raise ValueError(f"{name} must be None or a finite number, got {bound!r}")
+        for name in ("consecutive_for_review", "consecutive_for_suspend",
+                     "recovery_periods"):
+            count = getattr(self, name)
+            if type(count) is not int or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
         if self.consecutive_for_suspend < self.consecutive_for_review:
             raise ValueError(
                 "consecutive_for_suspend must be >= consecutive_for_review"
             )
-        if self.recovery_periods < 1:
-            raise ValueError("recovery_periods must be >= 1")
+        if type(self.conjunctive) is not bool:
+            raise ValueError(f"conjunctive must be true or false, got {self.conjunctive!r}")
 
     def bounds(self) -> dict[str, float]:
         """Enabled metric name -> bound."""
-        out = {}
-        for name, bound in (
-            ("ece", self.ece_max),
-            ("cvar", self.cvar_max),
-            ("regret_rate", self.regret_rate_max),
-            ("drift_score", self.drift_min),
-        ):
-            if bound is not None:
-                out[name] = bound
-        return out
+        return {metric: getattr(self, name) for metric, name in _BOUND_FIELDS.items()
+                if getattr(self, name) is not None}
+
+
+# each bounded metric and the policy field holding its bound
+_BOUND_FIELDS = {"ece": "ece_max", "cvar": "cvar_max",
+                 "regret_rate": "regret_rate_max", "drift_score": "drift_min"}
 
 
 @dataclass(frozen=True)

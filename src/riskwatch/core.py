@@ -14,13 +14,22 @@ relative to events; resolved pairs are always emitted in event order.
 from __future__ import annotations
 
 import logging
-import math
+import sys
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterable, Iterator
 
 from .errors import DuplicateOutcome, OrphanOutcome
 
 logger = logging.getLogger(__name__)
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def finite_number(value) -> bool:
+    """The one number test: a float or a non-bool int, in the finite float
+    range (so not NaN). The record types inline it, for speed."""
+    return (isinstance(value, float) or type(value) is int) and (
+        -_FLOAT_MAX <= value <= _FLOAT_MAX)
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -36,10 +45,11 @@ class TimeIndex:
     sequence: int
 
     def __post_init__(self):
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
-        if self.sequence < 0:
-            raise ValueError(f"sequence must be >= 0, got {self.sequence}")
+        if type(self.period) is not int or self.period < 1:
+            raise ValueError(f"period must be an integer >= 1, got {self.period!r}")
+        if type(self.sequence) is not int or self.sequence < 0:
+            raise ValueError(
+                f"sequence must be an integer >= 0, got {self.sequence!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,8 +57,10 @@ class PredictionEvent:
     """One model prediction at serving time.
 
     action_id is the action the deployed policy took on this prediction
-    (None when the log carries no decision trail). model_version tags the
-    frozen model that produced the probability.
+    (None when the log carries no decision trail); whether it lies in the
+    decision set is checked when its outcome is scored. model_version tags
+    the frozen model that produced the probability. Each field's type is
+    checked too, so every record built here reads back from its log line.
     """
 
     event_id: str
@@ -59,12 +71,21 @@ class PredictionEvent:
     cohort: str | None = None
 
     def __post_init__(self):
-        if not self.event_id:
-            raise ValueError("event_id must be non-empty")
-        if not 0.0 <= self.predicted_prob <= 1.0:
+        if type(self.event_id) is not str or not self.event_id:
             raise ValueError(
-                f"predicted_prob must lie in [0, 1], got {self.predicted_prob}"
-            )
+                f"event_id must be a non-empty string, got {self.event_id!r}")
+        prob = self.predicted_prob
+        if not ((isinstance(prob, float) or type(prob) is int) and 0.0 <= prob <= 1.0):
+            raise ValueError(
+                f"predicted_prob must be a number, finite, in [0, 1]; got {prob!r}")
+        if self.action_id is not None and type(self.action_id) is not int:
+            raise ValueError(
+                f"action_id must be None or an integer, got {self.action_id!r}")
+        if type(self.model_version) is not str:
+            raise ValueError(
+                f"model_version must be a string, got {self.model_version!r}")
+        if self.cohort is not None and type(self.cohort) is not str:
+            raise ValueError(f"cohort must be None or a string, got {self.cohort!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,15 +105,27 @@ class OutcomeRecord:
     alt_losses: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.outcome not in (0, 1):
-            raise ValueError(f"outcome must be 0 or 1, got {self.outcome}")
-        if not math.isfinite(self.loss):
-            raise ValueError(f"loss must be finite, got {self.loss}")
-        if self.alt_losses is not None:
-            if len(self.alt_losses) == 0:
-                raise ValueError("alt_losses, when given, must be non-empty")
-            if not all(map(math.isfinite, self.alt_losses)):
-                raise ValueError(f"alt_losses must be finite, got {self.alt_losses}")
+        if type(self.event_id) is not str or not self.event_id:
+            raise ValueError(
+                f"event_id must be a non-empty string, got {self.event_id!r}")
+        if type(self.outcome) is not int or self.outcome not in (0, 1):
+            raise ValueError(f"outcome must be the integer 0 or 1, got {self.outcome!r}")
+        loss = self.loss
+        if not ((isinstance(loss, float) or type(loss) is int)
+                and -_FLOAT_MAX <= loss <= _FLOAT_MAX):
+            raise ValueError(f"loss must be finite: a float or an int; got {loss!r}")
+        alts = self.alt_losses
+        if alts is not None:
+            if type(alts) is list:
+                alts = tuple(alts)
+                object.__setattr__(self, "alt_losses", alts)
+            if type(alts) is not tuple or not alts:
+                raise ValueError(
+                    f"alt_losses must be a non-empty list or tuple, got {alts!r}")
+            for alt in alts:
+                if not ((isinstance(alt, float) or type(alt) is int)
+                        and -_FLOAT_MAX <= alt <= _FLOAT_MAX):
+                    raise ValueError(f"alt_losses must be finite numbers, got {alts!r}")
 
 
 @dataclass(frozen=True, slots=True)

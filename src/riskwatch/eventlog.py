@@ -7,14 +7,17 @@ Event logs are newline-delimited JSON, one record per line, two kinds::
     {"kind": "outcome", "event_id": "ev-000001", "y": 0, "loss": 0.02,
      "alt_losses": [0.02, 0.07]}
 
-action, cohort and alt_losses are optional. Ingest is lenient by default
-(malformed lines are counted and logged with their line number, parsing
-continues) and strict on request (first bad line raises ParseError or
-SchemaError carrying the line number). A line that is not valid UTF-8 is
-a parse error too: the CLI decodes logs with surrogateescape, so a bad
-byte reaches the reader as a lone surrogate instead of failing the whole
-read. ingest_log carries the line numbers on into the engine intake, so a
-record the join rejects is named by its line too.
+action, model_version, cohort and alt_losses are optional. The reader
+only maps each key to its record field; the record types check the values,
+so a record reads back from its line exactly when it can be built. Ingest
+is lenient by default (malformed lines are counted and logged with their
+line number, parsing continues) and strict on request (first bad line
+raises ParseError or SchemaError carrying the line number). A line that
+is not valid UTF-8 is a parse error too: the CLI decodes logs with
+surrogateescape, so a bad byte reaches the reader as a lone surrogate
+instead of failing the whole read. ingest_log carries the line numbers on
+into the engine intake, so a record the join rejects is named by its line
+too.
 
 A log is addressed by line: an engine carries the number of log lines
 behind its state (lines_consumed), and ingest_log skips that many lines
@@ -43,7 +46,6 @@ import hashlib
 import io
 import json
 import logging
-import math
 import os
 from dataclasses import asdict
 from itertools import islice
@@ -146,74 +148,29 @@ def write_log(
     return lines
 
 
-def _require(record: dict, field: str, line_number: int):
-    if field not in record:
-        raise SchemaError(f"missing field {field!r}", line_number=line_number)
-    return record[field]
+# each kind's log keys and the record fields they fill; the record types
+# check the values, and a key the line lacks takes the field's default
+_TIME_KEYS = {"period": "period", "seq": "sequence"}
+_PREDICTION_KEYS = {"event_id": "event_id", "prob": "predicted_prob",
+                    "action": "action_id", "model_version": "model_version",
+                    "cohort": "cohort"}
+_OUTCOME_KEYS = {"event_id": "event_id", "y": "outcome", "loss": "loss",
+                 "alt_losses": "alt_losses"}
 
 
-def _as_float(value, field: str, line_number: int) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(
-            f"field {field!r} must be a number, got {value!r}", line_number=line_number
-        )
-    out = float(value)
-    if not math.isfinite(out):
-        raise SchemaError(
-            f"field {field!r} must be finite, got {value!r}", line_number=line_number
-        )
-    return out
-
-
-def _as_int(value, field: str, line_number: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(
-            f"field {field!r} must be an integer, got {value!r}",
-            line_number=line_number,
-        )
-    return value
+def _fields(record: dict, keys: dict) -> dict:
+    return {field: record[key] for key, field in keys.items() if key in record}
 
 
 def _parse_record(record: dict, line_number: int) -> PredictionEvent | OutcomeRecord:
-    kind = _require(record, "kind", line_number)
+    kind = record.get("kind")
     try:
         if kind == "prediction":
-            action = record.get("action")
-            return PredictionEvent(
-                event_id=str(_require(record, "event_id", line_number)),
-                time=TimeIndex(
-                    period=_as_int(_require(record, "period", line_number),
-                                   "period", line_number),
-                    sequence=_as_int(_require(record, "seq", line_number),
-                                     "seq", line_number),
-                ),
-                predicted_prob=_as_float(_require(record, "prob", line_number),
-                                         "prob", line_number),
-                action_id=None if action is None
-                else _as_int(action, "action", line_number),
-                model_version=str(record.get("model_version", "unversioned")),
-                cohort=record.get("cohort"),
-            )
+            return PredictionEvent(time=TimeIndex(**_fields(record, _TIME_KEYS)),
+                                   **_fields(record, _PREDICTION_KEYS))
         if kind == "outcome":
-            alts = record.get("alt_losses")
-            if alts is not None:
-                if not isinstance(alts, list):
-                    raise SchemaError(
-                        "field 'alt_losses' must be a list",
-                        line_number=line_number,
-                    )
-                alts = tuple(
-                    _as_float(x, "alt_losses", line_number) for x in alts
-                )
-            return OutcomeRecord(
-                event_id=str(_require(record, "event_id", line_number)),
-                outcome=_as_int(_require(record, "y", line_number),
-                                "y", line_number),
-                loss=_as_float(_require(record, "loss", line_number),
-                               "loss", line_number),
-                alt_losses=alts,
-            )
-    except ValueError as exc:  # dataclass range checks
+            return OutcomeRecord(**_fields(record, _OUTCOME_KEYS))
+    except (TypeError, ValueError) as exc:  # a missing or malformed field
         raise SchemaError(str(exc), line_number=line_number) from exc
     raise SchemaError(f"unknown record kind {kind!r}", line_number=line_number)
 

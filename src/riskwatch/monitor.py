@@ -42,7 +42,8 @@ import numpy as np
 from . import belief as belief_mod
 from .alarms import AlarmRecord, AlarmState, OperatingState, ThresholdPolicy, evaluate
 from .calibration import auc, brier, ece
-from .core import Joiner, MetricSnapshot, OutcomeRecord, PredictionEvent, ResolvedPair, TimeIndex
+from .core import (Joiner, MetricSnapshot, OutcomeRecord, PredictionEvent,
+                   ResolvedPair, TimeIndex, finite_number)
 from .errors import CorruptSnapshot, VersionMismatch
 from .regret import step_regret
 from .tailrisk import cvar_tail, var
@@ -65,9 +66,9 @@ class MonitorEngine:
         n_bins: int = 10,
         alpha: float = 0.95,
     ):
-        if isinstance(n_bins, bool) or not isinstance(n_bins, int) or n_bins < 1:
+        if type(n_bins) is not int or n_bins < 1:
             raise ValueError(f"n_bins must be an integer >= 1, got {n_bins!r}")
-        if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
+        if not (finite_number(alpha) and 0.0 < alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
         self.policy = policy or ThresholdPolicy()
         self.n_bins = n_bins
@@ -138,7 +139,7 @@ class MonitorEngine:
             self._stale_pairs += 1
             return
         self._acc_probs.append(pair.event.predicted_prob)
-        self._acc_ys.append(int(pair.outcome.outcome))  # "B" refuses 1.0, a valid outcome
+        self._acc_ys.append(pair.outcome.outcome)
         self._acc_losses.append(pair.outcome.loss)
         if regret is not None:
             self._acc_regrets.append(regret)

@@ -40,7 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from .alarms import AlarmRecord, ThresholdPolicy
-from .core import MetricSnapshot, OutcomeRecord, PredictionEvent, TimeIndex
+from .core import MetricSnapshot, OutcomeRecord, PredictionEvent, TimeIndex, finite_number
 from .errors import BadConfig, UnknownPreset
 
 MONITOR, ACT = 0, 1  # action ids of the binary decision set
@@ -84,10 +84,9 @@ class ScenarioConfig:
         for f in fields(self):
             v = getattr(self, f.name)
             if f.name in _INT_FIELDS:
-                if isinstance(v, bool) or not isinstance(v, int):
+                if type(v) is not int:
                     raise BadConfig(f"{f.name} must be an integer, got {v!r}")
-            elif (isinstance(v, bool) or not isinstance(v, (int, float))
-                  or not math.isfinite(v)):
+            elif not finite_number(v):
                 raise BadConfig(f"{f.name} must be a finite number, got {v!r}")
         if self.seed < 0:
             raise BadConfig("seed must be >= 0")

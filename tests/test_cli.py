@@ -222,6 +222,24 @@ class TestMonitor:
         assert "skipped" not in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    @pytest.mark.parametrize("settings", [
+        {"ece_max": float("nan"), "cvar_max": None}, {"ece_max": "x"},
+        {"conjunctive": "no"}, {"consecutive_for_review": 1.5},
+    ], ids=["ece_max-nan", "ece_max-str", "conjunctive-str", "review-1.5"])
+    def test_bad_policy_refused_before_any_line(
+        self, sim_dir, tmp_path, capsys, caplog, settings, strict
+    ):
+        policy = tmp_path / "bad.json"
+        policy.write_text(json.dumps({"policy": settings}))  # NaN as NaN
+        out = tmp_path / "m"
+        argv = ["monitor", "--in", str(sim_dir / "events.ndjson"),
+                "--policy", str(policy), "--out", str(out)]
+        assert main(argv + ["--strict"] * strict) == EXIT_DATA
+        assert "bad policy settings" in capsys.readouterr().err
+        assert "skipped" not in caplog.text
+        assert not out.exists()
+
     def test_env_config_tightens_thresholds(self, tmp_path, small_cfg,
                                             monkeypatch):
         sim = tmp_path / "s"

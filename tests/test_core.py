@@ -69,6 +69,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="alt_losses must be finite"):
             OutcomeRecord("x", outcome=0, loss=0.0, alt_losses=(0.0, bad))
 
+    # records that built but did not read back from their log line
+    PROBES = [
+        (lambda: OutcomeRecord("e1", 1.0, 0.2), "outcome"),
+        (lambda: OutcomeRecord("e1", True, 0.2), "outcome"),
+        (lambda: TimeIndex(1.5, 0), "period"),
+        (lambda: PredictionEvent("e1", TimeIndex(1, 0), 0.5, action_id=True), "action_id"),
+        (lambda: PredictionEvent("e1", TimeIndex(1, 0), True), "predicted_prob"),
+        (lambda: OutcomeRecord("e1", 0, True), "loss"),
+        (lambda: PredictionEvent(5, TimeIndex(1, 0), 0.5), "event_id"),
+        (lambda: PredictionEvent("e1", TimeIndex(1, 0), 0.5, model_version=None),
+         "model_version"),
+    ]
+
+    @pytest.mark.parametrize("build,field", PROBES, ids=[
+        "outcome-1.0", "outcome-True", "period-1.5", "action-True", "prob-True",
+        "loss-True", "event_id-int", "model_version-None"])
+    def test_refuses_what_its_log_line_cannot_carry(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
+
+    def test_alt_losses_list_stored_as_tuple(self):
+        record = OutcomeRecord("x", outcome=0, loss=0.5, alt_losses=[0.5, 1])
+        assert record.alt_losses == (0.5, 1)
+        hash(record)
+
     def test_snapshot_needs_a_metric(self):
         with pytest.raises(ValueError):
             MetricSnapshot(time=TimeIndex(1, 0), n=10)

@@ -8,6 +8,8 @@ import os
 from dataclasses import asdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riskwatch.alarms import ThresholdPolicy
 from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex
@@ -33,6 +35,7 @@ from riskwatch.eventlog import (
     load_config,
     load_snapshot,
     load_snapshot_file,
+    log_line,
     log_pairs,
     outcome_to_record,
     policy_from_config,
@@ -54,6 +57,30 @@ def log_text(events, outcomes):
     buf = io.StringIO()
     write_log(buf, events, outcomes)
     return buf.getvalue()
+
+
+# every value a record accepts: ints and floats (-0.0 among them), text
+# with non-ASCII, quotes, backslashes and control characters, and None
+# where a field takes it
+finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-2**63, 2**63), st.just(-0.0))
+some_text = st.text(min_size=1)
+valid_events = st.builds(
+    PredictionEvent,
+    event_id=some_text,
+    time=st.builds(TimeIndex, st.integers(1, 2**31), st.integers(0, 2**63)),
+    predicted_prob=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, -0.0])),
+    action_id=st.none() | st.integers(-2**63, 2**63),
+    model_version=st.text(),
+    cohort=st.none() | st.text(),
+)
+valid_outcomes = st.builds(
+    OutcomeRecord,
+    event_id=some_text,
+    outcome=st.sampled_from([0, 1]),
+    loss=finite,
+    alt_losses=st.none() | st.lists(finite, min_size=1, max_size=4).map(tuple),
+)
 
 
 class TestLogRoundTrip:
@@ -87,6 +114,15 @@ class TestLogRoundTrip:
         assert outcome_to_record(o) == {"kind": "outcome", "event_id": "a",
                                         "y": 1, "loss": 0.125,
                                         "alt_losses": [0.125, 0.5]}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(valid_events, valid_outcomes))
+    @example(OutcomeRecord("e1", 0, 3, alt_losses=(3, -0.0)))
+    @example(PredictionEvent("é \\ \"\n", TimeIndex(1, 0), 1, cohort="ICU ☤"))
+    def test_every_valid_record_reads_back_from_its_line(self, record):
+        back = list(read_log([log_line(record)], strict=True))
+        assert back == [record]
+        assert repr(back[0]) == repr(record)  # ints stay ints, -0.0 stays -0.0
 
     def test_blank_lines_skipped(self):
         text = '\n{"kind": "prediction", "event_id": "a", "period": 1, "seq": 0, "prob": 0.5}\n\n'
@@ -151,6 +187,19 @@ class TestLenientVsStrict:
         with pytest.raises(SchemaError) as err:
             list(read_log(io.StringIO(line + "\n"), strict=True))
         assert fragment in str(err.value)
+
+    # an int JSON holds but a float does not: once an OverflowError that
+    # escaped the reader and ended even a lenient run
+    HUGE_LOSS = ('{"kind": "outcome", "event_id": "a", "y": 0, "loss": 1%s}\n'
+                 % ("0" * 400))
+
+    def test_integer_past_the_float_range_is_a_schema_error(self, caplog):
+        with caplog.at_level("WARNING"):
+            assert list(read_log(io.StringIO(self.HUGE_LOSS + self.GOOD))) != []
+        assert "line 1 skipped: line 1: loss must be finite" in caplog.text
+        with pytest.raises(SchemaError, match="loss must be finite") as err:
+            list(read_log(io.StringIO(self.HUGE_LOSS), strict=True))
+        assert err.value.line_number == 1
 
     def test_feed_engine_lenient_skips_join_errors(self, caplog):
         engine = MonitorEngine()
@@ -261,6 +310,14 @@ class TestLogPairs:
         assert err.value.line_number == 3
 
 
+# policy settings that once passed: a NaN bound never breaches, a string
+# bound fails only at the first close, any non-empty string turns
+# conjunctive on, and a fractional streak count is accepted
+BAD_POLICIES = [{"ece_max": math.nan, "cvar_max": None}, {"ece_max": "x"},
+                {"conjunctive": "no"}, {"consecutive_for_review": 1.5}]
+BAD_POLICY_IDS = ["ece_max-nan", "ece_max-str", "conjunctive-str", "review-1.5"]
+
+
 def checksummed(state) -> io.StringIO:
     """A snapshot document around any state, with a valid checksum."""
     canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
@@ -348,6 +405,12 @@ class TestSnapshotIntegrity:
         (_set_first("regrets", math.nan), "regret-nan", RANGE),
         (lambda state: state.update(lines_consumed=-1), "negative-lines-consumed",
          RANGE),
+        (lambda state: state["policy"].update(ece_max=math.nan), "policy-nan-bound",
+         "engine state is malformed: .*ece_max"),
+        (lambda state: state["pending"][0].__setitem__(4, True), "pending-action-true",
+         "engine state is malformed: .*action_id"),
+        (lambda state: state["pending"][0].__setitem__(6, ["icu"]), "pending-cohort-list",
+         "engine state is malformed: .*cohort"),
     ]
 
     @pytest.mark.parametrize("mutate,match", [(m, f) for m, _, f in MALFORMED],
@@ -570,6 +633,13 @@ class TestConfig:
         config = default_config()
         config["policy"]["recovery_periods"] = 0
         with pytest.raises(BadConfig, match="policy"):
+            policy_from_config(config)
+
+    @pytest.mark.parametrize("settings", BAD_POLICIES, ids=BAD_POLICY_IDS)
+    def test_bad_policy_values_wrapped(self, settings):
+        config = default_config()
+        config["policy"].update(settings)
+        with pytest.raises(BadConfig, match=f"bad policy settings: {next(iter(settings))}"):
             policy_from_config(config)
 
     @pytest.mark.parametrize("key,value", [

@@ -354,15 +354,11 @@ class TestPartialMetrics:
         engine.observe_outcome(oc(4, loss=0.5))
         assert len(engine._acc_probs) == len(engine._acc_ys) == 5
 
-    def test_float_and_bool_outcomes_are_taken_as_ints(self):
-        # OutcomeRecord accepts 1.0 and True; the outcome array holds bytes
-        engine = MonitorEngine()
-        for i, y in enumerate([1.0, True, 0.0, False, 1]):
-            engine.observe_event(ev(i, prob=0.4))
-            engine.observe_outcome(oc(i, y=y, loss=0.5))
-        assert engine._acc_ys.tolist() == [1, 1, 0, 0, 1]
-        engine.finalize()
-        assert engine.snapshots[0].posterior_mean == 4 / 7
+    @pytest.mark.parametrize("y", [1.0, True, 0.0, False])
+    def test_float_and_bool_outcomes_are_refused(self, y):
+        # the outcome array holds bytes; only the ints 0 and 1 reach it
+        with pytest.raises(ValueError, match="outcome must be the integer 0 or 1"):
+            oc(0, y=y)
 
     def test_single_class_period_has_no_auc(self):
         engine = MonitorEngine()
