@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .core import MetricSnapshot, TimeIndex, finite_number
 from .errors import NoMetrics
@@ -63,11 +63,10 @@ class ThresholdPolicy:
             bound = getattr(self, name)
             if bound is not None and not finite_number(bound):
                 raise ValueError(f"{name} must be None or a finite number, got {bound!r}")
-        for name in ("consecutive_for_review", "consecutive_for_suspend",
-                     "recovery_periods"):
-            count = getattr(self, name)
-            if type(count) is not int or count < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+        for f in fields(self):
+            count = getattr(self, f.name)
+            if f.type == "int" and (type(count) is not int or count < 1):
+                raise ValueError(f"{f.name} must be an integer >= 1, got {count!r}")
         if self.consecutive_for_suspend < self.consecutive_for_review:
             raise ValueError(
                 "consecutive_for_suspend must be >= consecutive_for_review"
@@ -88,21 +87,35 @@ _BOUND_FIELDS = {"ece": "ece_max", "cvar": "cvar_max",
 
 @dataclass(frozen=True)
 class AlarmRecord:
-    """One evaluation: the period's closing time, resulting state, breaches."""
+    """One evaluation: the period's closing time, the resulting state (which
+    may be given as its value) and the bounded metrics that breached."""
 
     time: TimeIndex
     state: OperatingState
     breached: tuple[str, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "state", OperatingState(self.state))
+        object.__setattr__(self, "breached", tuple(self.breached))
+        if not all(name in _BOUND_FIELDS for name in self.breached):
+            raise ValueError(f"breached must name bounded metrics, got {self.breached!r}")
+
 
 @dataclass(frozen=True)
 class AlarmState:
-    """Immutable machine state; history is append-only across evaluate()."""
+    """Immutable machine state; history is append-only across evaluate(),
+    state may be given as its value, and the streaks are integers >= 0."""
 
     state: OperatingState = OperatingState.NORMAL
     breach_streak: int = 0
     clean_streak: int = 0
     history: tuple[AlarmRecord, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "state", OperatingState(self.state))
+        streaks = (self.breach_streak, self.clean_streak)
+        if not all(type(streak) is int and streak >= 0 for streak in streaks):
+            raise ValueError(f"streaks must be integers >= 0, got {streaks!r}")
 
 
 def evaluate(

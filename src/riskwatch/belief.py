@@ -16,19 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import finite_number
 from .errors import BadLevel
 
 
 @dataclass(frozen=True)
 class BetaPosterior:
-    """Beta(a, b) belief over an event rate. Uniform prior is Beta(1, 1)."""
+    """Beta(a, b) belief over an event rate, with a and b finite numbers > 0
+    (else ValueError). Uniform prior is Beta(1, 1)."""
 
     a: float = 1.0
     b: float = 1.0
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError(f"Beta parameters must be positive, got ({self.a}, {self.b})")
+        if not all(finite_number(v) and v > 0 for v in (self.a, self.b)):
+            raise ValueError(
+                f"Beta parameters must be finite numbers > 0, got ({self.a!r}, {self.b!r})")
 
     @property
     def mean(self) -> float:

@@ -32,6 +32,20 @@ def finite_number(value) -> bool:
         -_FLOAT_MAX <= value <= _FLOAT_MAX)
 
 
+def check_event_id(value) -> str:
+    """The event_id rule: a non-empty str, returned as it is; else ValueError."""
+    if type(value) is not str or not value:
+        raise ValueError(f"event_id must be a non-empty string, got {value!r}")
+    return value
+
+
+def check_sequence(value) -> int:
+    """The sequence rule: an integer >= 0, returned as it is; else ValueError."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"sequence must be an integer >= 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class TimeIndex:
     """Position of an event in deployment time.
@@ -47,9 +61,7 @@ class TimeIndex:
     def __post_init__(self):
         if type(self.period) is not int or self.period < 1:
             raise ValueError(f"period must be an integer >= 1, got {self.period!r}")
-        if type(self.sequence) is not int or self.sequence < 0:
-            raise ValueError(
-                f"sequence must be an integer >= 0, got {self.sequence!r}")
+        check_sequence(self.sequence)
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,9 +83,7 @@ class PredictionEvent:
     cohort: str | None = None
 
     def __post_init__(self):
-        if type(self.event_id) is not str or not self.event_id:
-            raise ValueError(
-                f"event_id must be a non-empty string, got {self.event_id!r}")
+        check_event_id(self.event_id)
         prob = self.predicted_prob
         if not ((isinstance(prob, float) or type(prob) is int) and 0.0 <= prob <= 1.0):
             raise ValueError(
@@ -105,9 +115,7 @@ class OutcomeRecord:
     alt_losses: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if type(self.event_id) is not str or not self.event_id:
-            raise ValueError(
-                f"event_id must be a non-empty string, got {self.event_id!r}")
+        check_event_id(self.event_id)
         if type(self.outcome) is not int or self.outcome not in (0, 1):
             raise ValueError(f"outcome must be the integer 0 or 1, got {self.outcome!r}")
         loss = self.loss
@@ -143,7 +151,8 @@ class MetricSnapshot:
     Any metric may be undefined (None), e.g. auc on a single-class period
     or regret on a log without counterfactual losses. Undefined is a value,
     not an error; downstream consumers (alarms, reports) must handle it.
-    n is the number of resolved pairs behind the snapshot.
+    n, an integer >= 1, is the number of resolved pairs behind it. A defined
+    metric is a float or a non-bool int, and may be inf (a regret overflow).
     """
 
     time: TimeIndex
@@ -161,8 +170,14 @@ class MetricSnapshot:
     METRIC_FIELDS: ClassVar[tuple[str, ...]]  # every field after time and n
 
     def __post_init__(self):
-        if all(getattr(self, f) is None for f in self.METRIC_FIELDS):
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        defined = self.defined()
+        if not defined:
             raise ValueError("snapshot must carry at least one defined metric")
+        for name, value in defined.items():
+            if not (isinstance(value, float) or type(value) is int):
+                raise ValueError(f"{name} must be None or a number, got {value!r}")
 
     def defined(self) -> dict[str, float]:
         """Mapping of metric name -> value for the metrics that are defined."""

@@ -31,19 +31,21 @@ duplicate.
 from __future__ import annotations
 
 import base64
+import enum
 import inspect
 import logging
 import math
 from array import array
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
 from . import belief as belief_mod
-from .alarms import AlarmRecord, AlarmState, OperatingState, ThresholdPolicy, evaluate
+from .alarms import AlarmRecord, AlarmState, ThresholdPolicy, evaluate
 from .calibration import auc, brier, ece
 from .core import (Joiner, MetricSnapshot, OutcomeRecord, PredictionEvent,
-                   ResolvedPair, TimeIndex, finite_number)
+                   ResolvedPair, TimeIndex, check_event_id, check_sequence,
+                   finite_number)
 from .errors import CorruptSnapshot, VersionMismatch
 from .regret import step_regret
 from .tailrisk import cvar_tail, var
@@ -81,17 +83,15 @@ class MonitorEngine:
         # lines of the source log behind this state; counted by the log
         # intake (eventlog.ingest_log, eventlog.log_pairs) and only carried here
         self.lines_consumed = 0
+        self.stale_pairs = 0  # pairs that resolved after their period closed
 
         self._join = Joiner()
-        self._open_period: int | None = None
+        self._open_time: TimeIndex | None = None  # the open period's latest pair
         self._acc_probs = array("d")
         self._acc_ys = array("B")
         self._acc_losses = array("d")
         self._acc_regrets = array("d")  # steps with counterfactual losses only
-        self._acc_last_sequence: int | None = None
-        self._baseline: tuple[float, float] | None = None  # frozen Beta(a, b)
-        self._regret_cumulative: float | None = None
-        self._stale_pairs = 0
+        self._baseline: belief_mod.BetaPosterior | None = None  # frozen at first close
 
     # -- stream intake -------------------------------------------------------
 
@@ -112,42 +112,38 @@ class MonitorEngine:
 
     def finalize(self) -> None:
         """Close the open period and flush warnings for unresolved events."""
-        if self._open_period is not None and self._acc_probs:
+        if self._open_time is not None:
             self._close_period()
-        self._open_period = None
         if self._join.pending:
             logger.warning(
                 "monitor: %d events left unresolved at stream end",
                 len(self._join.pending),
             )
-        if self._stale_pairs:
+        if self.stale_pairs:
             logger.warning(
                 "monitor: dropped %d pairs that resolved after their period closed",
-                self._stale_pairs,
+                self.stale_pairs,
             )
 
     # -- internals -----------------------------------------------------------
 
     def _on_pair(self, pair: ResolvedPair, regret: float | None) -> None:
-        period = pair.event.time.period
-        if self._open_period is None:
-            self._open_period = period
-        elif period > self._open_period:
-            self._close_period()
-            self._open_period = period
-        elif period < self._open_period:
-            self._stale_pairs += 1
-            return
+        time = pair.event.time
+        if self._open_time is not None:
+            if time.period > self._open_time.period:
+                self._close_period()
+            elif time.period < self._open_time.period:
+                self.stale_pairs += 1
+                return
         self._acc_probs.append(pair.event.predicted_prob)
         self._acc_ys.append(pair.outcome.outcome)
         self._acc_losses.append(pair.outcome.loss)
         if regret is not None:
             self._acc_regrets.append(regret)
-        self._acc_last_sequence = pair.event.time.sequence
+        self._open_time = time
 
     def _close_period(self) -> None:
-        assert self._open_period is not None and self._acc_probs
-        time = TimeIndex(period=self._open_period, sequence=self._acc_last_sequence)
+        assert self._open_time is not None and self._acc_probs
         n = len(self._acc_probs)
         # copied once and shared by every metric below; a view, kept alive
         # by a NoMetrics traceback, would make the next append a BufferError
@@ -167,11 +163,11 @@ class MonitorEngine:
         # rolling belief over this period; baseline frozen at first close
         positives = sum(self._acc_ys)
         rolling = belief_mod.BetaPosterior(1.0 + positives, 1.0 + (n - positives))
-        baseline = self._baseline or (rolling.a, rolling.b)
-        drift = belief_mod.drift_score(belief_mod.BetaPosterior(*baseline), rolling)
+        baseline = self._baseline or rolling
+        drift = belief_mod.drift_score(baseline, rolling)
 
         snapshot = MetricSnapshot(
-            time=time,
+            time=self._open_time,
             n=n,
             ece=ece(probs, ys, n_bins=self.n_bins),
             brier=brier(probs, ys),
@@ -185,73 +181,52 @@ class MonitorEngine:
         )
         self.alarm = evaluate(self.alarm, snapshot, self.policy)
         self.snapshots.append(snapshot)
-        self._regret_cumulative = regret_cumulative
         self._baseline = baseline
 
         self._acc_probs = array("d")
         self._acc_ys = array("B")
         self._acc_losses = array("d")
         self._acc_regrets = array("d")
-        self._acc_last_sequence = None
+        self._open_time = None
         self._join.resolved_ids.clear()  # later outcomes for them are orphans
+
+    @property
+    def _regret_cumulative(self) -> float | None:
+        """Regret summed over the closed periods: the last snapshot's."""
+        return self.snapshots[-1].regret_cumulative if self.snapshots else None
 
     # -- state freezing ------------------------------------------------------
 
     def to_state(self) -> dict:
         """Plain-data image of the full engine state."""
+        open_period, last_sequence = (
+            astuple(self._open_time) if self._open_time else (None, None))
         return {
             "engine_version": ENGINE_STATE_VERSION,
-            **{name: getattr(self, name) for name in ENGINE_DEFAULTS},
+            **{name: getattr(self, name) for name in (*ENGINE_DEFAULTS, *_COUNTERS)},
             "policy": asdict(self.policy),
-            "events_seen": self.events_seen,
-            "outcomes_seen": self.outcomes_seen,
-            "lines_consumed": self.lines_consumed,
-            "open_period": self._open_period,
+            "open_period": open_period,
             "acc": {
                 **{name: _pack(getattr(self, f"_acc_{name}"), dtype)
                    for name, dtype in _ACC_DTYPES.items()},
-                "last_sequence": self._acc_last_sequence,
+                "last_sequence": last_sequence,
             },
-            "baseline": list(self._baseline) if self._baseline else None,
+            "baseline": _row(self._baseline) if self._baseline else None,
             "regret_cumulative": self._regret_cumulative,
-            "stale_pairs": self._stale_pairs,
-            "pending": [
-                [
-                    ev.event_id, ev.time.period, ev.time.sequence,
-                    ev.predicted_prob, ev.action_id, ev.model_version, ev.cohort,
-                ]
-                for ev in self._join.pending.values()
-            ],
+            "pending": [_row(ev) for ev in self._join.pending.values()],
             "resolved_ids": sorted(self._join.resolved_ids),
             "last_event_seq": self._join.last_seq,
-            "alarm": {
-                "state": self.alarm.state.value,
-                "breach_streak": self.alarm.breach_streak,
-                "clean_streak": self.alarm.clean_streak,
-                "history": _columns(
-                    [
-                        {
-                            "period": rec.time.period,
-                            "sequence": rec.time.sequence,
-                            "state": rec.state.value,
-                            "breached": list(rec.breached),
-                        }
-                        for rec in self.alarm.history
-                    ],
-                    _ALARM_FIELDS,
-                ),
-            },
-            "snapshots": _columns(
-                [_snapshot_to_dict(s) for s in self.snapshots], _SNAPSHOT_FIELDS
-            ),
+            "alarm": {**dict(zip(_layout(AlarmState), _row(self.alarm))),
+                      "history": _columns(self.alarm.history, AlarmRecord)},
+            "snapshots": _columns(self.snapshots, MetricSnapshot),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "MonitorEngine":
         """Rebuild an engine from to_state() output.
 
-        A state of another version raises VersionMismatch; one that is not
-        shaped like to_state() output raises CorruptSnapshot.
+        A state of another version raises VersionMismatch; one that
+        to_state() could not have written raises CorruptSnapshot.
         """
         if not isinstance(state, dict):
             raise CorruptSnapshot(
@@ -272,52 +247,35 @@ class MonitorEngine:
             policy=ThresholdPolicy(**state["policy"]),
             **{name: state[name] for name in ENGINE_DEFAULTS},
         )
-        engine.events_seen = state["events_seen"]
-        engine.outcomes_seen = state["outcomes_seen"]
-        engine.lines_consumed = state["lines_consumed"]
-        if engine.lines_consumed < 0:
-            raise ValueError(f"lines_consumed {engine.lines_consumed} is negative")
-        engine._open_period = state["open_period"]
+        for name in _COUNTERS:
+            count = state[name]
+            if type(count) is not int or count < 0:
+                raise ValueError(f"{name} {count!r} is negative or not an integer")
+            setattr(engine, name, count)
         acc = state["acc"]
         for name, dtype in _ACC_DTYPES.items():
             setattr(engine, f"_acc_{name}",
-                    array(_TYPECODES[dtype], _unpack(acc[name], dtype, _ACC_VALID[name])))
+                    array(np.dtype(dtype).char, _unpack(acc[name], dtype, _ACC_VALID[name])))
         if not len(engine._acc_probs) == len(engine._acc_ys) == len(engine._acc_losses):
             raise ValueError("open period values differ in length")
-        engine._acc_last_sequence = acc["last_sequence"]
-        engine._baseline = tuple(state["baseline"]) if state["baseline"] else None
-        engine._regret_cumulative = state["regret_cumulative"]
-        engine._stale_pairs = state["stale_pairs"]
-        engine._join.pending = {
-            row[0]: PredictionEvent(
-                event_id=row[0],
-                time=TimeIndex(period=row[1], sequence=row[2]),
-                predicted_prob=row[3],
-                action_id=row[4],
-                model_version=row[5],
-                cohort=row[6],
-            )
-            for row in state["pending"]
-        }
-        engine._join.resolved_ids = dict.fromkeys(state["resolved_ids"])
-        engine._join.last_seq = state["last_event_seq"]
+        if state["open_period"] is not None or acc["last_sequence"] is not None:
+            engine._open_time = TimeIndex(state["open_period"], acc["last_sequence"])
+        if (engine._open_time is not None) != bool(engine._acc_probs):
+            raise ValueError("the open period and its values disagree")
+        if state["baseline"] is not None:
+            engine._baseline = _record(belief_mod.BetaPosterior, state["baseline"])
+        pending = [_record(PredictionEvent, row) for row in state["pending"]]
+        engine._join.pending = {ev.event_id: ev for ev in pending}
+        engine._join.resolved_ids = dict.fromkeys(
+            check_event_id(i) for i in state["resolved_ids"])
+        if state["last_event_seq"] is not None:
+            engine._join.last_seq = check_sequence(state["last_event_seq"])
         alarm = state["alarm"]
         engine.alarm = AlarmState(
-            state=OperatingState(alarm["state"]),
-            breach_streak=alarm["breach_streak"],
-            clean_streak=alarm["clean_streak"],
-            history=tuple(
-                AlarmRecord(
-                    time=TimeIndex(period=rec["period"], sequence=rec["sequence"]),
-                    state=OperatingState(rec["state"]),
-                    breached=tuple(rec["breached"]),
-                )
-                for rec in _rows(alarm["history"], _ALARM_FIELDS)
-            ),
-        )
-        engine.snapshots = [
-            _snapshot_from_dict(d) for d in _rows(state["snapshots"], _SNAPSHOT_FIELDS)
-        ]
+            **{**alarm, "history": tuple(_from_columns(AlarmRecord, alarm["history"]))})
+        engine.snapshots = _from_columns(MetricSnapshot, state["snapshots"])
+        if state["regret_cumulative"] != engine._regret_cumulative:
+            raise ValueError("regret_cumulative is not the last snapshot's")
         return engine
 
 
@@ -333,7 +291,6 @@ ENGINE_DEFAULTS = {
 # the open period's value arrays, the dtype each is packed as, and the
 # elementwise test a loaded value must pass (to_state() writes no other)
 _ACC_DTYPES = {"probs": "<f8", "ys": "u1", "losses": "<f8", "regrets": "<f8"}
-_TYPECODES = {"<f8": "d", "u1": "B"}  # the array.array typecode of each dtype
 _ACC_VALID = {
     "probs": lambda a: (a >= 0.0) & (a <= 1.0),  # also false for NaN
     "ys": lambda a: a <= 1,
@@ -341,8 +298,8 @@ _ACC_VALID = {
     "regrets": np.isfinite,
 }
 
-_SNAPSHOT_FIELDS = ("period", "sequence", "n", *MetricSnapshot.METRIC_FIELDS)
-_ALARM_FIELDS = ("period", "sequence", "state", "breached")
+# the stream counters, each an integer >= 0
+_COUNTERS = ("events_seen", "outcomes_seen", "lines_consumed", "stale_pairs")
 
 
 def _pack(values, dtype: str) -> str:
@@ -361,27 +318,41 @@ def _unpack(text: str, dtype: str, valid=None) -> list:
     return values.tolist()
 
 
-def _columns(rows: list[dict], fields: tuple[str, ...]) -> dict:
-    """Records stored column-wise: one list per field, in record order."""
-    return {f: [row[f] for row in rows] for f in fields}
+def _layout(cls) -> tuple[str, ...]:
+    """The plain-data columns of a record class, read off its fields; a time
+    field is stored as its period and sequence."""
+    return tuple(name for f in fields(cls) for name in (
+        ("period", "sequence") if f.name == "time" else (f.name,)))
 
 
-def _rows(columns: dict, fields: tuple[str, ...]) -> list[dict]:
+def _row(record) -> list:
+    """A record as plain data in _layout() order; an enum as its value."""
+    row = []
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.name == "time":
+            row += astuple(value)
+        else:
+            row.append(value.value if isinstance(value, enum.Enum) else value)
+    return row
+
+
+def _record(cls, row):
+    """The record of a _row(), rebuilt through the class's own constructor,
+    which checks every value; a row of another length raises ValueError."""
+    values = dict(zip(_layout(cls), row, strict=True))
+    if "period" in values:
+        values["time"] = TimeIndex(values.pop("period"), values.pop("sequence"))
+    return cls(**values)
+
+
+def _columns(records, cls) -> dict:
+    """Records stored column-wise: one list per _layout() column."""
+    rows = [_row(record) for record in records]
+    return {name: [row[i] for row in rows] for i, name in enumerate(_layout(cls))}
+
+
+def _from_columns(cls, columns: dict) -> list:
     """The records of _columns() output; ragged columns raise ValueError."""
-    return [dict(zip(fields, values))
-            for values in zip(*(columns[f] for f in fields), strict=True)]
-
-
-def _snapshot_to_dict(s: MetricSnapshot) -> dict:
-    d = {"period": s.time.period, "sequence": s.time.sequence, "n": s.n}
-    for f in MetricSnapshot.METRIC_FIELDS:
-        d[f] = getattr(s, f)
-    return d
-
-
-def _snapshot_from_dict(d: dict) -> MetricSnapshot:
-    return MetricSnapshot(
-        time=TimeIndex(period=d["period"], sequence=d["sequence"]),
-        n=d["n"],
-        **{f: d[f] for f in MetricSnapshot.METRIC_FIELDS},
-    )
+    return [_record(cls, row)
+            for row in zip(*(columns[name] for name in _layout(cls)), strict=True)]

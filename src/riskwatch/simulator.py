@@ -45,8 +45,6 @@ from .errors import BadConfig, UnknownPreset
 
 MONITOR, ACT = 0, 1  # action ids of the binary decision set
 _ROW_BLOCK = 1024  # rows scenario_records turns into Python numbers at once
-# the ScenarioConfig fields that take whole numbers; the rest take floats
-_INT_FIELDS = ("periods", "patients_per_period", "drift_start_period", "seed")
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.name in _INT_FIELDS:
+            if f.type == "int":  # the rest take floats
                 if type(v) is not int:
                     raise BadConfig(f"{f.name} must be an integer, got {v!r}")
             elif not finite_number(v):

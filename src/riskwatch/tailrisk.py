@@ -45,16 +45,18 @@ def _check(losses: Sequence[float], alpha: float) -> np.ndarray:
     return x
 
 
+def _near_integer(value: float, n: int) -> int | None:
+    """The positive integer within float noise (1e-9 * n) of value, if any:
+    (1 - 0.95) * 100 is 5.000000000000004 and must count as exactly 5."""
+    nearest = round(value)
+    return nearest if nearest > 0 and abs(value - nearest) <= 1e-9 * n else None
+
+
 def var(losses: Sequence[float], alpha: float = 0.95) -> float:
     """Empirical value-at-risk: the order statistic L_(ceil(alpha * n))."""
     x = _check(losses, alpha)
     target = alpha * x.size
-    nearest = round(target)
-    # snap ranks sitting within float noise of an integer before ceiling
-    if nearest > 0 and abs(target - nearest) <= 1e-9 * x.size:
-        r = nearest
-    else:
-        r = math.ceil(target)
+    r = _near_integer(target, x.size) or math.ceil(target)
     return float(np.sort(x, kind="stable")[r - 1])
 
 
@@ -76,11 +78,7 @@ def cvar_tail(losses: Sequence[float], alpha: float = 0.95) -> float:
     x = _check(losses, alpha)
     n = x.size
     mass = (1.0 - alpha) * n
-    # (1 - alpha) is inexact in binary; snap a mass within float noise of an
-    # integer boundary so e.g. n=100, alpha=0.95 averages exactly 5 items
-    nearest = round(mass)
-    if nearest > 0 and abs(mass - nearest) <= 1e-9 * n:
-        mass = float(nearest)
+    mass = float(_near_integer(mass, n) or mass)
     k = int(math.floor(mass))
     frac = mass - k
     desc = np.sort(x, kind="stable")[::-1]

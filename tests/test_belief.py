@@ -69,8 +69,10 @@ class TestConjugacy:
         assert post.variance == pytest.approx(0.3 * 0.7 / 11.0)
 
     def test_positive_parameters_required(self):
-        with pytest.raises(ValueError):
-            BetaPosterior(0.0, 1.0)
+        for a, b in [(0.0, 1.0), (math.nan, 1.0), (math.inf, 2.0), (True, 1.0),
+                     ("3", 1.0), (1.0, None)]:
+            with pytest.raises(ValueError):
+                BetaPosterior(a, b)
         with pytest.raises(ValueError):
             update(BetaPosterior(1.0, 1.0), 2)
 

@@ -635,9 +635,17 @@ class TestReport:
         assert len(doc["rows"]) == 12
         assert doc["rows"][-1]["alarm_state"] == "suspended"
 
-    @pytest.mark.parametrize("state", [123, {"engine_version": ENGINE_STATE_VERSION}],
-                             ids=["an-integer", "version-only"])
-    def test_malformed_state_exits_data(self, tmp_path, capsys, state):
+    @pytest.mark.parametrize("command,state", [
+        ("report", 123), ("report", {"engine_version": ENGINE_STATE_VERSION}),
+        # a finished run's state with a string cumulative regret, which
+        # replay once took and then failed on at its next close
+        ("replay", {"regret_cumulative": "abc"}),
+    ], ids=["an-integer", "version-only", "replay-regret-cumulative-str"])
+    def test_malformed_state_exits_data(self, sim_dir, tmp_path, capsys, command,
+                                        state):
+        if command == "replay":
+            state = {**json.loads((sim_dir / "state.json").read_text())["state"],
+                     **state}
         canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
         snap = tmp_path / "state.json"
         snap.write_text(json.dumps({
@@ -645,7 +653,11 @@ class TestReport:
             "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
             "state": state,
         }))
-        assert main(["report", "--in", str(snap)]) == EXIT_DATA
+        # replay's log does not exist, so it must refuse before reading a line
+        argv = {"report": ["report", "--in", str(snap)],
+                "replay": ["replay", "--snapshot", str(snap),
+                           "--in", str(tmp_path / "unread.ndjson")]}[command]
+        assert main(argv) == EXIT_DATA
         assert "engine state" in capsys.readouterr().err
 
     def test_reemit_csv_matches_original(self, sim_dir, tmp_path):

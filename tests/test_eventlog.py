@@ -361,6 +361,17 @@ def _drop_last(column):
     return mutate
 
 
+def _set(*path_and_value):
+    """Set the state value at a path of keys and indexes."""
+    *path, key, value = path_and_value
+
+    def mutate(state):
+        for step in path:
+            state = state[step]
+        state[key] = value
+    return mutate
+
+
 class TestSnapshotIntegrity:
     def make(self, canonical_output, upto=3_000):
         engine = MonitorEngine()
@@ -411,6 +422,32 @@ class TestSnapshotIntegrity:
          "engine state is malformed: .*action_id"),
         (lambda state: state["pending"][0].__setitem__(6, ["icu"]), "pending-cohort-list",
          "engine state is malformed: .*cohort"),
+        # values a type's rule refuses, which once loaded and failed later
+        (_set("regret_cumulative", "abc"), "regret-cumulative-str",
+         "engine state is malformed: .*regret_cumulative"),
+        (_set("events_seen", "3050"), "events-seen-str",
+         "engine state is malformed: .*events_seen"),
+        (_set("open_period", "2"), "open-period-str", "engine state is malformed: .*period"),
+        (_set("last_event_seq", "3049"), "last-event-seq-str",
+         "engine state is malformed: .*sequence"),
+        (_set("baseline", ["a", 1]), "baseline-str", "engine state is malformed: .*Beta"),
+        (_set("baseline", [math.nan, 1]), "baseline-nan",
+         "engine state is malformed: .*Beta"),
+        (_set("snapshots", "ece", 0, "0.01"), "snapshot-ece-str",
+         "engine state is malformed: .*ece"),
+        (_set("stale_pairs", -1), "negative-stale-pairs", RANGE),
+        (_set("alarm", "breach_streak", "0"), "breach-streak-str",
+         "engine state is malformed: .*streaks"),
+        (_set("snapshots", "n", 0, -3), "snapshot-n-negative",
+         "engine state is malformed: .*n must be"),
+        (_set("alarm", "history", "breached", 0, [5]), "breached-int",
+         "engine state is malformed: .*breached"),
+        (_set("resolved_ids", 0, 7), "resolved-id-int",
+         "engine state is malformed: .*event_id"),
+        (_set("acc", "last_sequence", "3000"), "last-sequence-str",
+         "engine state is malformed: .*sequence"),
+        (lambda state: state["acc"].update(probs="", ys="", losses="", regrets=""),
+         "open-period-without-values", "engine state is malformed: .*open period"),
     ]
 
     @pytest.mark.parametrize("mutate,match", [(m, f) for m, _, f in MALFORMED],
@@ -420,6 +457,18 @@ class TestSnapshotIntegrity:
         state = mid_period_engine(canonical_output).to_state()
         with pytest.raises(CorruptSnapshot, match=match):
             load_snapshot(checksummed(mutate(state) or state))
+
+    def test_inf_regret_rate_round_trips(self):
+        # finite losses whose spread overflows: the regret rate is inf, which
+        # to_state() writes, so a load must take it back
+        engine = MonitorEngine(policy=ThresholdPolicy(regret_rate_max=1.0))
+        engine.observe_event(PredictionEvent("a", TimeIndex(1, 0), 0.5, action_id=0))
+        engine.observe_outcome(OutcomeRecord("a", 1, 1e308, (1e308, -1e308)))
+        engine.finalize()
+        assert engine.snapshots[0].regret_rate == math.inf
+        buf = io.StringIO()
+        save_snapshot(engine, buf)
+        assert load_snapshot(io.StringIO(buf.getvalue())).to_state() == engine.to_state()
 
     def test_failed_save_keeps_previous_snapshot(self, canonical_output, tmp_path,
                                                  monkeypatch):

@@ -319,7 +319,7 @@ class TestBoundedState:
             per_pair = tracemalloc.get_traced_memory()[0] / n
         finally:
             tracemalloc.stop()
-        assert engine._open_period == 1 and len(engine._acc_regrets) == n
+        assert engine._open_time.period == 1 and len(engine._acc_regrets) == n
         assert per_pair < 64, f"{per_pair:.1f} B per open pair"
 
 
