@@ -7,14 +7,16 @@ the current window, are compared with an exact drift score: the probability
 that the rolling prevalence exceeds the baseline prevalence (the finite sum
 of E. Miller, "Formulas for Bayesian A/B Testing", 2015), folded so that
 drift in either direction scores near 1 and agreement scores near 0.5.
+
+numpy (in drift_score) and scipy (in credible_interval) are imported
+inside the functions that use them, so importing this module loads
+neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import finite_number
 from .errors import BadLevel
@@ -95,6 +97,8 @@ def drift_score(baseline: BetaPosterior, rolling: BetaPosterior) -> float:
         a0, b0, a1, b1 = b0, a0, b1, a1
     if a1 != int(a1):
         raise ValueError(f"drift_score needs a whole-number rolling parameter, got {a1}")
+    import numpy as np
+
     # s = sum over i < a1 of B(a0 + i, b0 + b1) / ((b1 + i) B(1 + i, b1) B(a0, b0)):
     # term_0 = B(a0, b0 + b1) / B(a0, b0), then the term ratios below; kept
     # in logs, since at thousands of events term_0 underflows

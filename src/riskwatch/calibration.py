@@ -9,6 +9,9 @@ at once: a model can stay discriminative while its probabilities drift.
 
 Bin sums are reduced with math.fsum (correctly rounded), so any faithful
 recomputation from the raw pairs reproduces these numbers bit-for-bit.
+
+numpy is imported inside the functions that compute on arrays, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import EmptyWindow
 
@@ -38,6 +39,8 @@ class ReliabilityBin:
 
 
 def _as_prob_outcome(probs: Sequence[float], outcomes: Sequence[int]):
+    import numpy as np
+
     p = np.asarray(probs, dtype=float)
     y = np.asarray(outcomes, dtype=float)
     if p.size == 0:
@@ -62,6 +65,8 @@ def reliability_bins(
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+    import numpy as np
+
     p, y = _as_prob_outcome(probs, outcomes)
     # equal-width bins over [0, 1]; p == 1.0 belongs to the last bin
     idx = np.minimum((p * n_bins).astype(int), n_bins - 1)
@@ -121,6 +126,7 @@ def auc(probs: Sequence[float], outcomes: Sequence[int]) -> float | None:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
+    import numpy as np
 
     # a run of tied values at sorted positions i..j (0-based) shares the
     # 1-based midrank (i + j + 2) / 2; runs split where != holds

@@ -14,7 +14,8 @@ see exactly the same accumulated values either way. The open period's
 values are held unboxed, in typed arrays (float64, uint8 for outcomes).
 The state is compact: closed-period metrics and alarm records are stored
 column-wise (one list per field), and the open period's values as base64
-of their little-endian bytes, which round-trip bit for bit.
+of their little-endian bytes, which round-trip bit for bit. numpy is
+loaded only by a period close, so a run that closes none never imports it.
 
 Ordering contract: a single writer appends events with increasing sequence
 numbers and nondecreasing periods, and outcomes arrive after (and near)
@@ -35,10 +36,9 @@ import enum
 import inspect
 import logging
 import math
+import sys
 from array import array
 from dataclasses import asdict, astuple, fields
-
-import numpy as np
 
 from . import belief as belief_mod
 from .alarms import AlarmRecord, AlarmState, ThresholdPolicy, evaluate
@@ -144,6 +144,8 @@ class MonitorEngine:
 
     def _close_period(self) -> None:
         assert self._open_time is not None and self._acc_probs
+        import numpy as np
+
         n = len(self._acc_probs)
         # copied once and shared by every metric below; a view, kept alive
         # by a NoMetrics traceback, would make the next append a BufferError
@@ -155,7 +157,12 @@ class MonitorEngine:
         # so a failed close (NoMetrics) leaves the engine as it was
         regret_cumulative, regret_rate = self._regret_cumulative, None
         if self._acc_regrets:
-            period_regret = math.fsum(self._acc_regrets)
+            try:
+                period_regret = math.fsum(self._acc_regrets)
+            except OverflowError:
+                # regrets are >= 0, so once a partial sum passes the float
+                # range the whole sum does too, and it rounds to inf
+                period_regret = math.inf
             base = 0.0 if regret_cumulative is None else regret_cumulative
             regret_cumulative = base + period_regret
             regret_rate = period_regret / len(self._acc_regrets)
@@ -244,7 +251,7 @@ class MonitorEngine:
     @classmethod
     def _thaw(cls, state: dict) -> "MonitorEngine":
         engine = cls(
-            policy=ThresholdPolicy(**state["policy"]),
+            policy=ThresholdPolicy(**_typed(state["policy"], dict, "policy")),
             **{name: state[name] for name in ENGINE_DEFAULTS},
         )
         for name in _COUNTERS:
@@ -252,10 +259,10 @@ class MonitorEngine:
             if type(count) is not int or count < 0:
                 raise ValueError(f"{name} {count!r} is negative or not an integer")
             setattr(engine, name, count)
-        acc = state["acc"]
+        acc = _typed(state["acc"], dict, "acc")
         for name, dtype in _ACC_DTYPES.items():
             setattr(engine, f"_acc_{name}",
-                    array(np.dtype(dtype).char, _unpack(acc[name], dtype, _ACC_VALID[name])))
+                    array(_TYPECODES[dtype], _unpack(acc[name], dtype, _ACC_VALID[name])))
         if not len(engine._acc_probs) == len(engine._acc_ys) == len(engine._acc_losses):
             raise ValueError("open period values differ in length")
         if state["open_period"] is not None or acc["last_sequence"] is not None:
@@ -263,14 +270,16 @@ class MonitorEngine:
         if (engine._open_time is not None) != bool(engine._acc_probs):
             raise ValueError("the open period and its values disagree")
         if state["baseline"] is not None:
-            engine._baseline = _record(belief_mod.BetaPosterior, state["baseline"])
-        pending = [_record(PredictionEvent, row) for row in state["pending"]]
+            engine._baseline = _record(belief_mod.BetaPosterior,
+                                       _typed(state["baseline"], list, "baseline"))
+        pending = [_record(PredictionEvent, _typed(row, list, "a pending row"))
+                   for row in _typed(state["pending"], list, "pending")]
         engine._join.pending = {ev.event_id: ev for ev in pending}
         engine._join.resolved_ids = dict.fromkeys(
-            check_event_id(i) for i in state["resolved_ids"])
+            check_event_id(i) for i in _typed(state["resolved_ids"], list, "resolved_ids"))
         if state["last_event_seq"] is not None:
             engine._join.last_seq = check_sequence(state["last_event_seq"])
-        alarm = state["alarm"]
+        alarm = _typed(state["alarm"], dict, "alarm")
         engine.alarm = AlarmState(
             **{**alarm, "history": tuple(_from_columns(AlarmRecord, alarm["history"]))})
         engine.snapshots = _from_columns(MetricSnapshot, state["snapshots"])
@@ -289,33 +298,50 @@ ENGINE_DEFAULTS = {
 
 
 # the open period's value arrays, the dtype each is packed as, and the
-# elementwise test a loaded value must pass (to_state() writes no other)
+# test a loaded value must pass (to_state() writes no other)
 _ACC_DTYPES = {"probs": "<f8", "ys": "u1", "losses": "<f8", "regrets": "<f8"}
 _ACC_VALID = {
-    "probs": lambda a: (a >= 0.0) & (a <= 1.0),  # also false for NaN
-    "ys": lambda a: a <= 1,
-    "losses": np.isfinite,
-    "regrets": np.isfinite,
+    "probs": lambda v: 0.0 <= v <= 1.0,  # also false for NaN
+    "ys": lambda v: v <= 1,
+    "losses": math.isfinite,
+    "regrets": lambda v: v >= 0.0,  # a step's regret can overflow to +inf
 }
+# the array typecode of each packed dtype: float64 and uint8 on every host
+_TYPECODES = {"<f8": "d", "u1": "B"}
 
 # the stream counters, each an integer >= 0
 _COUNTERS = ("events_seen", "outcomes_seen", "lines_consumed", "stale_pairs")
 
 
 def _pack(values, dtype: str) -> str:
-    """Numbers (a list or an array) as base64 of their bytes in a numpy dtype."""
-    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+    """Numbers (a list or an array) as base64 of their little-endian bytes
+    in a _TYPECODES dtype, "<f8" or "u1"."""
+    values = array(_TYPECODES[dtype], values)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return base64.b64encode(values.tobytes()).decode("ascii")
 
 
 def _unpack(text: str, dtype: str, valid=None) -> list:
     """The list _pack() encoded. Malformed text, or a value for which the
-    elementwise predicate valid is false, raises ValueError."""
-    values = np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype)
+    predicate valid is false, raises ValueError."""
+    values = array(_TYPECODES[dtype])
+    values.frombytes(base64.b64decode(text, validate=True))
+    if sys.byteorder == "big":
+        values.byteswap()
     if valid is not None:
-        bad = values[~valid(values)]
-        if bad.size:
-            raise ValueError(f"packed value {bad[0].item()!r} is out of range")
+        for value in values:
+            if not valid(value):
+                raise ValueError(f"packed value {value!r} is out of range")
     return values.tolist()
+
+
+def _typed(value, kind: type, name: str):
+    """value, if it has the JSON container type kind (list or dict) that
+    to_state() writes for it; any other raises ValueError naming it."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _layout(cls) -> tuple[str, ...]:
@@ -353,6 +379,8 @@ def _columns(records, cls) -> dict:
 
 
 def _from_columns(cls, columns: dict) -> list:
-    """The records of _columns() output; ragged columns raise ValueError."""
-    return [_record(cls, row)
-            for row in zip(*(columns[name] for name in _layout(cls)), strict=True)]
+    """The records of _columns() output; ragged columns, or containers of
+    another type, raise ValueError."""
+    _typed(columns, dict, f"the {cls.__name__} columns")
+    return [_record(cls, row) for row in zip(
+        *(_typed(columns[name], list, name) for name in _layout(cls)), strict=True)]

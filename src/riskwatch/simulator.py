@@ -29,19 +29,23 @@ positions) and latent scores use per-class jittered-quantile stratification
 (exact Normal marginals, shuffled). Every period draws from its own child
 stream, default_rng([seed, period]), so runs are reproducible and periods
 are independent.
+
+numpy is imported inside the functions that draw and transform arrays,
+so importing this module, or building a ScenarioConfig, does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .alarms import AlarmRecord, ThresholdPolicy
 from .core import MetricSnapshot, OutcomeRecord, PredictionEvent, TimeIndex, finite_number
 from .errors import BadConfig, UnknownPreset
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MONITOR, ACT = 0, 1  # action ids of the binary decision set
 _ROW_BLOCK = 1024  # rows scenario_records turns into Python numbers at once
@@ -177,12 +181,16 @@ def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
 
 def _log(x: np.ndarray) -> np.ndarray:
     # libm's log, as Cephes calls it; np.log's SIMD loop can differ by an ulp
+    import numpy as np
+
     return np.array([math.log(v) for v in x.tolist()])
 
 
 def _ndtri(p: np.ndarray) -> np.ndarray:
     """Inverse of the standard normal CDF, elementwise over a float array:
     -inf at 0, +inf at 1, nan outside [0, 1]."""
+    import numpy as np
+
     out = np.full(p.shape, np.nan)
     out[p == 0.0] = -np.inf
     out[p == 1.0] = np.inf
@@ -228,6 +236,8 @@ def period_arrays(config: ScenarioConfig) -> Iterator[dict[str, np.ndarray]]:
 
 def _period_draw(config: ScenarioConfig, m: int) -> dict[str, np.ndarray]:
     """The arrays of period m, drawn from its own stream."""
+    import numpy as np
+
     n = config.patients_per_period
     d = config.class_separation
     base_logit = _logit(config.base_prevalence)
@@ -292,6 +302,8 @@ def generate_arrays(config: ScenarioConfig) -> dict[str, np.ndarray]:
     Returns flat arrays over all periods, the period_arrays chunks
     concatenated. Deterministic given the config's seed.
     """
+    import numpy as np
+
     chunks = list(period_arrays(config))
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 

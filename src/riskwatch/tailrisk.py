@@ -23,22 +23,28 @@ boundary atom's full weight.
 A Greenwald-Khanna sketch rounds out the module for streams too large to
 hold: epsilon-approximate quantiles in sublinear memory. Exact computation
 is preferred whenever the losses fit in memory.
+
+numpy is imported inside the functions that compute on arrays, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import BadAlpha, EmptyLosses, EmptySketch
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _check(losses: Sequence[float], alpha: float) -> np.ndarray:
     if not 0.0 < alpha < 1.0:
         raise BadAlpha(f"alpha must lie in (0, 1), got {alpha}")
+    import numpy as np
+
     x = np.asarray(losses, dtype=float)
     if x.size == 0:
         raise EmptyLosses("loss vector is empty")
@@ -54,6 +60,8 @@ def _near_integer(value: float, n: int) -> int | None:
 
 def var(losses: Sequence[float], alpha: float = 0.95) -> float:
     """Empirical value-at-risk: the order statistic L_(ceil(alpha * n))."""
+    import numpy as np
+
     x = _check(losses, alpha)
     target = alpha * x.size
     r = _near_integer(target, x.size) or math.ceil(target)
@@ -75,6 +83,8 @@ def cvar_tail(losses: Sequence[float], alpha: float = 0.95) -> float:
     with the fractional weight remaining, so exactly (1-alpha)*n
     observations-worth of mass is averaged.
     """
+    import numpy as np
+
     x = _check(losses, alpha)
     n = x.size
     mass = (1.0 - alpha) * n
@@ -102,6 +112,8 @@ def cvar_variational(losses: Sequence[float], alpha: float = 0.95) -> float:
     the data, so evaluating every distinct loss value finds the exact
     minimum. Numerically equal to cvar_tail; implemented independently.
     """
+    import numpy as np
+
     x = _check(losses, alpha)
     candidates = np.unique(x)
     excess = np.maximum(x[None, :] - candidates[:, None], 0.0)

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from riskwatch.cli import EXIT_ALARM, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from riskwatch.eventlog import CONFIG_ENV_VAR, default_config, write_log
+from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex
+from riskwatch.eventlog import (CONFIG_ENV_VAR, default_config, load_snapshot_file,
+                                log_line, save_snapshot_file, write_log)
 from riskwatch.monitor import ENGINE_STATE_VERSION, _pack, _unpack
 from riskwatch.simulator import generate, preset
 
@@ -195,6 +198,29 @@ class TestMonitor:
         log.write_text("not json\nnot json either\n")
         assert main(["monitor", "--in", str(log)]) == EXIT_DATA
         assert "no closed periods" in capsys.readouterr().err
+
+    def test_regret_sum_past_the_float_range_is_inf(self, tmp_path):
+        # two finite regrets of 1e308 in period 1: their sum overflows, and
+        # math.fsum raises on that; a quiet period 2 follows the inf
+        records = []
+        for i, (period, loss) in enumerate([(1, 1e308), (1, 1e308), (2, 0.1)]):
+            records += [PredictionEvent(f"e{i}", TimeIndex(period, i), 0.5, action_id=0),
+                        OutcomeRecord(f"e{i}", 1, loss, (loss, 0.0))]
+        log = tmp_path / "big.ndjson"
+        log.write_text("".join(map(log_line, records)))
+        out = tmp_path / "out"
+        assert main(["monitor", "--in", str(log), "--out", str(out)]) == EXIT_ALARM
+        rows = (out / "report.csv").read_text().splitlines()
+        assert [row.split(",")[7:9] for row in rows[1:]] == [["inf", "inf"],
+                                                               ["inf", "0.1"]]
+        # state.json loads and saves back byte for byte, and re-emits the report
+        engine = load_snapshot_file(out / "state.json")
+        assert engine.snapshots[0].regret_cumulative == math.inf
+        save_snapshot_file(engine, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (out / "state.json").read_bytes()
+        assert main(["report", "--in", str(out / "state.json"),
+                     "--out", str(tmp_path / "report.csv")]) == EXIT_OK
+        assert (tmp_path / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
 
     def test_policy_file_relaxes_thresholds(self, sim_dir, tmp_path):
         policy = tmp_path / "lax.json"

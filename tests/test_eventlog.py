@@ -448,6 +448,16 @@ class TestSnapshotIntegrity:
          "engine state is malformed: .*sequence"),
         (lambda state: state["acc"].update(probs="", ys="", losses="", regrets=""),
          "open-period-without-values", "engine state is malformed: .*open period"),
+        # containers of a JSON type to_state() never writes, which once loaded
+        # as no pending events or as the characters of an id
+        (_set("pending", {}), "pending-object",
+         "engine state is malformed: .*pending must be a list"),
+        (_set("pending", ""), "pending-str",
+         "engine state is malformed: .*pending must be a list"),
+        (_set("resolved_ids", "ev-0"), "resolved-ids-str",
+         "engine state is malformed: .*resolved_ids must be a list"),
+        (lambda state: state.update(resolved_ids=dict.fromkeys(state["resolved_ids"])),
+         "resolved-ids-object", "engine state is malformed: .*resolved_ids must be a list"),
     ]
 
     @pytest.mark.parametrize("mutate,match", [(m, f) for m, _, f in MALFORMED],
@@ -466,6 +476,17 @@ class TestSnapshotIntegrity:
         engine.observe_outcome(OutcomeRecord("a", 1, 1e308, (1e308, -1e308)))
         engine.finalize()
         assert engine.snapshots[0].regret_rate == math.inf
+        buf = io.StringIO()
+        save_snapshot(engine, buf)
+        assert load_snapshot(io.StringIO(buf.getvalue())).to_state() == engine.to_state()
+
+    def test_inf_open_period_regret_round_trips(self):
+        # a step's regret overflows to +inf from finite losses; to_state()
+        # packs it among the open period's values, so a load must take it back
+        engine = MonitorEngine()
+        engine.observe_event(PredictionEvent("a", TimeIndex(1, 0), 0.5, action_id=0))
+        engine.observe_outcome(OutcomeRecord("a", 1, 1e308, (1e308, -1e308)))
+        assert list(engine._acc_regrets) == [math.inf]
         buf = io.StringIO()
         save_snapshot(engine, buf)
         assert load_snapshot(io.StringIO(buf.getvalue())).to_state() == engine.to_state()

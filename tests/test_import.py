@@ -1,18 +1,28 @@
-"""Only credible_interval loads scipy; import, monitor and simulate never do.
+"""Heavy modules load only where they are needed.
 
-Importing scipy.stats takes about a second on a 2-core VM, and
-scipy.special alone adds about 20 MB of resident memory, which every CLI
-call would pay again. credible_interval imports scipy.special when called;
-nothing else in the package imports scipy, which an ast walk checks
-statically. The runtime checks run in a fresh interpreter, because this
-test process has loaded scipy already."""
+Importing numpy takes about 0.15 s, and a CLI call that closes no period
+(--print-defaults, report, a replay that only appends) never builds an
+array, so numpy is imported only inside the functions that compute on
+arrays: the package, the CLI and engine_from_config load none of it, and
+the first period close or scenario draw loads it. Importing scipy.stats
+takes about a second, and scipy.special alone adds about 20 MB of
+resident memory, so only credible_interval imports scipy, when called.
+
+One ast walk checks both rules statically, from one table of where each
+heavy module may be imported. The runtime checks run in a fresh
+interpreter, because this test process has loaded numpy and scipy
+already."""
 
 import ast
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
+
+import pytest
 
 from riskwatch.cli import EXIT_ALARM, EXIT_OK, main
 from riskwatch.eventlog import CONFIG_ENV_VAR
@@ -112,19 +122,99 @@ def test_monitor_path_never_imports_scipy(tmp_path):
     assert "scipy.special" in got["after_interval"]
 
 
-def scipy_import_sites(source: str) -> list[str]:
-    """Where a module imports scipy: the qualified name of the enclosing
-    function, or "<load>" for an import that runs when the module loads
-    (at module level or in a class body)."""
+# argv: checkpoint with an open period, a log that grows it without a
+# close, the full log, two output dirs; prints the outputs as JSON
+NUMPY_FREE_CHILD = """
+import contextlib, io, json, sys
+
+import riskwatch, riskwatch.cli
+from riskwatch.eventlog import default_config, engine_from_config
+
+checkpoint, grown, log, out, closed = sys.argv[1:6]
+engine_from_config(default_config())
+codes, texts = [], []
+for argv in (["--print-defaults"], ["report", "--in", checkpoint],
+             ["replay", "--snapshot", checkpoint, "--in", grown, "--out", out,
+              "--no-finalize"]):
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        codes.append(riskwatch.cli.main(argv))
+    texts.append(text.getvalue())
+numpy_before_close = "numpy" in sys.modules
+codes.append(riskwatch.cli.main(["replay", "--snapshot", out + "/state.json",
+                                 "--in", log, "--out", closed]))
+print(json.dumps({"codes": codes, "texts": texts,
+                  "numpy_before_close": numpy_before_close,
+                  "numpy_after_close": "numpy" in sys.modules}))
+"""
+
+
+def test_calls_that_close_no_period_never_import_numpy(tmp_path):
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps({"scenario": {"periods": 3, "patients_per_period": 200}}))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(cfg), "--out", str(sim)]) == EXIT_OK
+    log = sim / "events.ndjson"
+    lines = log.read_text().splitlines(True)  # 400 lines per period
+    prefix, grown = tmp_path / "prefix.ndjson", tmp_path / "grown.ndjson"
+    prefix.write_text("".join(lines[:500]))  # period 2 open
+    grown.write_text("".join(lines[:700]))  # period 2 still open
+    checkpoint = tmp_path / "part" / "state.json"
+    assert main(["monitor", "--in", str(prefix), "--out", str(checkpoint.parent),
+                 "--no-finalize"]) == EXIT_OK
+
+    got = json.loads(run_child(NUMPY_FREE_CHILD, checkpoint, grown, log,
+                               tmp_path / "child", tmp_path / "child-closed"))
+
+    assert not got["numpy_before_close"]
+    assert got["numpy_after_close"]
+    # the same calls in this process give the same codes and bytes
+    codes, texts = [], []
+    for argv in (["--print-defaults"], ["report", "--in", str(checkpoint)],
+                 ["replay", "--snapshot", str(checkpoint), "--in", str(grown),
+                  "--out", str(tmp_path / "here"), "--no-finalize"]):
+        with redirect_stdout(io.StringIO()) as text:
+            codes.append(main(argv))
+        texts.append(text.getvalue())
+    codes.append(main(["replay", "--snapshot", str(tmp_path / "here" / "state.json"),
+                       "--in", str(log), "--out", str(tmp_path / "here-closed")]))
+    assert got["codes"] == codes == [EXIT_OK] * 4
+    assert got["texts"] == texts and texts[0] and texts[1]
+    for child, here in (("child", "here"), ("child-closed", "here-closed")):
+        for name in ("report.csv", "state.json"):
+            assert ((tmp_path / child / name).read_bytes()
+                    == (tmp_path / here / name).read_bytes())
+    assert (tmp_path / "here-closed" / "report.csv").read_bytes() == (
+        sim / "report.csv").read_bytes()
+
+
+# where the package may import each heavy module: a test of the import
+# site, "<module>.<function>", or "<module>.<load>" for an import that runs
+# when the module loads
+HEAVY_IMPORTS = {
+    "scipy": lambda site: site == "belief.credible_interval",
+    "numpy": lambda site: not site.endswith(".<load>"),
+}
+
+
+def heavy_import_sites(source: str) -> list[tuple[str, str]]:
+    """Where a module imports a HEAVY_IMPORTS module: that module and the
+    qualified name of the enclosing function, or "<load>" for an import
+    that runs when the module loads (at module level or in a class body).
+    An import under `if TYPE_CHECKING:` never runs and is left out."""
     sites = []
 
     def visit(node, qual, in_function):
         for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.If) and isinstance(child.test, ast.Name)
+                    and child.test.id == "TYPE_CHECKING"):
+                visit(ast.Module(body=child.orelse), qual, in_function)
+                continue
             names = ([a.name for a in child.names] if isinstance(child, ast.Import)
                      else [child.module or ""] if isinstance(child, ast.ImportFrom)
-                     else [])
-            if any(n == "scipy" or n.startswith("scipy.") for n in names):
-                sites.append(qual if in_function else "<load>")
+                     and not child.level else [])
+            for heavy in HEAVY_IMPORTS:
+                if any(n == heavy or n.startswith(heavy + ".") for n in names):
+                    sites.append((heavy, qual if in_function else "<load>"))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{qual}.{child.name}" if qual else child.name,
                       in_function or not isinstance(child, ast.ClassDef))
@@ -135,10 +225,16 @@ def scipy_import_sites(source: str) -> list[str]:
     return sites
 
 
-def test_only_credible_interval_imports_scipy():
-    sites = {f"{path.stem}.{site}" for path in sorted(PACKAGE.glob("*.py"))
-             for site in scipy_import_sites(path.read_text(encoding="utf-8"))}
-    assert sites == {"belief.credible_interval"}
+PACKAGE_SITES = sorted({
+    (heavy, f"{path.stem}.{site}") for path in sorted(PACKAGE.glob("*.py"))
+    for heavy, site in heavy_import_sites(path.read_text(encoding="utf-8"))})
+
+
+@pytest.mark.parametrize("heavy", sorted(HEAVY_IMPORTS))
+def test_heavy_modules_are_imported_only_where_allowed(heavy):
+    sites = [site for name, site in PACKAGE_SITES if name == heavy]
+    assert sites  # the walk sees the imports it polices
+    assert [site for site in sites if not HEAVY_IMPORTS[heavy](site)] == []
 
 
 def test_scipy_import_sites_checker():
@@ -155,7 +251,29 @@ def test_scipy_import_sites_checker():
         "    from scipyx import y\n"
         "    from . import scipy_like\n"
     )
-    assert scipy_import_sites(source) == ["<load>", "<load>", "A.m.inner", "f"]
+    assert heavy_import_sites(source) == [
+        ("scipy", "<load>"), ("scipy", "<load>"), ("scipy", "A.m.inner"), ("scipy", "f")]
+
+
+def test_checker_catches_a_module_level_numpy_import():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy as np\n"
+        "else:\n"
+        "    from numpy import ndarray\n"
+        "try:\n"
+        "    import numpy.linalg\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "from .numpy import x\n"
+        "def f():\n"
+        "    import numpy as np\n"
+    )
+    sites = heavy_import_sites(source)
+    assert sites == [("numpy", "<load>"), ("numpy", "<load>"), ("numpy", "f")]
+    assert [s for s in sites if not HEAVY_IMPORTS["numpy"]("m." + s[1])] == [
+        ("numpy", "<load>"), ("numpy", "<load>")]
 
 
 def acc_list_bindings(source: str) -> list[int]:

@@ -1,5 +1,6 @@
 """Streaming engine: agreement with offline metrics, state freezing, joins."""
 
+import base64
 import gc
 import io
 import json
@@ -176,6 +177,15 @@ class TestPackedValues:
 
     def test_edge_floats_round_trip(self):
         assert bits(_unpack(_pack(EDGE_FLOATS, "<f8"), "<f8")) == bits(EDGE_FLOATS)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats()), st.lists(st.integers(0, 255)))
+    def test_packed_bytes_are_little_endian(self, values, ys):
+        # pinned against struct's explicit byte order, so a state.json
+        # written on a big-endian host reads the same
+        assert _pack(values, "<f8") == base64.b64encode(
+            struct.pack("<%dd" % len(values), *values)).decode("ascii")
+        assert _pack(ys, "u1") == base64.b64encode(bytes(ys)).decode("ascii")
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 1)))
