@@ -8,15 +8,18 @@ that the rolling prevalence exceeds the baseline prevalence (the finite sum
 of E. Miller, "Formulas for Bayesian A/B Testing", 2015), folded so that
 drift in either direction scores near 1 and agreement scores near 0.5.
 
-numpy (in drift_score) and scipy (in credible_interval) are imported
-inside the functions that use them, so importing this module loads
-neither.
+drift_score runs on the standard library's libm calls, so its value does
+not depend on which SIMD loops numpy picks on the host; it never loads
+numpy. scipy is imported only inside credible_interval, when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import add
 
 from .core import finite_number
 from .errors import BadLevel
@@ -97,18 +100,33 @@ def drift_score(baseline: BetaPosterior, rolling: BetaPosterior) -> float:
         a0, b0, a1, b1 = b0, a0, b1, a1
     if a1 != int(a1):
         raise ValueError(f"drift_score needs a whole-number rolling parameter, got {a1}")
-    import numpy as np
-
     # s = sum over i < a1 of B(a0 + i, b0 + b1) / ((b1 + i) B(1 + i, b1) B(a0, b0)):
     # term_0 = B(a0, b0 + b1) / B(a0, b0), then the term ratios below; kept
     # in logs, since at thousands of events term_0 underflows
     log_first = (math.lgamma(b0 + b1) + math.lgamma(a0 + b0)
                  - math.lgamma(a0 + b0 + b1) - math.lgamma(b0))
-    i = np.arange(int(a1) - 1, dtype=float)
-    log_ratios = (np.log(a0 + i) + np.log(b1 + i)
-                  - np.log(a0 + b0 + b1 + i) - np.log1p(i))
-    log_terms = log_first + np.concatenate(([0.0], np.cumsum(log_ratios)))
-    # numpy's pairwise sum, not math.fsum: the logs carry ~1e-11 error anyway,
-    # and fsum slows to milliseconds when the terms span hundreds of decades
-    s = min(float(np.exp(log_terms).sum()), 1.0)
+    log, log1p, c = math.log, math.log1p, a0 + b0 + b1
+    log_ratios = [log(a0 + i) + log(b1 + i) - log(c + i) - log1p(i)
+                  for i in map(float, range(int(a1) - 1))]
+    terms = [math.exp(log_first + t) for t in accumulate(log_ratios, initial=0.0)]
+    # a pairwise sum, not math.fsum: the logs carry ~1e-11 error anyway, and
+    # fsum slows to milliseconds when the terms span hundreds of decades
+    s = min(_pairwise_sum(terms), 1.0)
     return max(s, 1.0 - s)
+
+
+def _pairwise_sum(x: list[float]) -> float:
+    """Sum of x in the order numpy's np.sum adds float64 values: eight
+    running sums over blocks of at most 128, halves split at a multiple of
+    8. So drift_score keeps the values it had on numpy."""
+    n = len(x)
+    if n < 8:
+        return reduce(add, x, 0.0)
+    if n <= 128:
+        end = n - n % 8
+        r = [reduce(add, x[j + 8:end:8], x[j]) for j in range(8)]
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, x[end:], head)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])

@@ -10,14 +10,19 @@ at once: a model can stay discriminative while its probabilities drift.
 Bin sums are reduced with math.fsum (correctly rounded), so any faithful
 recomputation from the raw pairs reproduces these numbers bit-for-bit.
 
-numpy is imported inside the functions that compute on arrays, so
-importing this module does not load it.
+Every metric runs on the standard library over typed arrays (array.array)
+and never loads numpy; lists, array.array and numpy arrays are all taken
+as input.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import mul, sub
 from typing import Sequence
 
 from .errors import EmptyWindow
@@ -39,15 +44,16 @@ class ReliabilityBin:
 
 
 def _as_prob_outcome(probs: Sequence[float], outcomes: Sequence[int]):
-    import numpy as np
-
-    p = np.asarray(probs, dtype=float)
-    y = np.asarray(outcomes, dtype=float)
-    if p.size == 0:
+    # a typed array is read as it is (the engine's accumulators are); any
+    # other sequence is copied into a float64 one
+    p = probs if isinstance(probs, array) else array("d", probs)
+    y = outcomes if isinstance(outcomes, array) else array("d", outcomes)
+    if not p:
         raise EmptyWindow("calibration window is empty")
-    if p.size != y.size:
-        raise ValueError(f"length mismatch: {p.size} probs vs {y.size} outcomes")
-    if not np.all((p >= 0.0) & (p <= 1.0)):  # also false for NaN
+    if len(p) != len(y):
+        raise ValueError(f"length mismatch: {len(p)} probs vs {len(y)} outcomes")
+    total = sum(p)  # NaN when any value is, which min and max can miss
+    if not (total == total and min(p) >= 0.0 and max(p) <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     return p, y
 
@@ -65,22 +71,31 @@ def reliability_bins(
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    import numpy as np
-
     p, y = _as_prob_outcome(probs, outcomes)
-    # equal-width bins over [0, 1]; p == 1.0 belongs to the last bin
-    idx = np.minimum((p * n_bins).astype(int), n_bins - 1)
-    edges = np.linspace(0.0, 1.0, n_bins + 1).tolist()
+    # equal-width bins over [0, 1], bin int(p * n_bins), and a spare one for
+    # a p whose product rounds to n_bins (1.0, and some just below), folded
+    # into the last bin; fsum makes the order within a bin irrelevant
+    bin_p = [array("d") for _ in range(n_bins + 1)]
+    bin_y = [array("d") for _ in range(n_bins + 1)]
+    add_p = [values.append for values in bin_p]
+    add_y = [values.append for values in bin_y]
+    for b, pv, yv in zip(map(int, map(float(n_bins).__mul__, p)), p, y):
+        add_p[b](pv)
+        add_y[b](yv)
+    bin_p[-2].extend(bin_p.pop())
+    bin_y[-2].extend(bin_y.pop())
+    # numpy's linspace(0, 1, n_bins + 1): multiples of one step, last edge 1
+    step = 1.0 / n_bins
+    edges = [b * step for b in range(n_bins)] + [1.0]
 
     bins: list[ReliabilityBin] = []
     for b in range(n_bins):
-        mask = idx == b
-        count = int(mask.sum())
+        count = len(bin_p[b])
         if count == 0:
             bins.append(ReliabilityBin(edges[b], edges[b + 1], 0, None, None))
             continue
-        mean_pred = math.fsum(p[mask].tolist()) / count
-        event_rate = math.fsum(y[mask].tolist()) / count
+        mean_pred = math.fsum(bin_p[b]) / count
+        event_rate = math.fsum(bin_y[b]) / count
         bins.append(ReliabilityBin(edges[b], edges[b + 1], count, mean_pred, event_rate))
     return bins
 
@@ -97,9 +112,9 @@ def ece(
     to sampling noise inside each bin).
     """
     p, y = _as_prob_outcome(probs, outcomes)
-    n = p.size
+    n = len(p)
     # fsum keeps the reduction correctly rounded, hence independent of bin
-    # iteration order; the bins get the arrays, so nothing is converted twice
+    # iteration order; the bins read the typed arrays without a copy
     return math.fsum(
         (b.count / n) * abs(b.mean_pred - b.event_rate)
         for b in reliability_bins(p, y, n_bins=n_bins)
@@ -110,8 +125,9 @@ def ece(
 def brier(probs: Sequence[float], outcomes: Sequence[int]) -> float:
     """Mean squared error of the predicted probabilities."""
     p, y = _as_prob_outcome(probs, outcomes)
-    sq = (p - y) ** 2
-    return math.fsum(sq.tolist()) / p.size
+    # d * d, not d ** 2: ** is libm pow, which need not be correctly rounded
+    d = list(map(sub, p, y))
+    return math.fsum(map(mul, d, d)) / len(p)
 
 
 def auc(probs: Sequence[float], outcomes: Sequence[int]) -> float | None:
@@ -122,21 +138,18 @@ def auc(probs: Sequence[float], outcomes: Sequence[int]) -> float | None:
     (undefined, not 0.5) when the period holds a single outcome class.
     """
     p, y = _as_prob_outcome(probs, outcomes)
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
+    positives = list(compress(p, map((1.0).__eq__, y)))
+    n_pos = len(positives)
+    n_neg = len(p) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    import numpy as np
-
     # a run of tied values at sorted positions i..j (0-based) shares the
-    # 1-based midrank (i + j + 2) / 2; runs split where != holds
-    order = np.argsort(p, kind="stable")
-    sorted_p = p[order]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_p[1:] != sorted_p[:-1])))
-    ends = np.append(starts[1:], p.size)
-    ranks = np.empty(p.size, dtype=float)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-
-    rank_sum = math.fsum(ranks[y == 1.0].tolist())
+    # 1-based midrank (i + j + 2) / 2, and for a member v of the run
+    # bisect_left gives i and bisect_right j + 1; so twice the positives'
+    # rank sum is a whole number, summed exactly
+    ordered = sorted(p)
+    twice_rank_sum = (sum(map(bisect_left, repeat(ordered, n_pos), positives))
+                      + sum(map(bisect_right, repeat(ordered, n_pos), positives))
+                      + n_pos)
+    rank_sum = twice_rank_sum / 2
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-

@@ -433,8 +433,11 @@ def emit_report(
             writer.writerow(out)
         return buf.getvalue()
     if fmt == "json":
-        return json.dumps({"columns": list(REPORT_COLUMNS), "rows": rows},
-                          indent=2) + "\n"
+        text = json.dumps({"columns": list(REPORT_COLUMNS), "rows": rows}, indent=2)
+        # an inf metric as 1e999, a number that overflows back to inf, not the
+        # Infinity token RFC 8259 lacks; the document's only strings are the
+        # column names and alarm states, which hold no "Infinity"
+        return text.replace("Infinity", "1e999") + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
 
 

@@ -11,11 +11,13 @@ All engine state is plain JSON-serializable data, so a run can be frozen
 mid-stream with to_state(), persisted, reloaded with from_state() and
 continued to a bit-identical result; the per-period metric computations
 see exactly the same accumulated values either way. The open period's
-values are held unboxed, in typed arrays (float64, uint8 for outcomes).
-The state is compact: closed-period metrics and alarm records are stored
-column-wise (one list per field), and the open period's values as base64
-of their little-endian bytes, which round-trip bit for bit. numpy is
-loaded only by a period close, so a run that closes none never imports it.
+values are held unboxed, in typed arrays (float64, uint8 for outcomes),
+which a period close hands to the metrics as they are. The state is
+compact: closed-period metrics and alarm records are stored column-wise
+(one list per field), and the open period's values as base64 of their
+little-endian bytes, which round-trip bit for bit. The engine never loads
+numpy: every metric runs on the standard library, so a period close gives
+the same bits whichever SIMD loops numpy would pick on the host.
 
 Ordering contract: a single writer appends events with increasing sequence
 numbers and nondecreasing periods, and outcomes arrive after (and near)
@@ -144,14 +146,7 @@ class MonitorEngine:
 
     def _close_period(self) -> None:
         assert self._open_time is not None and self._acc_probs
-        import numpy as np
-
         n = len(self._acc_probs)
-        # copied once and shared by every metric below; a view, kept alive
-        # by a NoMetrics traceback, would make the next append a BufferError
-        probs = np.array(self._acc_probs, dtype=float)
-        ys = np.array(self._acc_ys, dtype=float)
-        losses = np.array(self._acc_losses, dtype=float)
 
         # computed into locals and committed only once evaluate has passed,
         # so a failed close (NoMetrics) leaves the engine as it was
@@ -176,11 +171,11 @@ class MonitorEngine:
         snapshot = MetricSnapshot(
             time=self._open_time,
             n=n,
-            ece=ece(probs, ys, n_bins=self.n_bins),
-            brier=brier(probs, ys),
-            auc=auc(probs, ys),
-            var=var(losses, self.alpha),
-            cvar=cvar_tail(losses, self.alpha),
+            ece=ece(self._acc_probs, self._acc_ys, n_bins=self.n_bins),
+            brier=brier(self._acc_probs, self._acc_ys),
+            auc=auc(self._acc_probs, self._acc_ys),
+            var=var(self._acc_losses, self.alpha),
+            cvar=cvar_tail(self._acc_losses, self.alpha),
             regret_cumulative=regret_cumulative,
             regret_rate=regret_rate,
             posterior_mean=rolling.mean,

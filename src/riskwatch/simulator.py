@@ -32,6 +32,8 @@ are independent.
 
 numpy is imported inside the functions that draw and transform arrays,
 so importing this module, or building a ScenarioConfig, does not load it.
+Every exp and log goes through libm (_exp, _log), never numpy's SIMD loops,
+so a seed gives the same bytes whatever the host's vector units.
 """
 
 from __future__ import annotations
@@ -179,11 +181,25 @@ def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
     return _polevl(x, (1.0, *coef))
 
 
+# libm's log and exp, elementwise: np.log and np.exp pick SIMD loops by host
+# CPU, and on AVX-512 those can differ from libm by an ulp, which would make
+# the scenario depend on the machine that draws it
 def _log(x: np.ndarray) -> np.ndarray:
-    # libm's log, as Cephes calls it; np.log's SIMD loop can differ by an ulp
     import numpy as np
 
     return np.array([math.log(v) for v in x.tolist()])
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
+    out = []
+    for v in x.tolist():
+        try:
+            out.append(math.exp(v))
+        except OverflowError:  # past the float range, where np.exp gives inf
+            out.append(math.inf)
+    return np.array(out)
 
 
 def _ndtri(p: np.ndarray) -> np.ndarray:
@@ -265,14 +281,14 @@ def _period_draw(config: ScenarioConfig, m: int) -> dict[str, np.ndarray]:
 
     # generative posterior log-odds at the frozen prevalence
     u = base_logit + d * s - d * d / 2.0
-    true_prob = 1.0 / (1.0 + np.exp(-(u + (_logit(pim) - base_logit))))
-    pred_prob = 1.0 / (1.0 + np.exp(-(u - shift)))
+    true_prob = 1.0 / (1.0 + _exp(-(u + (_logit(pim) - base_logit))))
+    pred_prob = 1.0 / (1.0 + _exp(-(u - shift)))
 
     eps = np.abs(rng.standard_normal(n)) * config.baseline_harm_scale
     if config.tail_fraction > 0.0:
         heavy = rng.random(n) < config.tail_fraction
         eps = np.where(
-            heavy, config.tail_scale * np.exp(rng.standard_normal(n)), eps
+            heavy, config.tail_scale * _exp(rng.standard_normal(n)), eps
         )
 
     under = np.minimum(np.maximum(true_prob - pred_prob, 0.0), config.harm_cap)

@@ -24,29 +24,26 @@ A Greenwald-Khanna sketch rounds out the module for streams too large to
 hold: epsilon-approximate quantiles in sublinear memory. Exact computation
 is preferred whenever the losses fit in memory.
 
-numpy is imported inside the functions that compute on arrays, so
-importing this module does not load it.
+var, cvar_conditional and cvar_tail run on the standard library over a
+typed array (array.array) and never load numpy; only the cross-check
+cvar_variational imports it, when called.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import TYPE_CHECKING, Sequence
+from array import array
+from typing import Sequence
 
 from .errors import BadAlpha, EmptyLosses, EmptySketch
 
-if TYPE_CHECKING:
-    import numpy as np
 
-
-def _check(losses: Sequence[float], alpha: float) -> np.ndarray:
+def _check(losses: Sequence[float], alpha: float) -> array:
     if not 0.0 < alpha < 1.0:
         raise BadAlpha(f"alpha must lie in (0, 1), got {alpha}")
-    import numpy as np
-
-    x = np.asarray(losses, dtype=float)
-    if x.size == 0:
+    x = array("d", losses)
+    if not x:
         raise EmptyLosses("loss vector is empty")
     return x
 
@@ -60,20 +57,18 @@ def _near_integer(value: float, n: int) -> int | None:
 
 def var(losses: Sequence[float], alpha: float = 0.95) -> float:
     """Empirical value-at-risk: the order statistic L_(ceil(alpha * n))."""
-    import numpy as np
-
     x = _check(losses, alpha)
-    target = alpha * x.size
-    r = _near_integer(target, x.size) or math.ceil(target)
-    return float(np.sort(x, kind="stable")[r - 1])
+    target = alpha * len(x)
+    r = _near_integer(target, len(x)) or math.ceil(target)
+    return sorted(x)[r - 1]
 
 
 def cvar_conditional(losses: Sequence[float], alpha: float = 0.95) -> float:
     """Inclusive conditional tail mean: average of losses >= var."""
     x = _check(losses, alpha)
-    v = var(losses, alpha)
-    tail = x[x >= v]
-    return math.fsum(tail.tolist()) / tail.size
+    v = var(x, alpha)
+    tail = [value for value in x if value >= v]
+    return math.fsum(tail) / len(tail)
 
 
 def cvar_tail(losses: Sequence[float], alpha: float = 0.95) -> float:
@@ -83,25 +78,25 @@ def cvar_tail(losses: Sequence[float], alpha: float = 0.95) -> float:
     with the fractional weight remaining, so exactly (1-alpha)*n
     observations-worth of mass is averaged.
     """
-    import numpy as np
-
     x = _check(losses, alpha)
-    n = x.size
+    n = len(x)
     mass = (1.0 - alpha) * n
     mass = float(_near_integer(mass, n) or mass)
     k = int(math.floor(mass))
     frac = mass - k
-    desc = np.sort(x, kind="stable")[::-1]
+    # the ascending stable sort reversed, not sorted(reverse=True): equal
+    # values (-0.0 and 0.0) then come in the order the anchor below expects
+    desc = sorted(x)[::-1]
     if k == 0:
         # the whole tail mass sits inside the largest observation, whose
         # mean is that observation exactly; skip the frac * x / frac round trip
-        return float(desc[0])
+        return desc[0]
     # anchor at the smallest value carrying tail weight and average the
     # nonnegative excesses above it: rounding then cannot pull the result
     # below the anchor, so cvar_tail >= var holds in floats, not just in
     # exact arithmetic (the fractional term is excess 0 by construction)
-    anchor = float(desc[k]) if frac > 0.0 else float(desc[k - 1])
-    total = math.fsum((float(v) - anchor) for v in desc[:k])
+    anchor = desc[k] if frac > 0.0 else desc[k - 1]
+    total = math.fsum(v - anchor for v in desc[:k])
     return anchor + total / mass
 
 
@@ -114,7 +109,7 @@ def cvar_variational(losses: Sequence[float], alpha: float = 0.95) -> float:
     """
     import numpy as np
 
-    x = _check(losses, alpha)
+    x = np.asarray(_check(losses, alpha))
     candidates = np.unique(x)
     excess = np.maximum(x[None, :] - candidates[:, None], 0.0)
     objective = candidates + excess.mean(axis=1) / (1.0 - alpha)

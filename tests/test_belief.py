@@ -12,6 +12,7 @@ from scipy.special import betainc, betaincinv, betaln
 
 from riskwatch.belief import (
     BetaPosterior,
+    _pairwise_sum,
     credible_interval,
     drift_score,
     update,
@@ -150,6 +151,24 @@ def quad_drift(baseline, rolling):
     return max(s, 1.0 - s)
 
 
+def numpy_drift(baseline, rolling):
+    """drift_score as it ran on numpy, kept as a reference, with libm logs
+    and exps in place of numpy's SIMD ones (which differ by host) but with
+    np.cumsum and np.sum: it pins the order the terms are added in."""
+    a0, b0, a1, b1 = baseline.a, baseline.b, rolling.a, rolling.b
+    if a1 > b1:
+        a0, b0, a1, b1 = b0, a0, b1, a1
+    log_first = (math.lgamma(b0 + b1) + math.lgamma(a0 + b0)
+                 - math.lgamma(a0 + b0 + b1) - math.lgamma(b0))
+    i = np.arange(int(a1) - 1, dtype=float)
+    log_ratios = np.array(
+        [math.log(a0 + k) + math.log(b1 + k) - math.log(a0 + b0 + b1 + k) - math.log1p(k)
+         for k in i.tolist()])
+    log_terms = log_first + np.concatenate(([0.0], np.cumsum(log_ratios)))
+    s = min(float(np.array([math.exp(t) for t in log_terms.tolist()]).sum()), 1.0)
+    return max(s, 1.0 - s)
+
+
 # (a, b) of posteriors built from counts, from a handful of events to the
 # 20k of a 10x-scale period
 GRID = [(1.0, 1.0), (2.0, 1.0), (3.0, 9.0), (37.0, 63.0), (101.0, 899.0),
@@ -202,6 +221,24 @@ class TestDriftScore:
         estimate = mc_drift(base, roll, samples, seed=[7, 3])
         se = math.sqrt(exact * (1.0 - exact) / samples)
         assert abs(estimate - exact) <= 6.0 * se + 1.0 / samples
+
+    @given(st.one_of(st.integers(1, 25_000).map(float), st.floats(0.01, 25_000.0)),
+           st.one_of(st.integers(1, 25_000).map(float), st.floats(0.01, 25_000.0)),
+           st.integers(1, 25_000), st.integers(1, 25_000))
+    @settings(max_examples=60, deadline=None)
+    def test_same_bits_as_the_numpy_sum(self, a0, b0, a1, b1):
+        base, roll = BetaPosterior(a0, b0), BetaPosterior(float(a1), float(b1))
+        assert drift_score(base, roll) == numpy_drift(base, roll)
+
+    @pytest.mark.parametrize("base,roll", itertools.product(GRID, GRID))
+    def test_same_bits_as_the_numpy_sum_on_the_grid(self, base, roll):
+        base, roll = BetaPosterior(*base), BetaPosterior(*roll)
+        assert drift_score(base, roll) == numpy_drift(base, roll)
+
+    @given(st.lists(st.floats(-1e6, 1e6), max_size=2000))
+    @settings(max_examples=200, deadline=None)
+    def test_pairwise_sum_is_numpy_sum(self, values):
+        assert _pairwise_sum(values) == float(np.sum(values))
 
     @pytest.mark.parametrize("roll", [(2.5, 3.0), (3.0, 2.5), (0.5, 0.5)])
     def test_non_whole_rolling_parameter_raises(self, roll):

@@ -2,17 +2,20 @@
 
 The oracles recompute each metric from its definition with math.fsum at
 every reduction, the same correctly-rounded summation the implementation
-uses, so agreement is asserted exactly (==), not within a tolerance.
+uses, so agreement is asserted exactly (==), not within a tolerance. The
+numpy formulas the metrics ran on before are kept too, and the metrics
+must give their bits on every input.
 """
 
 import math
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riskwatch.calibration import auc, brier, ece, reliability_bins
+from riskwatch.calibration import ReliabilityBin, auc, brier, ece, reliability_bins
 from riskwatch.errors import EmptyWindow
 
 # -- independent oracles -------------------------------------------------------
@@ -72,6 +75,105 @@ def loop_auc(probs, ys):
         i = j + 1
     rank_sum = math.fsum(ranks[y == 1.0].tolist())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+# -- the numpy formulas the metrics ran on before they moved to typed arrays
+# and the standard library, kept as references: the metrics must give the
+# same bits on every input
+
+
+def numpy_reliability_bins(probs, ys, n_bins=10):
+    p, y = np.asarray(probs, dtype=float), np.asarray(ys, dtype=float)
+    idx = np.minimum((p * n_bins).astype(int), n_bins - 1)
+    edges = np.linspace(0.0, 1.0, n_bins + 1).tolist()
+    bins = []
+    for b in range(n_bins):
+        mask = idx == b
+        count = int(mask.sum())
+        if count == 0:
+            bins.append(ReliabilityBin(edges[b], edges[b + 1], 0, None, None))
+            continue
+        bins.append(ReliabilityBin(edges[b], edges[b + 1], count,
+                                   math.fsum(p[mask].tolist()) / count,
+                                   math.fsum(y[mask].tolist()) / count))
+    return bins
+
+
+def numpy_ece(probs, ys, n_bins=10):
+    n = len(probs)
+    return math.fsum((b.count / n) * abs(b.mean_pred - b.event_rate)
+                     for b in numpy_reliability_bins(probs, ys, n_bins) if b.count > 0)
+
+
+def numpy_brier(probs, ys):
+    p, y = np.asarray(probs, dtype=float), np.asarray(ys, dtype=float)
+    return math.fsum(((p - y) ** 2).tolist()) / p.size
+
+
+def numpy_auc(probs, ys):
+    p, y = np.asarray(probs, dtype=float), np.asarray(ys, dtype=float)
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    order = np.argsort(p, kind="stable")
+    sorted_p = p[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_p[1:] != sorted_p[:-1])))
+    ends = np.append(starts[1:], p.size)
+    ranks = np.empty(p.size, dtype=float)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    rank_sum = math.fsum(ranks[y == 1.0].tolist())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+# probabilities with ties, -0.0, 0.0, 1.0 and subnormals; one row or many,
+# one outcome class or both
+numpy_rows = st.lists(
+    st.tuples(
+        st.one_of(st.floats(0.0, 1.0, allow_nan=False),
+                  st.sampled_from([-0.0, 0.0, 5e-324, 0.1, 0.3, 0.5, 0.7, 1.0])),
+        st.integers(0, 1),
+    ),
+    min_size=1,
+    max_size=300,
+)
+# the containers a metric is handed: lists, numpy arrays, and the engine's
+# typed arrays (float64 probabilities, uint8 outcomes)
+as_inputs = st.sampled_from([
+    lambda probs, ys: (probs, ys),
+    lambda probs, ys: (np.array(probs), np.array(ys)),
+    lambda probs, ys: (np.array(probs), np.array(ys, dtype=float)),
+    lambda probs, ys: (array("d", probs), array("B", ys)),
+])
+
+
+class TestSameBitsAsTheNumpyFormulas:
+    @given(numpy_rows, st.integers(1, 30), as_inputs)
+    @settings(max_examples=200, deadline=None)
+    def test_reliability_bins(self, rows, n_bins, as_input):
+        probs, ys = [r[0] for r in rows], [r[1] for r in rows]
+        got = reliability_bins(*as_input(probs, ys), n_bins=n_bins)
+        assert repr(got) == repr(numpy_reliability_bins(probs, ys, n_bins))
+
+    @given(numpy_rows, st.integers(1, 30), as_inputs)
+    @settings(max_examples=200, deadline=None)
+    def test_ece(self, rows, n_bins, as_input):
+        probs, ys = [r[0] for r in rows], [r[1] for r in rows]
+        got = ece(*as_input(probs, ys), n_bins=n_bins)
+        assert repr(got) == repr(numpy_ece(probs, ys, n_bins))
+
+    @given(numpy_rows, as_inputs)
+    @example([(0.5430632356643997, 0)], lambda probs, ys: (probs, ys))  # see TestBrier
+    @settings(max_examples=200, deadline=None)
+    def test_brier(self, rows, as_input):
+        probs, ys = [r[0] for r in rows], [r[1] for r in rows]
+        assert repr(brier(*as_input(probs, ys))) == repr(numpy_brier(probs, ys))
+
+    @given(numpy_rows, as_inputs)
+    @settings(max_examples=200, deadline=None)
+    def test_auc(self, rows, as_input):
+        probs, ys = [r[0] for r in rows], [r[1] for r in rows]
+        assert repr(auc(*as_input(probs, ys))) == repr(numpy_auc(probs, ys))
 
 
 probs_and_ys = st.lists(

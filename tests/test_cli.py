@@ -16,7 +16,7 @@ import pytest
 from riskwatch.cli import EXIT_ALARM, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex
 from riskwatch.eventlog import (CONFIG_ENV_VAR, default_config, load_snapshot_file,
-                                log_line, save_snapshot_file, write_log)
+                                log_line, read_report, save_snapshot_file, write_log)
 from riskwatch.monitor import ENGINE_STATE_VERSION, _pack, _unpack
 from riskwatch.simulator import generate, preset
 
@@ -42,6 +42,41 @@ def small_cfg(tmp_path_factory):
         "scenario": {"periods": 4, "patients_per_period": 300, "seed": 9},
     }))
     return p
+
+
+# the sha256 of the simulate log and state of the canonical scenario cut to
+# 3 periods of 200 patients, the same under every numpy SIMD dispatch level
+SMALL_LOG_SHA256 = "83f3cc1317c496d57d13a26af83cb321c422b7cefca1263b5d68b88d61487402"
+SMALL_STATE_SHA256 = "be357c256440f6493c6469da4e4b2f4928dd9fb150a9bb551fc1bf6780af4e12"
+
+
+def small_canonical_config(directory):
+    path = directory / "c.json"
+    path.write_text(json.dumps({"scenario": {"periods": 3, "patients_per_period": 200}}))
+    return path
+
+
+# argv: scenario file, output dir; prints the exit codes, the SIMD targets
+# numpy runs with and the sha256 of each output file, as JSON
+DISPATCH_CHILD = """
+import hashlib, json, pathlib, sys
+import riskwatch.cli
+
+cfg, out = sys.argv[1:3]
+codes = [riskwatch.cli.main(["simulate", "--scenario", cfg, "--out", out + "/sim"]),
+         riskwatch.cli.main(["monitor", "--in", out + "/sim/events.ndjson",
+                             "--out", out + "/mon"])]
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+print(json.dumps({
+    "codes": codes,
+    "enabled": [name for name in __cpu_dispatch__ if __cpu_features__[name]],
+    "digests": {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(pathlib.Path(out).glob("*/*"))},
+}))
+"""
 
 
 class TestSimulate:
@@ -92,24 +127,47 @@ class TestSimulate:
         assert "weather" in capsys.readouterr().err
 
     def test_small_canonical_log_is_pinned(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"scenario": {"periods": 3,
-                                                "patients_per_period": 200}}))
-        assert main(["simulate", "--scenario", str(cfg),
+        assert main(["simulate", "--scenario", str(small_canonical_config(tmp_path)),
                      "--out", str(tmp_path / "s")]) == EXIT_OK
         digest = hashlib.sha256((tmp_path / "s" / "events.ndjson").read_bytes())
-        assert digest.hexdigest() == (
-            "539148f0da22576859a1d715d82a86bf29b302f14118cdf63cfbf9afa341b55e")
+        assert digest.hexdigest() == SMALL_LOG_SHA256
 
     def test_small_canonical_state_is_pinned(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"scenario": {"periods": 3,
-                                                "patients_per_period": 200}}))
-        assert main(["simulate", "--scenario", str(cfg),
+        assert main(["simulate", "--scenario", str(small_canonical_config(tmp_path)),
                      "--out", str(tmp_path / "s")]) == EXIT_OK
         digest = hashlib.sha256((tmp_path / "s" / "state.json").read_bytes())
-        assert digest.hexdigest() == (
-            "50974548e85f211ccdc2a0373064df9c55f82e73ed29ed23309ca938b14f97cf")
+        assert digest.hexdigest() == SMALL_STATE_SHA256
+
+    def test_outputs_do_not_depend_on_numpy_simd_dispatch(self, tmp_path):
+        # numpy picks SIMD loops by host CPU, and NPY_DISABLE_CPU_FEATURES
+        # turns them off in the process it is set on: the pinned simulate
+        # and a monitor over its log must give the same bytes with each
+        # prefix of the enabled targets, highest first, turned off
+        cfg = small_canonical_config(tmp_path)
+        env = {k: v for k, v in os.environ.items()
+               if k not in (CONFIG_ENV_VAR, "NPY_DISABLE_CPU_FEATURES")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+
+        def run(disabled):
+            out = tmp_path / f"level-{len(disabled)}"
+            proc = subprocess.run(
+                [sys.executable, "-c", DISPATCH_CHILD, str(cfg), str(out)],
+                env={**env, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)},
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout.splitlines()[-1])
+
+        default = run([])
+        assert default["codes"] == [EXIT_OK, EXIT_OK]
+        assert default["digests"]["sim/events.ndjson"] == SMALL_LOG_SHA256
+        assert default["digests"]["sim/state.json"] == SMALL_STATE_SHA256
+        assert default["digests"]["mon/state.json"] == SMALL_STATE_SHA256
+        highest_first = default["enabled"][::-1]
+        for k in range(1, len(highest_first) + 1):
+            got = run(highest_first[:k])
+            assert got["enabled"] == default["enabled"][:-k]  # the switch took
+            assert got["codes"] == default["codes"]
+            assert got["digests"] == default["digests"]
 
     @pytest.mark.parametrize("scenario, extra", [
         ({"patients_per_period": 100.5}, []),
@@ -199,7 +257,8 @@ class TestMonitor:
         assert main(["monitor", "--in", str(log)]) == EXIT_DATA
         assert "no closed periods" in capsys.readouterr().err
 
-    def test_regret_sum_past_the_float_range_is_inf(self, tmp_path):
+    @staticmethod
+    def overflowing_log(tmp_path):
         # two finite regrets of 1e308 in period 1: their sum overflows, and
         # math.fsum raises on that; a quiet period 2 follows the inf
         records = []
@@ -208,6 +267,10 @@ class TestMonitor:
                         OutcomeRecord(f"e{i}", 1, loss, (loss, 0.0))]
         log = tmp_path / "big.ndjson"
         log.write_text("".join(map(log_line, records)))
+        return log
+
+    def test_regret_sum_past_the_float_range_is_inf(self, tmp_path):
+        log = self.overflowing_log(tmp_path)
         out = tmp_path / "out"
         assert main(["monitor", "--in", str(log), "--out", str(out)]) == EXIT_ALARM
         rows = (out / "report.csv").read_text().splitlines()
@@ -221,6 +284,24 @@ class TestMonitor:
         assert main(["report", "--in", str(out / "state.json"),
                      "--out", str(tmp_path / "report.csv")]) == EXIT_OK
         assert (tmp_path / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
+
+    def test_json_report_of_an_inf_regret_is_strict_json(self, tmp_path):
+        log = self.overflowing_log(tmp_path)
+        out = tmp_path / "out"
+        assert main(["monitor", "--in", str(log), "--out", str(out),
+                     "--format", "json"]) == EXIT_ALARM
+        assert main(["report", "--in", str(out / "state.json"), "--format", "json",
+                     "--out", str(tmp_path / "report.json")]) == EXIT_OK
+        text = (tmp_path / "report.json").read_text()
+        assert text == (out / "report.json").read_text()
+
+        def refuse(token):
+            raise AssertionError(f"{token} is not RFC 8259 JSON")
+
+        doc = json.loads(text, parse_constant=refuse)
+        assert [row["regret_cumulative"] for row in doc["rows"]] == [math.inf] * 2
+        assert [row["regret_rate"] for row in doc["rows"]] == [math.inf, 0.1]
+        assert read_report(text, fmt="json") == doc["rows"]
 
     def test_policy_file_relaxes_thresholds(self, sim_dir, tmp_path):
         policy = tmp_path / "lax.json"

@@ -1,17 +1,23 @@
 """Heavy modules load only where they are needed.
 
-Importing numpy takes about 0.15 s, and a CLI call that closes no period
-(--print-defaults, report, a replay that only appends) never builds an
-array, so numpy is imported only inside the functions that compute on
-arrays: the package, the CLI and engine_from_config load none of it, and
-the first period close or scenario draw loads it. Importing scipy.stats
-takes about a second, and scipy.special alone adds about 20 MB of
-resident memory, so only credible_interval imports scipy, when called.
+Importing numpy takes about 0.15 s and about 12 MB of resident memory,
+and the monitor path has no use for it: every period-close metric runs
+on the standard library over the engine's typed arrays. So the package,
+the CLI, engine_from_config, and every monitor, replay and report call
+(period closes included) run without numpy; only the simulator's draws
+and the tailrisk.cvar_variational cross-check import it, when called.
+Importing scipy.stats takes about a second, and scipy.special alone adds
+about 20 MB, so only credible_interval imports scipy, when called.
 
-One ast walk checks both rules statically, from one table of where each
-heavy module may be imported. The runtime checks run in a fresh
-interpreter, because this test process has loaded numpy and scipy
-already."""
+No function of the package may touch a transcendental numpy ufunc (exp,
+log, power, trig and the like): numpy picks their SIMD loops by host CPU,
+and on AVX-512 those differ from libm in the last bit, so the outputs
+would depend on the machine that wrote them.
+
+One ast walk checks these rules statically, from one table of where each
+heavy module may be imported and one set of banned ufuncs. The runtime
+checks run in a fresh interpreter, because this test process has loaded
+numpy and scipy already."""
 
 import ast
 import io
@@ -48,6 +54,7 @@ codes = [
                         "--in", log, "--out", out]),
 ]
 after_monitor = scipy_loaded()
+numpy_after_monitor = "numpy" in sys.modules
 
 from riskwatch.belief import BetaPosterior, credible_interval
 from riskwatch.simulator import ScenarioConfig, generate_arrays
@@ -58,6 +65,7 @@ interval = credible_interval(BetaPosterior(3.0, 7.0), level=0.9)
 print(json.dumps({
     "codes": codes,
     "after_monitor": after_monitor,
+    "numpy_after_monitor": numpy_after_monitor,
     "generated": int(arrays["y"].size),
     "after_generate": after_generate,
     "interval": interval,
@@ -109,6 +117,7 @@ def test_monitor_path_never_imports_scipy(tmp_path):
                                tmp_path / "out"))
 
     assert got["after_monitor"] == []
+    assert not got["numpy_after_monitor"]  # the closes of both runs included
     assert got["codes"] == [EXIT_OK, EXIT_ALARM]  # the drift is caught after mid-run
     # the resumed run reproduces the in-process simulate byte for byte
     for name in ("report.csv", "state.json"):
@@ -148,7 +157,7 @@ print(json.dumps({"codes": codes, "texts": texts,
 """
 
 
-def test_calls_that_close_no_period_never_import_numpy(tmp_path):
+def test_monitor_paths_never_import_numpy(tmp_path):
     cfg = tmp_path / "small.json"
     cfg.write_text(json.dumps({"scenario": {"periods": 3, "patients_per_period": 200}}))
     sim = tmp_path / "sim"
@@ -166,7 +175,7 @@ def test_calls_that_close_no_period_never_import_numpy(tmp_path):
                                tmp_path / "child", tmp_path / "child-closed"))
 
     assert not got["numpy_before_close"]
-    assert got["numpy_after_close"]
+    assert not got["numpy_after_close"]
     # the same calls in this process give the same codes and bytes
     codes, texts = [], []
     for argv in (["--print-defaults"], ["report", "--in", str(checkpoint)],
@@ -192,16 +201,28 @@ def test_calls_that_close_no_period_never_import_numpy(tmp_path):
 # when the module loads
 HEAVY_IMPORTS = {
     "scipy": lambda site: site == "belief.credible_interval",
-    "numpy": lambda site: not site.endswith(".<load>"),
+    "numpy": lambda site: site == "tailrisk.cvar_variational" or (
+        site.startswith("simulator.") and not site.endswith(".<load>")),
 }
+
+# numpy ufuncs whose SIMD loops need not match libm bit for bit; sqrt and
+# the arithmetic ufuncs are correctly rounded under every dispatch
+TRANSCENDENTAL = frozenset("""
+    exp exp2 expm1 log log2 log10 log1p logaddexp logaddexp2 power pow float_power
+    sin cos tan arcsin arccos arctan arctan2 asin acos atan atan2 hypot
+    sinh cosh tanh arcsinh arccosh arctanh asinh acosh atanh cbrt
+""".split())
 
 
 def heavy_import_sites(source: str) -> list[tuple[str, str]]:
-    """Where a module imports a HEAVY_IMPORTS module: that module and the
-    qualified name of the enclosing function, or "<load>" for an import
-    that runs when the module loads (at module level or in a class body).
-    An import under `if TYPE_CHECKING:` never runs and is left out."""
+    """Where a module imports a HEAVY_IMPORTS module, or touches a
+    TRANSCENDENTAL numpy ufunc (as an attribute of a name bound to numpy,
+    or by name from numpy): that module, or "numpy.<ufunc>", and the
+    qualified name of the enclosing function, or "<load>" for a site that
+    runs when the module loads (at module level or in a class body). An
+    import under `if TYPE_CHECKING:` never runs and is left out."""
     sites = []
+    numpy_names = set()  # the names an import binds to the numpy module
 
     def visit(node, qual, in_function):
         for child in ast.iter_child_nodes(node):
@@ -209,12 +230,23 @@ def heavy_import_sites(source: str) -> list[tuple[str, str]]:
                     and child.test.id == "TYPE_CHECKING"):
                 visit(ast.Module(body=child.orelse), qual, in_function)
                 continue
+            site = qual if in_function else "<load>"
             names = ([a.name for a in child.names] if isinstance(child, ast.Import)
                      else [child.module or ""] if isinstance(child, ast.ImportFrom)
                      and not child.level else [])
             for heavy in HEAVY_IMPORTS:
                 if any(n == heavy or n.startswith(heavy + ".") for n in names):
-                    sites.append((heavy, qual if in_function else "<load>"))
+                    sites.append((heavy, site))
+            if isinstance(child, ast.Import):
+                numpy_names.update(
+                    a.asname or "numpy" for a in child.names if a.name == "numpy"
+                    or not a.asname and a.name.startswith("numpy."))
+            elif names == ["numpy"]:
+                sites.extend((f"numpy.{a.name}", site) for a in child.names
+                             if a.name in TRANSCENDENTAL)
+            elif (isinstance(child, ast.Attribute) and child.attr in TRANSCENDENTAL
+                  and isinstance(child.value, ast.Name) and child.value.id in numpy_names):
+                sites.append((f"numpy.{child.attr}", site))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{qual}.{child.name}" if qual else child.name,
                       in_function or not isinstance(child, ast.ClassDef))
@@ -235,6 +267,11 @@ def test_heavy_modules_are_imported_only_where_allowed(heavy):
     sites = [site for name, site in PACKAGE_SITES if name == heavy]
     assert sites  # the walk sees the imports it polices
     assert [site for site in sites if not HEAVY_IMPORTS[heavy](site)] == []
+
+
+def test_no_transcendental_numpy_ufunc_in_the_package():
+    assert [(name, site) for name, site in PACKAGE_SITES
+            if name.startswith("numpy.")] == []
 
 
 def test_scipy_import_sites_checker():
@@ -272,8 +309,27 @@ def test_checker_catches_a_module_level_numpy_import():
     )
     sites = heavy_import_sites(source)
     assert sites == [("numpy", "<load>"), ("numpy", "<load>"), ("numpy", "f")]
-    assert [s for s in sites if not HEAVY_IMPORTS["numpy"]("m." + s[1])] == [
+    assert [s for s in sites if not HEAVY_IMPORTS["numpy"]("simulator." + s[1])] == [
         ("numpy", "<load>"), ("numpy", "<load>")]
+
+
+def test_checker_catches_transcendental_numpy_ufuncs():
+    source = (
+        "import math, numpy as np\n"
+        "import numpy.linalg\n"
+        "from numpy import sqrt, power as pw\n"
+        "T = np.log1p\n"
+        "def f(x, other):\n"
+        "    y = np.exp(x) + numpy.sin(x) + np.sqrt(x) + math.exp(x)\n"
+        "    return other.log(y) + np.random.power(2.0) + pw(x, 2)\n"
+        "class A:\n"
+        "    def g(self, x):\n"
+        "        import numpy as xp\n"
+        "        return xp.tanh(x)\n"
+    )
+    assert [s for s in heavy_import_sites(source) if s[0] != "numpy"] == [
+        ("numpy.power", "<load>"), ("numpy.log1p", "<load>"),
+        ("numpy.exp", "f"), ("numpy.sin", "f"), ("numpy.tanh", "A.g")]
 
 
 def acc_list_bindings(source: str) -> list[int]:

@@ -14,6 +14,7 @@ from riskwatch.simulator import (
     ACT,
     MONITOR,
     ScenarioConfig,
+    _exp,
     _ndtri,
     canonical_scenario,
     generate,
@@ -330,3 +331,21 @@ class TestNdtri:
         got, want = _ndtri(p), ndtri(p)
         mismatched = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
         assert mismatched.size == 0, (p[mismatched][:5], got[mismatched][:5])
+
+
+class TestLibmExp:
+    """_exp is libm's exp elementwise, with np.exp's inf past the float range."""
+
+    def test_equals_math_exp_and_overflows_to_inf(self):
+        x = np.array([-1000.0, -1.5, 0.0, 0.5, 709.0, 710.0, 1e308, np.inf, -np.inf])
+        got = _exp(x)
+        assert got.dtype == np.float64
+        assert got[:5].tolist() == [math.exp(v) for v in x[:5].tolist()]
+        assert got[5:].tolist() == [math.inf, math.inf, math.inf, 0.0]
+        assert math.isnan(_exp(np.array([np.nan]))[0])
+
+    def test_a_scenario_past_the_float_range_still_draws(self):
+        # class_separation 60 puts the log-odds near -1800: exp overflows
+        arrays = generate_arrays(small(class_separation=60.0, periods=1))
+        assert np.isin(arrays["pred_prob"], (0.0, 1.0)).any()
+        assert ((arrays["pred_prob"] >= 0.0) & (arrays["pred_prob"] <= 1.0)).all()

@@ -1,10 +1,11 @@
 """VaR/CVaR estimators: pinned values, coherence laws, estimator equivalence."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskwatch.errors import BadAlpha, EmptyLosses
@@ -21,6 +22,69 @@ loss_vectors = st.lists(
     max_size=300,
 )
 alphas = st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99])
+
+
+# -- the numpy formulas the estimators ran on before they moved to typed
+# arrays and the standard library, kept as references: the estimators must
+# give the same bits on every input
+
+
+def numpy_var(losses, alpha):
+    x = np.asarray(losses, dtype=float)
+    target = alpha * x.size
+    nearest = round(target)
+    r = (nearest if nearest > 0 and abs(target - nearest) <= 1e-9 * x.size
+         else math.ceil(target))
+    return float(np.sort(x, kind="stable")[r - 1])
+
+
+def numpy_cvar_conditional(losses, alpha):
+    x = np.asarray(losses, dtype=float)
+    tail = x[x >= numpy_var(losses, alpha)]
+    return math.fsum(tail.tolist()) / tail.size
+
+
+def numpy_cvar_tail(losses, alpha):
+    x = np.asarray(losses, dtype=float)
+    n = x.size
+    mass = (1.0 - alpha) * n
+    nearest = round(mass)
+    mass = float(nearest if nearest > 0 and abs(mass - nearest) <= 1e-9 * n else mass)
+    k = int(math.floor(mass))
+    frac = mass - k
+    desc = np.sort(x, kind="stable")[::-1]
+    if k == 0:
+        return float(desc[0])
+    anchor = float(desc[k]) if frac > 0.0 else float(desc[k - 1])
+    total = math.fsum((float(v) - anchor) for v in desc[:k])
+    return anchor + total / mass
+
+
+# losses with ties, both zeros, and one value or many
+numpy_losses = st.lists(
+    st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
+              st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5])),
+    min_size=1,
+    max_size=300,
+)
+numpy_alphas = st.one_of(alphas, st.floats(0.001, 0.999))
+as_inputs = st.sampled_from([list, np.array, lambda v: array("d", v)])
+
+
+class TestSameBitsAsTheNumpyFormulas:
+    @pytest.mark.parametrize("estimator, formula", [
+        (var, numpy_var),
+        (cvar_tail, numpy_cvar_tail),
+        (cvar_conditional, numpy_cvar_conditional),
+    ], ids=["var", "cvar_tail", "cvar_conditional"])
+    @given(losses=numpy_losses, alpha=numpy_alphas, as_input=as_inputs)
+    @example(losses=[0.0, -0.0], alpha=0.6, as_input=list)  # the top value of a tie
+    @example(losses=[-0.0, 0.0], alpha=0.6, as_input=list)
+    @example(losses=[-0.0, 0.0, 5.0, -0.0], alpha=0.4, as_input=list)
+    @settings(max_examples=200, deadline=None)
+    def test_estimator(self, estimator, formula, losses, alpha, as_input):
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(estimator(as_input(losses), alpha)) == repr(formula(losses, alpha))
 
 
 class TestPinnedValues:
