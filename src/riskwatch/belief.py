@@ -10,7 +10,8 @@ drift in either direction scores near 1 and agreement scores near 0.5.
 
 drift_score runs on the standard library's libm calls, so its value does
 not depend on which SIMD loops numpy picks on the host; it never loads
-numpy. scipy is imported only inside credible_interval, when called.
+numpy. scipy is imported only inside credible_interval, when called; without
+it installed, credible_interval raises MissingExtra.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import accumulate
 from operator import add
 
 from .core import finite_number
-from .errors import BadLevel
+from .errors import BadLevel, MissingExtra
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,12 @@ def credible_interval(
     """
     if not 0.0 < level < 1.0:
         raise BadLevel(f"level must lie in (0, 1), got {level}")
-    # imported when called: no monitor path needs quantiles, and a
-    # module-level scipy import is paid again by every CLI start
-    from scipy.special import betaincinv
+    # imported when called: no monitor path needs quantiles, and scipy is
+    # an extra (riskwatch[interval]), not a requirement
+    try:
+        from scipy.special import betaincinv
+    except ModuleNotFoundError as exc:
+        raise MissingExtra("interval", "scipy") from exc
 
     tail = (1.0 - level) / 2.0
     lo = float(betaincinv(posterior.a, posterior.b, tail))

@@ -10,6 +10,15 @@ class RiskwatchError(Exception):
     """Base class for all toolkit errors."""
 
 
+class MissingExtra(RiskwatchError):
+    """A call needs an optional dependency that is not installed; names the
+    extra that installs it."""
+
+    def __init__(self, extra: str, module: str):
+        super().__init__(f"this needs {module}, which is not installed: "
+                         f"pip install 'riskwatch[{extra}]'")
+
+
 class _LineError(RiskwatchError):
     """An error about one record of an event log; names its 1-based line
     number once the reader knows it."""

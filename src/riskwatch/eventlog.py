@@ -442,40 +442,47 @@ def emit_report(
 
 
 def read_report(text: str, fmt: str = "csv") -> list[dict]:
-    """Parse emit_report() output back into row dicts (typed)."""
+    """Parse emit_report() output back into row dicts (typed).
+
+    One rule for both formats: the columns are REPORT_COLUMNS in order and
+    every row has a cell for each of them (else SchemaError); at least one
+    row (else EmptyReport).
+    """
     if fmt == "csv":
         reader = csv.reader(io.StringIO(text))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyReport("report has no header row") from None
-        if tuple(header) != REPORT_COLUMNS:
-            raise SchemaError(f"unexpected report header {header!r}")
-        rows = []
-        for raw in reader:
-            if not raw:
-                continue
-            row = {}
-            for col, cell in zip(REPORT_COLUMNS, raw):
-                if cell == "":
-                    row[col] = None
-                elif col in ("period", "n"):
-                    row[col] = int(cell)
-                elif col == "alarm_state":
-                    row[col] = cell
-                else:
-                    row[col] = float(cell)
-            rows.append(row)
-        if not rows:
-            raise EmptyReport("report has no data rows")
-        return rows
-    if fmt == "json":
+        columns = next(reader, None)
+        if columns is None:
+            raise EmptyReport("report has no header row")
+        # a row of the wrong width is kept as a list, which the rule refuses
+        rows = [dict(zip(columns, raw)) if len(raw) == len(columns) else raw
+                for raw in reader if raw]
+    elif fmt == "json":
         doc = json.loads(text)
-        rows = doc["rows"]
-        if not rows:
-            raise EmptyReport("report has no data rows")
-        return rows
-    raise ValueError(f"unknown report format {fmt!r}")
+        if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
+            raise SchemaError("report has no list of rows")
+        columns, rows = doc.get("columns"), doc["rows"]
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    if not rows:
+        raise EmptyReport("report has no data rows")
+    if columns != list(REPORT_COLUMNS):
+        raise SchemaError(f"unexpected report header {columns!r}")
+    for number, row in enumerate(rows, start=1):
+        if not isinstance(row, dict) or list(row) != columns:
+            raise SchemaError(f"report row {number} does not have one cell per column")
+    if fmt == "csv":
+        rows = [{col: _report_cell(col, cell) for col, cell in row.items()}
+                for row in rows]
+    return rows
+
+
+def _report_cell(col: str, cell: str):
+    """A CSV report cell as the value emit_report wrote."""
+    if cell == "":
+        return None
+    if col in ("period", "n"):
+        return int(cell)
+    return cell if col == "alarm_state" else float(cell)
 
 
 # -- configuration ------------------------------------------------------------

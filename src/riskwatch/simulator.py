@@ -32,6 +32,8 @@ are independent.
 
 numpy is imported inside the functions that draw and transform arrays,
 so importing this module, or building a ScenarioConfig, does not load it.
+numpy is an extra (riskwatch[simulate]): without it, a draw raises
+MissingExtra.
 Every exp and log goes through libm (_exp, _log), never numpy's SIMD loops,
 so a seed gives the same bytes whatever the host's vector units.
 """
@@ -44,7 +46,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .alarms import AlarmRecord, ThresholdPolicy
 from .core import MetricSnapshot, OutcomeRecord, PredictionEvent, TimeIndex, finite_number
-from .errors import BadConfig, UnknownPreset
+from .errors import BadConfig, MissingExtra, UnknownPreset
 
 if TYPE_CHECKING:
     import numpy as np
@@ -251,8 +253,12 @@ def period_arrays(config: ScenarioConfig) -> Iterator[dict[str, np.ndarray]]:
 
 
 def _period_draw(config: ScenarioConfig, m: int) -> dict[str, np.ndarray]:
-    """The arrays of period m, drawn from its own stream."""
-    import numpy as np
+    """The arrays of period m, drawn from its own stream. Every draw of the
+    package comes through here, so this is where a missing numpy is named."""
+    try:
+        import numpy as np
+    except ModuleNotFoundError as exc:
+        raise MissingExtra("simulate", "numpy") from exc
 
     n = config.patients_per_period
     d = config.class_separation
@@ -318,9 +324,9 @@ def generate_arrays(config: ScenarioConfig) -> dict[str, np.ndarray]:
     Returns flat arrays over all periods, the period_arrays chunks
     concatenated. Deterministic given the config's seed.
     """
+    chunks = list(period_arrays(config))  # first, so a missing numpy is named
     import numpy as np
 
-    chunks = list(period_arrays(config))
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
 

@@ -633,6 +633,29 @@ class TestReports:
         with pytest.raises(SchemaError):
             read_report("a,b,c\n1,2,3\n", fmt="csv")
 
+    @pytest.mark.parametrize("cut", [lambda row: row.rsplit(",", 1)[0],
+                                     lambda row: row + ",1.0"], ids=["short", "long"])
+    def test_csv_row_of_the_wrong_width_rejected(self, run, cut):
+        snaps, hist = run
+        lines = emit_report(snaps, hist, fmt="csv").splitlines(True)
+        lines[2] = cut(lines[2].rstrip("\n")) + "\n"
+        with pytest.raises(SchemaError, match="row 2"):
+            read_report("".join(lines), fmt="csv")
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("rows"),
+        lambda doc: doc["rows"].__setitem__(0, list(doc["rows"][0].values())),
+        lambda doc: doc["rows"][0].pop("ece"),
+        lambda doc: doc["columns"].reverse(),
+        lambda doc: doc.pop("columns"),
+    ], ids=["no-rows", "row-list", "row-short", "columns-reordered", "no-columns"])
+    def test_json_schema_follows_the_csv_rule(self, run, edit):
+        snaps, hist = run
+        doc = json.loads(emit_report(snaps, hist, fmt="json"))
+        edit(doc)
+        with pytest.raises(SchemaError):
+            read_report(json.dumps(doc), fmt="json")
+
 
 class TestConfig:
     def test_defaults_complete(self):

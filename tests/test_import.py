@@ -1,23 +1,30 @@
-"""Heavy modules load only where they are needed.
+"""The package keeps its static rules, and runs without its extras.
 
-Importing numpy takes about 0.15 s and about 12 MB of resident memory,
-and the monitor path has no use for it: every period-close metric runs
-on the standard library over the engine's typed arrays. So the package,
-the CLI, engine_from_config, and every monitor, replay and report call
-(period closes included) run without numpy; only the simulator's draws
-and the tailrisk.cvar_variational cross-check import it, when called.
-Importing scipy.stats takes about a second, and scipy.special alone adds
-about 20 MB, so only credible_interval imports scipy, when called.
+The standard library is riskwatch's only requirement. numpy is the
+`simulate` extra: only the simulator's draws import it, when called.
+scipy is the `interval` extra: only credible_interval imports it, when
+called. Importing numpy takes about 0.15 s and about 12 MB of resident
+memory, and scipy.special alone adds about 20 MB, so the package, the CLI,
+engine_from_config and every monitor, replay and report call (period
+closes included) load neither.
 
-No function of the package may touch a transcendental numpy ufunc (exp,
-log, power, trig and the like): numpy picks their SIMD loops by host CPU,
-and on AVX-512 those differ from libm in the last bit, so the outputs
-would depend on the machine that wrote them.
+One ast walk over each module finds every site of five static rules, and
+one table (RULES) says where each may stand:
+- a heavy import (numpy, scipy): only at the sites above;
+- a transcendental numpy ufunc (exp, log, power, trig and the like):
+  nowhere, because numpy picks their SIMD loops by host CPU, and on
+  AVX-512 those differ from libm in the last bit, so the outputs would
+  depend on the machine that wrote them;
+- an unused import: only in __init__.py, which imports to re-export;
+- a write to lines_consumed: only in the log intake (eventlog) and the
+  engine that creates and restores the count (monitor);
+- an _acc_* attribute bound to a list: nowhere, since a list boxes every
+  value as a float object, about 3x the engine's typed arrays.
 
-One ast walk checks these rules statically, from one table of where each
-heavy module may be imported and one set of banned ufuncs. The runtime
-checks run in a fresh interpreter, because this test process has loaded
-numpy and scipy already."""
+The runtime checks run in a fresh interpreter whose import system refuses
+numpy, scipy or both, as on an install without the extras: the CLI must
+give the same exit codes and bytes there as in this process, and the
+calls that need an extra must name it."""
 
 import ast
 import io
@@ -27,182 +34,34 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
-from riskwatch.cli import EXIT_ALARM, EXIT_OK, main
+from riskwatch.belief import BetaPosterior, credible_interval
+from riskwatch.cli import EXIT_ALARM, EXIT_DATA, EXIT_OK, main
 from riskwatch.eventlog import CONFIG_ENV_VAR
+from riskwatch.tailrisk import cvar_variational
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "riskwatch"
-
-# argv: log, prefix log, checkpoint dir, output dir; prints a JSON summary
-CHILD = """
-import json, sys
-
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-import riskwatch, riskwatch.cli
-from riskwatch.eventlog import default_config, engine_from_config
-
-log, prefix, part, out = sys.argv[1:5]
-engine_from_config(default_config())
-codes = [
-    riskwatch.cli.main(["monitor", "--in", prefix, "--out", part, "--no-finalize"]),
-    riskwatch.cli.main(["replay", "--snapshot", part + "/state.json",
-                        "--in", log, "--out", out]),
-]
-after_monitor = scipy_loaded()
-numpy_after_monitor = "numpy" in sys.modules
-
-from riskwatch.belief import BetaPosterior, credible_interval
-from riskwatch.simulator import ScenarioConfig, generate_arrays
-
-arrays = generate_arrays(ScenarioConfig(periods=2, patients_per_period=50))
-after_generate = scipy_loaded()
-interval = credible_interval(BetaPosterior(3.0, 7.0), level=0.9)
-print(json.dumps({
-    "codes": codes,
-    "after_monitor": after_monitor,
-    "numpy_after_monitor": numpy_after_monitor,
-    "generated": int(arrays["y"].size),
-    "after_generate": after_generate,
-    "interval": interval,
-    "after_interval": scipy_loaded(),
-}))
-"""
-
-
-def run_child(code: str, *argv) -> str:
-    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
-    env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
-
-
-SIMULATE_CHILD = """
-import json, sys
-import riskwatch.cli
-
-code = riskwatch.cli.main(["simulate", "--scenario", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps({"code": code, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
-"""
-
-
-def test_simulate_path_never_imports_scipy(tmp_path):
-    # scipy.special alone adds about 20 MB of RSS to a simulate run
-    cfg = tmp_path / "small.json"
-    cfg.write_text(json.dumps({"scenario": {"periods": 2, "patients_per_period": 100}}))
-    got = json.loads(run_child(SIMULATE_CHILD, cfg, tmp_path / "sim"))
-    assert got["code"] == EXIT_OK
-    assert got["scipy"] == []
-
-
-def test_monitor_path_never_imports_scipy(tmp_path):
-    # the canonical scenario at 300 patients per period, simulated here
-    cfg = tmp_path / "small.json"
-    cfg.write_text(json.dumps({"scenario": {"patients_per_period": 300}}))
-    sim = tmp_path / "sim"
-    main(["simulate", "--scenario", str(cfg), "--out", str(sim)])
-    log = sim / "events.ndjson"
-    lines = log.read_text().splitlines(True)
-    prefix = tmp_path / "prefix.ndjson"
-    prefix.write_text("".join(lines[: len(lines) // 2]))
-
-    got = json.loads(run_child(CHILD, log, prefix, tmp_path / "part",
-                               tmp_path / "out"))
-
-    assert got["after_monitor"] == []
-    assert not got["numpy_after_monitor"]  # the closes of both runs included
-    assert got["codes"] == [EXIT_OK, EXIT_ALARM]  # the drift is caught after mid-run
-    # the resumed run reproduces the in-process simulate byte for byte
-    for name in ("report.csv", "state.json"):
-        assert (tmp_path / "out" / name).read_bytes() == (sim / name).read_bytes()
-
-    # generation needs no scipy; credible_interval still loads it when called
-    assert got["generated"] == 2 * 50
-    assert got["after_generate"] == []
-    lo, hi = got["interval"]
-    assert 0.0 < lo < 0.3 < hi < 1.0
-    assert "scipy.special" in got["after_interval"]
-
-
-# argv: checkpoint with an open period, a log that grows it without a
-# close, the full log, two output dirs; prints the outputs as JSON
-NUMPY_FREE_CHILD = """
-import contextlib, io, json, sys
-
-import riskwatch, riskwatch.cli
-from riskwatch.eventlog import default_config, engine_from_config
-
-checkpoint, grown, log, out, closed = sys.argv[1:6]
-engine_from_config(default_config())
-codes, texts = [], []
-for argv in (["--print-defaults"], ["report", "--in", checkpoint],
-             ["replay", "--snapshot", checkpoint, "--in", grown, "--out", out,
-              "--no-finalize"]):
-    with contextlib.redirect_stdout(io.StringIO()) as text:
-        codes.append(riskwatch.cli.main(argv))
-    texts.append(text.getvalue())
-numpy_before_close = "numpy" in sys.modules
-codes.append(riskwatch.cli.main(["replay", "--snapshot", out + "/state.json",
-                                 "--in", log, "--out", closed]))
-print(json.dumps({"codes": codes, "texts": texts,
-                  "numpy_before_close": numpy_before_close,
-                  "numpy_after_close": "numpy" in sys.modules}))
-"""
-
-
-def test_monitor_paths_never_import_numpy(tmp_path):
-    cfg = tmp_path / "small.json"
-    cfg.write_text(json.dumps({"scenario": {"periods": 3, "patients_per_period": 200}}))
-    sim = tmp_path / "sim"
-    assert main(["simulate", "--scenario", str(cfg), "--out", str(sim)]) == EXIT_OK
-    log = sim / "events.ndjson"
-    lines = log.read_text().splitlines(True)  # 400 lines per period
-    prefix, grown = tmp_path / "prefix.ndjson", tmp_path / "grown.ndjson"
-    prefix.write_text("".join(lines[:500]))  # period 2 open
-    grown.write_text("".join(lines[:700]))  # period 2 still open
-    checkpoint = tmp_path / "part" / "state.json"
-    assert main(["monitor", "--in", str(prefix), "--out", str(checkpoint.parent),
-                 "--no-finalize"]) == EXIT_OK
-
-    got = json.loads(run_child(NUMPY_FREE_CHILD, checkpoint, grown, log,
-                               tmp_path / "child", tmp_path / "child-closed"))
-
-    assert not got["numpy_before_close"]
-    assert not got["numpy_after_close"]
-    # the same calls in this process give the same codes and bytes
-    codes, texts = [], []
-    for argv in (["--print-defaults"], ["report", "--in", str(checkpoint)],
-                 ["replay", "--snapshot", str(checkpoint), "--in", str(grown),
-                  "--out", str(tmp_path / "here"), "--no-finalize"]):
-        with redirect_stdout(io.StringIO()) as text:
-            codes.append(main(argv))
-        texts.append(text.getvalue())
-    codes.append(main(["replay", "--snapshot", str(tmp_path / "here" / "state.json"),
-                       "--in", str(log), "--out", str(tmp_path / "here-closed")]))
-    assert got["codes"] == codes == [EXIT_OK] * 4
-    assert got["texts"] == texts and texts[0] and texts[1]
-    for child, here in (("child", "here"), ("child-closed", "here-closed")):
-        for name in ("report.csv", "state.json"):
-            assert ((tmp_path / child / name).read_bytes()
-                    == (tmp_path / here / name).read_bytes())
-    assert (tmp_path / "here-closed" / "report.csv").read_bytes() == (
-        sim / "report.csv").read_bytes()
-
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 # where the package may import each heavy module: a test of the import
 # site, "<module>.<function>", or "<module>.<load>" for an import that runs
 # when the module loads
 HEAVY_IMPORTS = {
     "scipy": lambda site: site == "belief.credible_interval",
-    "numpy": lambda site: site == "tailrisk.cvar_variational" or (
-        site.startswith("simulator.") and not site.endswith(".<load>")),
+    "numpy": lambda site: site.startswith("simulator.") and not site.endswith(".<load>"),
+}
+
+# where a finding of each rule may stand, by the same sites
+RULES = {
+    **HEAVY_IMPORTS,
+    "transcendental ufunc": lambda site: False,
+    "unused import": lambda site: site.startswith("__init__."),
+    "lines_consumed write": lambda site: site.startswith(("eventlog.", "monitor.")),
+    "_acc_* list": lambda site: False,
 }
 
 # numpy ufuncs whose SIMD loops need not match libm bit for bit; sqrt and
@@ -214,64 +73,167 @@ TRANSCENDENTAL = frozenset("""
 """.split())
 
 
-def heavy_import_sites(source: str) -> list[tuple[str, str]]:
-    """Where a module imports a HEAVY_IMPORTS module, or touches a
-    TRANSCENDENTAL numpy ufunc (as an attribute of a name bound to numpy,
-    or by name from numpy): that module, or "numpy.<ufunc>", and the
-    qualified name of the enclosing function, or "<load>" for a site that
-    runs when the module loads (at module level or in a class body). An
-    import under `if TYPE_CHECKING:` never runs and is left out."""
-    sites = []
+class Finding(NamedTuple):
+    rule: str
+    site: str  # the enclosing function's qualified name, or "<load>"
+    line: int
+    name: str  # what the rule found: a module, "numpy.<ufunc>", a bound name
+
+
+def findings(source: str) -> list[Finding]:
+    """Every place the source meets a rule of RULES, in one walk:
+
+    - "numpy", "scipy": an import of that module or a submodule;
+    - "transcendental ufunc": a TRANSCENDENTAL numpy ufunc, as an attribute
+      of a name bound to numpy or imported by name from numpy;
+    - "unused import": a name an import binds that appears nowhere else in
+      the module, a quoted annotation included, unless the import line
+      carries `# noqa: F401` (as in flake8);
+    - "lines_consumed write": an assignment to an attribute lines_consumed,
+      by =, += or setattr;
+    - "_acc_* list": an _acc_* attribute bound to a list (a literal, a
+      comprehension or a list() call), tuple assignments included.
+
+    The site is "<load>" for code that runs when the module loads (at
+    module level or in a class body). Code under `if TYPE_CHECKING:` never
+    runs: its imports count only for the unused-import rule."""
+    lines = source.splitlines()
+    found, imports, used = [], [], set()
     numpy_names = set()  # the names an import binds to the numpy module
 
-    def visit(node, qual, in_function):
+    def check(node, site, runs):
+        line = getattr(node, "lineno", 0)
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for annotation in _annotations(node):
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    # a quoted annotation such as "MonitorEngine"
+                    quoted = ast.parse(sub.value, mode="eval")
+                    used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+        if (isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            noqa = "noqa: F401" in lines[line - 1]
+            imports.extend((alias.asname or alias.name.split(".")[0], site, alias.lineno)
+                           for alias in node.names
+                           if not noqa and "noqa: F401" not in lines[alias.lineno - 1])
+        for target in _targets(node):
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "lines_consumed"
+                   for sub in ast.walk(target)):
+                found.append(Finding("lines_consumed write", site, line, "lines_consumed"))
+            if not isinstance(node, ast.AugAssign):
+                found.extend(Finding("_acc_* list", site, line, attr)
+                             for attr in _acc_lists(target, node.value))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "setattr" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "lines_consumed"):
+            found.append(Finding("lines_consumed write", site, line, "lines_consumed"))
+        if not runs:
+            return
+        modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                   else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                   and not node.level else [])
+        for heavy in HEAVY_IMPORTS:
+            found.extend(Finding(heavy, site, line, m) for m in modules
+                         if m == heavy or m.startswith(heavy + "."))
+        if isinstance(node, ast.Import):
+            numpy_names.update(
+                a.asname or "numpy" for a in node.names if a.name == "numpy"
+                or not a.asname and a.name.startswith("numpy."))
+        elif modules == ["numpy"]:
+            found.extend(Finding("transcendental ufunc", site, line, f"numpy.{a.name}")
+                         for a in node.names if a.name in TRANSCENDENTAL)
+        elif (isinstance(node, ast.Attribute) and node.attr in TRANSCENDENTAL
+              and isinstance(node.value, ast.Name) and node.value.id in numpy_names):
+            found.append(Finding("transcendental ufunc", site, line, f"numpy.{node.attr}"))
+
+    def visit(node, qual, in_function, runs):
+        never = (node.body if isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                 and node.test.id == "TYPE_CHECKING" else [])
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.If) and isinstance(child.test, ast.Name)
-                    and child.test.id == "TYPE_CHECKING"):
-                visit(ast.Module(body=child.orelse), qual, in_function)
-                continue
-            site = qual if in_function else "<load>"
-            names = ([a.name for a in child.names] if isinstance(child, ast.Import)
-                     else [child.module or ""] if isinstance(child, ast.ImportFrom)
-                     and not child.level else [])
-            for heavy in HEAVY_IMPORTS:
-                if any(n == heavy or n.startswith(heavy + ".") for n in names):
-                    sites.append((heavy, site))
-            if isinstance(child, ast.Import):
-                numpy_names.update(
-                    a.asname or "numpy" for a in child.names if a.name == "numpy"
-                    or not a.asname and a.name.startswith("numpy."))
-            elif names == ["numpy"]:
-                sites.extend((f"numpy.{a.name}", site) for a in child.names
-                             if a.name in TRANSCENDENTAL)
-            elif (isinstance(child, ast.Attribute) and child.attr in TRANSCENDENTAL
-                  and isinstance(child.value, ast.Name) and child.value.id in numpy_names):
-                sites.append((f"numpy.{child.attr}", site))
+            child_runs = runs and all(child is not stmt for stmt in never)
+            check(child, qual if in_function else "<load>", child_runs)
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{qual}.{child.name}" if qual else child.name,
-                      in_function or not isinstance(child, ast.ClassDef))
+                      in_function or not isinstance(child, ast.ClassDef), child_runs)
             else:
-                visit(child, qual, in_function)
+                visit(child, qual, in_function, child_runs)
 
-    visit(ast.parse(source), "", False)
-    return sites
+    visit(ast.parse(source), "", False, True)
+    return found + [Finding("unused import", site, line, name)
+                    for name, site, line in imports if name not in used]
 
 
-PACKAGE_SITES = sorted({
-    (heavy, f"{path.stem}.{site}") for path in sorted(PACKAGE.glob("*.py"))
-    for heavy, site in heavy_import_sites(path.read_text(encoding="utf-8"))})
+def _annotations(node):
+    if isinstance(node, ast.arg) and node.annotation is not None:
+        yield node.annotation
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+        yield node.returns
+    elif isinstance(node, ast.AnnAssign):
+        yield node.annotation
+
+
+def _targets(node):
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return [node.target]
+    return []
+
+
+def _acc_lists(target, value):
+    """The _acc_* attributes the target binds to a list."""
+    if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+        return [attr for t, v in zip(target.elts, value.elts) for attr in _acc_lists(t, v)]
+    is_list = (isinstance(value, (ast.List, ast.ListComp))
+               or isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+               and value.func.id == "list")
+    return ([target.attr] if is_list and isinstance(target, ast.Attribute)
+            and target.attr.startswith("_acc_") else [])
+
+
+PACKAGE_FINDINGS = [
+    f._replace(site=f"{path.stem}.{f.site}") for path in MODULES
+    for f in findings(path.read_text(encoding="utf-8"))]
+
+
+def violations(rule: str, path: Path | None = None) -> list[Finding]:
+    return [f for f in PACKAGE_FINDINGS if f.rule == rule and not RULES[rule](f.site)
+            and (path is None or f.site.startswith(path.stem + "."))]
+
+
+def modules_under(rule: str) -> list[Path]:
+    """The modules in which a rule allows no site."""
+    return [p for p in MODULES if not RULES[rule](f"{p.stem}.<load>")]
 
 
 @pytest.mark.parametrize("heavy", sorted(HEAVY_IMPORTS))
 def test_heavy_modules_are_imported_only_where_allowed(heavy):
-    sites = [site for name, site in PACKAGE_SITES if name == heavy]
-    assert sites  # the walk sees the imports it polices
-    assert [site for site in sites if not HEAVY_IMPORTS[heavy](site)] == []
+    assert [f for f in PACKAGE_FINDINGS if f.rule == heavy]  # the walk sees what it polices
+    assert violations(heavy) == []
 
 
 def test_no_transcendental_numpy_ufunc_in_the_package():
-    assert [(name, site) for name, site in PACKAGE_SITES
-            if name.startswith("numpy.")] == []
+    assert violations("transcendental ufunc") == []
+
+
+@pytest.mark.parametrize("path", modules_under("unused import"), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert violations("unused import", path) == []
+
+
+@pytest.mark.parametrize("path", modules_under("lines_consumed write"), ids=lambda p: p.name)
+def test_only_the_log_intake_counts_lines(path):
+    assert violations("lines_consumed write", path) == []
+
+
+def test_engine_accumulators_are_never_lists():
+    assert [f for f in PACKAGE_FINDINGS if f.rule == "_acc_* list"] == []
+
+
+def sites(source: str, rule: str) -> list[tuple[str, str]]:
+    return [(f.rule, f.site) for f in findings(source) if f.rule == rule]
 
 
 def test_scipy_import_sites_checker():
@@ -288,7 +250,7 @@ def test_scipy_import_sites_checker():
         "    from scipyx import y\n"
         "    from . import scipy_like\n"
     )
-    assert heavy_import_sites(source) == [
+    assert sites(source, "scipy") == [
         ("scipy", "<load>"), ("scipy", "<load>"), ("scipy", "A.m.inner"), ("scipy", "f")]
 
 
@@ -307,9 +269,9 @@ def test_checker_catches_a_module_level_numpy_import():
         "def f():\n"
         "    import numpy as np\n"
     )
-    sites = heavy_import_sites(source)
-    assert sites == [("numpy", "<load>"), ("numpy", "<load>"), ("numpy", "f")]
-    assert [s for s in sites if not HEAVY_IMPORTS["numpy"]("simulator." + s[1])] == [
+    found = sites(source, "numpy")
+    assert found == [("numpy", "<load>"), ("numpy", "<load>"), ("numpy", "f")]
+    assert [s for s in found if not HEAVY_IMPORTS["numpy"]("simulator." + s[1])] == [
         ("numpy", "<load>"), ("numpy", "<load>")]
 
 
@@ -327,35 +289,35 @@ def test_checker_catches_transcendental_numpy_ufuncs():
         "        import numpy as xp\n"
         "        return xp.tanh(x)\n"
     )
-    assert [s for s in heavy_import_sites(source) if s[0] != "numpy"] == [
+    assert [(f.name, f.site) for f in findings(source)
+            if f.rule == "transcendental ufunc"] == [
         ("numpy.power", "<load>"), ("numpy.log1p", "<load>"),
         ("numpy.exp", "f"), ("numpy.sin", "f"), ("numpy.tanh", "A.g")]
 
 
-def acc_list_bindings(source: str) -> list[int]:
-    """The lines that bind an _acc_* attribute to a list (a literal, a
-    comprehension or a list() call), tuple assignments included."""
-    def is_list(value):
-        return (isinstance(value, (ast.List, ast.ListComp))
-                or isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
-                and value.func.id == "list")
-
-    def binds(target, value):
-        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
-            return any(binds(t, v) for t, v in zip(target.elts, value.elts))
-        return (isinstance(target, ast.Attribute) and target.attr.startswith("_acc_")
-                and is_list(value))
-
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
-            and any(binds(t, node.value) for t in
-                    (node.targets if isinstance(node, ast.Assign) else [node.target]))]
+def test_checker_flags_an_unused_name_and_honours_noqa():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from typing import Iterable, Sequence\n"
+        "from .x import kept  # noqa: F401\n"
+        "def f(a: Sequence[int]) -> 'os.PathLike':\n"
+        "    return a\n"
+    )
+    assert sorted(f"{f.name} (line {f.line})" for f in findings(source)
+                  if f.rule == "unused import") == ["Iterable (line 3)", "sys (line 2)"]
 
 
-def test_engine_accumulators_are_never_lists():
-    # a list boxes every value as a float object, about 3x the typed array
-    source = (PACKAGE / "monitor.py").read_text(encoding="utf-8")
-    assert acc_list_bindings(source) == []
+def test_checker_flags_every_kind_of_write():
+    source = (
+        "engine.lines_consumed += 2\n"
+        "engine.lines_consumed = 0\n"
+        "a, engine.lines_consumed = 1, 2\n"
+        "setattr(engine, 'lines_consumed', 3)\n"
+        "n = engine.lines_consumed + 1\n"
+    )
+    assert sorted(f.line for f in findings(source)
+                  if f.rule == "lines_consumed write") == [1, 2, 3, 4]
 
 
 def test_acc_list_bindings_checker():
@@ -369,4 +331,169 @@ def test_acc_list_bindings_checker():
         "probs = []\n"
         "self.acc_probs = []\n"
     )
-    assert acc_list_bindings(source) == [1, 2, 4, 6]
+    assert sorted(f.line for f in findings(source) if f.rule == "_acc_* list") == [1, 2, 4, 6]
+
+
+# argv: the top-level modules to refuse, comma-separated; a JSON list of
+# CLI argvs; a JSON list of losses. Prints as JSON the refused modules the
+# imports asked for; each call's exit code, stdout, stderr and the refused
+# modules it asked for; cvar_variational of the losses and what it asked
+# for; what credible_interval gives or raises
+BLOCKED_CHILD = """
+import contextlib, io, json, sys
+
+REFUSED = set(sys.argv[1].split(","))
+asked = []
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in REFUSED:
+            asked.append(name)
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+def took():
+    names = sorted(set(asked))
+    del asked[:]
+    return names
+
+sys.meta_path.insert(0, Refuse())
+import riskwatch.cli
+from riskwatch.belief import BetaPosterior, credible_interval
+from riskwatch.tailrisk import cvar_variational
+
+at_import = took()
+calls = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \\
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = riskwatch.cli.main(argv)
+    calls.append([code, out.getvalue(), err.getvalue(), took()])
+cvar = [cvar_variational(json.loads(sys.argv[3]), 0.9), took()]
+try:
+    interval = list(credible_interval(BetaPosterior(3.0, 7.0), level=0.9))
+except Exception as exc:
+    interval = [type(exc).__name__, str(exc)]
+print(json.dumps({"at_import": at_import, "calls": calls, "cvar": cvar,
+                  "interval": interval}))
+"""
+
+LOSSES = [(i * 7919 % 1000) / 37.0 for i in range(2000)]  # ties included
+
+
+def calls(log, prefix, cfg, out):
+    """CLI calls over a simulated log, each writing under out."""
+    return [
+        ["--print-defaults"],
+        ["monitor", "--in", log, "--out", f"{out}/monitor"],
+        ["monitor", "--in", prefix, "--out", f"{out}/part", "--no-finalize"],
+        ["replay", "--snapshot", f"{out}/part/state.json", "--in", log,
+         "--out", f"{out}/replay"],
+        ["report", "--in", f"{out}/replay/state.json"],
+        ["report", "--in", f"{out}/replay/state.json", "--format", "json"],
+        ["simulate", "--scenario", cfg, "--out", f"{out}/simulate"],
+    ]
+
+
+def run_refusing(refused: str, tmp_path: Path, monkeypatch) -> tuple[dict, list]:
+    """The calls in a child refusing those modules, and here: the child's
+    result, and the exit code and stdout of each call here."""
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    # the canonical scenario at 300 patients per period, simulated here
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps({"scenario": {"patients_per_period": 300}}))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(cfg), "--out", str(sim)]) == EXIT_OK
+    log = sim / "events.ndjson"
+    lines = log.read_text().splitlines(True)
+    prefix = tmp_path / "prefix.ndjson"
+    prefix.write_text("".join(lines[: len(lines) // 2]))
+    paths = (str(log), str(prefix), str(cfg))
+
+    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCKED_CHILD, refused,
+         json.dumps(calls(*paths, tmp_path / "child")), json.dumps(LOSSES)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    here = []
+    for argv in calls(*paths, tmp_path / "here"):
+        with redirect_stdout(io.StringIO()) as out:
+            here.append([main(argv), out.getvalue()])
+    return json.loads(proc.stdout.splitlines()[-1]), here
+
+
+def same_files(tmp_path: Path, name: str) -> bool:
+    child, here = tmp_path / "child" / name, tmp_path / "here" / name
+    names = sorted(p.name for p in here.iterdir())
+    return names == sorted(p.name for p in child.iterdir()) and all(
+        (child / n).read_bytes() == (here / n).read_bytes() for n in names)
+
+
+def asked_for(top: str, names: list[str]) -> list[str]:
+    return [n for n in names if n.partition(".")[0] == top]
+
+
+@pytest.fixture(scope="module")
+def refusing_both(tmp_path_factory):
+    """run_refusing("numpy,scipy"), run once for the two tests that read it:
+    the directory the calls wrote under, the child's result and here's."""
+    tmp_path = tmp_path_factory.mktemp("refusing-both")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got, here = run_refusing("numpy,scipy", tmp_path, monkeypatch)
+    return tmp_path, got, here
+
+
+def test_monitor_paths_never_import_numpy(refusing_both):
+    tmp_path, got, here = refusing_both
+
+    *monitoring, simulate = got["calls"]
+    # every call but simulate runs without numpy, never asks for it and
+    # gives the codes and bytes it gives here
+    assert [c[0] for c in monitoring] == [c[0] for c in here[:-1]] == [
+        EXIT_OK, EXIT_ALARM, EXIT_OK, EXIT_ALARM, EXIT_OK, EXIT_OK]
+    assert [c[1] for c in monitoring] == [c[1] for c in here[:-1]]
+    assert monitoring[0][1] and monitoring[4][1] and monitoring[5][1]
+    assert asked_for("numpy", got["at_import"]) == []
+    assert [asked_for("numpy", c[3]) for c in monitoring] == [[]] * 6
+    for name in ("monitor", "part", "replay"):
+        assert same_files(tmp_path, name)
+    assert got["cvar"] == [cvar_variational(LOSSES, 0.9), []]
+
+    # simulate needs the extra and names it: it exits 2 like any data error
+    assert simulate[0] == EXIT_DATA and here[-1][0] == EXIT_OK
+    assert "pip install 'riskwatch[simulate]'" in simulate[2]
+    assert simulate[3] == ["numpy"]
+
+
+def test_monitor_path_never_imports_scipy(refusing_both):
+    tmp_path, got, here = refusing_both
+
+    # no import and no call asks for scipy, simulate included
+    assert asked_for("scipy", got["at_import"]) == []
+    assert [asked_for("scipy", c[3]) for c in got["calls"]] == [[]] * 7
+    # the drift is caught after mid-run: the prefix closes quietly, the
+    # resumed run alarms
+    assert [c[0] for c in got["calls"][2:4]] == [EXIT_OK, EXIT_ALARM]
+    # the resumed run reproduces the in-process simulate byte for byte
+    for name in ("report.csv", "state.json"):
+        assert (tmp_path / "child" / "replay" / name).read_bytes() == (
+            tmp_path / "sim" / name).read_bytes()
+    # credible_interval needs the extra and names it
+    assert got["interval"][0] == "MissingExtra"
+    assert "riskwatch[interval]" in got["interval"][1]
+
+
+def test_simulate_path_never_imports_scipy(tmp_path, monkeypatch):
+    # scipy.special alone adds about 20 MB of RSS to a simulate run
+    got, here = run_refusing("scipy", tmp_path, monkeypatch)
+
+    assert [c[:2] for c in got["calls"]] == here
+    assert got["at_import"] == [] and [c[3] for c in got["calls"]] == [[]] * 7
+    for name in ("monitor", "part", "replay", "simulate"):
+        assert same_files(tmp_path, name)
+    assert got["interval"][0] == "MissingExtra"
+    assert "riskwatch[interval]" in got["interval"][1]
+    # and credible_interval works wherever scipy is installed
+    lo, hi = credible_interval(BetaPosterior(3.0, 7.0), level=0.9)
+    assert 0.0 < lo < 0.3 < hi < 1.0

@@ -1,5 +1,7 @@
 """Streaming quantile sketch: rank-error guarantee and memory bound."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,17 @@ class TestErrors:
             QuantileSketch(epsilon=0.0)
         with pytest.raises(ValueError):
             QuantileSketch(epsilon=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_refused(self, bad):
+        # a NaN once sorted wrongly into the summary: the median came back 3.0
+        sketch = QuantileSketch()
+        for x in (0.5, 1.0, 2.0, 3.0):
+            sketch.insert(x)
+        with pytest.raises(ValueError, match="finite"):
+            sketch.insert(bad)
+        assert len(sketch) == 4
+        assert sketch.quantile(0.5) == 1.0
 
     def test_bad_quantile(self):
         sketch = QuantileSketch()

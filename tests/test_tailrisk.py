@@ -1,6 +1,7 @@
 """VaR/CVaR estimators: pinned values, coherence laws, estimator equivalence."""
 
 import math
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -122,6 +123,17 @@ class TestInputChecks:
         with pytest.raises(BadAlpha):
             cvar_tail([1.0, 2.0], a)
 
+    @pytest.mark.parametrize("estimator", [var, cvar_conditional, cvar_tail, cvar_variational])
+    @pytest.mark.parametrize("losses", [
+        [1.0, math.nan, 0.0, 2.0],  # var gave nan, or 0.0 or 1.0 once reordered
+        [math.inf, math.inf, 1.0],  # cvar_tail gave nan
+        [-math.inf, 0.0, 1.0],
+    ], ids=["nan", "inf", "-inf"])
+    def test_non_finite_losses_refused(self, estimator, losses):
+        # the loss rule of OutcomeRecord: a finite number
+        with pytest.raises(ValueError, match="finite"):
+            estimator(losses, 0.5)
+
 
 class TestCoherence:
     @given(loss_vectors, alphas)
@@ -174,6 +186,18 @@ class TestCoherence:
 
 
 class TestEstimatorEquivalence:
+    def test_variational_memory_is_linear_in_the_losses(self):
+        # an n x (distinct values) matrix would take 256 MB at 4,000 losses
+        losses = np.random.default_rng(3).lognormal(size=4000).tolist()
+        tracemalloc.start()
+        try:
+            got = cvar_variational(losses, 0.95)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(cvar_tail(losses, 0.95), abs=1e-9)
+        assert peak < 8 * 2**20
+
     @given(loss_vectors, alphas)
     @settings(max_examples=300, deadline=None)
     def test_variational_equals_tail(self, losses, alpha):
