@@ -153,28 +153,19 @@ def evaluate(
     else:
         is_breach = bool(breached)
 
+    level = _LADDER.index(state.state)
     if is_breach:
-        breach_streak = state.breach_streak + 1
-        clean_streak = 0
-        level = _LADDER.index(state.state)
-        threshold = (
-            policy.consecutive_for_review
-            if state.state is OperatingState.NORMAL
-            else policy.consecutive_for_suspend
-        )
-        if level < len(_LADDER) - 1 and breach_streak >= threshold:
-            new_state = _LADDER[level + 1]
-        else:
-            new_state = state.state
+        breach_streak, clean_streak = state.breach_streak + 1, 0
+        threshold = (policy.consecutive_for_review if level == 0
+                     else policy.consecutive_for_suspend)
+        if breach_streak >= threshold:
+            level = min(level + 1, len(_LADDER) - 1)
     else:
-        breach_streak = 0
-        clean_streak = state.clean_streak + 1
-        level = _LADDER.index(state.state)
+        breach_streak, clean_streak = 0, state.clean_streak + 1
         if level > 0 and clean_streak >= policy.recovery_periods:
-            new_state = _LADDER[level - 1]
+            level -= 1
             clean_streak = 0  # each step down needs a fresh clean run
-        else:
-            new_state = state.state
+    new_state = _LADDER[level]
 
     if new_state is not state.state:
         logger.info(

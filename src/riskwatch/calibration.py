@@ -55,6 +55,8 @@ def _as_prob_outcome(probs: Sequence[float], outcomes: Sequence[int]):
     total = sum(p)  # NaN when any value is, which min and max can miss
     if not (total == total and min(p) >= 0.0 and max(p) <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
+    if y.count(0) + y.count(1) != len(y):  # NaN equals neither
+        raise ValueError("outcomes must be 0 or 1")
     return p, y
 
 
@@ -72,30 +74,30 @@ def reliability_bins(
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     p, y = _as_prob_outcome(probs, outcomes)
-    # equal-width bins over [0, 1], bin int(p * n_bins), and a spare one for
-    # a p whose product rounds to n_bins (1.0, and some just below), folded
-    # into the last bin; fsum makes the order within a bin irrelevant
-    bin_p = [array("d") for _ in range(n_bins + 1)]
-    bin_y = [array("d") for _ in range(n_bins + 1)]
-    add_p = [values.append for values in bin_p]
-    add_y = [values.append for values in bin_y]
-    for b, pv, yv in zip(map(int, map(float(n_bins).__mul__, p)), p, y):
-        add_p[b](pv)
-        add_y[b](yv)
-    bin_p[-2].extend(bin_p.pop())
-    bin_y[-2].extend(bin_y.pop())
+    # equal-width bins over [0, 1]: bin int(p * n_bins), with a p whose
+    # product rounds to n_bins (1.0, and some just below) in the last one.
+    # The bin is monotone in p, so each bin is a slice of the sorted
+    # values, and fsum makes the order within a bin irrelevant
+    times_n = float(n_bins).__mul__
+    ordered, positives = sorted(p), sorted(compress(p, y))
+
+    def cuts(values):  # the start of each bin in sorted values, then the end
+        return [0, *(bisect_left(values, b, key=times_n) for b in range(1, n_bins)),
+                len(values)]
+
+    at, pos_at = cuts(ordered), cuts(positives)
     # numpy's linspace(0, 1, n_bins + 1): multiples of one step, last edge 1
     step = 1.0 / n_bins
     edges = [b * step for b in range(n_bins)] + [1.0]
 
     bins: list[ReliabilityBin] = []
     for b in range(n_bins):
-        count = len(bin_p[b])
+        count = at[b + 1] - at[b]
         if count == 0:
             bins.append(ReliabilityBin(edges[b], edges[b + 1], 0, None, None))
             continue
-        mean_pred = math.fsum(bin_p[b]) / count
-        event_rate = math.fsum(bin_y[b]) / count
+        mean_pred = math.fsum(ordered[at[b]:at[b + 1]]) / count
+        event_rate = (pos_at[b + 1] - pos_at[b]) / count
         bins.append(ReliabilityBin(edges[b], edges[b + 1], count, mean_pred, event_rate))
     return bins
 
@@ -111,14 +113,12 @@ def ece(
     Perfectly calibrated predictions score near zero (exactly zero only up
     to sampling noise inside each bin).
     """
-    p, y = _as_prob_outcome(probs, outcomes)
-    n = len(p)
+    bins = reliability_bins(probs, outcomes, n_bins=n_bins)
+    n = sum(b.count for b in bins)
     # fsum keeps the reduction correctly rounded, hence independent of bin
-    # iteration order; the bins read the typed arrays without a copy
+    # iteration order
     return math.fsum(
-        (b.count / n) * abs(b.mean_pred - b.event_rate)
-        for b in reliability_bins(p, y, n_bins=n_bins)
-        if b.count > 0
+        (b.count / n) * abs(b.mean_pred - b.event_rate) for b in bins if b.count > 0
     )
 
 
@@ -138,7 +138,7 @@ def auc(probs: Sequence[float], outcomes: Sequence[int]) -> float | None:
     (undefined, not 0.5) when the period holds a single outcome class.
     """
     p, y = _as_prob_outcome(probs, outcomes)
-    positives = list(compress(p, map((1.0).__eq__, y)))
+    positives = list(compress(p, y))
     n_pos = len(positives)
     n_neg = len(p) - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -25,6 +25,7 @@ import logging
 import os
 import sys
 from dataclasses import asdict, replace
+from itertools import chain
 
 from . import eventlog
 from .alarms import OperatingState
@@ -64,8 +65,24 @@ def build_parser() -> argparse.ArgumentParser:
         "-v", "--verbose", action="store_true", help="log progress to stderr"
     )
     sub = parser.add_subparsers(dest="command")
+    # the options every subcommand that writes a report shares, and those
+    # of the two that run the engine over a log
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
+    run = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    run.add_argument("--out", default=None,
+                     help="output directory (default: report to stdout)")
+    run.add_argument("--strict", action="store_true",
+                     help="abort on the first malformed log line")
+    run.add_argument(
+        "--no-finalize", action="store_true",
+        help="leave the trailing period open so the run can be resumed "
+             "with replay once the log has grown (report covers closed "
+             "periods only)",
+    )
 
-    sim = sub.add_parser("simulate", help="generate a synthetic deployment")
+    sim = sub.add_parser("simulate", parents=[fmt],
+                         help="generate a synthetic deployment")
     sim.add_argument(
         "--scenario",
         default="canonical",
@@ -78,43 +95,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicates", type=int, default=1,
         help="run N seeds (seed, seed+1, ...), one subdirectory each",
     )
-    sim.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    mon = sub.add_parser("monitor", help="run the monitoring pipeline over a log")
+    mon = sub.add_parser("monitor", parents=[run],
+                         help="run the monitoring pipeline over a log")
     mon.add_argument("--in", dest="log", required=True,
                      help="event log path, or - for stdin")
     mon.add_argument("--policy", default=None, help="config file with thresholds")
-    mon.add_argument("--out", default=None,
-                     help="output directory (default: report to stdout)")
-    mon.add_argument("--format", choices=("csv", "json"), default="csv")
-    mon.add_argument("--strict", action="store_true",
-                     help="abort on the first malformed log line")
-    mon.add_argument(
-        "--no-finalize", action="store_true",
-        help="leave the trailing period open so the run can be resumed "
-             "with replay once the log has grown (report covers closed "
-             "periods only)",
-    )
 
-    rep = sub.add_parser("replay", help="resume a snapshot against its log")
+    rep = sub.add_parser("replay", parents=[run],
+                         help="resume a snapshot against its log")
     rep.add_argument("--snapshot", required=True, help="engine snapshot file")
     rep.add_argument("--in", dest="log", required=True,
                      help="the full original event log; the lines the snapshot "
                           "consumed are skipped undecoded")
-    rep.add_argument("--out", default=None,
-                     help="output directory (default: report to stdout)")
-    rep.add_argument("--format", choices=("csv", "json"), default="csv")
-    rep.add_argument("--strict", action="store_true",
-                     help="abort on the first malformed log line")
-    rep.add_argument(
-        "--no-finalize", action="store_true",
-        help="leave the trailing period open for a later replay",
-    )
 
-    report = sub.add_parser("report", help="re-emit the report from a snapshot")
+    report = sub.add_parser("report", parents=[fmt],
+                            help="re-emit the report from a snapshot")
     report.add_argument("--in", dest="snapshot", required=True,
                         help="engine snapshot file")
-    report.add_argument("--format", choices=("csv", "json"), default="csv")
     report.add_argument("--out", default=None,
                         help="output file (default: stdout)")
 
@@ -125,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_scenario(name_or_path: str, seed: int | None) -> tuple[ScenarioConfig, dict]:
-    """Scenario plus the config document that goes with it."""
+    """Scenario plus the config document it was read from."""
     config = eventlog.load_config(None)  # defaults / RISKWATCH_CONFIG
     if name_or_path == "canonical" or name_or_path in preset_names():
         scenario = preset("sepsis_drift" if name_or_path == "canonical"
@@ -140,7 +138,6 @@ def _resolve_scenario(name_or_path: str, seed: int | None) -> tuple[ScenarioConf
         )
     if seed is not None:
         scenario = replace(scenario, seed=seed)
-    config["scenario"] = asdict(scenario)
     return scenario, config
 
 
@@ -157,11 +154,17 @@ def _write_outputs(engine: MonitorEngine, out_dir: str | None, fmt: str) -> None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         eventlog.save_snapshot_file(engine, os.path.join(out_dir, "state.json"))
+    _write_report(engine, fmt,
+                  None if out_dir is None else os.path.join(out_dir, f"report.{fmt}"))
+
+
+def _write_report(engine: MonitorEngine, fmt: str, path: str | None) -> None:
+    """The engine's report into the file at path, or to stdout."""
     text = eventlog.emit_report(engine.snapshots, engine.alarm.history, fmt=fmt)
-    if out_dir is None:
+    if path is None:
         sys.stdout.write(text)
         return
-    with open(os.path.join(out_dir, f"report.{fmt}"), "w", encoding="utf-8") as fp:
+    with open(path, "w", encoding="utf-8") as fp:
         fp.write(text)
 
 
@@ -189,12 +192,16 @@ def _cmd_simulate(args) -> int:
         seeded = replace(scenario, seed=base_seed + i)
         out_dir = (args.out if args.replicates == 1
                    else os.path.join(args.out, f"seed-{seeded.seed}"))
+        # the first period is drawn before any file is made, so a missing
+        # extra is refused with nothing written
+        pairs = iter(scenario_pairs(seeded))
+        first = next(pairs)
         os.makedirs(out_dir, exist_ok=True)
 
         engine = eventlog.engine_from_config(config)
         with open(os.path.join(out_dir, "events.ndjson"), "w",
                   encoding="utf-8") as fp:
-            eventlog.log_pairs(fp, engine, scenario_pairs(seeded))
+            eventlog.log_pairs(fp, engine, chain([first], pairs))
         engine.finalize()
         _write_outputs(engine, out_dir, args.format)
 
@@ -253,14 +260,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    engine = eventlog.load_snapshot_file(args.snapshot)
-    text = eventlog.emit_report(engine.snapshots, engine.alarm.history,
-                                fmt=args.format)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(text)
+    _write_report(eventlog.load_snapshot_file(args.snapshot), args.format, args.out)
     return EXIT_OK
 
 
@@ -296,10 +296,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _COMMANDS[args.command](args)
-    except RiskwatchError as exc:
-        sys.stderr.write(f"riskwatch {args.command}: error: {exc}\n")
-        return EXIT_DATA
-    except OSError as exc:
+    except (RiskwatchError, OSError) as exc:
         sys.stderr.write(f"riskwatch {args.command}: error: {exc}\n")
         return EXIT_DATA
 

@@ -471,18 +471,23 @@ def read_report(text: str, fmt: str = "csv") -> list[dict]:
         if not isinstance(row, dict) or list(row) != columns:
             raise SchemaError(f"report row {number} does not have one cell per column")
     if fmt == "csv":
-        rows = [{col: _report_cell(col, cell) for col, cell in row.items()}
-                for row in rows]
+        rows = [{col: _report_cell(number, col, cell) for col, cell in row.items()}
+                for number, row in enumerate(rows, start=1)]
     return rows
 
 
-def _report_cell(col: str, cell: str):
-    """A CSV report cell as the value emit_report wrote."""
+def _report_cell(number: int, col: str, cell: str):
+    """A CSV report cell as the value emit_report wrote; a number column
+    whose cell is not one raises SchemaError naming the row and column."""
     if cell == "":
         return None
-    if col in ("period", "n"):
-        return int(cell)
-    return cell if col == "alarm_state" else float(cell)
+    if col == "alarm_state":
+        return cell
+    try:
+        return int(cell) if col in ("period", "n") else float(cell)
+    except ValueError:
+        raise SchemaError(
+            f"report row {number}: column {col!r} is not a number: {cell!r}") from None
 
 
 # -- configuration ------------------------------------------------------------

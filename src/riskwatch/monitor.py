@@ -88,11 +88,7 @@ class MonitorEngine:
         self.stale_pairs = 0  # pairs that resolved after their period closed
 
         self._join = Joiner()
-        self._open_time: TimeIndex | None = None  # the open period's latest pair
-        self._acc_probs = array("d")
-        self._acc_ys = array("B")
-        self._acc_losses = array("d")
-        self._acc_regrets = array("d")  # steps with counterfactual losses only
+        self._new_period()
         self._baseline: belief_mod.BetaPosterior | None = None  # frozen at first close
 
     # -- stream intake -------------------------------------------------------
@@ -164,7 +160,8 @@ class MonitorEngine:
 
         # rolling belief over this period; baseline frozen at first close
         positives = sum(self._acc_ys)
-        rolling = belief_mod.BetaPosterior(1.0 + positives, 1.0 + (n - positives))
+        rolling = belief_mod.update_batch(
+            belief_mod.BetaPosterior(), positives, n - positives)
         baseline = self._baseline or rolling
         drift = belief_mod.drift_score(baseline, rolling)
 
@@ -184,13 +181,14 @@ class MonitorEngine:
         self.alarm = evaluate(self.alarm, snapshot, self.policy)
         self.snapshots.append(snapshot)
         self._baseline = baseline
-
-        self._acc_probs = array("d")
-        self._acc_ys = array("B")
-        self._acc_losses = array("d")
-        self._acc_regrets = array("d")
-        self._open_time = None
+        self._new_period()
         self._join.resolved_ids.clear()  # later outcomes for them are orphans
+
+    def _new_period(self) -> None:
+        """An empty open period: no latest time, and empty _ACC arrays."""
+        self._open_time: TimeIndex | None = None  # the open period's latest pair
+        for name, (typecode, _) in _ACC.items():
+            setattr(self, f"_acc_{name}", array(typecode))
 
     @property
     def _regret_cumulative(self) -> float | None:
@@ -209,8 +207,8 @@ class MonitorEngine:
             "policy": asdict(self.policy),
             "open_period": open_period,
             "acc": {
-                **{name: _pack(getattr(self, f"_acc_{name}"), dtype)
-                   for name, dtype in _ACC_DTYPES.items()},
+                **{name: _pack(getattr(self, f"_acc_{name}"), typecode)
+                   for name, (typecode, _) in _ACC.items()},
                 "last_sequence": last_sequence,
             },
             "baseline": _row(self._baseline) if self._baseline else None,
@@ -255,9 +253,9 @@ class MonitorEngine:
                 raise ValueError(f"{name} {count!r} is negative or not an integer")
             setattr(engine, name, count)
         acc = _typed(state["acc"], dict, "acc")
-        for name, dtype in _ACC_DTYPES.items():
+        for name, (typecode, valid) in _ACC.items():
             setattr(engine, f"_acc_{name}",
-                    array(_TYPECODES[dtype], _unpack(acc[name], dtype, _ACC_VALID[name])))
+                    array(typecode, _unpack(acc[name], typecode, valid)))
         if not len(engine._acc_probs) == len(engine._acc_ys) == len(engine._acc_losses):
             raise ValueError("open period values differ in length")
         if state["open_period"] is not None or acc["last_sequence"] is not None:
@@ -292,35 +290,34 @@ ENGINE_DEFAULTS = {
 }
 
 
-# the open period's value arrays, the dtype each is packed as, and the
-# test a loaded value must pass (to_state() writes no other)
-_ACC_DTYPES = {"probs": "<f8", "ys": "u1", "losses": "<f8", "regrets": "<f8"}
-_ACC_VALID = {
-    "probs": lambda v: 0.0 <= v <= 1.0,  # also false for NaN
-    "ys": lambda v: v <= 1,
-    "losses": math.isfinite,
-    "regrets": lambda v: v >= 0.0,  # a step's regret can overflow to +inf
+# the open period's value arrays: the typecode each is held and packed in
+# (float64 "d", or uint8 "B" for outcomes, on every host) and the test a
+# loaded value must pass (to_state() writes no other)
+_ACC = {
+    "probs": ("d", lambda v: 0.0 <= v <= 1.0),  # also false for NaN
+    "ys": ("B", lambda v: v <= 1),
+    "losses": ("d", math.isfinite),
+    # steps with counterfactual losses only; a step's regret can overflow to +inf
+    "regrets": ("d", lambda v: v >= 0.0),
 }
-# the array typecode of each packed dtype: float64 and uint8 on every host
-_TYPECODES = {"<f8": "d", "u1": "B"}
 
 # the stream counters, each an integer >= 0
 _COUNTERS = ("events_seen", "outcomes_seen", "lines_consumed", "stale_pairs")
 
 
-def _pack(values, dtype: str) -> str:
+def _pack(values, typecode: str) -> str:
     """Numbers (a list or an array) as base64 of their little-endian bytes
-    in a _TYPECODES dtype, "<f8" or "u1"."""
-    values = array(_TYPECODES[dtype], values)
+    as the array typecode, "d" or "B"."""
+    values = array(typecode, values)
     if sys.byteorder == "big":
         values.byteswap()
     return base64.b64encode(values.tobytes()).decode("ascii")
 
 
-def _unpack(text: str, dtype: str, valid=None) -> list:
+def _unpack(text: str, typecode: str, valid=None) -> list:
     """The list _pack() encoded. Malformed text, or a value for which the
     predicate valid is false, raises ValueError."""
-    values = array(_TYPECODES[dtype])
+    values = array(typecode)
     values.frombytes(base64.b64decode(text, validate=True))
     if sys.byteorder == "big":
         values.byteswap()

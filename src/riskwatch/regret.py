@@ -118,15 +118,13 @@ def cumulative_regret(
     entries = _entries_of(ledger)
     per_step = [step_regret(e.chosen_action, e.action_losses) for e in entries]
     cumulative = math.fsum(per_step)
-    exposure = None
-    if safety_bound is not None:
-        exposure = sum(1 for e in entries if e.chosen_loss > safety_bound)
     return RegretReport(
         steps=len(entries),
         cumulative=cumulative,
         rate=cumulative / len(entries),
         best_fixed=best_fixed_action_regret(entries),
-        exposure_count=exposure,
+        exposure_count=(None if safety_bound is None
+                        else safety_exposure(entries, safety_bound)),
     )
 
 

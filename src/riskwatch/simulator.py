@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Iterator
 from .alarms import AlarmRecord, ThresholdPolicy
 from .core import MetricSnapshot, OutcomeRecord, PredictionEvent, TimeIndex, finite_number
 from .errors import BadConfig, MissingExtra, UnknownPreset
+from .monitor import MonitorEngine
 
 if TYPE_CHECKING:
     import numpy as np
@@ -440,8 +441,6 @@ def run_monitor(
     per-period metric snapshots and the alarm history. settings are MonitorEngine
     keywords (n_bins, alpha, ...) and default to the engine's own.
     """
-    from .monitor import MonitorEngine  # local import avoids a cycle at import time
-
     engine = MonitorEngine(policy=policy, **settings)
     for event, outcome in zip(output.events, output.outcomes):
         engine.observe_event(event)

@@ -240,10 +240,17 @@ class TestEce:
         assert 0.0 <= ece(probs, ys, n_bins=n_bins) <= 1.0
 
 
-@pytest.mark.parametrize("metric", [ece, brier, auc])
-def test_nan_probability_rejected(metric):
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        metric([float("nan"), 0.5, 0.2], [0, 1, 0])
+@pytest.mark.parametrize("metric, probs, ys, match", [
+    *(pytest.param(metric, [float("nan"), 0.5, 0.2], [0, 1, 0], r"\[0, 1\]",
+                   id=metric.__name__) for metric in (ece, brier, auc)),
+    # an outcome is 0 or 1, as OutcomeRecord and a loaded state hold it
+    *(pytest.param(metric, [0.1, 0.5, 0.2], [0, y, 0], "0 or 1",
+                   id=f"{metric.__name__}-outcome-{y}")
+      for metric in (ece, brier, auc, reliability_bins) for y in (2, 0.5, float("nan"))),
+])
+def test_nan_probability_rejected(metric, probs, ys, match):
+    with pytest.raises(ValueError, match=match):
+        metric(probs, ys)
 
 
 class TestBrier:

@@ -531,8 +531,8 @@ class TestLineAddressedReplay:
         assert main(["monitor", "--in", write(tmp_path / "p.ndjson", small_lines[:900]),
                      "--out", str(part), "--no-finalize"]) == EXIT_OK
         state = json.loads((part / "state.json").read_text())["state"]
-        ys = _unpack(state["acc"]["ys"], "u1")
-        state["acc"]["ys"] = _pack([7] + ys[1:], "u1")
+        ys = _unpack(state["acc"]["ys"], "B")
+        state["acc"]["ys"] = _pack([7] + ys[1:], "B")
         canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
         (part / "state.json").write_text(json.dumps({
             "format_version": 1,

@@ -48,7 +48,7 @@ from riskwatch.eventlog import (
     write_log,
 )
 from riskwatch.monitor import (
-    _ACC_DTYPES, ENGINE_STATE_VERSION, MonitorEngine, _pack, _unpack,
+    _ACC, ENGINE_STATE_VERSION, MonitorEngine, _pack, _unpack,
 )
 from riskwatch.simulator import ScenarioConfig
 
@@ -348,10 +348,10 @@ def _set_acc(name, value):
 def _set_first(name, value):
     """Replace the first packed open-period value, keeping the length."""
     def mutate(state):
-        dtype = _ACC_DTYPES[name]
-        values = _unpack(state["acc"][name], dtype)
+        typecode = _ACC[name][0]
+        values = _unpack(state["acc"][name], typecode)
         values[0] = value
-        state["acc"][name] = _pack(values, dtype)
+        state["acc"][name] = _pack(values, typecode)
     return mutate
 
 
@@ -640,6 +640,16 @@ class TestReports:
         lines = emit_report(snaps, hist, fmt="csv").splitlines(True)
         lines[2] = cut(lines[2].rstrip("\n")) + "\n"
         with pytest.raises(SchemaError, match="row 2"):
+            read_report("".join(lines), fmt="csv")
+
+    @pytest.mark.parametrize("col, cell", [("period", "x"), ("ece", "abc")])
+    def test_csv_cell_that_is_not_a_number_rejected(self, run, col, cell):
+        snaps, hist = run
+        lines = emit_report(snaps, hist, fmt="csv").splitlines(True)
+        cells = lines[2].split(",")
+        cells[REPORT_COLUMNS.index(col)] = cell
+        lines[2] = ",".join(cells)
+        with pytest.raises(SchemaError, match=f"row 2: column '{col}'"):
             read_report("".join(lines), fmt="csv")
 
     @pytest.mark.parametrize("edit", [

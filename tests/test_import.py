@@ -44,6 +44,7 @@ from riskwatch.eventlog import CONFIG_ENV_VAR
 from riskwatch.tailrisk import cvar_variational
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = SRC.parent / "bench"
 PACKAGE = SRC / "riskwatch"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -464,6 +465,7 @@ def test_monitor_paths_never_import_numpy(refusing_both):
     assert simulate[0] == EXIT_DATA and here[-1][0] == EXIT_OK
     assert "pip install 'riskwatch[simulate]'" in simulate[2]
     assert simulate[3] == ["numpy"]
+    assert not (tmp_path / "child" / "simulate").exists()  # refused before any file
 
 
 def test_monitor_path_never_imports_scipy(refusing_both):
@@ -497,3 +499,19 @@ def test_simulate_path_never_imports_scipy(tmp_path, monkeypatch):
     # and credible_interval works wherever scipy is installed
     lo, hi = credible_interval(BetaPosterior(3.0, 7.0), level=0.9)
     assert 0.0 < lo < 0.3 < hi < 1.0
+
+
+def test_the_benchmark_finds_every_name_it_wraps():
+    # bench/spans.py wraps riskwatch's layer boundaries by attribute name and
+    # bench/workloads.py patches MonitorEngine._close_period, in untraced runs
+    # too; a refactor that drops one of those names fails here, in a fresh
+    # interpreter, since both patch the modules they reach
+    child = ("import sys\n"
+             "sys.path[:0] = sys.argv[1:]\n"
+             "import spans, workloads\n"
+             "spans.instrument(spans.Tracer())\n"
+             "with workloads.close_timer():\n"
+             "    pass\n")
+    proc = subprocess.run([sys.executable, "-c", child, str(BENCH), str(SRC)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

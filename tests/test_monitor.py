@@ -171,26 +171,26 @@ class TestPackedValues:
     @given(st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS),
                               st.floats().map(lambda x: math.nextafter(x, 0.0)))))
     def test_float64_round_trip_is_bit_for_bit(self, values):
-        back = _unpack(_pack(values, "<f8"), "<f8")
+        back = _unpack(_pack(values, "d"), "d")
         assert all(type(v) is float for v in back)
         assert bits(back) == bits(values)
 
     def test_edge_floats_round_trip(self):
-        assert bits(_unpack(_pack(EDGE_FLOATS, "<f8"), "<f8")) == bits(EDGE_FLOATS)
+        assert bits(_unpack(_pack(EDGE_FLOATS, "d"), "d")) == bits(EDGE_FLOATS)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats()), st.lists(st.integers(0, 255)))
     def test_packed_bytes_are_little_endian(self, values, ys):
         # pinned against struct's explicit byte order, so a state.json
         # written on a big-endian host reads the same
-        assert _pack(values, "<f8") == base64.b64encode(
+        assert _pack(values, "d") == base64.b64encode(
             struct.pack("<%dd" % len(values), *values)).decode("ascii")
-        assert _pack(ys, "u1") == base64.b64encode(bytes(ys)).decode("ascii")
+        assert _pack(ys, "B") == base64.b64encode(bytes(ys)).decode("ascii")
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 1)))
     def test_outcomes_round_trip_as_ints(self, ys):
-        back = _unpack(_pack(ys, "u1"), "u1")
+        back = _unpack(_pack(ys, "B"), "B")
         assert back == ys and all(type(y) is int for y in back)
 
 
@@ -303,7 +303,7 @@ class TestBoundedState:
         period_of = {e.event_id: e.time.period for e in output.events}
         assert state["open_period"] == 3
         assert {period_of[i] for i in state["resolved_ids"]} == {3}
-        probs = _unpack(state["acc"]["probs"], "<f8")
+        probs = _unpack(state["acc"]["probs"], "d")
         assert len(state["resolved_ids"]) == len(probs) == 2_345
 
 
