@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-finalize", action="store_true",
         help="leave the trailing period open so the run can be resumed "
              "with replay once the log has grown (report covers closed "
-             "periods only)",
+             "periods only, and is not written before the first close)",
     )
 
     sim = sub.add_parser("simulate", parents=[fmt],
@@ -145,17 +145,20 @@ def _engine_exit_code(engine: MonitorEngine) -> int:
     return EXIT_OK if engine.alarm.state is OperatingState.NORMAL else EXIT_ALARM
 
 
-def _write_outputs(engine: MonitorEngine, out_dir: str | None, fmt: str) -> None:
+def _write_outputs(engine: MonitorEngine, out_dir: str | None, fmt: str,
+                   finalized: bool = True) -> None:
     """State snapshot + report into a directory, or report to stdout.
 
-    The snapshot is saved first: a run with no closed period yet has no
-    report (EmptyReport) but must still leave its checkpoint.
+    The snapshot is saved first. A checkpoint taken before the first close
+    (not finalized) has no report yet and writes none; a finalized run with
+    no closed period has none either, which raises EmptyReport.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         eventlog.save_snapshot_file(engine, os.path.join(out_dir, "state.json"))
-    _write_report(engine, fmt,
-                  None if out_dir is None else os.path.join(out_dir, f"report.{fmt}"))
+    if engine.snapshots or finalized:
+        _write_report(engine, fmt,
+                      None if out_dir is None else os.path.join(out_dir, f"report.{fmt}"))
 
 
 def _write_report(engine: MonitorEngine, fmt: str, path: str | None) -> None:
@@ -246,7 +249,7 @@ def _run_over_log(engine: MonitorEngine, args) -> int:
             fp.close()
     if not args.no_finalize:
         engine.finalize()
-    _write_outputs(engine, args.out, args.format)
+    _write_outputs(engine, args.out, args.format, finalized=not args.no_finalize)
     return _engine_exit_code(engine)
 
 

@@ -152,7 +152,8 @@ class MetricSnapshot:
     or regret on a log without counterfactual losses. Undefined is a value,
     not an error; downstream consumers (alarms, reports) must handle it.
     n, an integer >= 1, is the number of resolved pairs behind it. A defined
-    metric is a float or a non-bool int, and may be inf (a regret overflow).
+    metric is a float or a non-bool int, never NaN (the engine state stores
+    None as NaN), and may be inf (a regret overflow).
     """
 
     time: TimeIndex
@@ -176,8 +177,8 @@ class MetricSnapshot:
         if not defined:
             raise ValueError("snapshot must carry at least one defined metric")
         for name, value in defined.items():
-            if not (isinstance(value, float) or type(value) is int):
-                raise ValueError(f"{name} must be None or a number, got {value!r}")
+            if not (isinstance(value, float) or type(value) is int) or value != value:
+                raise ValueError(f"{name} must be None or a number, not NaN; got {value!r}")
 
     def defined(self) -> dict[str, float]:
         """Mapping of metric name -> value for the metrics that are defined."""

@@ -29,8 +29,8 @@ Engine snapshots are single JSON documents wrapping the engine state with
 a format version and a sha256 checksum over the canonically serialized
 state (sorted keys, no whitespace), so a truncated or hand-edited file is
 rejected instead of silently resuming from garbage. The document holds
-that canonical text itself, on one line; `python -m json.tool` prints it
-readably.
+that canonical text itself, on one line, as strict JSON (no NaN or
+Infinity token); `python -m json.tool` prints it readably.
 
 Reports are flat tables, CSV or JSON, one row per closed period, with a
 fixed column order. Undefined metrics serialize as empty cells (CSV) or
@@ -327,17 +327,20 @@ def log_pairs(
 # -- engine snapshots ---------------------------------------------------------
 
 
-def _canonical(state: dict) -> str:
-    return json.dumps(state, sort_keys=True, separators=(",", ":"))
+def _canonical(state: dict, allow_nan: bool = True) -> str:
+    return json.dumps(state, sort_keys=True, separators=(",", ":"), allow_nan=allow_nan)
 
 
 def save_snapshot(engine: MonitorEngine, fp: IO[str]) -> None:
     """Persist the engine as a checksummed, versioned JSON document.
 
     The state is serialized once, canonically, and those same bytes are
-    both hashed and written as the document's state.
+    both hashed and written as the document's state. It is strict JSON: a
+    state that would need a NaN or Infinity token raises ValueError, and
+    nothing is written. (load_snapshot still parses those tokens, so the
+    type that owns such a value is the one that refuses it.)
     """
-    state = _canonical(engine.to_state())
+    state = _canonical(engine.to_state(), allow_nan=False)
     digest = hashlib.sha256(state.encode()).hexdigest()
     fp.write(f'{{"format_version":{SNAPSHOT_FORMAT_VERSION},'
              f'"sha256":"{digest}","state":{state}}}\n')

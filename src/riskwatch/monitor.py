@@ -14,10 +14,13 @@ see exactly the same accumulated values either way. The open period's
 values are held unboxed, in typed arrays (float64, uint8 for outcomes),
 which a period close hands to the metrics as they are. The state is
 compact: closed-period metrics and alarm records are stored column-wise
-(one list per field), and the open period's values as base64 of their
-little-endian bytes, which round-trip bit for bit. The engine never loads
-numpy: every metric runs on the standard library, so a period close gives
-the same bits whichever SIMD loops numpy would pick on the host.
+(one column per field), and every float column (the closed periods'
+metrics, None stored as NaN, and the open period's values) as base64 of
+its little-endian bytes, which round-trips bit for bit; so the state holds
+no metric as JSON text and needs no NaN or Infinity token. The engine
+never loads numpy: every metric runs on the standard library, so a period
+close gives the same bits whichever SIMD loops numpy would pick on the
+host.
 
 Ordering contract: a single writer appends events with increasing sequence
 numbers and nondecreasing periods, and outcomes arrive after (and near)
@@ -54,7 +57,7 @@ from .tailrisk import cvar_tail, var
 
 logger = logging.getLogger(__name__)
 
-ENGINE_STATE_VERSION = 5
+ENGINE_STATE_VERSION = 6
 
 
 class MonitorEngine:
@@ -146,7 +149,9 @@ class MonitorEngine:
 
         # computed into locals and committed only once evaluate has passed,
         # so a failed close (NoMetrics) leaves the engine as it was
-        regret_cumulative, regret_rate = self._regret_cumulative, None
+        regret_cumulative, regret_rate = None, None
+        if self.snapshots:  # the regret summed over the closed periods
+            regret_cumulative = self.snapshots[-1].regret_cumulative
         if self._acc_regrets:
             try:
                 period_regret = math.fsum(self._acc_regrets)
@@ -190,11 +195,6 @@ class MonitorEngine:
         for name, (typecode, _) in _ACC.items():
             setattr(self, f"_acc_{name}", array(typecode))
 
-    @property
-    def _regret_cumulative(self) -> float | None:
-        """Regret summed over the closed periods: the last snapshot's."""
-        return self.snapshots[-1].regret_cumulative if self.snapshots else None
-
     # -- state freezing ------------------------------------------------------
 
     def to_state(self) -> dict:
@@ -212,13 +212,12 @@ class MonitorEngine:
                 "last_sequence": last_sequence,
             },
             "baseline": _row(self._baseline) if self._baseline else None,
-            "regret_cumulative": self._regret_cumulative,
             "pending": [_row(ev) for ev in self._join.pending.values()],
             "resolved_ids": sorted(self._join.resolved_ids),
             "last_event_seq": self._join.last_seq,
             "alarm": {**dict(zip(_layout(AlarmState), _row(self.alarm))),
                       "history": _columns(self.alarm.history, AlarmRecord)},
-            "snapshots": _columns(self.snapshots, MetricSnapshot),
+            "snapshots": _history(self.snapshots),
         }
 
     @classmethod
@@ -247,6 +246,9 @@ class MonitorEngine:
             policy=ThresholdPolicy(**_typed(state["policy"], dict, "policy")),
             **{name: state[name] for name in ENGINE_DEFAULTS},
         )
+        unknown = sorted(state.keys() - engine.to_state().keys())
+        if unknown:
+            raise ValueError(f"unknown state key {unknown[0]!r}")
         for name in _COUNTERS:
             count = state[name]
             if type(count) is not int or count < 0:
@@ -255,7 +257,7 @@ class MonitorEngine:
         acc = _typed(state["acc"], dict, "acc")
         for name, (typecode, valid) in _ACC.items():
             setattr(engine, f"_acc_{name}",
-                    array(typecode, _unpack(acc[name], typecode, valid)))
+                    array(typecode, _column(acc, name, typecode, valid)))
         if not len(engine._acc_probs) == len(engine._acc_ys) == len(engine._acc_losses):
             raise ValueError("open period values differ in length")
         if state["open_period"] is not None or acc["last_sequence"] is not None:
@@ -275,9 +277,10 @@ class MonitorEngine:
         alarm = _typed(state["alarm"], dict, "alarm")
         engine.alarm = AlarmState(
             **{**alarm, "history": tuple(_from_columns(AlarmRecord, alarm["history"]))})
-        engine.snapshots = _from_columns(MetricSnapshot, state["snapshots"])
-        if state["regret_cumulative"] != engine._regret_cumulative:
-            raise ValueError("regret_cumulative is not the last snapshot's")
+        history = _typed(state["snapshots"], dict, "snapshots")
+        engine.snapshots = _from_columns(MetricSnapshot, {**history, **{
+            name: [None if math.isnan(v) else v for v in _column(history, name, "d")]
+            for name in MetricSnapshot.METRIC_FIELDS}})
         return engine
 
 
@@ -328,8 +331,27 @@ def _unpack(text: str, typecode: str, valid=None) -> list:
     return values.tolist()
 
 
+def _column(columns: dict, name: str, typecode: str, valid=None) -> list:
+    """The values of the packed column columns[name]; a column that is not
+    _pack() text, or holds a value valid refuses, raises ValueError naming it."""
+    text = _typed(columns[name], str, name)
+    try:
+        return _unpack(text, typecode, valid)
+    except ValueError as exc:  # binascii.Error is one
+        raise ValueError(f"{name}: {exc}") from exc
+
+
+def _history(snapshots) -> dict:
+    """Snapshots column-wise, as _columns(), with each metric column packed
+    as float64 and None stored as NaN (which MetricSnapshot refuses)."""
+    columns = _columns(snapshots, MetricSnapshot)
+    for name in MetricSnapshot.METRIC_FIELDS:
+        columns[name] = _pack([math.nan if v is None else v for v in columns[name]], "d")
+    return columns
+
+
 def _typed(value, kind: type, name: str):
-    """value, if it has the JSON container type kind (list or dict) that
+    """value, if it has the JSON type kind (list, dict or str) that
     to_state() writes for it; any other raises ValueError naming it."""
     if type(value) is not kind:
         raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")

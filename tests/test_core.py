@@ -80,11 +80,14 @@ class TestValidation:
         (lambda: PredictionEvent(5, TimeIndex(1, 0), 0.5), "event_id"),
         (lambda: PredictionEvent("e1", TimeIndex(1, 0), 0.5, model_version=None),
          "model_version"),
+        # the engine state stores an undefined metric as NaN, so a NaN one
+        # would read back as None
+        (lambda: MetricSnapshot(TimeIndex(1, 0), n=1, ece=math.nan), "ece"),
     ]
 
     @pytest.mark.parametrize("build,field", PROBES, ids=[
         "outcome-1.0", "outcome-True", "period-1.5", "action-True", "prob-True",
-        "loss-True", "event_id-int", "model_version-None"])
+        "loss-True", "event_id-int", "model_version-None", "snapshot-ece-nan"])
     def test_refuses_what_its_log_line_cannot_carry(self, build, field):
         with pytest.raises(ValueError, match=field):
             build()

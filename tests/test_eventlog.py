@@ -433,7 +433,13 @@ class TestSnapshotIntegrity:
         (_set("baseline", ["a", 1]), "baseline-str", "engine state is malformed: .*Beta"),
         (_set("baseline", [math.nan, 1]), "baseline-nan",
          "engine state is malformed: .*Beta"),
-        (_set("snapshots", "ece", 0, "0.01"), "snapshot-ece-str",
+        # a packed metric column of the history that _pack() could not
+        # have written: a list, 7 bytes, text that is not base64
+        (_set("snapshots", "ece", [0.01]), "ece-list",
+         "engine state is malformed: .*ece"),
+        (_set("snapshots", "ece", "AAAAAAAAAA=="), "ece-7-bytes",
+         "engine state is malformed: .*ece"),
+        (_set("snapshots", "ece", "not base64!"), "ece-not-base64",
          "engine state is malformed: .*ece"),
         (_set("stale_pairs", -1), "negative-stale-pairs", RANGE),
         (_set("alarm", "breach_streak", "0"), "breach-streak-str",
@@ -479,6 +485,16 @@ class TestSnapshotIntegrity:
         buf = io.StringIO()
         save_snapshot(engine, buf)
         assert load_snapshot(io.StringIO(buf.getvalue())).to_state() == engine.to_state()
+
+    def test_save_refuses_a_token_strict_json_lacks(self):
+        # no value the types accept needs one; a bound forced past the
+        # policy's rule fails the save instead of writing Infinity
+        engine = MonitorEngine()
+        object.__setattr__(engine.policy, "ece_max", math.inf)
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_snapshot(engine, buf)
+        assert buf.getvalue() == ""
 
     def test_inf_open_period_regret_round_trips(self):
         # a step's regret overflows to +inf from finite losses; to_state()

@@ -141,8 +141,9 @@ class TestStateFreezing:
     def test_version_guard(self):
         # 2 is the last version with Monte Carlo drift values and settings,
         # 3 the last with every resolved id and no log line count, 4 the
-        # last with row-wise history and open-period values as JSON lists
-        for version in (2, 3, 4, 999):
+        # last with row-wise history and open-period values as JSON lists,
+        # 5 the last with the closed periods' metrics as JSON numbers
+        for version in (2, 3, 4, 5, 999):
             state = MonitorEngine().to_state()
             state["engine_version"] = version
             with pytest.raises(VersionMismatch):
@@ -271,6 +272,19 @@ class TestJoinDiscipline:
         assert "1 events left unresolved" in caplog.text
 
 
+def _leaves(value, path=()):
+    """The (path of keys and indexes, value) of each scalar in a JSON value,
+    keys in sorted order."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _leaves(value[key], (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, (*path, i))
+    else:
+        yield path, value
+
+
 class TestBoundedState:
     """Engine state is sized by the open period, not by the stream."""
 
@@ -279,12 +293,19 @@ class TestBoundedState:
         return {n: generate(replace(canonical_scenario(), patients_per_period=n))
                 for n in (500, 5000)}
 
+    # the paths of the state values that count events, pairs or lines, whose
+    # digits grow with the stream (the baseline's Beta parameters count
+    # outcomes, plus 1)
+    COUNTS = [("events_seen",), ("outcomes_seen",), ("lines_consumed",),
+              ("last_event_seq",), ("baseline",), ("snapshots", "n"),
+              ("snapshots", "sequence"), ("alarm", "history", "sequence")]
+
     def test_finalized_state_does_not_grow_with_the_stream(self, outputs):
-        sizes = {}
+        states, sizes = {}, {}
         for n, output in outputs.items():
             engine = drive(MonitorEngine(), output.events, output.outcomes)
             engine.finalize()
-            state = engine.to_state()
+            state = states[n] = engine.to_state()
             assert len(state["snapshots"]["period"]) == 12
             assert state["pending"] == []
             assert state["resolved_ids"] == []
@@ -293,7 +314,19 @@ class TestBoundedState:
             buf = io.StringIO()
             save_snapshot(engine, buf)
             sizes[n] = len(buf.getvalue())
-        assert abs(sizes[5000] - sizes[500]) <= 0.01 * sizes[500]
+        # the same keys and column lengths (strict zips), packed columns of
+        # equal length, and a size that differs by exactly the digits the
+        # count-valued fields gain
+        small, large = (list(_leaves(states[n])) for n in (500, 5000))
+        growth = 0
+        for (path, a), (other, b) in zip(small, large, strict=True):
+            assert path == other and type(a) is type(b), path
+            if isinstance(a, str):
+                assert len(a) == len(b), path
+            elif len(json.dumps(a)) != len(json.dumps(b)):
+                assert any(path[:len(count)] == count for count in self.COUNTS), path
+                growth += len(json.dumps(b)) - len(json.dumps(a))
+        assert sizes[5000] - sizes[500] == growth
 
     def test_mid_period_checkpoint_holds_open_period_ids_only(self, outputs):
         output = outputs[5000]
