@@ -118,6 +118,26 @@ class AlarmState:
             raise ValueError(f"streaks must be integers >= 0, got {streaks!r}")
 
 
+def breach(snapshot: MetricSnapshot,
+           policy: ThresholdPolicy) -> tuple[tuple[str, ...], bool]:
+    """The enabled, defined metrics the snapshot has over their bounds, and
+    whether the period counts as breaching: any of them (disjunctive), or
+    every enabled, defined metric (conjunctive). A snapshot with no enabled
+    metric defined raises NoMetrics."""
+    defined = snapshot.defined()
+    considered = {name: bound for name, bound in policy.bounds().items() if name in defined}
+    if not considered:
+        # nothing to judge: every enabled metric is undefined here. Failing
+        # loudly beats silently scoring the period as clean.
+        raise NoMetrics(
+            "no enabled metric is defined in this snapshot "
+            f"(enabled: {sorted(policy.bounds())}, defined: {sorted(defined)})")
+    breached = tuple(name for name, bound in considered.items() if defined[name] > bound)
+    if policy.conjunctive:
+        return breached, len(breached) == len(considered)
+    return breached, bool(breached)
+
+
 def evaluate(
     state: AlarmState,
     snapshot: MetricSnapshot,
@@ -126,33 +146,12 @@ def evaluate(
     """Advance the alarm machine by one period.
 
     Moves at most one level: NORMAL -> REVIEW after consecutive_for_review
-    breaching periods, REVIEW -> SUSPENDED after consecutive_for_suspend,
-    and one level down after recovery_periods consecutive clean periods
-    (the clean counter restarts after each step down). NORMAL never jumps
-    straight to SUSPENDED.
+    breaching periods (as breach() judges them), REVIEW -> SUSPENDED after
+    consecutive_for_suspend, and one level down after recovery_periods
+    consecutive clean periods (the clean counter restarts after each step
+    down). NORMAL never jumps straight to SUSPENDED.
     """
-    defined = snapshot.defined()
-    considered = {
-        name: (defined[name], bound)
-        for name, bound in policy.bounds().items()
-        if name in defined
-    }
-    if not considered:
-        # nothing to judge: every enabled metric is undefined here. Failing
-        # loudly beats silently scoring the period as clean.
-        raise NoMetrics(
-            "no enabled metric is defined in this snapshot "
-            f"(enabled: {sorted(policy.bounds())}, "
-            f"defined: {sorted(defined)})"
-        )
-    breached = tuple(
-        name for name, (value, bound) in considered.items() if value > bound
-    )
-    if policy.conjunctive:
-        is_breach = len(breached) == len(considered)
-    else:
-        is_breach = bool(breached)
-
+    breached, is_breach = breach(snapshot, policy)
     level = _LADDER.index(state.state)
     if is_breach:
         breach_streak, clean_streak = state.breach_streak + 1, 0

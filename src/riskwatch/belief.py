@@ -53,9 +53,7 @@ def update(posterior: BetaPosterior, outcome: int) -> BetaPosterior:
     """Condition the belief on one Bernoulli outcome (closed form)."""
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    if outcome:
-        return BetaPosterior(posterior.a + 1.0, posterior.b)
-    return BetaPosterior(posterior.a, posterior.b + 1.0)
+    return update_batch(posterior, outcome, 1 - outcome)
 
 
 def update_batch(posterior: BetaPosterior, positives: int, negatives: int) -> BetaPosterior:

@@ -28,7 +28,7 @@ from dataclasses import asdict, replace
 from itertools import chain
 
 from . import eventlog
-from .alarms import OperatingState
+from .alarms import OperatingState, breach
 from .errors import RiskwatchError, UnknownPreset
 from .monitor import MonitorEngine
 from .simulator import ScenarioConfig, preset, preset_names, scenario_pairs
@@ -219,9 +219,8 @@ def _cmd_simulate(args) -> int:
             "periods": len(engine.snapshots),
             "end_state": engine.alarm.state.value,
             "first_breach_period": next(
-                (rec.time.period for rec in engine.alarm.history if rec.breached),
-                None,
-            ),
+                (snap.time.period for snap in engine.snapshots
+                 if breach(snap, engine.policy)[1]), None),
         })
         logger.info("simulate: seed %d done, end state %s",
                     seeded.seed, engine.alarm.state.value)

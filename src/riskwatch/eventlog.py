@@ -25,12 +25,13 @@ undecoded, numbers the rest from there and counts each line it reads.
 ingest_log is the only reader that feeds an engine, and log_pairs the only
 writer: it logs simulated pairs and feeds them through the same intake.
 
-Engine snapshots are single JSON documents wrapping the engine state with
-a format version and a sha256 checksum over the canonically serialized
-state (sorted keys, no whitespace), so a truncated or hand-edited file is
-rejected instead of silently resuming from garbage. The document holds
-that canonical text itself, on one line, as strict JSON (no NaN or
-Infinity token); `python -m json.tool` prints it readably.
+Engine snapshots are single JSON documents, {"sha256", "state"}: the
+engine state, which carries the one version (engine_version), and a sha256
+checksum over its canonical serialization (sorted keys, no whitespace), so
+a truncated or hand-edited file is rejected instead of silently resuming
+from garbage. The document holds that canonical text itself, on one line,
+as strict JSON (no NaN or Infinity token); `python -m json.tool` prints it
+readably.
 
 Reports are flat tables, CSV or JSON, one row per closed period, with a
 fixed column order. Undefined metrics serialize as empty cells (CSV) or
@@ -62,14 +63,11 @@ from .errors import (
     ParseError,
     SchemaError,
     TruncatedLog,
-    VersionMismatch,
 )
 from .monitor import ENGINE_DEFAULTS, MonitorEngine
 from .simulator import ScenarioConfig
 
 logger = logging.getLogger(__name__)
-
-SNAPSHOT_FORMAT_VERSION = 1
 
 CONFIG_ENV_VAR = "RISKWATCH_CONFIG"
 
@@ -332,7 +330,7 @@ def _canonical(state: dict, allow_nan: bool = True) -> str:
 
 
 def save_snapshot(engine: MonitorEngine, fp: IO[str]) -> None:
-    """Persist the engine as a checksummed, versioned JSON document.
+    """Persist the engine as a checksummed JSON document.
 
     The state is serialized once, canonically, and those same bytes are
     both hashed and written as the document's state. It is strict JSON: a
@@ -342,12 +340,12 @@ def save_snapshot(engine: MonitorEngine, fp: IO[str]) -> None:
     """
     state = _canonical(engine.to_state(), allow_nan=False)
     digest = hashlib.sha256(state.encode()).hexdigest()
-    fp.write(f'{{"format_version":{SNAPSHOT_FORMAT_VERSION},'
-             f'"sha256":"{digest}","state":{state}}}\n')
+    fp.write(f'{{"sha256":"{digest}","state":{state}}}\n')
 
 
 def load_snapshot(fp: IO[str]) -> MonitorEngine:
-    """Load a snapshot, verifying format version and checksum."""
+    """Load a snapshot, verifying its checksum; MonitorEngine.from_state
+    checks the state's version and that it is what to_state() writes."""
     try:
         doc = json.load(fp)
     except json.JSONDecodeError as exc:
@@ -356,16 +354,14 @@ def load_snapshot(fp: IO[str]) -> MonitorEngine:
         raise CorruptSnapshot(f"snapshot is not valid UTF-8: {exc.reason}") from exc
     if not isinstance(doc, dict) or "state" not in doc or "sha256" not in doc:
         raise CorruptSnapshot("snapshot document missing required keys")
-    version = doc.get("format_version")
-    if version != SNAPSHOT_FORMAT_VERSION:
-        raise VersionMismatch(
-            f"snapshot format version {version!r} != supported "
-            f"{SNAPSHOT_FORMAT_VERSION}"
-        )
     digest = hashlib.sha256(_canonical(doc["state"]).encode()).hexdigest()
     if digest != doc["sha256"]:
         raise CorruptSnapshot("snapshot checksum mismatch; file damaged or edited")
-    return MonitorEngine.from_state(doc["state"])
+    engine = MonitorEngine.from_state(doc["state"])
+    unknown = sorted(doc.keys() - {"sha256", "state"})
+    if unknown:
+        raise CorruptSnapshot(f"unknown snapshot document key {unknown[0]!r}")
+    return engine
 
 
 def save_snapshot_file(engine: MonitorEngine, path: str | os.PathLike) -> None:

@@ -12,12 +12,13 @@ mid-stream with to_state(), persisted, reloaded with from_state() and
 continued to a bit-identical result; the per-period metric computations
 see exactly the same accumulated values either way. The open period's
 values are held unboxed, in typed arrays (float64, uint8 for outcomes),
-which a period close hands to the metrics as they are. The state is
-compact: closed-period metrics and alarm records are stored column-wise
-(one column per field), and every float column (the closed periods'
-metrics, None stored as NaN, and the open period's values) as base64 of
-its little-endian bytes, which round-trips bit for bit; so the state holds
-no metric as JSON text and needs no NaN or Infinity token. The engine
+which a period close hands to the metrics as they are. The state says
+each thing once: its tables (pending events; closed periods, each with its
+alarm record) are stored column-wise, and every float column (None stored
+as NaN) and the open period's values as base64 of their little-endian
+bytes, which round-trips bit for bit, so no metric is JSON text and no NaN
+or Infinity token is needed. A state loads only if the engine it builds
+writes it back unchanged. The engine
 never loads numpy: every metric runs on the standard library, so a period
 close gives the same bits whichever SIMD loops numpy would pick on the
 host.
@@ -39,11 +40,13 @@ from __future__ import annotations
 import base64
 import enum
 import inspect
+import json
 import logging
 import math
 import sys
 from array import array
 from dataclasses import asdict, astuple, fields
+from operator import attrgetter
 
 from . import belief as belief_mod
 from .alarms import AlarmRecord, AlarmState, ThresholdPolicy, evaluate
@@ -57,7 +60,7 @@ from .tailrisk import cvar_tail, var
 
 logger = logging.getLogger(__name__)
 
-ENGINE_STATE_VERSION = 6
+ENGINE_STATE_VERSION = 7
 
 
 class MonitorEngine:
@@ -199,33 +202,35 @@ class MonitorEngine:
 
     def to_state(self) -> dict:
         """Plain-data image of the full engine state."""
-        open_period, last_sequence = (
-            astuple(self._open_time) if self._open_time else (None, None))
         return {
             "engine_version": ENGINE_STATE_VERSION,
             **{name: getattr(self, name) for name in (*ENGINE_DEFAULTS, *_COUNTERS)},
             "policy": asdict(self.policy),
-            "open_period": open_period,
-            "acc": {
-                **{name: _pack(getattr(self, f"_acc_{name}"), typecode)
-                   for name, (typecode, _) in _ACC.items()},
-                "last_sequence": last_sequence,
-            },
-            "baseline": _row(self._baseline) if self._baseline else None,
-            "pending": [_row(ev) for ev in self._join.pending.values()],
+            "open_time": list(astuple(self._open_time)) if self._open_time else None,
+            "acc": {name: _pack(getattr(self, f"_acc_{name}"), typecode)
+                    for name, (typecode, _) in _ACC.items()},
+            "baseline": list(astuple(self._baseline)) if self._baseline else None,
+            "pending": _columns(self._join.pending.values(), PredictionEvent),
             "resolved_ids": sorted(self._join.resolved_ids),
             "last_event_seq": self._join.last_seq,
-            "alarm": {**dict(zip(_layout(AlarmState), _row(self.alarm))),
-                      "history": _columns(self.alarm.history, AlarmRecord)},
-            "snapshots": _history(self.snapshots),
+            # the machine's state and streaks; its history is stored below
+            "alarm": {"state": self.alarm.state.value,
+                      "breach_streak": self.alarm.breach_streak,
+                      "clean_streak": self.alarm.clean_streak},
+            # one row per closed period: its metrics and the state and breached
+            # of the alarm record made on them, whose time is the snapshot's
+            "snapshots": {**_columns(self.alarm.history, AlarmRecord),
+                          **_columns(self.snapshots, MetricSnapshot)},
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "MonitorEngine":
         """Rebuild an engine from to_state() output.
 
-        A state of another version raises VersionMismatch; one that
-        to_state() could not have written raises CorruptSnapshot.
+        A state of another version raises VersionMismatch. A state loads
+        only if the engine it builds writes it back unchanged (under
+        canonical JSON); any other raises CorruptSnapshot, naming the first
+        key or column that differs.
         """
         if not isinstance(state, dict):
             raise CorruptSnapshot(
@@ -236,9 +241,13 @@ class MonitorEngine:
                 f"engine state version {version!r} != supported {ENGINE_STATE_VERSION}"
             )
         try:
-            return cls._thaw(state)
+            engine = cls._thaw(state)
+            differs = _first_difference(state, engine.to_state())
+            if differs is not None:
+                raise ValueError(f"{differs!r} is not as to_state() writes it")
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise CorruptSnapshot(f"engine state is malformed: {exc!r}") from exc
+        return engine
 
     @classmethod
     def _thaw(cls, state: dict) -> "MonitorEngine":
@@ -246,9 +255,6 @@ class MonitorEngine:
             policy=ThresholdPolicy(**_typed(state["policy"], dict, "policy")),
             **{name: state[name] for name in ENGINE_DEFAULTS},
         )
-        unknown = sorted(state.keys() - engine.to_state().keys())
-        if unknown:
-            raise ValueError(f"unknown state key {unknown[0]!r}")
         for name in _COUNTERS:
             count = state[name]
             if type(count) is not int or count < 0:
@@ -260,27 +266,23 @@ class MonitorEngine:
                     array(typecode, _column(acc, name, typecode, valid)))
         if not len(engine._acc_probs) == len(engine._acc_ys) == len(engine._acc_losses):
             raise ValueError("open period values differ in length")
-        if state["open_period"] is not None or acc["last_sequence"] is not None:
-            engine._open_time = TimeIndex(state["open_period"], acc["last_sequence"])
+        if state["open_time"] is not None:
+            engine._open_time = TimeIndex(*_typed(state["open_time"], list, "open_time"))
         if (engine._open_time is not None) != bool(engine._acc_probs):
             raise ValueError("the open period and its values disagree")
         if state["baseline"] is not None:
-            engine._baseline = _record(belief_mod.BetaPosterior,
-                                       _typed(state["baseline"], list, "baseline"))
-        pending = [_record(PredictionEvent, _typed(row, list, "a pending row"))
-                   for row in _typed(state["pending"], list, "pending")]
+            engine._baseline = belief_mod.BetaPosterior(
+                *_typed(state["baseline"], list, "baseline"))
+        pending = _from_columns(PredictionEvent, _typed(state["pending"], dict, "pending"))
         engine._join.pending = {ev.event_id: ev for ev in pending}
         engine._join.resolved_ids = dict.fromkeys(
             check_event_id(i) for i in _typed(state["resolved_ids"], list, "resolved_ids"))
         if state["last_event_seq"] is not None:
             engine._join.last_seq = check_sequence(state["last_event_seq"])
-        alarm = _typed(state["alarm"], dict, "alarm")
-        engine.alarm = AlarmState(
-            **{**alarm, "history": tuple(_from_columns(AlarmRecord, alarm["history"]))})
         history = _typed(state["snapshots"], dict, "snapshots")
-        engine.snapshots = _from_columns(MetricSnapshot, {**history, **{
-            name: [None if math.isnan(v) else v for v in _column(history, name, "d")]
-            for name in MetricSnapshot.METRIC_FIELDS}})
+        engine.snapshots = _from_columns(MetricSnapshot, history)
+        engine.alarm = AlarmState(**{**_typed(state["alarm"], dict, "alarm"),
+                                     "history": tuple(_from_columns(AlarmRecord, history))})
         return engine
 
 
@@ -341,15 +343,6 @@ def _column(columns: dict, name: str, typecode: str, valid=None) -> list:
         raise ValueError(f"{name}: {exc}") from exc
 
 
-def _history(snapshots) -> dict:
-    """Snapshots column-wise, as _columns(), with each metric column packed
-    as float64 and None stored as NaN (which MetricSnapshot refuses)."""
-    columns = _columns(snapshots, MetricSnapshot)
-    for name in MetricSnapshot.METRIC_FIELDS:
-        columns[name] = _pack([math.nan if v is None else v for v in columns[name]], "d")
-    return columns
-
-
 def _typed(value, kind: type, name: str):
     """value, if it has the JSON type kind (list, dict or str) that
     to_state() writes for it; any other raises ValueError naming it."""
@@ -358,43 +351,56 @@ def _typed(value, kind: type, name: str):
     return value
 
 
-def _layout(cls) -> tuple[str, ...]:
-    """The plain-data columns of a record class, read off its fields; a time
-    field is stored as its period and sequence."""
-    return tuple(name for f in fields(cls) for name in (
-        ("period", "sequence") if f.name == "time" else (f.name,)))
+def _first_difference(loaded, written) -> str | None:
+    """The first key, in sorted order, at which two states differ under
+    canonical JSON, as a dotted path ("" for the values themselves); None
+    if they do not differ."""
+    if type(loaded) is not dict or type(written) is not dict:
+        return None if json.dumps(loaded) == json.dumps(written) else ""
+    for key in sorted(loaded.keys() | written.keys()):
+        if key not in loaded or key not in written:
+            return key
+        inner = _first_difference(loaded[key], written[key])
+        if inner is not None:
+            return f"{key}.{inner}" if inner else key
+    return None
 
 
-def _row(record) -> list:
-    """A record as plain data in _layout() order; an enum as its value."""
-    row = []
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if f.name == "time":
-            row += astuple(value)
-        else:
-            row.append(value.value if isinstance(value, enum.Enum) else value)
-    return row
-
-
-def _record(cls, row):
-    """The record of a _row(), rebuilt through the class's own constructor,
-    which checks every value; a row of another length raises ValueError."""
-    values = dict(zip(_layout(cls), row, strict=True))
-    if "period" in values:
-        values["time"] = TimeIndex(values.pop("period"), values.pop("sequence"))
-    return cls(**values)
+def _layout(cls) -> dict[str, tuple[str, bool]]:
+    """The plain-data columns of a record class, read off its fields: each
+    column's attribute path, and whether it is stored packed (a field
+    annotated float, or float | None, is). A time field is stored as its
+    period and sequence."""
+    return {path.rpartition(".")[2]: (path, f.type in ("float", "float | None"))
+            for f in fields(cls) for path in (
+                ("time.period", "time.sequence") if f.name == "time" else (f.name,))}
 
 
 def _columns(records, cls) -> dict:
-    """Records stored column-wise: one list per _layout() column."""
-    rows = [_row(record) for record in records]
-    return {name: [row[i] for row in rows] for i, name in enumerate(_layout(cls))}
+    """Records stored column-wise, one column per _layout() column: _pack()
+    text of float64 values if it is packed, with None stored as NaN (which
+    no record holds), else a JSON list, with an enum as its value."""
+    columns = {}
+    for name, (path, packed) in _layout(cls).items():
+        values = list(map(attrgetter(path), records))
+        columns[name] = (_pack([math.nan if v is None else v for v in values], "d")
+                         if packed else
+                         [v.value if isinstance(v, enum.Enum) else v for v in values])
+    return columns
 
 
 def _from_columns(cls, columns: dict) -> list:
-    """The records of _columns() output; ragged columns, or containers of
-    another type, raise ValueError."""
-    _typed(columns, dict, f"the {cls.__name__} columns")
-    return [_record(cls, row) for row in zip(
-        *(_typed(columns[name], list, name) for name in _layout(cls)), strict=True)]
+    """The records of _columns() output, each rebuilt through the class's
+    own constructor, which checks every value. A column that is missing, of
+    another JSON type or of another length than the first raises an error
+    naming it."""
+    values = {name: [None if math.isnan(v) else v for v in _column(columns, name, "d")]
+              if packed else _typed(columns[name], list, name)
+              for name, (_, packed) in _layout(cls).items()}
+    length = len(next(iter(values.values())))
+    for name, column in values.items():
+        if len(column) != length:
+            raise ValueError(f"column {name!r} holds {len(column)} values, not {length}")
+    if "period" in values:
+        values["time"] = list(map(TimeIndex, values.pop("period"), values.pop("sequence")))
+    return [cls(**dict(zip(values, row))) for row in zip(*values.values())]

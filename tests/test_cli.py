@@ -47,7 +47,7 @@ def small_cfg(tmp_path_factory):
 # the sha256 of the simulate log and state of the canonical scenario cut to
 # 3 periods of 200 patients, the same under every numpy SIMD dispatch level
 SMALL_LOG_SHA256 = "83f3cc1317c496d57d13a26af83cb321c422b7cefca1263b5d68b88d61487402"
-SMALL_STATE_SHA256 = "239a1d34f48c49d7858865fabea2341ff729c5095da10290de5d78ed64c2c9f2"
+SMALL_STATE_SHA256 = "4e45f7c2c44db7a3853972cfcf8fd98ccff86de11330139961fc78e088350e13"
 
 
 def refuse_constant(token):
@@ -121,6 +121,21 @@ class TestSimulate:
         assert all(r["periods"] == 4 for r in summary)
         assert all(r["end_state"] == "normal" for r in summary)
         assert all(r["first_breach_period"] is None for r in summary)
+
+    def test_summary_breach_follows_the_conjunctive_rule(self, tmp_path):
+        # ece alone goes over its bound from period 7, but under conjunctive
+        # a period breaches only when cvar does too, which it never does
+        cfg = tmp_path / "conj.json"
+        cfg.write_text(json.dumps({
+            "scenario": {"patients_per_period": 500},
+            "policy": {"conjunctive": True, "ece_max": 0.045, "cvar_max": 0.5},
+        }))
+        out = tmp_path / "reps"
+        assert main(["simulate", "--scenario", str(cfg), "--out", str(out),
+                     "--replicates", "2"]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert [r["end_state"] for r in summary] == ["normal", "normal"]
+        assert [r["first_breach_period"] for r in summary] == [None, None]
 
     def test_replicates_must_be_positive(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path),
@@ -480,7 +495,7 @@ class TestReplayResume:
 
     def test_corrupt_snapshot(self, tmp_path, capsys):
         snap = tmp_path / "state.json"
-        snap.write_text('{"format_version": 1, "sha256": "00", "state": {}}')
+        snap.write_text('{"sha256": "00", "state": {}}')
         assert main(["replay", "--snapshot", str(snap),
                      "--in", str(tmp_path / "x")]) == EXIT_DATA
         assert "checksum" in capsys.readouterr().err
@@ -538,7 +553,6 @@ class TestLineAddressedReplay:
         state["acc"]["ys"] = _pack([7] + ys[1:], "B")
         canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
         (part / "state.json").write_text(json.dumps({
-            "format_version": 1,
             "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
             "state": state,
         }))
@@ -598,7 +612,7 @@ class TestLineAddressedReplay:
                      "--out", str(out)]) == EXIT_OK
         state = json.loads((out / "state.json").read_text())["state"]
         assert state["lines_consumed"] == len(small_lines)
-        assert state["pending"] == []
+        assert not any(state["pending"].values())  # no pending column holds a value
 
 
 @pytest.fixture(params=["monitor", "replay"])
@@ -759,7 +773,6 @@ class TestReport:
         canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
         snap = tmp_path / "state.json"
         snap.write_text(json.dumps({
-            "format_version": 1,
             "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
             "state": state,
         }))
@@ -769,6 +782,16 @@ class TestReport:
                            "--in", str(tmp_path / "unread.ndjson")]}[command]
         assert main(argv) == EXIT_DATA
         assert "engine state" in capsys.readouterr().err
+
+    def test_version_6_document_exits_data(self, tmp_path, capsys):
+        # the document layout before engine version 7, format_version included
+        canonical = json.dumps({"engine_version": 6}, separators=(",", ":"))
+        snap = tmp_path / "state.json"
+        snap.write_text(f'{{"format_version":1,"sha256":'
+                        f'"{hashlib.sha256(canonical.encode()).hexdigest()}",'
+                        f'"state":{canonical}}}\n')
+        assert main(["report", "--in", str(snap)]) == EXIT_DATA
+        assert "engine state version 6 != supported" in capsys.readouterr().err
 
     def test_reemit_csv_matches_original(self, sim_dir, tmp_path):
         out = tmp_path / "again.csv"

@@ -322,10 +322,26 @@ def checksummed(state) -> io.StringIO:
     """A snapshot document around any state, with a valid checksum."""
     canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
     return io.StringIO(json.dumps({
-        "format_version": 1,
         "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "state": state,
     }))
+
+
+# a snapshot saved by engine version 6 (the last with a format_version)
+V6_DOCUMENT = (
+    '{"format_version":1,"sha256":"adc2e53405ccd424a513bb2ff3381b4296a8384e27272cb6d4c0c4e1'
+    '59976b18","state":{"acc":{"last_sequence":null,"losses":"","probs":"","regrets":"",'
+    '"ys":""},"alarm":{"breach_streak":1,"clean_streak":0,"history":{"breached":[["ece",'
+    '"cvar"]],"period":[1],"sequence":[0],"state":["review"]},"state":"review"},'
+    '"alpha":0.95,"baseline":[2.0,1.0],"engine_version":6,"events_seen":1,'
+    '"last_event_seq":0,"lines_consumed":0,"n_bins":10,"open_period":null,'
+    '"outcomes_seen":1,"pending":[],"policy":{"conjunctive":false,'
+    '"consecutive_for_review":1,"consecutive_for_suspend":3,"cvar_max":0.13,'
+    '"drift_min":null,"ece_max":0.045,"recovery_periods":2,"regret_rate_max":null},'
+    '"resolved_ids":[],"snapshots":{"auc":"AAAAAAAA+H8=","brier":"AAAAAAAA4j8=",'
+    '"cvar":"AAAAAAAA4D8=","drift_score":"BAAAAAAA4D8=","ece":"AAAAAAAA6D8=","n":[1],'
+    '"period":[1],"posterior_mean":"VVVVVVVV5T8=","regret_cumulative":"AAAAAAAA+H8=",'
+    '"regret_rate":"AAAAAAAA+H8=","sequence":[0],"var":"AAAAAAAA4D8="},"stale_pairs":0}}\n')
 
 
 def mid_period_engine(output, upto=3_050, lag=50):
@@ -394,7 +410,7 @@ class TestSnapshotIntegrity:
         canonical = json.dumps(engine.to_state(), sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(canonical.encode()).hexdigest()
         assert buf.getvalue() == (
-            f'{{"format_version":1,"sha256":"{digest}","state":{canonical}}}\n')
+            f'{{"sha256":"{digest}","state":{canonical}}}\n')
 
     RANGE = "engine state is malformed: .*(out of range|negative)"
     MALFORMED = [
@@ -418,16 +434,16 @@ class TestSnapshotIntegrity:
          RANGE),
         (lambda state: state["policy"].update(ece_max=math.nan), "policy-nan-bound",
          "engine state is malformed: .*ece_max"),
-        (lambda state: state["pending"][0].__setitem__(4, True), "pending-action-true",
+        (_set("pending", "action_id", 0, True), "pending-action-true",
          "engine state is malformed: .*action_id"),
-        (lambda state: state["pending"][0].__setitem__(6, ["icu"]), "pending-cohort-list",
+        (_set("pending", "cohort", 0, ["icu"]), "pending-cohort-list",
          "engine state is malformed: .*cohort"),
         # values a type's rule refuses, which once loaded and failed later
         (_set("regret_cumulative", "abc"), "regret-cumulative-str",
          "engine state is malformed: .*regret_cumulative"),
         (_set("events_seen", "3050"), "events-seen-str",
          "engine state is malformed: .*events_seen"),
-        (_set("open_period", "2"), "open-period-str", "engine state is malformed: .*period"),
+        (_set("open_time", 0, "2"), "open-period-str", "engine state is malformed: .*period"),
         (_set("last_event_seq", "3049"), "last-event-seq-str",
          "engine state is malformed: .*sequence"),
         (_set("baseline", ["a", 1]), "baseline-str", "engine state is malformed: .*Beta"),
@@ -446,24 +462,35 @@ class TestSnapshotIntegrity:
          "engine state is malformed: .*streaks"),
         (_set("snapshots", "n", 0, -3), "snapshot-n-negative",
          "engine state is malformed: .*n must be"),
-        (_set("alarm", "history", "breached", 0, [5]), "breached-int",
+        (_set("snapshots", "breached", 0, [5]), "breached-int",
          "engine state is malformed: .*breached"),
         (_set("resolved_ids", 0, 7), "resolved-id-int",
          "engine state is malformed: .*event_id"),
-        (_set("acc", "last_sequence", "3000"), "last-sequence-str",
+        (_set("open_time", 1, "3000"), "last-sequence-str",
          "engine state is malformed: .*sequence"),
         (lambda state: state["acc"].update(probs="", ys="", losses="", regrets=""),
          "open-period-without-values", "engine state is malformed: .*open period"),
         # containers of a JSON type to_state() never writes, which once loaded
         # as no pending events or as the characters of an id
-        (_set("pending", {}), "pending-object",
-         "engine state is malformed: .*pending must be a list"),
+        (_set("pending", "event_id", {}), "pending-object",
+         "engine state is malformed: .*event_id must be a list"),
         (_set("pending", ""), "pending-str",
-         "engine state is malformed: .*pending must be a list"),
+         "engine state is malformed: .*pending must be a dict"),
         (_set("resolved_ids", "ev-0"), "resolved-ids-str",
          "engine state is malformed: .*resolved_ids must be a list"),
         (lambda state: state.update(resolved_ids=dict.fromkeys(state["resolved_ids"])),
          "resolved-ids-object", "engine state is malformed: .*resolved_ids must be a list"),
+        # keys and columns to_state() never writes, which once loaded unread
+        (_set("acc", "junk", ""), "acc-extra-key",
+         "engine state is malformed: .*'acc.junk' is not as to_state"),
+        (_set("snapshots", "ece_old", [1]), "snapshots-extra-column",
+         "engine state is malformed: .*'snapshots.ece_old' is not as to_state"),
+        # the alarm records' times are the snapshot columns', so a record
+        # missing from the end is a short column, not a blank alarm state
+        (_drop_last("state"), "alarm-column-short",
+         "engine state is malformed: .*column 'state' holds 0 values, not 1"),
+        (lambda state: state["resolved_ids"].reverse(), "resolved-ids-unsorted",
+         "engine state is malformed: .*'resolved_ids' is not as to_state"),
     ]
 
     @pytest.mark.parametrize("mutate,match", [(m, f) for m, _, f in MALFORMED],
@@ -515,7 +542,7 @@ class TestSnapshotIntegrity:
         before = engine.to_state()
 
         def torn(engine, fp):
-            fp.write('{"format_version":1,"sha256":')
+            fp.write('{"sha256":')
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(eventlog, "save_snapshot", torn)
@@ -565,13 +592,34 @@ class TestSnapshotIntegrity:
             load_snapshot(io.StringIO(json.dumps(doc)))
 
     def test_version_bump_detected(self, canonical_output):
-        engine = self.make(canonical_output)
+        state = self.make(canonical_output).to_state()
+        state["engine_version"] = ENGINE_STATE_VERSION + 1
+        with pytest.raises(VersionMismatch, match=f"{ENGINE_STATE_VERSION + 1}"):
+            load_snapshot(checksummed(state))
+
+    def test_a_version_6_document_is_refused(self):
+        # one pair closed in one period, saved by the last v6 engine: the
+        # alarm history apart from the snapshots, and a format_version
+        with pytest.raises(VersionMismatch, match="version 6 "):
+            load_snapshot(io.StringIO(V6_DOCUMENT))
+
+    def test_unknown_document_key_is_refused(self, canonical_output):
         buf = io.StringIO()
-        save_snapshot(engine, buf)
+        save_snapshot(mid_period_engine(canonical_output), buf)
         doc = json.loads(buf.getvalue())
-        doc["format_version"] = 2
-        with pytest.raises(VersionMismatch):
+        doc["format_version"] = 1
+        with pytest.raises(CorruptSnapshot, match="document key 'format_version'"):
             load_snapshot(io.StringIO(json.dumps(doc)))
+
+    @pytest.mark.parametrize("finalized", [False, True], ids=["mid-period", "finalized"])
+    def test_load_then_save_gives_the_same_bytes(self, canonical_output, finalized):
+        engine = mid_period_engine(canonical_output)
+        if finalized:
+            engine.finalize()
+        first, second = io.StringIO(), io.StringIO()
+        save_snapshot(engine, first)
+        save_snapshot(load_snapshot(io.StringIO(first.getvalue())), second)
+        assert second.getvalue() == first.getvalue()
 
     def test_not_json(self):
         with pytest.raises(CorruptSnapshot):
@@ -579,13 +627,13 @@ class TestSnapshotIntegrity:
 
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "state.json"
-        path.write_bytes(b'\xff{"format_version": 1}')
+        path.write_bytes(b'\xff{"sha256": "00"}')
         with pytest.raises(CorruptSnapshot, match="UTF-8"):
             load_snapshot_file(path)
 
     def test_missing_keys(self):
         with pytest.raises(CorruptSnapshot):
-            load_snapshot(io.StringIO('{"format_version": 1}'))
+            load_snapshot(io.StringIO('{"sha256": "00"}'))
 
 
 @pytest.fixture(scope="module")

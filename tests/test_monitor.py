@@ -142,8 +142,9 @@ class TestStateFreezing:
         # 2 is the last version with Monte Carlo drift values and settings,
         # 3 the last with every resolved id and no log line count, 4 the
         # last with row-wise history and open-period values as JSON lists,
-        # 5 the last with the closed periods' metrics as JSON numbers
-        for version in (2, 3, 4, 5, 999):
+        # 5 the last with the closed periods' metrics as JSON numbers, 6 the
+        # last with the alarm history stored apart from the snapshots
+        for version in (2, 3, 4, 5, 6, 999):
             state = MonitorEngine().to_state()
             state["engine_version"] = version
             with pytest.raises(VersionMismatch):
@@ -298,7 +299,7 @@ class TestBoundedState:
     # outcomes, plus 1)
     COUNTS = [("events_seen",), ("outcomes_seen",), ("lines_consumed",),
               ("last_event_seq",), ("baseline",), ("snapshots", "n"),
-              ("snapshots", "sequence"), ("alarm", "history", "sequence")]
+              ("snapshots", "sequence")]
 
     def test_finalized_state_does_not_grow_with_the_stream(self, outputs):
         states, sizes = {}, {}
@@ -307,10 +308,10 @@ class TestBoundedState:
             engine.finalize()
             state = states[n] = engine.to_state()
             assert len(state["snapshots"]["period"]) == 12
-            assert state["pending"] == []
+            assert not any(state["pending"].values())  # no column holds a value
             assert state["resolved_ids"] == []
-            assert state["acc"] == {"probs": "", "ys": "", "losses": "",
-                                    "regrets": "", "last_sequence": None}
+            assert state["open_time"] is None
+            assert state["acc"] == {"probs": "", "ys": "", "losses": "", "regrets": ""}
             buf = io.StringIO()
             save_snapshot(engine, buf)
             sizes[n] = len(buf.getvalue())
@@ -334,7 +335,7 @@ class TestBoundedState:
                        upto=12_345)  # mid period 3
         state = engine.to_state()
         period_of = {e.event_id: e.time.period for e in output.events}
-        assert state["open_period"] == 3
+        assert state["open_time"][0] == 3
         assert {period_of[i] for i in state["resolved_ids"]} == {3}
         probs = _unpack(state["acc"]["probs"], "d")
         assert len(state["resolved_ids"]) == len(probs) == 2_345
