@@ -9,20 +9,18 @@ crosses its bound (disjunctive default; a conjunctive flag requires all
 enabled metrics to cross at once).
 
 State transitions happen only through evaluate(), which returns a new
-immutable state carrying an append-only history, so an audit can replay
-every decision the machine made.
+immutable state carrying an append-only history. replay() folds evaluate()
+over a run's snapshots, so a saved engine stores those and replays every
+decision the machine made instead of storing it.
 """
 
 from __future__ import annotations
 
 import enum
-import logging
 from dataclasses import dataclass, fields
 
 from .core import MetricSnapshot, TimeIndex, finite_number
 from .errors import NoMetrics
-
-logger = logging.getLogger(__name__)
 
 
 class OperatingState(enum.Enum):
@@ -87,35 +85,23 @@ _BOUND_FIELDS = {"ece": "ece_max", "cvar": "cvar_max",
 
 @dataclass(frozen=True)
 class AlarmRecord:
-    """One evaluation: the period's closing time, the resulting state (which
-    may be given as its value) and the bounded metrics that breached."""
+    """One evaluation: the period's closing time, the resulting state and
+    the bounded metrics that breached. Only evaluate() makes one."""
 
     time: TimeIndex
     state: OperatingState
     breached: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "state", OperatingState(self.state))
-        object.__setattr__(self, "breached", tuple(self.breached))
-        if not all(name in _BOUND_FIELDS for name in self.breached):
-            raise ValueError(f"breached must name bounded metrics, got {self.breached!r}")
-
 
 @dataclass(frozen=True)
 class AlarmState:
     """Immutable machine state; history is append-only across evaluate(),
-    state may be given as its value, and the streaks are integers >= 0."""
+    which makes every state but the initial AlarmState()."""
 
     state: OperatingState = OperatingState.NORMAL
     breach_streak: int = 0
     clean_streak: int = 0
     history: tuple[AlarmRecord, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "state", OperatingState(self.state))
-        streaks = (self.breach_streak, self.clean_streak)
-        if not all(type(streak) is int and streak >= 0 for streak in streaks):
-            raise ValueError(f"streaks must be integers >= 0, got {streaks!r}")
 
 
 def breach(snapshot: MetricSnapshot,
@@ -165,14 +151,6 @@ def evaluate(
             level -= 1
             clean_streak = 0  # each step down needs a fresh clean run
     new_state = _LADDER[level]
-
-    if new_state is not state.state:
-        logger.info(
-            "alarm transition at %s: %s -> %s (breached: %s)",
-            snapshot.time, state.state.value, new_state.value,
-            ",".join(breached) or "none",
-        )
-
     record = AlarmRecord(time=snapshot.time, state=new_state, breached=breached)
     return AlarmState(
         state=new_state,
@@ -180,4 +158,13 @@ def evaluate(
         clean_streak=clean_streak,
         history=state.history + (record,),
     )
+
+
+def replay(snapshots: list[MetricSnapshot], policy: ThresholdPolicy) -> AlarmState:
+    """The state evaluate() reaches from AlarmState() over the snapshots in
+    order; it raises what evaluate() raises."""
+    state = AlarmState()
+    for snapshot in snapshots:
+        state = evaluate(state, snapshot, policy)
+    return state
 

@@ -31,7 +31,8 @@ checksum over its canonical serialization (sorted keys, no whitespace), so
 a truncated or hand-edited file is rejected instead of silently resuming
 from garbage. The document holds that canonical text itself, on one line,
 as strict JSON (no NaN or Infinity token); `python -m json.tool` prints it
-readably.
+readably. It stores the closed periods' metrics, not the alarm decisions
+made on them: a load replays those from the metrics under the stored policy.
 
 Reports are flat tables, CSV or JSON, one row per closed period, with a
 fixed column order. Undefined metrics serialize as empty cells (CSV) or

@@ -5,7 +5,9 @@ joins them through core.Joiner (events wait there until their outcome
 arrives), scores each decision's regret with regret.step_regret as the
 pair resolves, accumulates resolved pairs into the currently open period,
 and on period rollover computes a MetricSnapshot (calibration, tail risk,
-regret, belief) and advances the alarm state machine.
+regret, belief) and advances the alarm state machine. The policy is fixed
+for the engine's life, so the alarm history is a pure function of the
+snapshots: it is replayed from them (alarms.replay), not stored.
 
 All engine state is plain JSON-serializable data, so a run can be frozen
 mid-stream with to_state(), persisted, reloaded with from_state() and
@@ -13,15 +15,14 @@ continued to a bit-identical result; the per-period metric computations
 see exactly the same accumulated values either way. The open period's
 values are held unboxed, in typed arrays (float64, uint8 for outcomes),
 which a period close hands to the metrics as they are. The state says
-each thing once: its tables (pending events; closed periods, each with its
-alarm record) are stored column-wise, and every float column (None stored
-as NaN) and the open period's values as base64 of their little-endian
-bytes, which round-trips bit for bit, so no metric is JSON text and no NaN
-or Infinity token is needed. A state loads only if the engine it builds
-writes it back unchanged. The engine
-never loads numpy: every metric runs on the standard library, so a period
-close gives the same bits whichever SIMD loops numpy would pick on the
-host.
+each thing once: its tables (pending events; closed periods' metrics) are
+stored column-wise, and every float column (None stored as NaN) and the
+open period's values as base64 of their little-endian bytes, which
+round-trips bit for bit, so no metric is JSON text and no NaN or Infinity
+token is needed. A state loads only if the engine it builds writes it back
+unchanged. The engine never loads numpy: every metric runs on the standard
+library, so a period close gives the same bits whichever SIMD loops numpy
+would pick on the host.
 
 Ordering contract: a single writer appends events with increasing sequence
 numbers and nondecreasing periods, and outcomes arrive after (and near)
@@ -38,7 +39,6 @@ duplicate.
 from __future__ import annotations
 
 import base64
-import enum
 import inspect
 import json
 import logging
@@ -49,18 +49,18 @@ from dataclasses import asdict, astuple, fields
 from operator import attrgetter
 
 from . import belief as belief_mod
-from .alarms import AlarmRecord, AlarmState, ThresholdPolicy, evaluate
+from .alarms import ThresholdPolicy, evaluate, replay
 from .calibration import auc, brier, ece
 from .core import (Joiner, MetricSnapshot, OutcomeRecord, PredictionEvent,
                    ResolvedPair, TimeIndex, check_event_id, check_sequence,
                    finite_number)
-from .errors import CorruptSnapshot, VersionMismatch
+from .errors import CorruptSnapshot, NoMetrics, VersionMismatch
 from .regret import step_regret
 from .tailrisk import cvar_tail, var
 
 logger = logging.getLogger(__name__)
 
-ENGINE_STATE_VERSION = 7
+ENGINE_STATE_VERSION = 8
 
 
 class MonitorEngine:
@@ -80,12 +80,12 @@ class MonitorEngine:
             raise ValueError(f"n_bins must be an integer >= 1, got {n_bins!r}")
         if not (finite_number(alpha) and 0.0 < alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-        self.policy = policy or ThresholdPolicy()
+        self._policy = policy or ThresholdPolicy()
         self.n_bins = n_bins
         self.alpha = alpha
 
         self.snapshots: list[MetricSnapshot] = []
-        self.alarm = AlarmState()
+        self.alarm = replay(self.snapshots, self.policy)
         self.events_seen = 0
         self.outcomes_seen = 0
         # lines of the source log behind this state; counted by the log
@@ -96,6 +96,11 @@ class MonitorEngine:
         self._join = Joiner()
         self._new_period()
         self._baseline: belief_mod.BetaPosterior | None = None  # frozen at first close
+
+    @property
+    def policy(self) -> ThresholdPolicy:
+        """Read-only, so every close is judged by it and the history replays."""
+        return self._policy
 
     # -- stream intake -------------------------------------------------------
 
@@ -186,7 +191,12 @@ class MonitorEngine:
             posterior_mean=rolling.mean,
             drift_score=drift,
         )
-        self.alarm = evaluate(self.alarm, snapshot, self.policy)
+        alarm = evaluate(self.alarm, snapshot, self.policy)
+        if alarm.state is not self.alarm.state:
+            logger.info("alarm transition at %s: %s -> %s (breached: %s)",
+                        snapshot.time, self.alarm.state.value, alarm.state.value,
+                        ",".join(alarm.history[-1].breached) or "none")
+        self.alarm = alarm
         self.snapshots.append(snapshot)
         self._baseline = baseline
         self._new_period()
@@ -213,14 +223,8 @@ class MonitorEngine:
             "pending": _columns(self._join.pending.values(), PredictionEvent),
             "resolved_ids": sorted(self._join.resolved_ids),
             "last_event_seq": self._join.last_seq,
-            # the machine's state and streaks; its history is stored below
-            "alarm": {"state": self.alarm.state.value,
-                      "breach_streak": self.alarm.breach_streak,
-                      "clean_streak": self.alarm.clean_streak},
-            # one row per closed period: its metrics and the state and breached
-            # of the alarm record made on them, whose time is the snapshot's
-            "snapshots": {**_columns(self.alarm.history, AlarmRecord),
-                          **_columns(self.snapshots, MetricSnapshot)},
+            # one row per closed period; the alarm is replayed from them
+            "snapshots": _columns(self.snapshots, MetricSnapshot),
         }
 
     @classmethod
@@ -228,9 +232,10 @@ class MonitorEngine:
         """Rebuild an engine from to_state() output.
 
         A state of another version raises VersionMismatch. A state loads
-        only if the engine it builds writes it back unchanged (under
-        canonical JSON); any other raises CorruptSnapshot, naming the first
-        key or column that differs.
+        only if its policy can judge every snapshot (the alarm history is
+        replayed from them) and the engine it builds writes it back
+        unchanged under canonical JSON; any other raises CorruptSnapshot,
+        naming the first key or column that differs, or the unjudged metrics.
         """
         if not isinstance(state, dict):
             raise CorruptSnapshot(
@@ -245,7 +250,7 @@ class MonitorEngine:
             differs = _first_difference(state, engine.to_state())
             if differs is not None:
                 raise ValueError(f"{differs!r} is not as to_state() writes it")
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, NoMetrics) as exc:
             raise CorruptSnapshot(f"engine state is malformed: {exc!r}") from exc
         return engine
 
@@ -279,10 +284,9 @@ class MonitorEngine:
             check_event_id(i) for i in _typed(state["resolved_ids"], list, "resolved_ids"))
         if state["last_event_seq"] is not None:
             engine._join.last_seq = check_sequence(state["last_event_seq"])
-        history = _typed(state["snapshots"], dict, "snapshots")
-        engine.snapshots = _from_columns(MetricSnapshot, history)
-        engine.alarm = AlarmState(**{**_typed(state["alarm"], dict, "alarm"),
-                                     "history": tuple(_from_columns(AlarmRecord, history))})
+        engine.snapshots = _from_columns(
+            MetricSnapshot, _typed(state["snapshots"], dict, "snapshots"))
+        engine.alarm = replay(engine.snapshots, engine.policy)
         return engine
 
 
@@ -379,13 +383,12 @@ def _layout(cls) -> dict[str, tuple[str, bool]]:
 def _columns(records, cls) -> dict:
     """Records stored column-wise, one column per _layout() column: _pack()
     text of float64 values if it is packed, with None stored as NaN (which
-    no record holds), else a JSON list, with an enum as its value."""
+    no record holds), else a JSON list."""
     columns = {}
     for name, (path, packed) in _layout(cls).items():
         values = list(map(attrgetter(path), records))
         columns[name] = (_pack([math.nan if v is None else v for v in values], "d")
-                         if packed else
-                         [v.value if isinstance(v, enum.Enum) else v for v in values])
+                         if packed else values)
     return columns
 
 

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, file layout, resumable runs, stdin, env config."""
 
+import functools
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from riskwatch.alarms import AlarmState, evaluate
 from riskwatch.cli import EXIT_ALARM, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex
 from riskwatch.eventlog import (CONFIG_ENV_VAR, default_config, load_snapshot_file,
@@ -47,7 +49,7 @@ def small_cfg(tmp_path_factory):
 # the sha256 of the simulate log and state of the canonical scenario cut to
 # 3 periods of 200 patients, the same under every numpy SIMD dispatch level
 SMALL_LOG_SHA256 = "83f3cc1317c496d57d13a26af83cb321c422b7cefca1263b5d68b88d61487402"
-SMALL_STATE_SHA256 = "4e45f7c2c44db7a3853972cfcf8fd98ccff86de11330139961fc78e088350e13"
+SMALL_STATE_SHA256 = "7dabf1fbc00d5bce40a38cb95f9317fd0cd16f9c2659a8edec9b21e3715099ae"
 
 
 def refuse_constant(token):
@@ -792,6 +794,28 @@ class TestReport:
                         f'"state":{canonical}}}\n')
         assert main(["report", "--in", str(snap)]) == EXIT_DATA
         assert "engine state version 6 != supported" in capsys.readouterr().err
+
+    def test_alarm_state_follows_edited_metrics(self, sim_dir, tmp_path, capsys):
+        # the alarm history is replayed from the snapshots, so a state whose
+        # period 2 cvar is edited over its bound (and re-checksummed) reports
+        # the decisions those metrics give, not the ones first made
+        state = json.loads((sim_dir / "state.json").read_text())["state"]
+        cvar = _unpack(state["snapshots"]["cvar"], "d")
+        cvar[1] = 0.5
+        state["snapshots"]["cvar"] = _pack(cvar, "d")
+        canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        snap = tmp_path / "state.json"
+        snap.write_text(json.dumps({
+            "sha256": hashlib.sha256(canonical.encode()).hexdigest(), "state": state}))
+        assert main(["report", "--in", str(snap), "--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        reported = [row["alarm_state"] for row in rows]
+        engine = load_snapshot_file(snap)
+        folded = functools.reduce(
+            lambda alarm, snapshot: evaluate(alarm, snapshot, engine.policy),
+            engine.snapshots, AlarmState())
+        assert reported == [record.state.value for record in folded.history]
+        assert reported[:4] == ["normal", "review", "review", "normal"]
 
     def test_reemit_csv_matches_original(self, sim_dir, tmp_path):
         out = tmp_path / "again.csv"

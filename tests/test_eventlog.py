@@ -344,6 +344,25 @@ V6_DOCUMENT = (
     '"regret_rate":"AAAAAAAA+H8=","sequence":[0],"var":"AAAAAAAA4D8="},"stale_pairs":0}}\n')
 
 
+# the same one-pair run saved by the last v7 engine: the alarm state and
+# streaks in "alarm", and each alarm record's state and breached in "snapshots"
+V7_DOCUMENT = (
+    '{"sha256":"98843c53b997e07d53ac37432c495beb6faed781d4500372b6c609cf056c785a",'
+    '"state":{"acc":{"losses":"","probs":"","regrets":"","ys":""},"alarm":{"breach_streak":1,'
+    '"clean_streak":0,"state":"review"},"alpha":0.95,"baseline":[2.0,1.0],'
+    '"engine_version":7,"events_seen":1,"last_event_seq":0,"lines_consumed":0,"n_bins":10,'
+    '"open_time":null,"outcomes_seen":1,"pending":{"action_id":[],"cohort":[],'
+    '"event_id":[],"model_version":[],"period":[],"predicted_prob":"","sequence":[]},'
+    '"policy":{"conjunctive":false,"consecutive_for_review":1,"consecutive_for_suspend":3,'
+    '"cvar_max":0.13,"drift_min":null,"ece_max":0.045,"recovery_periods":2,'
+    '"regret_rate_max":null},"resolved_ids":[],"snapshots":{"auc":"AAAAAAAA+H8=",'
+    '"breached":[["ece","cvar"]],"brier":"AAAAAAAA4j8=","cvar":"AAAAAAAA4D8=",'
+    '"drift_score":"BAAAAAAA4D8=","ece":"AAAAAAAA6D8=","n":[1],"period":[1],'
+    '"posterior_mean":"VVVVVVVV5T8=","regret_cumulative":"AAAAAAAA+H8=",'
+    '"regret_rate":"AAAAAAAA+H8=","sequence":[0],"state":["review"],'
+    '"var":"AAAAAAAA4D8="},"stale_pairs":0}}\n')
+
+
 def mid_period_engine(output, upto=3_050, lag=50):
     """An engine part way through period 2 with each outcome `lag` events
     behind its event: closed history, open-period values and pending events."""
@@ -368,6 +387,16 @@ def _set_first(name, value):
         values = _unpack(state["acc"][name], typecode)
         values[0] = value
         state["acc"][name] = _pack(values, typecode)
+    return mutate
+
+
+def _set_metrics(value, *names):
+    """Replace the first closed period's packed metrics, keeping the length."""
+    def mutate(state):
+        for name in names:
+            values = _unpack(state["snapshots"][name], "d")
+            values[0] = value
+            state["snapshots"][name] = _pack(values, "d")
     return mutate
 
 
@@ -458,12 +487,8 @@ class TestSnapshotIntegrity:
         (_set("snapshots", "ece", "not base64!"), "ece-not-base64",
          "engine state is malformed: .*ece"),
         (_set("stale_pairs", -1), "negative-stale-pairs", RANGE),
-        (_set("alarm", "breach_streak", "0"), "breach-streak-str",
-         "engine state is malformed: .*streaks"),
         (_set("snapshots", "n", 0, -3), "snapshot-n-negative",
          "engine state is malformed: .*n must be"),
-        (_set("snapshots", "breached", 0, [5]), "breached-int",
-         "engine state is malformed: .*breached"),
         (_set("resolved_ids", 0, 7), "resolved-id-int",
          "engine state is malformed: .*event_id"),
         (_set("open_time", 1, "3000"), "last-sequence-str",
@@ -485,10 +510,27 @@ class TestSnapshotIntegrity:
          "engine state is malformed: .*'acc.junk' is not as to_state"),
         (_set("snapshots", "ece_old", [1]), "snapshots-extra-column",
          "engine state is malformed: .*'snapshots.ece_old' is not as to_state"),
-        # the alarm records' times are the snapshot columns', so a record
-        # missing from the end is a short column, not a blank alarm state
-        (_drop_last("state"), "alarm-column-short",
-         "engine state is malformed: .*column 'state' holds 0 values, not 1"),
+        # the alarm is replayed from the snapshots, so a stored alarm state
+        # or alarm record (the v7 layout), which could contradict the
+        # metrics, is a key to_state() never writes
+        (_set("alarm", {"breach_streak": 0, "clean_streak": 1, "state": "normal"}),
+         "alarm-key", "engine state is malformed: .*'alarm' is not as to_state"),
+        (_set("snapshots", "state", ["normal"]), "state-column",
+         "engine state is malformed: .*'snapshots.state' is not as to_state"),
+        (_set("snapshots", "breached", [[]]), "breached-column",
+         "engine state is malformed: .*'snapshots.breached' is not as to_state"),
+        (_set("snapshots", "breached", [[5]]), "breached-int",
+         "engine state is malformed: .*'snapshots.breached' is not as to_state"),
+        # v7 alarm fields that were themselves malformed are refused all the same
+        (_set("alarm", {"breach_streak": "0", "clean_streak": 0, "state": "normal"}),
+         "breach-streak-str",
+         "engine state is malformed: .*'alarm' is not as to_state"),
+        (_set("snapshots", "state", []), "alarm-column-short",
+         "engine state is malformed: .*'snapshots.state' is not as to_state"),
+        # a closed period the policy cannot judge, which no close could have
+        # made: a replay of it raises NoMetrics
+        (_set_metrics(math.nan, "ece", "cvar"), "snapshot-unjudgeable",
+         "engine state is malformed: .*no enabled metric is defined"),
         (lambda state: state["resolved_ids"].reverse(), "resolved-ids-unsorted",
          "engine state is malformed: .*'resolved_ids' is not as to_state"),
     ]
@@ -602,6 +644,10 @@ class TestSnapshotIntegrity:
         # alarm history apart from the snapshots, and a format_version
         with pytest.raises(VersionMismatch, match="version 6 "):
             load_snapshot(io.StringIO(V6_DOCUMENT))
+
+    def test_a_version_7_document_is_refused(self):
+        with pytest.raises(VersionMismatch, match="version 7 "):
+            load_snapshot(io.StringIO(V7_DOCUMENT))
 
     def test_unknown_document_key_is_refused(self, canonical_output):
         buf = io.StringIO()

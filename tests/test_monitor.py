@@ -17,7 +17,7 @@ from riskwatch.alarms import OperatingState, ThresholdPolicy
 from riskwatch.calibration import auc, brier, ece
 from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex, join
 from riskwatch.errors import DuplicateOutcome, NoMetrics, OrphanOutcome, VersionMismatch
-from riskwatch.eventlog import save_snapshot
+from riskwatch.eventlog import load_snapshot, save_snapshot
 from riskwatch.monitor import MonitorEngine, _pack, _unpack
 from riskwatch.simulator import canonical_scenario, generate
 from riskwatch.tailrisk import cvar_tail, var
@@ -143,12 +143,73 @@ class TestStateFreezing:
         # 3 the last with every resolved id and no log line count, 4 the
         # last with row-wise history and open-period values as JSON lists,
         # 5 the last with the closed periods' metrics as JSON numbers, 6 the
-        # last with the alarm history stored apart from the snapshots
-        for version in (2, 3, 4, 5, 6, 999):
+        # last with the alarm history stored apart from the snapshots, 7 the
+        # last that stored the alarm history at all
+        for version in (2, 3, 4, 5, 6, 7, 999):
             state = MonitorEngine().to_state()
             state["engine_version"] = version
             with pytest.raises(VersionMismatch):
                 MonitorEngine.from_state(state)
+
+    def test_policy_is_read_only(self):
+        # the history is replayed under engine.policy, so a policy swapped
+        # between closes would rewrite the decisions already made
+        engine = MonitorEngine()
+        with pytest.raises(AttributeError):
+            engine.policy = ThresholdPolicy(ece_max=None)
+
+
+def one_pair_per_period(probs):
+    """A finalized engine with one pair per period, each with outcome 0 and
+    loss 0, so only the ece of each period (its prob) can breach."""
+    engine = MonitorEngine()
+    for i, prob in enumerate(probs):
+        engine.observe_event(ev(i, period=i + 1, prob=prob))
+        engine.observe_outcome(oc(i, y=0, loss=0.0))
+    engine.finalize()
+    return engine
+
+
+class TestReplayedAlarmHistory:
+    def test_alarm_path_does_not_change_the_state_size(self):
+        quiet = one_pair_per_period([0.01] * 6)
+        loud = one_pair_per_period([0.99, 0.99, 0.99, 0.99, 0.01, 0.01])
+        assert quiet.alarm.state is OperatingState.NORMAL
+        assert loud.alarm.history[3].state is OperatingState.SUSPENDED
+        sizes = []
+        for engine in (quiet, loud):
+            buf = io.StringIO()
+            save_snapshot(engine, buf)
+            sizes.append(len(buf.getvalue()))
+        assert sizes[0] == sizes[1]
+
+    def test_load_replays_the_history_without_logging_it(self, caplog):
+        engine = one_pair_per_period([0.99, 0.99, 0.01])
+        buf = io.StringIO()
+        save_snapshot(engine, buf)
+        with caplog.at_level("INFO"):
+            loaded = load_snapshot(io.StringIO(buf.getvalue()))
+        assert loaded.alarm == engine.alarm
+        assert not [r for r in caplog.records if "alarm transition" in r.getMessage()]
+
+    def test_a_close_logs_its_transition_once(self, caplog):
+        engine = MonitorEngine()
+        for i, prob in enumerate([0.01, 0.99, 0.99]):
+            engine.observe_event(ev(i, period=i + 1, prob=prob))
+            with caplog.at_level("INFO"):
+                caplog.clear()
+                engine.observe_outcome(oc(i, y=0, loss=0.0))  # closes period i
+            transitions = [r for r in caplog.records
+                           if "alarm transition" in r.getMessage()]
+            # period 1 stays normal, period 2 moves it to review, and the
+            # open period 3 has not closed yet
+            if i == 2:
+                assert [r.name for r in transitions] == ["riskwatch.monitor"]
+                assert transitions[0].getMessage() == (
+                    "alarm transition at TimeIndex(period=2, sequence=1): "
+                    "normal -> review (breached: ece)")
+            else:
+                assert transitions == []
 
 
 # zeros of both signs, the subnormal extremes, the largest finite values and
