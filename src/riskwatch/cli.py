@@ -141,10 +141,6 @@ def _resolve_scenario(name_or_path: str, seed: int | None) -> tuple[ScenarioConf
     return scenario, config
 
 
-def _engine_exit_code(engine: MonitorEngine) -> int:
-    return EXIT_OK if engine.alarm.state is OperatingState.NORMAL else EXIT_ALARM
-
-
 def _write_outputs(engine: MonitorEngine, out_dir: str | None, fmt: str,
                    finalized: bool = True) -> None:
     """State snapshot + report into a directory, or report to stdout.
@@ -167,18 +163,11 @@ def _write_report(engine: MonitorEngine, fmt: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(text)
+    eventlog.write_file(path, lambda fp: fp.write(text))
 
 
-def _read_log_lines(path: str):
-    # bytes that are not UTF-8 decode to lone surrogates, which the reader
-    # rejects as a parse error naming the line
-    if path == "-":
-        if hasattr(sys.stdin, "reconfigure"):
-            sys.stdin.reconfigure(errors="surrogateescape")
-        return sys.stdin
-    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+def _write_json(path: str, doc) -> None:
+    eventlog.write_file(path, lambda fp: fp.write(json.dumps(doc, indent=2) + "\n"))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -202,17 +191,14 @@ def _cmd_simulate(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
 
         engine = eventlog.engine_from_config(config)
-        with open(os.path.join(out_dir, "events.ndjson"), "w",
-                  encoding="utf-8") as fp:
-            eventlog.log_pairs(fp, engine, chain([first], pairs))
+        eventlog.write_file(
+            os.path.join(out_dir, "events.ndjson"),
+            lambda fp: eventlog.log_pairs(fp, engine, chain([first], pairs)))
         engine.finalize()
         _write_outputs(engine, out_dir, args.format)
 
         config["scenario"] = asdict(seeded)
-        with open(os.path.join(out_dir, "config.json"), "w",
-                  encoding="utf-8") as fp:
-            json.dump(config, fp, indent=2)
-            fp.write("\n")
+        _write_json(os.path.join(out_dir, "config.json"), config)
 
         summary.append({
             "seed": seeded.seed,
@@ -225,10 +211,8 @@ def _cmd_simulate(args) -> int:
         logger.info("simulate: seed %d done, end state %s",
                     seeded.seed, engine.alarm.state.value)
     if args.replicates > 1:
-        with open(os.path.join(args.out, "summary.json"), "w",
-                  encoding="utf-8") as fp:
-            json.dump(sorted(summary, key=lambda r: r["seed"]), fp, indent=2)
-            fp.write("\n")
+        _write_json(os.path.join(args.out, "summary.json"),
+                    sorted(summary, key=lambda r: r["seed"]))
     return EXIT_OK
 
 
@@ -239,17 +223,13 @@ def _run_over_log(engine: MonitorEngine, args) -> int:
     lines. --no-finalize leaves the open period, and a final line with no
     newline, for a later replay.
     """
-    fp = _read_log_lines(args.log)
-    try:
+    with eventlog.open_log(args.log) as fp:
         eventlog.ingest_log(engine, fp, strict=args.strict,
                             hold_partial=args.no_finalize)
-    finally:
-        if fp is not sys.stdin:
-            fp.close()
     if not args.no_finalize:
         engine.finalize()
     _write_outputs(engine, args.out, args.format, finalized=not args.no_finalize)
-    return _engine_exit_code(engine)
+    return EXIT_OK if engine.alarm.state is OperatingState.NORMAL else EXIT_ALARM
 
 
 def _cmd_monitor(args) -> int:

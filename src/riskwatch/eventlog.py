@@ -1,4 +1,4 @@
-"""Log, snapshot, report and config serialization.
+"""Log, snapshot, report and config serialization, and the files they live in.
 
 Event logs are newline-delimited JSON, one record per line, two kinds::
 
@@ -13,11 +13,11 @@ so a record reads back from its line exactly when it can be built. Ingest
 is lenient by default (malformed lines are counted and logged with their
 line number, parsing continues) and strict on request (first bad line
 raises ParseError or SchemaError carrying the line number). A line that
-is not valid UTF-8 is a parse error too: the CLI decodes logs with
+is not valid UTF-8 is a parse error too: open_log decodes logs with
 surrogateescape, so a bad byte reaches the reader as a lone surrogate
-instead of failing the whole read. ingest_log carries the line numbers on
-into the engine intake, so a record the join rejects is named by its line
-too.
+instead of failing the whole read, and it ends a line at "\n" alone.
+ingest_log carries the line numbers on into the engine intake, so a
+record the join rejects is named by its line too.
 
 A log is addressed by line: an engine carries the number of log lines
 behind its state (lines_consumed), and ingest_log skips that many lines
@@ -49,9 +49,10 @@ import io
 import json
 import logging
 import os
+import sys
 from dataclasses import asdict
 from itertools import islice
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .alarms import AlarmRecord, ThresholdPolicy
 from .core import MetricSnapshot, OutcomeRecord, PredictionEvent, TimeIndex
@@ -88,6 +89,11 @@ REPORT_COLUMNS = (
 )
 
 _FLOAT_COLUMNS = frozenset(REPORT_COLUMNS) - {"period", "n", "alarm_state"}
+
+# what a report cell holds when it is not None, by column (a bool is no int)
+_REPORT_CELLS = {col: ("a number", (int, float)) if col in _FLOAT_COLUMNS else
+                 ("a string", (str,)) if col == "alarm_state" else ("an integer", (int,))
+                 for col in REPORT_COLUMNS}
 
 
 # -- event log ---------------------------------------------------------------
@@ -323,6 +329,42 @@ def log_pairs(
     return _feed(engine, logged(), strict=True)
 
 
+# -- files --------------------------------------------------------------------
+
+
+def open_log(path: str) -> contextlib.AbstractContextManager[IO[str]]:
+    """The event log at path, or stdin for "-", in UTF-8 with surrogateescape;
+    a line ends at "\n" alone, so a "\r" before it or inside it is whitespace."""
+    if path != "-":
+        return open(path, encoding="utf-8", errors="surrogateescape", newline="\n")
+    if hasattr(sys.stdin, "reconfigure"):  # not on a stand-in such as StringIO
+        sys.stdin.reconfigure(errors="surrogateescape", newline="\n")
+    return contextlib.nullcontext(sys.stdin)  # left open
+
+
+def write_file(path: str | os.PathLike, write: Callable[[IO[str]], object]) -> None:
+    """The one file writer: write(fp) fills <path>.tmp, which is synced and
+    renamed over path, and the directory is synced. A failure removes the
+    temp file, so path holds its old bytes or all of the new ones."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fp:
+            write(fp)
+            fp.flush()
+            os.fsync(fp.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    if os.name == "posix":  # the rename itself reaches the disk
+        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+
 # -- engine snapshots ---------------------------------------------------------
 
 
@@ -366,20 +408,7 @@ def load_snapshot(fp: IO[str]) -> MonitorEngine:
 
 
 def save_snapshot_file(engine: MonitorEngine, path: str | os.PathLike) -> None:
-    """save_snapshot to a file, atomically and durably: written beside it,
-    synced to disk, then renamed over it, so a failed save leaves the old one
-    in place and a power loss cannot leave an empty file."""
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fp:
-            save_snapshot(engine, fp)
-            fp.flush()
-            os.fsync(fp.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    write_file(path, lambda fp: save_snapshot(engine, fp))
 
 
 def load_snapshot_file(path: str | os.PathLike) -> MonitorEngine:
@@ -446,7 +475,8 @@ def read_report(text: str, fmt: str = "csv") -> list[dict]:
 
     One rule for both formats: the columns are REPORT_COLUMNS in order and
     every row has a cell for each of them (else SchemaError); at least one
-    row (else EmptyReport).
+    row (else EmptyReport); every cell None or of its column's type in
+    _REPORT_CELLS (else SchemaError naming the row and column).
     """
     if fmt == "csv":
         reader = csv.reader(io.StringIO(text))
@@ -454,7 +484,8 @@ def read_report(text: str, fmt: str = "csv") -> list[dict]:
         if columns is None:
             raise EmptyReport("report has no header row")
         # a row of the wrong width is kept as a list, which the rule refuses
-        rows = [dict(zip(columns, raw)) if len(raw) == len(columns) else raw
+        rows = [dict(zip(columns, map(_csv_cell, columns, raw)))
+                if len(raw) == len(columns) else raw
                 for raw in reader if raw]
     elif fmt == "json":
         doc = json.loads(text)
@@ -470,24 +501,22 @@ def read_report(text: str, fmt: str = "csv") -> list[dict]:
     for number, row in enumerate(rows, start=1):
         if not isinstance(row, dict) or list(row) != columns:
             raise SchemaError(f"report row {number} does not have one cell per column")
-    if fmt == "csv":
-        rows = [{col: _report_cell(number, col, cell) for col, cell in row.items()}
-                for number, row in enumerate(rows, start=1)]
+        for col, cell in row.items():
+            kind, types = _REPORT_CELLS[col]
+            if cell is not None and type(cell) not in types:
+                raise SchemaError(
+                    f"report row {number}: column {col!r} is not {kind}: {cell!r}")
     return rows
 
 
-def _report_cell(number: int, col: str, cell: str):
-    """A CSV report cell as the value emit_report wrote; a number column
-    whose cell is not one raises SchemaError naming the row and column."""
-    if cell == "":
-        return None
-    if col == "alarm_state":
-        return cell
-    try:
+def _csv_cell(col: str, cell: str):
+    """A CSV report cell as the value emit_report wrote, or its text where
+    it holds none, which the cell rule refuses."""
+    if cell == "" or col == "alarm_state":
+        return cell or None
+    with contextlib.suppress(ValueError):
         return int(cell) if col in ("period", "n") else float(cell)
-    except ValueError:
-        raise SchemaError(
-            f"report row {number}: column {col!r} is not a number: {cell!r}") from None
+    return cell
 
 
 # -- configuration ------------------------------------------------------------

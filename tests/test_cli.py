@@ -1,11 +1,14 @@
 """CLI contract: exit codes, file layout, resumable runs, stdin, env config."""
 
+import builtins
+import errno
 import functools
 import hashlib
 import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -617,6 +620,122 @@ class TestLineAddressedReplay:
         assert not any(state["pending"].values())  # no pending column holds a value
 
 
+def files(directory: Path) -> dict[str, bytes]:
+    """The bytes of every file under a directory, by relative path."""
+    return {p.relative_to(directory).as_posix(): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def restore(directory: Path, contents: dict[str, bytes]) -> None:
+    shutil.rmtree(directory, ignore_errors=True)
+    for name, data in contents.items():
+        (directory / name).parent.mkdir(parents=True, exist_ok=True)
+        (directory / name).write_bytes(data)
+
+
+class DiskFull:
+    """While installed, the k-th file operation raises ENOSPC: an os.replace,
+    an os.fsync or a write to a file opened for writing. fired says whether
+    the call under test got that far."""
+
+    def __init__(self, k: int, monkeypatch):
+        self.left, self.fired = k, False
+        for name in ("replace", "fsync"):
+            monkeypatch.setattr(os, name, self.step(getattr(os, name)))
+        real_open = builtins.open
+
+        def opener(file, mode="r", *args, **kwargs):
+            fp = real_open(file, mode, *args, **kwargs)
+            return _Writer(fp, self.step(fp.write)) if "w" in mode else fp
+
+        monkeypatch.setattr(builtins, "open", opener)
+
+    def step(self, fn):
+        def counted(*args):
+            self.left -= 1
+            if self.left == 0:
+                self.fired = True
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return fn(*args)
+        return counted
+
+
+class _Writer:
+    """A file whose write is replaced; everything else is the file's."""
+
+    def __init__(self, fp, write):
+        self._fp, self.write = fp, write
+
+    def __getattr__(self, name):
+        return getattr(self._fp, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fp.__exit__(*exc)
+
+
+class TestCrashInTheWriter:
+    """A call that fails at any file operation exits 2 and leaves every file
+    of its output directory whole, old or new, with no temp file; run again,
+    it writes what an uninterrupted call writes."""
+
+    def crash_at_each_step(self, argv: list[str], out: Path) -> int:
+        """Run argv, failing at its 1st, 2nd, ... file operation until it
+        gets through; returns how many operations it makes."""
+        before = files(out)
+        code = main(argv)
+        after = files(out)
+        assert after != before
+        k = 1
+        while True:
+            restore(out, before)
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                fault = DiskFull(k, monkeypatch)
+                got = main(argv)
+            if not fault.fired:
+                assert got == code and files(out) == after
+                return k - 1
+            assert got == EXIT_DATA, k
+            left = files(out)
+            assert not [name for name in left if name.endswith(".tmp")], k
+            for name in left.keys() | before.keys() | after.keys():
+                assert left.get(name) in (before.get(name), after.get(name)), (k, name)
+            assert main(argv) == code and files(out) == after, k
+            k += 1
+
+    @pytest.mark.parametrize("finalize", [True, False], ids=["finalize", "no-finalize"])
+    def test_replay(self, small_lines, tmp_path, finalize):
+        # a checkpoint in period 2 resumed in place over a log that has grown
+        # to period 3 (no-finalize) or to its end
+        out = tmp_path / "d"
+        assert main(["monitor", "--in", write(tmp_path / "p.ndjson", small_lines[:900]),
+                     "--out", str(out), "--no-finalize"]) == EXIT_OK
+        grown = small_lines if finalize else small_lines[:1500]
+        argv = ["replay", "--snapshot", str(out / "state.json"), "--out", str(out),
+                "--in", write(tmp_path / "log.ndjson", grown)]
+        # state.json and report.csv: a write, fsync, rename and directory fsync each
+        assert self.crash_at_each_step(argv + ["--no-finalize"] * (not finalize),
+                                       out) == 8
+
+    def test_simulate(self, tmp_path):
+        def config(name, patients):
+            path = tmp_path / name
+            path.write_text(json.dumps({"scenario": {
+                "periods": 2, "patients_per_period": patients, "seed": 3}}))
+            return str(path)
+
+        out = tmp_path / "d"
+        assert main(["simulate", "--scenario", config("old.json", 30), "--out", str(out),
+                     "--replicates", "2"]) == EXIT_OK
+        # per replicate, a write for each of 40 log lines and one for each
+        # other file, and per file an fsync, a rename and a directory fsync
+        assert self.crash_at_each_step(
+            ["simulate", "--scenario", config("new.json", 10), "--out", str(out),
+             "--replicates", "2"], out) == 2 * (40 + 3 + 3 * 4) + 4
+
+
 @pytest.fixture(params=["monitor", "replay"])
 def argv(request, tmp_path):
     """argv of a run over the whole log: monitor, or replay from a
@@ -751,6 +870,54 @@ class TestInvalidUtf8:
         else:
             assert proc.returncode == EXIT_OK, err
             assert "event log line 2 skipped" in err
+
+
+def with_carriage_return(line: str) -> str:
+    """The line with a "\r " between two of its JSON tokens."""
+    return line.replace(", ", ",\r ", 1)
+
+
+class TestLineEndings:
+    """A log line ends at "\n" alone. A "\r" inside a line or before its
+    end is JSON whitespace, so it neither splits the line nor changes what
+    a run writes."""
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_carriage_return_inside_a_line(self, small_lines, tmp_path, argv, strict):
+        full = small_lines[:1700] + [with_carriage_return(small_lines[1700])] + (
+            small_lines[1701:])
+        run = argv(write(tmp_path / "full.ndjson", full), full)
+        out, whole = tmp_path / "out", tmp_path / "whole"
+        assert main(run + ["--out", str(out)] + ["--strict"] * strict) == EXIT_OK
+        assert main(["monitor", "--in", write(tmp_path / "good.ndjson", small_lines),
+                     "--out", str(whole)]) == EXIT_OK
+        assert files(out) == files(whole)
+
+    def test_crlf_log_reads_as_its_lf_copy(self, small_lines, tmp_path, argv):
+        crlf = [line.replace("\n", "\r\n") for line in small_lines]
+        run = argv(write(tmp_path / "crlf.ndjson", crlf), crlf)
+        out, whole = tmp_path / "out", tmp_path / "whole"
+        assert main(run + ["--out", str(out), "--strict"]) == EXIT_OK
+        assert main(["monitor", "--in", write(tmp_path / "lf.ndjson", small_lines),
+                     "--out", str(whole)]) == EXIT_OK
+        assert files(out) == files(whole)
+
+    def test_stdin(self, small_lines, tmp_path):
+        # a real stdin, which the in-process tests replace with a StringIO
+        lines = small_lines[:4]
+        data = with_carriage_return(lines[0]) + "".join(lines[1:]).replace("\n", "\r\n")
+        env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "riskwatch.cli", "monitor", "--in", "-", "--strict",
+             "--out", str(tmp_path / "stdin")],
+            input=data.encode(), env=env, capture_output=True, timeout=300,
+        )
+        # two pairs breach the ece bound, so both runs end in an alarm
+        assert proc.returncode == EXIT_ALARM, proc.stderr.decode()
+        assert main(["monitor", "--in", write(tmp_path / "lf.ndjson", lines),
+                     "--out", str(tmp_path / "lf")]) == EXIT_ALARM
+        assert files(tmp_path / "stdin") == files(tmp_path / "lf")
 
 
 class TestReport:

@@ -612,10 +612,12 @@ class TestSnapshotIntegrity:
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
         save_snapshot_file(self.make(canonical_output), path)
-        # one fsync, of the whole temp file (so after the flush), then the rename
+        # one fsync of the whole temp file (so after the flush), the rename,
+        # then one fsync of the directory, which makes the rename durable
         size = path.stat().st_size
-        assert [c[0] for c in calls] == ["fsync", "replace"]
+        assert [c[0] for c in calls] == ["fsync", "replace", "fsync"]
         assert calls[0][1:] == calls[1][1:] == (path.stat().st_ino, size)
+        assert calls[2][1] == tmp_path.stat().st_ino
 
     def test_save_load_roundtrip(self, canonical_output):
         engine = self.make(canonical_output)
@@ -752,7 +754,7 @@ class TestReports:
         with pytest.raises(SchemaError, match="row 2"):
             read_report("".join(lines), fmt="csv")
 
-    @pytest.mark.parametrize("col, cell", [("period", "x"), ("ece", "abc")])
+    @pytest.mark.parametrize("col, cell", [("period", "x"), ("n", "1.0"), ("ece", "abc")])
     def test_csv_cell_that_is_not_a_number_rejected(self, run, col, cell):
         snaps, hist = run
         lines = emit_report(snaps, hist, fmt="csv").splitlines(True)
@@ -761,6 +763,18 @@ class TestReports:
         lines[2] = ",".join(cells)
         with pytest.raises(SchemaError, match=f"row 2: column '{col}'"):
             read_report("".join(lines), fmt="csv")
+
+    @pytest.mark.parametrize("col, cell", [
+        ("period", "x"), ("period", 1.0), ("n", True), ("ece", "abc"), ("auc", False),
+        ("alarm_state", 7),
+    ])
+    def test_json_cell_of_the_wrong_type_rejected(self, run, col, cell):
+        # the CSV rule: an integer, a string or a number by column, or None
+        snaps, hist = run
+        doc = json.loads(emit_report(snaps, hist, fmt="json"))
+        doc["rows"][1][col] = cell
+        with pytest.raises(SchemaError, match=f"row 2: column '{col}' is not "):
+            read_report(json.dumps(doc), fmt="json")
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("rows"),

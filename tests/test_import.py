@@ -8,7 +8,7 @@ memory, and scipy.special alone adds about 20 MB, so the package, the CLI,
 engine_from_config and every monitor, replay and report call (period
 closes included) load neither.
 
-One ast walk over each module finds every site of five static rules, and
+One ast walk over each module finds every site of six static rules, and
 one table (RULES) says where each may stand:
 - a heavy import (numpy, scipy): only at the sites above;
 - a transcendental numpy ufunc (exp, log, power, trig and the like):
@@ -19,7 +19,10 @@ one table (RULES) says where each may stand:
 - a write to lines_consumed: only in the log intake (eventlog) and the
   engine that creates and restores the count (monitor);
 - an _acc_* attribute bound to a list: nowhere, since a list boxes every
-  value as a float object, about 3x the engine's typed arrays.
+  value as a float object, about 3x the engine's typed arrays;
+- a file operation (open, os.replace, os.fsync, os.remove and the like,
+  or sys.stdin): only in eventlog, so one opener decodes every log and one
+  atomic writer writes every output.
 
 The runtime checks run in a fresh interpreter whose import system refuses
 numpy, scipy or both, as on an install without the extras: the CLI must
@@ -63,7 +66,12 @@ RULES = {
     "unused import": lambda site: site.startswith("__init__."),
     "lines_consumed write": lambda site: site.startswith(("eventlog.", "monitor.")),
     "_acc_* list": lambda site: False,
+    "file operation": lambda site: site.startswith("eventlog."),
 }
+
+# the calls the "file operation" rule finds, besides any use of sys.stdin
+FILE_CALLS = frozenset({"open", "os.open", "os.replace", "os.rename", "os.fsync",
+                        "os.remove", "os.unlink"})
 
 # numpy ufuncs whose SIMD loops need not match libm bit for bit; sqrt and
 # the arithmetic ufuncs are correctly rounded under every dispatch
@@ -93,7 +101,8 @@ def findings(source: str) -> list[Finding]:
     - "lines_consumed write": an assignment to an attribute lines_consumed,
       by =, += or setattr;
     - "_acc_* list": an _acc_* attribute bound to a list (a literal, a
-      comprehension or a list() call), tuple assignments included.
+      comprehension or a list() call), tuple assignments included;
+    - "file operation": a call to one of FILE_CALLS, or sys.stdin.
 
     The site is "<load>" for code that runs when the module loads (at
     module level or in a class body). Code under `if TYPE_CHECKING:` never
@@ -132,6 +141,10 @@ def findings(source: str) -> list[Finding]:
             found.append(Finding("lines_consumed write", site, line, "lines_consumed"))
         if not runs:
             return
+        if isinstance(node, ast.Call) and _dotted(node.func) in FILE_CALLS:
+            found.append(Finding("file operation", site, line, _dotted(node.func)))
+        elif isinstance(node, ast.Attribute) and _dotted(node) == "sys.stdin":
+            found.append(Finding("file operation", site, line, "sys.stdin"))
         modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
                    else [node.module or ""] if isinstance(node, ast.ImportFrom)
                    and not node.level else [])
@@ -164,6 +177,15 @@ def findings(source: str) -> list[Finding]:
     visit(ast.parse(source), "", False, True)
     return found + [Finding("unused import", site, line, name)
                     for name, site, line in imports if name not in used]
+
+
+def _dotted(node) -> str | None:
+    """name or module.name for a Name or an attribute of one, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return f"{node.value.id}.{node.attr}"
+    return None
 
 
 def _annotations(node):
@@ -227,6 +249,12 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", modules_under("lines_consumed write"), ids=lambda p: p.name)
 def test_only_the_log_intake_counts_lines(path):
     assert violations("lines_consumed write", path) == []
+
+
+@pytest.mark.parametrize("path", modules_under("file operation"), ids=lambda p: p.name)
+def test_only_eventlog_touches_files(path):
+    assert [f for f in PACKAGE_FINDINGS if f.rule == "file operation"]  # eventlog's
+    assert violations("file operation", path) == []
 
 
 def test_engine_accumulators_are_never_lists():
@@ -319,6 +347,24 @@ def test_checker_flags_every_kind_of_write():
     )
     assert sorted(f.line for f in findings(source)
                   if f.rule == "lines_consumed write") == [1, 2, 3, 4]
+
+
+def test_file_operations_checker():
+    source = (
+        "import os, sys\n"
+        "def f(path, eventlog):\n"
+        "    with open(path, 'w') as fp:\n"
+        "        os.replace(path, path + '.old')\n"
+        "    os.fsync(fp.fileno())\n"
+        "    eventlog.open_log(path).read()\n"
+        "    os.path.join(path, 'x')\n"
+        "    return sys.stdin.reconfigure\n"
+        "os.remove('x')\n"
+        "fp.open(os.replace)\n"
+    )
+    assert [(f.name, f.site) for f in findings(source) if f.rule == "file operation"] == [
+        ("open", "f"), ("os.replace", "f"), ("os.fsync", "f"), ("sys.stdin", "f"),
+        ("os.remove", "<load>")]
 
 
 def test_acc_list_bindings_checker():

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from riskwatch.alarms import OperatingState, ThresholdPolicy
 from riskwatch.calibration import auc, brier, ece
 from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex, join
-from riskwatch.errors import DuplicateOutcome, NoMetrics, OrphanOutcome, VersionMismatch
-from riskwatch.eventlog import load_snapshot, save_snapshot
+from riskwatch.errors import (DuplicateOutcome, NoMetrics, OrphanOutcome, SchemaError,
+                              VersionMismatch)
+from riskwatch.eventlog import feed_engine, load_snapshot, save_snapshot
 from riskwatch.monitor import MonitorEngine, _pack, _unpack
 from riskwatch.simulator import canonical_scenario, generate
 from riskwatch.tailrisk import cvar_tail, var
@@ -289,6 +290,21 @@ class TestJoinDiscipline:
                 engine.observe_event(event)
         assert engine.to_state() == before
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_id_resolved_in_the_open_period_is_not_reused(self, strict):
+        # its seq is above the last one, so only the resolved ids catch it
+        engine = MonitorEngine()
+        engine.observe_event(ev(0))
+        engine.observe_outcome(oc(0))
+        before = engine.to_state()
+        reused = [PredictionEvent("e0", TimeIndex(1, 1), 0.5)]
+        if strict:
+            with pytest.raises(SchemaError, match="duplicate event_id"):
+                feed_engine(engine, reused, strict=True)
+        else:
+            feed_engine(engine, reused)  # skipped
+        assert engine.to_state() == before
+
     def test_second_outcome_after_its_period_closed_is_orphan(self):
         engine = MonitorEngine()
         engine.observe_event(ev(0, period=1))
@@ -439,6 +455,17 @@ class TestPartialMetrics:
         assert snap.regret_cumulative is None
         assert snap.regret_rate is None
         assert snap.ece is not None
+
+    def test_regret_rate_is_over_the_scored_pairs_only(self):
+        # of the period's two pairs only the first carries alt_losses
+        engine = MonitorEngine()
+        engine.observe_event(PredictionEvent("a", TimeIndex(1, 0), 0.3, action_id=1))
+        engine.observe_outcome(OutcomeRecord("a", 0, 1.0, alt_losses=(0.0, 1.0)))
+        engine.observe_event(ev(1, prob=0.6))
+        engine.observe_outcome(oc(1, y=1))
+        engine.finalize()
+        snap = engine.snapshots[0]
+        assert (snap.n, snap.regret_cumulative, snap.regret_rate) == (2, 1.0, 1.0)
 
     def test_failed_close_leaves_the_engine_unchanged(self):
         # regret is the only enabled metric, and no pair has counterfactuals
