@@ -9,9 +9,9 @@ crosses its bound (disjunctive default; a conjunctive flag requires all
 enabled metrics to cross at once).
 
 State transitions happen only through evaluate(), which returns a new
-immutable state carrying an append-only history. replay() folds evaluate()
-over a run's snapshots, so a saved engine stores those and replays every
-decision the machine made instead of storing it.
+immutable state carrying an append-only history. A saved engine stores
+the snapshots and, at load, evaluates them again in order instead of
+storing the decisions.
 """
 
 from __future__ import annotations
@@ -158,13 +158,4 @@ def evaluate(
         clean_streak=clean_streak,
         history=state.history + (record,),
     )
-
-
-def replay(snapshots: list[MetricSnapshot], policy: ThresholdPolicy) -> AlarmState:
-    """The state evaluate() reaches from AlarmState() over the snapshots in
-    order; it raises what evaluate() raises."""
-    state = AlarmState()
-    for snapshot in snapshots:
-        state = evaluate(state, snapshot, policy)
-    return state
 

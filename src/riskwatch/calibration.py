@@ -60,6 +60,13 @@ def _as_prob_outcome(probs: Sequence[float], outcomes: Sequence[int]):
     return p, y
 
 
+def check_n_bins(n_bins) -> int:
+    """The n_bins rule: an integer >= 1, returned as it is; else ValueError."""
+    if type(n_bins) is not int or n_bins < 1:
+        raise ValueError(f"n_bins must be an integer >= 1, got {n_bins!r}")
+    return n_bins
+
+
 def reliability_bins(
     probs: Sequence[float],
     outcomes: Sequence[int],
@@ -71,8 +78,7 @@ def reliability_bins(
     bins are kept (count 0, mean_pred and event_rate None) so downstream
     plots keep a fixed geometry.
     """
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+    check_n_bins(n_bins)
     p, y = _as_prob_outcome(probs, outcomes)
     # equal-width bins over [0, 1]: bin int(p * n_bins), with a p whose
     # product rounds to n_bins (1.0, and some just below) in the last one.

@@ -54,8 +54,8 @@ class EmptyLosses(RiskwatchError):
     """A tail-risk estimator was handed an empty loss vector."""
 
 
-class BadAlpha(RiskwatchError):
-    """Tail level alpha must lie strictly inside (0, 1)."""
+class BadAlpha(RiskwatchError, ValueError):
+    """Tail level alpha must be a float strictly inside (0, 1)."""
 
 
 class EmptySketch(RiskwatchError):

@@ -7,7 +7,7 @@ pair resolves, accumulates resolved pairs into the currently open period,
 and on period rollover computes a MetricSnapshot (calibration, tail risk,
 regret, belief) and advances the alarm state machine. The policy is fixed
 for the engine's life, so the alarm history is a pure function of the
-snapshots: it is replayed from them (alarms.replay), not stored.
+snapshots: a load judges them again (_commit), so it is not stored.
 
 All engine state is plain JSON-serializable data, so a run can be frozen
 mid-stream with to_state(), persisted, reloaded with from_state() and
@@ -49,14 +49,13 @@ from dataclasses import asdict, astuple, fields
 from operator import attrgetter
 
 from . import belief as belief_mod
-from .alarms import ThresholdPolicy, evaluate, replay
-from .calibration import auc, brier, ece
+from .alarms import AlarmState, ThresholdPolicy, evaluate
+from .calibration import auc, brier, check_n_bins, ece
 from .core import (Joiner, MetricSnapshot, OutcomeRecord, PredictionEvent,
-                   ResolvedPair, TimeIndex, check_event_id, check_sequence,
-                   finite_number)
+                   ResolvedPair, TimeIndex, check_event_id, check_sequence)
 from .errors import CorruptSnapshot, NoMetrics, VersionMismatch
 from .regret import step_regret
-from .tailrisk import cvar_tail, var
+from .tailrisk import check_alpha, cvar_tail, var
 
 logger = logging.getLogger(__name__)
 
@@ -66,8 +65,7 @@ ENGINE_STATE_VERSION = 8
 class MonitorEngine:
     """Streaming metric/alarm pipeline over one deployment's event log.
 
-    The settings are checked here, before any record is read: n_bins must
-    be an integer >= 1 and alpha lie in (0, 1), else ValueError.
+    Its settings are checked before any record is read, else ValueError.
     """
 
     def __init__(
@@ -76,16 +74,12 @@ class MonitorEngine:
         n_bins: int = 10,
         alpha: float = 0.95,
     ):
-        if type(n_bins) is not int or n_bins < 1:
-            raise ValueError(f"n_bins must be an integer >= 1, got {n_bins!r}")
-        if not (finite_number(alpha) and 0.0 < alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+        self.n_bins = check_n_bins(n_bins)
+        self.alpha = check_alpha(alpha)
         self._policy = policy or ThresholdPolicy()
-        self.n_bins = n_bins
-        self.alpha = alpha
 
         self.snapshots: list[MetricSnapshot] = []
-        self.alarm = replay(self.snapshots, self.policy)
+        self.alarm = AlarmState()
         self.events_seen = 0
         self.outcomes_seen = 0
         # lines of the source log behind this state; counted by the log
@@ -99,7 +93,7 @@ class MonitorEngine:
 
     @property
     def policy(self) -> ThresholdPolicy:
-        """Read-only, so every close is judged by it and the history replays."""
+        """Read-only, so every close is judged by it, and a load judges alike."""
         return self._policy
 
     # -- stream intake -------------------------------------------------------
@@ -124,26 +118,27 @@ class MonitorEngine:
         if self._open_time is not None:
             self._close_period()
         if self._join.pending:
-            logger.warning(
-                "monitor: %d events left unresolved at stream end",
-                len(self._join.pending),
-            )
+            logger.warning("monitor: %d events left unresolved at stream end",
+                           len(self._join.pending))
         if self.stale_pairs:
-            logger.warning(
-                "monitor: dropped %d pairs that resolved after their period closed",
-                self.stale_pairs,
-            )
+            logger.warning("monitor: dropped %d pairs that resolved after their "
+                           "period closed", self.stale_pairs)
 
     # -- internals -----------------------------------------------------------
 
+    def _stale(self, period: int) -> bool:
+        """The one period rule: would a pair or a closed period here reopen history?"""
+        if self._open_time is not None:
+            return period < self._open_time.period
+        return bool(self.snapshots) and period <= self.snapshots[-1].time.period
+
     def _on_pair(self, pair: ResolvedPair, regret: float | None) -> None:
         time = pair.event.time
-        if self._open_time is not None:
-            if time.period > self._open_time.period:
-                self._close_period()
-            elif time.period < self._open_time.period:
-                self.stale_pairs += 1
-                return
+        if self._stale(time.period):
+            self.stale_pairs += 1
+            return
+        if self._open_time is not None and time.period > self._open_time.period:
+            self._close_period()
         self._acc_probs.append(pair.event.predicted_prob)
         self._acc_ys.append(pair.outcome.outcome)
         self._acc_losses.append(pair.outcome.loss)
@@ -191,16 +186,22 @@ class MonitorEngine:
             posterior_mean=rolling.mean,
             drift_score=drift,
         )
-        alarm = evaluate(self.alarm, snapshot, self.policy)
-        if alarm.state is not self.alarm.state:
+        before = self.alarm.state
+        self._commit(snapshot)
+        if self.alarm.state is not before:
             logger.info("alarm transition at %s: %s -> %s (breached: %s)",
-                        snapshot.time, self.alarm.state.value, alarm.state.value,
-                        ",".join(alarm.history[-1].breached) or "none")
-        self.alarm = alarm
-        self.snapshots.append(snapshot)
+                        snapshot.time, before.value, self.alarm.state.value,
+                        ",".join(self.alarm.history[-1].breached) or "none")
         self._baseline = baseline
         self._new_period()
         self._join.resolved_ids.clear()  # later outcomes for them are orphans
+
+    def _commit(self, snapshot: MetricSnapshot) -> None:
+        """Judge a closed period and append it, or raise and change nothing."""
+        if self._stale(snapshot.time.period):
+            raise ValueError(f"closed period {snapshot.time.period} would reopen history")
+        self.alarm = evaluate(self.alarm, snapshot, self.policy)
+        self.snapshots.append(snapshot)
 
     def _new_period(self) -> None:
         """An empty open period: no latest time, and empty _ACC arrays."""
@@ -223,7 +224,7 @@ class MonitorEngine:
             "pending": _columns(self._join.pending.values(), PredictionEvent),
             "resolved_ids": sorted(self._join.resolved_ids),
             "last_event_seq": self._join.last_seq,
-            # one row per closed period; the alarm is replayed from them
+            # one row per closed period; a load judges each again
             "snapshots": _columns(self.snapshots, MetricSnapshot),
         }
 
@@ -232,10 +233,10 @@ class MonitorEngine:
         """Rebuild an engine from to_state() output.
 
         A state of another version raises VersionMismatch. A state loads
-        only if its policy can judge every snapshot (the alarm history is
-        replayed from them) and the engine it builds writes it back
-        unchanged under canonical JSON; any other raises CorruptSnapshot,
-        naming the first key or column that differs, or the unjudged metrics.
+        only if intake's own steps (_commit, _stale, Joiner.add) accept it
+        and the engine they build writes it back unchanged under canonical
+        JSON; any other raises CorruptSnapshot, naming the first key or
+        column that differs, or the rule it breaks.
         """
         if not isinstance(state, dict):
             raise CorruptSnapshot(
@@ -256,6 +257,7 @@ class MonitorEngine:
 
     @classmethod
     def _thaw(cls, state: dict) -> "MonitorEngine":
+        """The engine the state describes, built by intake's own steps."""
         engine = cls(
             policy=ThresholdPolicy(**_typed(state["policy"], dict, "policy")),
             **{name: state[name] for name in ENGINE_DEFAULTS},
@@ -265,6 +267,9 @@ class MonitorEngine:
             if type(count) is not int or count < 0:
                 raise ValueError(f"{name} {count!r} is negative or not an integer")
             setattr(engine, name, count)
+        for snapshot in _from_columns(
+                MetricSnapshot, _typed(state["snapshots"], dict, "snapshots")):
+            engine._commit(snapshot)
         acc = _typed(state["acc"], dict, "acc")
         for name, (typecode, valid) in _ACC.items():
             setattr(engine, f"_acc_{name}",
@@ -272,21 +277,22 @@ class MonitorEngine:
         if not len(engine._acc_probs) == len(engine._acc_ys) == len(engine._acc_losses):
             raise ValueError("open period values differ in length")
         if state["open_time"] is not None:
-            engine._open_time = TimeIndex(*_typed(state["open_time"], list, "open_time"))
+            open_time = TimeIndex(*_typed(state["open_time"], list, "open_time"))
+            if engine._stale(open_time.period):
+                raise ValueError(f"open period {open_time.period} would reopen history")
+            engine._open_time = open_time
         if (engine._open_time is not None) != bool(engine._acc_probs):
             raise ValueError("the open period and its values disagree")
         if state["baseline"] is not None:
             engine._baseline = belief_mod.BetaPosterior(
                 *_typed(state["baseline"], list, "baseline"))
-        pending = _from_columns(PredictionEvent, _typed(state["pending"], dict, "pending"))
-        engine._join.pending = {ev.event_id: ev for ev in pending}
         engine._join.resolved_ids = dict.fromkeys(
             check_event_id(i) for i in _typed(state["resolved_ids"], list, "resolved_ids"))
-        if state["last_event_seq"] is not None:
-            engine._join.last_seq = check_sequence(state["last_event_seq"])
-        engine.snapshots = _from_columns(
-            MetricSnapshot, _typed(state["snapshots"], dict, "snapshots"))
-        engine.alarm = replay(engine.snapshots, engine.policy)
+        for event in _from_columns(PredictionEvent, _typed(state["pending"], dict, "pending")):
+            engine._join.add(event)
+        if state["last_event_seq"] is not None:  # below a pending seq, it differs
+            engine._join.last_seq = max(check_sequence(state["last_event_seq"]),
+                                        engine._join.last_seq or 0)
         return engine
 
 

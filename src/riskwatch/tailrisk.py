@@ -41,9 +41,16 @@ from typing import Sequence
 from .errors import BadAlpha, EmptyLosses, EmptySketch
 
 
+def check_alpha(alpha) -> float:
+    """The alpha rule: a float in (0, 1) (no int or bool lies there),
+    returned as it is; else BadAlpha."""
+    if not (isinstance(alpha, float) and 0.0 < alpha < 1.0):
+        raise BadAlpha(f"alpha must lie in (0, 1), got {alpha!r}")
+    return alpha
+
+
 def _check(losses: Sequence[float], alpha: float) -> array:
-    if not 0.0 < alpha < 1.0:
-        raise BadAlpha(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     x = array("d", losses)
     if not x:
         raise EmptyLosses("loss vector is empty")

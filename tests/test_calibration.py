@@ -225,6 +225,13 @@ class TestEce:
         with pytest.raises(ValueError):
             ece([0.5], [0, 1])
 
+    # True once binned as one bin, and 2.0 failed in range() with a TypeError
+    @pytest.mark.parametrize("n_bins", [True, 2.0, 0], ids=["true", "float", "zero"])
+    @pytest.mark.parametrize("metric", [ece, reliability_bins])
+    def test_n_bins_is_an_integer_of_at_least_one(self, metric, n_bins):
+        with pytest.raises(ValueError, match="n_bins must be an integer >= 1"):
+            metric([0.2, 0.7], [0, 1], n_bins=n_bins)
+
     @given(probs_and_ys)
     @settings(max_examples=150, deadline=None)
     def test_matches_oracle_exactly(self, rows):

@@ -498,6 +498,29 @@ class TestReplayResume:
         text = (out / "report.csv").read_text()
         assert len(text.splitlines()) == 1 + 5  # header + periods 1..5
 
+    def test_outcomes_after_a_finalized_run_are_stale(self, tmp_path, caplog):
+        # periods 1 and 2 breach (review, review), and period 2's last two
+        # events are pending when monitor finalizes. Their outcomes, appended
+        # later, once opened a second period 2 whose breach rewrote the
+        # real period 2 to suspended in the report
+        events = [PredictionEvent(f"e{i}", TimeIndex(1 + i // 4, i), 0.9) for i in range(8)]
+        outcomes = [OutcomeRecord(f"e{i}", 0, 1.0) for i in range(8)]
+        lines = [log_line(r) for pair in zip(events[:6], outcomes) for r in pair]
+        lines += map(log_line, events[6:])
+        log = write(tmp_path / "events.ndjson", lines)
+        grown = write(tmp_path / "grown.ndjson", lines + list(map(log_line, outcomes[6:])))
+
+        mon, rep = tmp_path / "mon", tmp_path / "rep"
+        assert main(["monitor", "--in", log, "--out", str(mon)]) == EXIT_ALARM
+        with caplog.at_level("WARNING"):
+            assert main(["replay", "--snapshot", str(mon / "state.json"),
+                         "--in", grown, "--out", str(rep)]) == EXIT_ALARM
+        assert [(row["period"], row["alarm_state"]) for row in
+                read_report((rep / "report.csv").read_text())] == [(1, "review"), (2, "review")]
+        assert (rep / "report.csv").read_bytes() == (mon / "report.csv").read_bytes()
+        assert load_snapshot_file(rep / "state.json").stale_pairs == 2
+        assert "dropped 2 pairs that resolved after their period closed" in caplog.text
+
     def test_corrupt_snapshot(self, tmp_path, capsys):
         snap = tmp_path / "state.json"
         snap.write_text('{"sha256": "00", "state": {}}')

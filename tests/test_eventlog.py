@@ -417,6 +417,24 @@ def _set(*path_and_value):
     return mutate
 
 
+def _closed_periods(*periods):
+    """Closed periods at these periods, each a copy of the first, and the
+    open period above them all."""
+    def mutate(state):
+        table = state["snapshots"]
+        for name, column in table.items():
+            table[name] = (_pack(_unpack(column, "d")[:1] * len(periods), "d")
+                           if isinstance(column, str) else column[:1] * len(periods))
+        table["period"] = list(periods)
+        state["open_time"][0] = max(periods) + 1
+    return mutate
+
+
+def _swap_first_pending_seqs(state):
+    seqs = state["pending"]["sequence"]
+    seqs[0], seqs[1] = seqs[1], seqs[0]
+
+
 class TestSnapshotIntegrity:
     def make(self, canonical_output, upto=3_000):
         engine = MonitorEngine()
@@ -533,6 +551,26 @@ class TestSnapshotIntegrity:
          "engine state is malformed: .*no enabled metric is defined"),
         (lambda state: state["resolved_ids"].reverse(), "resolved-ids-unsorted",
          "engine state is malformed: .*'resolved_ids' is not as to_state"),
+        # states no intake builds, which once loaded: the closes commit
+        # rising periods below the open one, and the joiner holds each id
+        # once, its pending events in rising seq order, the last seq at least
+        # theirs
+        (_closed_periods(2, 1, 3), "closed-periods-out-of-order",
+         "engine state is malformed: .*closed period 1 would reopen history"),
+        (_closed_periods(1, 1, 3), "closed-period-repeated",
+         "engine state is malformed: .*closed period 1 would reopen history"),
+        (_set("snapshots", "period", [2]), "closed-period-at-the-open-one",
+         "engine state is malformed: .*open period 2 would reopen history"),
+        (_set("snapshots", "period", [3]), "closed-period-above-the-open-one",
+         "engine state is malformed: .*open period 2 would reopen history"),
+        (lambda state: state.update(resolved_ids=sorted(
+            state["resolved_ids"] + state["pending"]["event_id"][:1])),
+         "id-pending-and-resolved", "engine state is malformed: .*duplicate event_id"),
+        (_swap_first_pending_seqs, "pending-seqs-not-rising",
+         "engine state is malformed: .*out-of-order event"),
+        (lambda state: state.update(last_event_seq=state["pending"]["sequence"][-1] - 1),
+         "last-event-seq-below-pending",
+         "engine state is malformed: .*'last_event_seq' is not as to_state"),
     ]
 
     @pytest.mark.parametrize("mutate,match", [(m, f) for m, _, f in MALFORMED],
@@ -542,6 +580,21 @@ class TestSnapshotIntegrity:
         state = mid_period_engine(canonical_output).to_state()
         with pytest.raises(CorruptSnapshot, match=match):
             load_snapshot(checksummed(mutate(state) or state))
+
+    def test_falling_snapshot_sequences_load(self):
+        # the joiner needs rising seqs, not rising periods: events at periods
+        # 1, 2, 1 close period 1 at seq 2 and then period 2 at seq 1
+        engine = MonitorEngine()
+        for i, period in enumerate([1, 2, 1]):
+            engine.observe_event(PredictionEvent(f"e{i}", TimeIndex(period, i), 0.5))
+        for i in (0, 2, 1):
+            engine.observe_outcome(OutcomeRecord(f"e{i}", 1, 0.5))
+        engine.finalize()
+        assert [s.time for s in engine.snapshots] == [TimeIndex(1, 2), TimeIndex(2, 1)]
+        first, second = io.StringIO(), io.StringIO()
+        save_snapshot(engine, first)
+        save_snapshot(load_snapshot(io.StringIO(first.getvalue())), second)
+        assert second.getvalue() == first.getvalue()
 
     def test_inf_regret_rate_round_trips(self):
         # finite losses whose spread overflows: the regret rate is inf, which

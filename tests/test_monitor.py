@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from riskwatch.alarms import OperatingState, ThresholdPolicy
 from riskwatch.calibration import auc, brier, ece
 from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex, join
-from riskwatch.errors import (DuplicateOutcome, NoMetrics, OrphanOutcome, SchemaError,
-                              VersionMismatch)
+from riskwatch.errors import (BadAlpha, DuplicateOutcome, NoMetrics, OrphanOutcome,
+                              SchemaError, VersionMismatch)
 from riskwatch.eventlog import feed_engine, load_snapshot, save_snapshot
 from riskwatch.monitor import MonitorEngine, _pack, _unpack
 from riskwatch.simulator import canonical_scenario, generate
@@ -151,6 +151,14 @@ class TestStateFreezing:
             state["engine_version"] = version
             with pytest.raises(VersionMismatch):
                 MonitorEngine.from_state(state)
+
+    @pytest.mark.parametrize("settings, error", [
+        ({"n_bins": 2.0}, ValueError), ({"n_bins": True}, ValueError),
+        ({"alpha": "0.5"}, BadAlpha), ({"alpha": 1}, BadAlpha),
+    ], ids=["n_bins-float", "n_bins-true", "alpha-str", "alpha-int"])
+    def test_settings_follow_the_metrics_own_rules(self, settings, error):
+        with pytest.raises(error, match=f"{next(iter(settings))} must"):
+            MonitorEngine(**settings)
 
     def test_policy_is_read_only(self):
         # the history is replayed under engine.policy, so a policy swapped
@@ -339,6 +347,26 @@ class TestJoinDiscipline:
         assert "1 pairs that resolved after their period closed" in caplog.text
         assert [s.time.period for s in engine.snapshots] == [1, 2]
         assert engine.snapshots[0].n == 1
+
+    def test_pair_of_a_closed_period_after_finalize_is_stale(self, caplog):
+        # finalize leaves no period open; a late pair of a closed period once
+        # opened a second period 2, whose breach rewrote period 2's alarm state
+        engine = MonitorEngine()
+        for i, period in enumerate([1, 2, 2]):
+            engine.observe_event(ev(i, period=period, prob=0.99))
+        engine.observe_outcome(oc(0))
+        engine.observe_outcome(oc(1))
+        engine.finalize()
+        history = engine.alarm.history
+        engine.observe_outcome(oc(2))
+        engine.observe_event(ev(3, period=3, prob=0.99))
+        engine.observe_outcome(oc(3))  # a later period still opens
+        with caplog.at_level("WARNING"):
+            engine.finalize()
+        assert "dropped 1 pairs" in caplog.text
+        assert engine.stale_pairs == 1
+        assert [(s.time.period, s.n) for s in engine.snapshots] == [(1, 1), (2, 1), (3, 1)]
+        assert engine.alarm.history[:2] == history
 
     def test_unresolved_events_warned(self, caplog):
         engine = MonitorEngine()

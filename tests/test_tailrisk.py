@@ -123,6 +123,18 @@ class TestInputChecks:
         with pytest.raises(BadAlpha):
             cvar_tail([1.0, 2.0], a)
 
+    # a str once failed in the comparison with a TypeError
+    @pytest.mark.parametrize("a", ["0.5", None, True])
+    @pytest.mark.parametrize("estimator", [var, cvar_conditional, cvar_tail,
+                                           cvar_variational])
+    def test_alpha_that_is_not_a_number_refused(self, estimator, a):
+        with pytest.raises(BadAlpha, match="alpha must lie in"):
+            estimator([1.0, 2.0], a)
+
+    def test_bad_alpha_is_a_value_error(self):
+        # so the engine's settings raise one error type for both rules
+        assert issubclass(BadAlpha, ValueError)
+
     @pytest.mark.parametrize("estimator", [var, cvar_conditional, cvar_tail, cvar_variational])
     @pytest.mark.parametrize("losses", [
         [1.0, math.nan, 0.0, 2.0],  # var gave nan, or 0.0 or 1.0 once reordered
