@@ -151,13 +151,15 @@ class MetricSnapshot:
     Any metric may be undefined (None), e.g. auc on a single-class period
     or regret on a log without counterfactual losses. Undefined is a value,
     not an error; downstream consumers (alarms, reports) must handle it.
-    n, an integer >= 1, is the number of resolved pairs behind it. A defined
-    metric is a float or a non-bool int, never NaN (the engine state stores
-    None as NaN), and may be inf (a regret overflow).
+    n, an integer >= 1, is the number of resolved pairs behind it, and
+    positives, an integer in [0, n], the number of them with outcome 1. A
+    defined metric is a float or a non-bool int, never NaN (the engine state
+    stores None as NaN), and may be inf (a regret overflow).
     """
 
     time: TimeIndex
     n: int
+    positives: int = 0
     ece: float | None = None
     brier: float | None = None
     auc: float | None = None
@@ -168,11 +170,13 @@ class MetricSnapshot:
     posterior_mean: float | None = None
     drift_score: float | None = None
 
-    METRIC_FIELDS: ClassVar[tuple[str, ...]]  # every field after time and n
+    METRIC_FIELDS: ClassVar[tuple[str, ...]]  # every field after time and the counts
 
     def __post_init__(self):
         if type(self.n) is not int or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        if type(self.positives) is not int or not 0 <= self.positives <= self.n:
+            raise ValueError(f"positives must be an integer in [0, n], got {self.positives!r}")
         defined = self.defined()
         if not defined:
             raise ValueError("snapshot must carry at least one defined metric")
@@ -189,7 +193,7 @@ class MetricSnapshot:
         }
 
 
-MetricSnapshot.METRIC_FIELDS = tuple(f.name for f in fields(MetricSnapshot)[2:])
+MetricSnapshot.METRIC_FIELDS = tuple(f.name for f in fields(MetricSnapshot)[3:])
 
 
 class Joiner:

@@ -5,9 +5,13 @@ joins them through core.Joiner (events wait there until their outcome
 arrives), scores each decision's regret with regret.step_regret as the
 pair resolves, accumulates resolved pairs into the currently open period,
 and on period rollover computes a MetricSnapshot (calibration, tail risk,
-regret, belief) and advances the alarm state machine. The policy is fixed
-for the engine's life, so the alarm history is a pure function of the
-snapshots: a load judges them again (_commit), so it is not stored.
+regret, belief) and advances the alarm state machine. The state holds only
+what the engine cannot recompute. A period's belief (posterior_mean,
+drift_score) is a function of its counts, n and positives, and the first
+period's, so a load derives it by the close's own step (_belief). The
+policy is fixed for the engine's life, so the alarm history is a pure
+function of the snapshots, and a load judges them again (_commit). The
+events and outcomes seen are sums over the tables. None of these is stored.
 
 All engine state is plain JSON-serializable data, so a run can be frozen
 mid-stream with to_state(), persisted, reloaded with from_state() and
@@ -15,14 +19,14 @@ continued to a bit-identical result; the per-period metric computations
 see exactly the same accumulated values either way. The open period's
 values are held unboxed, in typed arrays (float64, uint8 for outcomes),
 which a period close hands to the metrics as they are. The state says
-each thing once: its tables (pending events; closed periods' metrics) are
-stored column-wise, and every float column (None stored as NaN) and the
-open period's values as base64 of their little-endian bytes, which
-round-trips bit for bit, so no metric is JSON text and no NaN or Infinity
-token is needed. A state loads only if the engine it builds writes it back
-unchanged. The engine never loads numpy: every metric runs on the standard
-library, so a period close gives the same bits whichever SIMD loops numpy
-would pick on the host.
+each thing once: its tables (pending events; closed periods' counts and
+metrics) are stored column-wise, and every float column (None stored as
+NaN) and the open period's values as base64 of their little-endian bytes,
+which round-trips bit for bit, so no metric is JSON text and no NaN or
+Infinity token is needed. A state loads only if the engine it builds
+writes it back unchanged. The engine never loads numpy: every metric runs
+on the standard library, so a period close gives the same bits whichever
+SIMD loops numpy would pick on the host.
 
 Ordering contract: a single writer appends events with increasing sequence
 numbers and nondecreasing periods, and outcomes arrive after (and near)
@@ -45,7 +49,7 @@ import logging
 import math
 import sys
 from array import array
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, astuple, fields, replace
 from operator import attrgetter
 
 from . import belief as belief_mod
@@ -59,7 +63,7 @@ from .tailrisk import check_alpha, cvar_tail, var
 
 logger = logging.getLogger(__name__)
 
-ENGINE_STATE_VERSION = 8
+ENGINE_STATE_VERSION = 9
 
 
 class MonitorEngine:
@@ -80,8 +84,6 @@ class MonitorEngine:
 
         self.snapshots: list[MetricSnapshot] = []
         self.alarm = AlarmState()
-        self.events_seen = 0
-        self.outcomes_seen = 0
         # lines of the source log behind this state; counted by the log
         # intake (eventlog.ingest_log, eventlog.log_pairs) and only carried here
         self.lines_consumed = 0
@@ -89,18 +91,26 @@ class MonitorEngine:
 
         self._join = Joiner()
         self._new_period()
-        self._baseline: belief_mod.BetaPosterior | None = None  # frozen at first close
 
     @property
     def policy(self) -> ThresholdPolicy:
         """Read-only, so every close is judged by it, and a load judges alike."""
         return self._policy
 
+    @property
+    def outcomes_seen(self) -> int:
+        """Outcomes accepted: the pairs closed, open and dropped as stale."""
+        return sum(s.n for s in self.snapshots) + len(self._acc_probs) + self.stale_pairs
+
+    @property
+    def events_seen(self) -> int:
+        """Events accepted: those resolved and those still pending."""
+        return self.outcomes_seen + len(self._join.pending)
+
     # -- stream intake -------------------------------------------------------
 
     def observe_event(self, event: PredictionEvent) -> None:
         self._join.add(event)
-        self.events_seen += 1
 
     def observe_outcome(self, outcome: OutcomeRecord) -> None:
         pair = self._join.match(outcome)
@@ -111,7 +121,6 @@ class MonitorEngine:
         # a close forgets the resolved ids, so resolve this pair after it
         self._on_pair(pair, regret)
         self._join.resolve(pair)
-        self.outcomes_seen += 1
 
     def finalize(self) -> None:
         """Close the open period and flush warnings for unresolved events."""
@@ -166,16 +175,11 @@ class MonitorEngine:
             regret_cumulative = base + period_regret
             regret_rate = period_regret / len(self._acc_regrets)
 
-        # rolling belief over this period; baseline frozen at first close
         positives = sum(self._acc_ys)
-        rolling = belief_mod.update_batch(
-            belief_mod.BetaPosterior(), positives, n - positives)
-        baseline = self._baseline or rolling
-        drift = belief_mod.drift_score(baseline, rolling)
-
         snapshot = MetricSnapshot(
             time=self._open_time,
             n=n,
+            positives=positives,
             ece=ece(self._acc_probs, self._acc_ys, n_bins=self.n_bins),
             brier=brier(self._acc_probs, self._acc_ys),
             auc=auc(self._acc_probs, self._acc_ys),
@@ -183,8 +187,7 @@ class MonitorEngine:
             cvar=cvar_tail(self._acc_losses, self.alpha),
             regret_cumulative=regret_cumulative,
             regret_rate=regret_rate,
-            posterior_mean=rolling.mean,
-            drift_score=drift,
+            **self._belief(n, positives),
         )
         before = self.alarm.state
         self._commit(snapshot)
@@ -192,9 +195,22 @@ class MonitorEngine:
             logger.info("alarm transition at %s: %s -> %s (breached: %s)",
                         snapshot.time, before.value, self.alarm.state.value,
                         ",".join(self.alarm.history[-1].breached) or "none")
-        self._baseline = baseline
         self._new_period()
         self._join.resolved_ids.clear()  # later outcomes for them are orphans
+
+    def _belief(self, n: int, positives: int) -> dict[str, float]:
+        """The belief fields (_DERIVED) of a period closed now with n pairs,
+        positives of them positive: the mean of its rolling posterior,
+        Beta(1 + positives, 1 + n - positives), and its drift from the
+        baseline, the first closed period's posterior (its own at the first)."""
+        def posterior(m: int, k: int) -> belief_mod.BetaPosterior:
+            return belief_mod.update_batch(belief_mod.BetaPosterior(), k, m - k)
+
+        rolling = posterior(n, positives)
+        first = self.snapshots[0] if self.snapshots else None
+        baseline = posterior(first.n, first.positives) if first else rolling
+        return {"posterior_mean": rolling.mean,
+                "drift_score": belief_mod.drift_score(baseline, rolling)}
 
     def _commit(self, snapshot: MetricSnapshot) -> None:
         """Judge a closed period and append it, or raise and change nothing."""
@@ -220,11 +236,10 @@ class MonitorEngine:
             "open_time": list(astuple(self._open_time)) if self._open_time else None,
             "acc": {name: _pack(getattr(self, f"_acc_{name}"), typecode)
                     for name, (typecode, _) in _ACC.items()},
-            "baseline": list(astuple(self._baseline)) if self._baseline else None,
             "pending": _columns(self._join.pending.values(), PredictionEvent),
             "resolved_ids": sorted(self._join.resolved_ids),
             "last_event_seq": self._join.last_seq,
-            # one row per closed period; a load judges each again
+            # one row per closed period; a load derives its belief and judges it again
             "snapshots": _columns(self.snapshots, MetricSnapshot),
         }
 
@@ -267,9 +282,8 @@ class MonitorEngine:
             if type(count) is not int or count < 0:
                 raise ValueError(f"{name} {count!r} is negative or not an integer")
             setattr(engine, name, count)
-        for snapshot in _from_columns(
-                MetricSnapshot, _typed(state["snapshots"], dict, "snapshots")):
-            engine._commit(snapshot)
+        for row in _from_columns(MetricSnapshot, _typed(state["snapshots"], dict, "snapshots")):
+            engine._commit(replace(row, **engine._belief(row.n, row.positives)))
         acc = _typed(state["acc"], dict, "acc")
         for name, (typecode, valid) in _ACC.items():
             setattr(engine, f"_acc_{name}",
@@ -283,9 +297,6 @@ class MonitorEngine:
             engine._open_time = open_time
         if (engine._open_time is not None) != bool(engine._acc_probs):
             raise ValueError("the open period and its values disagree")
-        if state["baseline"] is not None:
-            engine._baseline = belief_mod.BetaPosterior(
-                *_typed(state["baseline"], list, "baseline"))
         engine._join.resolved_ids = dict.fromkeys(
             check_event_id(i) for i in _typed(state["resolved_ids"], list, "resolved_ids"))
         for event in _from_columns(PredictionEvent, _typed(state["pending"], dict, "pending")):
@@ -316,8 +327,12 @@ _ACC = {
     "regrets": ("d", lambda v: v >= 0.0),
 }
 
-# the stream counters, each an integer >= 0
-_COUNTERS = ("events_seen", "outcomes_seen", "lines_consumed", "stale_pairs")
+# the stream counters that no table implies, each an integer >= 0
+_COUNTERS = ("lines_consumed", "stale_pairs")
+
+# the MetricSnapshot fields a load derives from the counts (_belief), so
+# no table stores them
+_DERIVED = ("posterior_mean", "drift_score")
 
 
 def _pack(values, typecode: str) -> str:
@@ -380,9 +395,9 @@ def _layout(cls) -> dict[str, tuple[str, bool]]:
     """The plain-data columns of a record class, read off its fields: each
     column's attribute path, and whether it is stored packed (a field
     annotated float, or float | None, is). A time field is stored as its
-    period and sequence."""
+    period and sequence, and a _DERIVED field not at all."""
     return {path.rpartition(".")[2]: (path, f.type in ("float", "float | None"))
-            for f in fields(cls) for path in (
+            for f in fields(cls) if f.name not in _DERIVED for path in (
                 ("time.period", "time.sequence") if f.name == "time" else (f.name,))}
 
 

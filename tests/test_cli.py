@@ -52,7 +52,7 @@ def small_cfg(tmp_path_factory):
 # the sha256 of the simulate log and state of the canonical scenario cut to
 # 3 periods of 200 patients, the same under every numpy SIMD dispatch level
 SMALL_LOG_SHA256 = "83f3cc1317c496d57d13a26af83cb321c422b7cefca1263b5d68b88d61487402"
-SMALL_STATE_SHA256 = "7dabf1fbc00d5bce40a38cb95f9317fd0cd16f9c2659a8edec9b21e3715099ae"
+SMALL_STATE_SHA256 = "b771f064e3d5198610abe11e612c77a873e72aa571b6b941fa427a8317a2b3c7"
 
 
 def refuse_constant(token):

@@ -363,6 +363,23 @@ V7_DOCUMENT = (
     '"var":"AAAAAAAA4D8="},"stale_pairs":0}}\n')
 
 
+# the same one-pair run saved by the last v8 engine: the baseline, the
+# stream counts and each closed period's belief stored
+V8_DOCUMENT = (
+    '{"sha256":"34e9698f3bf0d27ba8813a382a3fb66e904df57b4f03b74b6bc19f82cfac635a",'
+    '"state":{"acc":{"losses":"","probs":"","regrets":"","ys":""},"alpha":0.95,'
+    '"baseline":[2.0,1.0],"engine_version":8,"events_seen":1,"last_event_seq":0,'
+    '"lines_consumed":0,"n_bins":10,"open_time":null,"outcomes_seen":1,'
+    '"pending":{"action_id":[],"cohort":[],"event_id":[],"model_version":[],"period":[],'
+    '"predicted_prob":"","sequence":[]},"policy":{"conjunctive":false,'
+    '"consecutive_for_review":1,"consecutive_for_suspend":3,"cvar_max":0.13,'
+    '"drift_min":null,"ece_max":0.045,"recovery_periods":2,"regret_rate_max":null},'
+    '"resolved_ids":[],"snapshots":{"auc":"AAAAAAAA+H8=","brier":"AAAAAAAA4j8=",'
+    '"cvar":"AAAAAAAA4D8=","drift_score":"BAAAAAAA4D8=","ece":"AAAAAAAA6D8=","n":[1],'
+    '"period":[1],"posterior_mean":"VVVVVVVV5T8=","regret_cumulative":"AAAAAAAA+H8=",'
+    '"regret_rate":"AAAAAAAA+H8=","sequence":[0],"var":"AAAAAAAA4D8="},"stale_pairs":0}}\n')
+
+
 def mid_period_engine(output, upto=3_050, lag=50):
     """An engine part way through period 2 with each outcome `lag` events
     behind its event: closed history, open-period values and pending events."""
@@ -430,6 +447,11 @@ def _closed_periods(*periods):
     return mutate
 
 
+def _positives_above_n(state):
+    table = state["snapshots"]
+    table["positives"][0] = table["n"][0] + 1
+
+
 def _swap_first_pending_seqs(state):
     seqs = state["pending"]["sequence"]
     seqs[0], seqs[1] = seqs[1], seqs[0]
@@ -488,14 +510,21 @@ class TestSnapshotIntegrity:
         # values a type's rule refuses, which once loaded and failed later
         (_set("regret_cumulative", "abc"), "regret-cumulative-str",
          "engine state is malformed: .*regret_cumulative"),
-        (_set("events_seen", "3050"), "events-seen-str",
-         "engine state is malformed: .*events_seen"),
         (_set("open_time", 0, "2"), "open-period-str", "engine state is malformed: .*period"),
         (_set("last_event_seq", "3049"), "last-event-seq-str",
          "engine state is malformed: .*sequence"),
-        (_set("baseline", ["a", 1]), "baseline-str", "engine state is malformed: .*Beta"),
-        (_set("baseline", [math.nan, 1]), "baseline-nan",
-         "engine state is malformed: .*Beta"),
+        # a closed period's positive count, from which a load derives its
+        # belief: an integer in [0, n], as the snapshot's rule says
+        (_set("snapshots", "positives", 0, -1), "positives-negative",
+         "engine state is malformed: .*positives must be"),
+        (_positives_above_n, "positives-above-n",
+         "engine state is malformed: .*positives must be"),
+        (_set("snapshots", "positives", 0, 2.0), "positives-float",
+         "engine state is malformed: .*positives must be"),
+        (_set("snapshots", "positives", 0, True), "positives-true",
+         "engine state is malformed: .*positives must be"),
+        (_set("snapshots", "positives", 0, None), "positives-null",
+         "engine state is malformed: .*positives must be"),
         # a packed metric column of the history that _pack() could not
         # have written: a list, 7 bytes, text that is not base64
         (_set("snapshots", "ece", [0.01]), "ece-list",
@@ -528,6 +557,17 @@ class TestSnapshotIntegrity:
          "engine state is malformed: .*'acc.junk' is not as to_state"),
         (_set("snapshots", "ece_old", [1]), "snapshots-extra-column",
          "engine state is malformed: .*'snapshots.ece_old' is not as to_state"),
+        # what a load derives (the belief, from the counts; the stream counts,
+        # from the tables) is not stored, so a stored copy, which could
+        # contradict them, is a key to_state() never writes
+        (_set("baseline", [5.0, 7.0]), "baseline-key",
+         "engine state is malformed: .*'baseline' is not as to_state"),
+        (_set("snapshots", "drift_score", "AAAAAAAA4D8="), "drift-score-column",
+         "engine state is malformed: .*'snapshots.drift_score' is not as to_state"),
+        (_set("outcomes_seen", 0), "outcomes-seen-key",
+         "engine state is malformed: .*'outcomes_seen' is not as to_state"),
+        (_set("events_seen", "3050"), "events-seen-str",
+         "engine state is malformed: .*'events_seen' is not as to_state"),
         # the alarm is replayed from the snapshots, so a stored alarm state
         # or alarm record (the v7 layout), which could contradict the
         # metrics, is a key to_state() never writes
@@ -684,7 +724,7 @@ class TestSnapshotIntegrity:
         buf = io.StringIO()
         save_snapshot(engine, buf)
         doc = json.loads(buf.getvalue())
-        doc["state"]["events_seen"] += 1
+        doc["state"]["lines_consumed"] += 1
         with pytest.raises(CorruptSnapshot, match="checksum"):
             load_snapshot(io.StringIO(json.dumps(doc)))
 
@@ -703,6 +743,10 @@ class TestSnapshotIntegrity:
     def test_a_version_7_document_is_refused(self):
         with pytest.raises(VersionMismatch, match="version 7 "):
             load_snapshot(io.StringIO(V7_DOCUMENT))
+
+    def test_a_version_8_document_is_refused(self):
+        with pytest.raises(VersionMismatch, match="version 8 "):
+            load_snapshot(io.StringIO(V8_DOCUMENT))
 
     def test_unknown_document_key_is_refused(self, canonical_output):
         buf = io.StringIO()

@@ -10,15 +10,16 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskwatch.alarms import OperatingState, ThresholdPolicy
+from riskwatch.belief import BetaPosterior, drift_score
 from riskwatch.calibration import auc, brier, ece
 from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex, join
 from riskwatch.errors import (BadAlpha, DuplicateOutcome, NoMetrics, OrphanOutcome,
                               SchemaError, VersionMismatch)
-from riskwatch.eventlog import feed_engine, load_snapshot, save_snapshot
+from riskwatch.eventlog import emit_report, feed_engine, load_snapshot, save_snapshot
 from riskwatch.monitor import MonitorEngine, _pack, _unpack
 from riskwatch.simulator import canonical_scenario, generate
 from riskwatch.tailrisk import cvar_tail, var
@@ -145,8 +146,9 @@ class TestStateFreezing:
         # last with row-wise history and open-period values as JSON lists,
         # 5 the last with the closed periods' metrics as JSON numbers, 6 the
         # last with the alarm history stored apart from the snapshots, 7 the
-        # last that stored the alarm history at all
-        for version in (2, 3, 4, 5, 6, 7, 999):
+        # last that stored the alarm history at all, 8 the last that stored
+        # the belief and the stream counts
+        for version in (2, 3, 4, 5, 6, 7, 8, 999):
             state = MonitorEngine().to_state()
             state["engine_version"] = version
             with pytest.raises(VersionMismatch):
@@ -219,6 +221,66 @@ class TestReplayedAlarmHistory:
                     "normal -> review (breached: ece)")
             else:
                 assert transitions == []
+
+
+# one (n, positives) per period, each 0 <= positives <= n
+PERIOD_COUNTS = st.lists(
+    st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    min_size=1, max_size=4)
+
+
+def counts_stream(counts):
+    """The events and outcomes of one period per (n, positives), in order:
+    a period's first positives outcomes are 1, and probs and losses vary."""
+    events, outcomes = [], []
+    for period, (n, positives) in enumerate(counts, start=1):
+        for j in range(n):
+            i, y = len(events), int(j < positives)
+            events.append(ev(i, period=period, prob=(i % 7 + 0.5) / 7))
+            outcomes.append(oc(i, y=y, loss=0.25 + 0.5 * y))
+    return events, outcomes
+
+
+class TestDerivedBelief:
+    """A closed period's posterior_mean and drift_score are not stored: a
+    load derives them from the counts, by the close's own step."""
+
+    # the examples hold k = 0, k = n and k > n/2 (drift_score's mirror branch)
+    @given(PERIOD_COUNTS)
+    @example([(5, 0), (5, 5), (9, 7), (1, 1)])
+    @example([(12, 12), (3, 0), (8, 5)])
+    @settings(max_examples=60, deadline=None)
+    def test_a_load_gives_the_live_belief_bit_for_bit(self, counts):
+        live = drive(MonitorEngine(), *counts_stream(counts))
+        live.finalize()
+        baseline = None
+        for snap, (n, k) in zip(live.snapshots, counts, strict=True):
+            rolling = BetaPosterior(1.0 + k, 1.0 + n - k)
+            baseline = baseline or rolling
+            assert (snap.n, snap.positives) == (n, k)
+            assert bits([snap.posterior_mean, snap.drift_score]) == bits(
+                [rolling.mean, drift_score(baseline, rolling)])
+        loaded = MonitorEngine.from_state(json.loads(json.dumps(live.to_state())))
+        assert [bits([s.posterior_mean, s.drift_score]) for s in loaded.snapshots] == [
+            bits([s.posterior_mean, s.drift_score]) for s in live.snapshots]
+        assert loaded.snapshots == live.snapshots and loaded.alarm == live.alarm
+
+    @given(PERIOD_COUNTS, st.floats(0.0, 1.0))
+    @example([(5, 0), (5, 5), (9, 7)], 0.5)  # a load in period 2, after one close
+    @settings(max_examples=60, deadline=None)
+    def test_a_mid_period_load_then_finalize_gives_the_uninterrupted_report(
+            self, counts, where):
+        events, outcomes = counts_stream(counts)
+        cut = round(where * len(events))
+        whole = drive(MonitorEngine(), events, outcomes)
+        whole.finalize()
+        first, buf = drive(MonitorEngine(), events, outcomes, upto=cut), io.StringIO()
+        save_snapshot(first, buf)
+        resumed = drive(load_snapshot(io.StringIO(buf.getvalue())), events[cut:], outcomes[cut:])
+        resumed.finalize()
+        assert emit_report(resumed.snapshots, resumed.alarm.history) == emit_report(
+            whole.snapshots, whole.alarm.history)
+        assert resumed.to_state() == whole.to_state()
 
 
 # zeros of both signs, the subnormal extremes, the largest finite values and
@@ -368,6 +430,18 @@ class TestJoinDiscipline:
         assert [(s.time.period, s.n) for s in engine.snapshots] == [(1, 1), (2, 1), (3, 1)]
         assert engine.alarm.history[:2] == history
 
+    def test_stream_counts_are_the_records_accepted_and_survive_a_load(self):
+        # e1 resolves after period 1 closed (stale), and e3 stays pending
+        engine = MonitorEngine()
+        for i, period in enumerate([1, 1, 2, 2]):
+            engine.observe_event(ev(i, period=period))
+        for i in (0, 2, 1):
+            engine.observe_outcome(oc(i))
+        assert (engine.stale_pairs, len(engine.snapshots)) == (1, 1)
+        loaded = MonitorEngine.from_state(engine.to_state())
+        for counted in (engine, loaded):
+            assert (counted.events_seen, counted.outcomes_seen) == (4, 3)
+
     def test_unresolved_events_warned(self, caplog):
         engine = MonitorEngine()
         engine.observe_event(ev(0))
@@ -400,11 +474,9 @@ class TestBoundedState:
                 for n in (500, 5000)}
 
     # the paths of the state values that count events, pairs or lines, whose
-    # digits grow with the stream (the baseline's Beta parameters count
-    # outcomes, plus 1)
-    COUNTS = [("events_seen",), ("outcomes_seen",), ("lines_consumed",),
-              ("last_event_seq",), ("baseline",), ("snapshots", "n"),
-              ("snapshots", "sequence")]
+    # digits grow with the stream
+    COUNTS = [("lines_consumed",), ("last_event_seq",), ("snapshots", "n"),
+              ("snapshots", "positives"), ("snapshots", "sequence")]
 
     def test_finalized_state_does_not_grow_with_the_stream(self, outputs):
         states, sizes = {}, {}

@@ -1,14 +1,18 @@
 """The examples a reader copies: every python block of README.md and the
-package docstring's usage example run as written."""
+package docstring's usage example run as written, and the state size and
+version README quotes are those the code writes."""
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 import riskwatch
+from riskwatch.cli import EXIT_OK, main
+from riskwatch.monitor import ENGINE_STATE_VERSION
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
@@ -39,3 +43,19 @@ def test_package_docstring_example_runs():
     example = doc.split("Typical use::\n", 1)[1]
     printed = run(re.sub(r"^    ", "", example, flags=re.M))
     assert len(printed.splitlines()) == 12  # one line per canonical period
+
+
+def test_quoted_state_size_and_version_are_the_codes(tmp_path):
+    # the canonical simulate's state.json, as the CLI block's first line
+    # writes it
+    text = README.read_text()
+    size = re.search(r"about ([\d.]+) KB\s+\(([\d,]+) B for the\s+canonical `simulate`\)",
+                     text)
+    version = re.search(r"`engine_version` (\d+)\.", text)
+    assert size and version, "README no longer quotes the state size or version"
+    assert main(["simulate", "--out", str(tmp_path / "run")]) == EXIT_OK
+    state = tmp_path / "run" / "state.json"
+    assert state.stat().st_size == int(size[2].replace(",", ""))
+    assert round(state.stat().st_size / 1000, 1) == float(size[1])
+    assert int(version[1]) == ENGINE_STATE_VERSION
+    assert json.loads(state.read_text())["state"]["engine_version"] == ENGINE_STATE_VERSION
