@@ -42,17 +42,8 @@ EXIT_DATA = 2
 EXIT_ALARM = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the documented usage code is 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="riskwatch",
         description="Streaming risk monitoring for deployed prediction models.",
     )
@@ -258,9 +249,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # --help exits 0; usage errors come through as EXIT_USAGE
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        if args.command is None and not args.print_defaults:
+            parser.error("a subcommand is required")
+    except SystemExit as exc:  # argparse exits 0 on --help, 2 on a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
 
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
@@ -271,11 +263,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.print_defaults:
         print(json.dumps(eventlog.default_config(), indent=2))
         return EXIT_OK
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        sys.stderr.write("riskwatch: error: a subcommand is required\n")
-        return EXIT_USAGE
-
     try:
         return _COMMANDS[args.command](args)
     except (RiskwatchError, OSError) as exc:

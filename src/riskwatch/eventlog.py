@@ -7,15 +7,17 @@ Event logs are newline-delimited JSON, one record per line, two kinds::
     {"kind": "outcome", "event_id": "ev-000001", "y": 0, "loss": 0.02,
      "alt_losses": [0.02, 0.07]}
 
-action, model_version, cohort and alt_losses are optional. The reader
-only maps each key to its record field; the record types check the values,
-so a record reads back from its line exactly when it can be built. Ingest
-is lenient by default (malformed lines are counted and logged with their
-line number, parsing continues) and strict on request (first bad line
-raises ParseError or SchemaError carrying the line number). A line that
-is not valid UTF-8 is a parse error too: open_log decodes logs with
-surrogateescape, so a bad byte reaches the reader as a lone surrogate
-instead of failing the whole read, and it ends a line at "\n" alone.
+action, model_version, cohort and alt_losses are optional. _LAYOUT is the
+format: log_line writes each key from the record field it names, and
+_parse_record reads the key back into that field; the record types check
+the values, so a record reads back from its line exactly when it can be
+built. Ingest is lenient by default (malformed lines are counted and logged
+with their line number, parsing continues) and strict on request (first bad
+line raises ParseError or SchemaError carrying the line number). A line that
+is not valid UTF-8 is a parse error too: open_log decodes a file and stdin
+alike, in UTF-8 with surrogateescape, so a bad byte reaches the reader as a
+lone surrogate instead of failing the whole read, and it ends a line at
+"\n" alone.
 ingest_log carries the line numbers on into the engine intake, so a
 record the join rejects is named by its line too.
 
@@ -52,10 +54,11 @@ import os
 import sys
 from dataclasses import asdict
 from itertools import islice
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import IO, Callable, Iterable, Iterator, Sequence, get_type_hints
 
 from .alarms import AlarmRecord, ThresholdPolicy
-from .core import MetricSnapshot, OutcomeRecord, PredictionEvent, TimeIndex
+from .core import MetricSnapshot, OutcomeRecord, PredictionEvent
 from .errors import (
     BadConfig,
     CorruptSnapshot,
@@ -73,62 +76,78 @@ logger = logging.getLogger(__name__)
 
 CONFIG_ENV_VAR = "RISKWATCH_CONFIG"
 
-REPORT_COLUMNS = (
-    "period",
-    "n",
-    "auc",
-    "ece",
-    "brier",
-    "var",
-    "cvar",
-    "regret_cumulative",
-    "regret_rate",
-    "posterior_mean",
-    "drift_score",
-    "alarm_state",
-)
+# each report column and the type of its cells, in column order
+_REPORT_TYPES = {
+    "period": int,
+    "n": int,
+    "auc": float,
+    "ece": float,
+    "brier": float,
+    "var": float,
+    "cvar": float,
+    "regret_cumulative": float,
+    "regret_rate": float,
+    "posterior_mean": float,
+    "drift_score": float,
+    "alarm_state": str,
+}
+REPORT_COLUMNS = tuple(_REPORT_TYPES)
 
-_FLOAT_COLUMNS = frozenset(REPORT_COLUMNS) - {"period", "n", "alarm_state"}
-
-# what a report cell holds when it is not None, by column (a bool is no int)
-_REPORT_CELLS = {col: ("a number", (int, float)) if col in _FLOAT_COLUMNS else
-                 ("a string", (str,)) if col == "alarm_state" else ("an integer", (int,))
-                 for col in REPORT_COLUMNS}
+# what a cell of each type holds when it is not None (a bool is no int)
+_CELL_RULES = {int: ("an integer", (int,)), float: ("a number", (int, float)),
+               str: ("a string", (str,))}
 
 
 # -- event log ---------------------------------------------------------------
 
 
-def event_to_record(event: PredictionEvent) -> dict:
-    return {
-        "kind": "prediction",
-        "event_id": event.event_id,
-        "period": event.time.period,
-        "seq": event.time.sequence,
-        "prob": event.predicted_prob,
-        "action": event.action_id,
-        "model_version": event.model_version,
-        "cohort": event.cohort,
-    }
+# each kind's line, key by key in line order, with the record field each key
+# holds (a dotted path); a key whose path ends in "?" is left out while its
+# field is None, and a key a line lacks takes the field's default
+_KIND = "kind"  # the key that names a line's kind, first on every line
+_LAYOUT = {
+    "prediction": (PredictionEvent, {
+        "event_id": "event_id", "period": "time.period", "seq": "time.sequence",
+        "prob": "predicted_prob", "action": "action_id",
+        "model_version": "model_version", "cohort": "cohort",
+    }),
+    "outcome": (OutcomeRecord, {
+        "event_id": "event_id", "y": "outcome", "loss": "loss",
+        "alt_losses": "alt_losses?",
+    }),
+}
+
+# by record type: its kind, its line's keys, the getter of their values
+# and the keys left out while None
+_WRITERS = {cls: (kind, (_KIND, *keys), attrgetter(*(p.rstrip("?") for p in keys.values())),
+                  [key for key, path in keys.items() if path.endswith("?")])
+            for kind, (cls, keys) in _LAYOUT.items()}
 
 
-def outcome_to_record(outcome: OutcomeRecord) -> dict:
-    rec = {
-        "kind": "outcome",
-        "event_id": outcome.event_id,
-        "y": outcome.outcome,
-        "loss": outcome.loss,
-    }
-    if outcome.alt_losses is not None:
-        rec["alt_losses"] = list(outcome.alt_losses)
-    return rec
+def _reader(cls: type, keys: dict) -> tuple:
+    """cls, its fields by key, and each nested record's field, type and keys"""
+    flat, nested = [], {}
+    for key, path in keys.items():
+        field, _, sub = path.rstrip("?").partition(".")
+        if sub:
+            nested.setdefault(field, []).append((key, sub))
+        else:
+            flat.append((key, field))
+    return cls, flat, [(field, get_type_hints(cls)[field], subs)
+                       for field, subs in nested.items()]
+
+
+_READERS = {kind: _reader(cls, keys) for kind, (cls, keys) in _LAYOUT.items()}
 
 
 def log_line(record: PredictionEvent | OutcomeRecord) -> str:
     """One record as its line of an ndjson event log, newline included."""
-    if isinstance(record, PredictionEvent):
-        return json.dumps(event_to_record(record)) + "\n"
-    return json.dumps(outcome_to_record(record)) + "\n"
+    kind, keys, values, optional = _WRITERS[type(record)]
+    line = dict(zip(keys, (kind,) + values(record)))
+    for key in optional:
+        if line[key] is None:
+            del line[key]
+    return json.dumps(line) + "\n"
 
 
 def write_log(
@@ -153,31 +172,19 @@ def write_log(
     return lines
 
 
-# each kind's log keys and the record fields they fill; the record types
-# check the values, and a key the line lacks takes the field's default
-_TIME_KEYS = {"period": "period", "seq": "sequence"}
-_PREDICTION_KEYS = {"event_id": "event_id", "prob": "predicted_prob",
-                    "action": "action_id", "model_version": "model_version",
-                    "cohort": "cohort"}
-_OUTCOME_KEYS = {"event_id": "event_id", "y": "outcome", "loss": "loss",
-                 "alt_losses": "alt_losses"}
-
-
-def _fields(record: dict, keys: dict) -> dict:
-    return {field: record[key] for key, field in keys.items() if key in record}
-
-
 def _parse_record(record: dict, line_number: int) -> PredictionEvent | OutcomeRecord:
-    kind = record.get("kind")
+    kind = record.get(_KIND)
+    if not (isinstance(kind, str) and kind in _READERS):
+        raise SchemaError(f"unknown record kind {kind!r}", line_number=line_number)
+    cls, flat, nested = _READERS[kind]
     try:
-        if kind == "prediction":
-            return PredictionEvent(time=TimeIndex(**_fields(record, _TIME_KEYS)),
-                                   **_fields(record, _PREDICTION_KEYS))
-        if kind == "outcome":
-            return OutcomeRecord(**_fields(record, _OUTCOME_KEYS))
+        fields = {field: record[key] for key, field in flat if key in record}
+        for field, sub_cls, keys in nested:
+            fields[field] = sub_cls(**{sub: record[key] for key, sub in keys
+                                       if key in record})
+        return cls(**fields)
     except (TypeError, ValueError) as exc:  # a missing or malformed field
         raise SchemaError(str(exc), line_number=line_number) from exc
-    raise SchemaError(f"unknown record kind {kind!r}", line_number=line_number)
 
 
 def _numbered_records(
@@ -332,13 +339,18 @@ def log_pairs(
 # -- files --------------------------------------------------------------------
 
 
+# how a log's bytes decode, from a file and from stdin alike: UTF-8 with
+# surrogateescape, and a line ends at "\n" alone, so a "\r" before it or
+# inside it is whitespace
+_LOG_TEXT = {"encoding": "utf-8", "errors": "surrogateescape", "newline": "\n"}
+
+
 def open_log(path: str) -> contextlib.AbstractContextManager[IO[str]]:
-    """The event log at path, or stdin for "-", in UTF-8 with surrogateescape;
-    a line ends at "\n" alone, so a "\r" before it or inside it is whitespace."""
+    """The event log at path, or stdin for "-", decoded as _LOG_TEXT says."""
     if path != "-":
-        return open(path, encoding="utf-8", errors="surrogateescape", newline="\n")
+        return open(path, **_LOG_TEXT)
     if hasattr(sys.stdin, "reconfigure"):  # not on a stand-in such as StringIO
-        sys.stdin.reconfigure(errors="surrogateescape", newline="\n")
+        sys.stdin.reconfigure(**_LOG_TEXT)
     return contextlib.nullcontext(sys.stdin)  # left open
 
 
@@ -449,17 +461,9 @@ def emit_report(
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            out = []
-            for col in REPORT_COLUMNS:
-                value = row[col]
-                if value is None:
-                    out.append("")
-                elif col in _FLOAT_COLUMNS:
-                    out.append(repr(float(value)))
-                else:
-                    out.append(str(value))
-            writer.writerow(out)
+        # str of a float is its repr, so the cell reads back to that float
+        writer.writerows(["" if value is None else str(_REPORT_TYPES[col](value))
+                          for col, value in row.items()] for row in rows)
         return buf.getvalue()
     if fmt == "json":
         text = json.dumps({"columns": list(REPORT_COLUMNS), "rows": rows}, indent=2)
@@ -476,8 +480,7 @@ def read_report(text: str, fmt: str = "csv") -> list[dict]:
     One rule for both formats: the columns are REPORT_COLUMNS in order and
     every row has a cell for each of them (else SchemaError); at least one
     row (else EmptyReport); every cell None or of its column's type in
-    _REPORT_CELLS (else SchemaError naming the row and column).
-    """
+    _REPORT_TYPES (else SchemaError naming the row and column)."""
     if fmt == "csv":
         reader = csv.reader(io.StringIO(text))
         columns = next(reader, None)
@@ -502,7 +505,7 @@ def read_report(text: str, fmt: str = "csv") -> list[dict]:
         if not isinstance(row, dict) or list(row) != columns:
             raise SchemaError(f"report row {number} does not have one cell per column")
         for col, cell in row.items():
-            kind, types = _REPORT_CELLS[col]
+            kind, types = _CELL_RULES[_REPORT_TYPES[col]]
             if cell is not None and type(cell) not in types:
                 raise SchemaError(
                     f"report row {number}: column {col!r} is not {kind}: {cell!r}")
@@ -512,10 +515,8 @@ def read_report(text: str, fmt: str = "csv") -> list[dict]:
 def _csv_cell(col: str, cell: str):
     """A CSV report cell as the value emit_report wrote, or its text where
     it holds none, which the cell rule refuses."""
-    if cell == "" or col == "alarm_state":
-        return cell or None
     with contextlib.suppress(ValueError):
-        return int(cell) if col in ("period", "n") else float(cell)
+        return _REPORT_TYPES.get(col, str)(cell) if cell else None
     return cell
 
 

@@ -33,6 +33,7 @@ infinite loss has no tail mean.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 from array import array
 from itertools import accumulate
@@ -79,7 +80,10 @@ def cvar_conditional(losses: Sequence[float], alpha: float = 0.95) -> float:
     x = _check(losses, alpha)
     v = var(x, alpha)
     tail = [value for value in x if value >= v]
-    return math.fsum(tail) / len(tail)
+    with contextlib.suppress(OverflowError):
+        return math.fsum(tail) / len(tail)
+    from fractions import Fraction  # here, not at import: it loads decimal
+    return float(sum(map(Fraction, tail)) / len(tail))  # a sum past the float range
 
 
 def cvar_tail(losses: Sequence[float], alpha: float = 0.95) -> float:
@@ -107,8 +111,14 @@ def cvar_tail(losses: Sequence[float], alpha: float = 0.95) -> float:
     # below the anchor, so cvar_tail >= var holds in floats, not just in
     # exact arithmetic (the fractional term is excess 0 by construction)
     anchor = desc[k] if frac > 0.0 else desc[k - 1]
-    total = math.fsum(v - anchor for v in desc[:k])
-    return anchor + total / mass
+    with contextlib.suppress(OverflowError):
+        total = math.fsum(v - anchor for v in desc[:k])
+        if total < math.inf:
+            return anchor + total / mass
+    # an excess or their sum leaves the float range; the tail mean cannot
+    from fractions import Fraction
+    return float((sum(map(Fraction, desc[:k])) + Fraction(frac) * Fraction(desc[k]))
+                 / Fraction(mass))
 
 
 def cvar_variational(losses: Sequence[float], alpha: float = 0.95) -> float:

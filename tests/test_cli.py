@@ -326,6 +326,19 @@ class TestMonitor:
         assert [row["regret_rate"] for row in doc["rows"]] == [math.inf, 0.1]
         assert read_report(text, fmt="json") == doc["rows"]
 
+    def test_loss_tail_summing_past_the_float_range(self, tmp_path):
+        # one period of 60 pairs: the top 5% of the losses, 3 of them, sum
+        # to 2e308, past the float range, and their mean is the cvar
+        records = []
+        for i in range(60):
+            records += [PredictionEvent(f"e{i}", TimeIndex(1, i), 0.5),
+                        OutcomeRecord(f"e{i}", i % 2, 1e308 if i < 2 else 0.0)]
+        log = tmp_path / "tail.ndjson"
+        log.write_text("".join(map(log_line, records)))
+        out = tmp_path / "out"
+        assert main(["monitor", "--in", str(log), "--out", str(out)]) == EXIT_ALARM
+        assert read_report((out / "report.csv").read_text())[0]["cvar"] == 6.666666666666666e+307
+
     def test_policy_file_relaxes_thresholds(self, sim_dir, tmp_path):
         policy = tmp_path / "lax.json"
         policy.write_text(json.dumps({"policy": {
@@ -873,26 +886,46 @@ class TestInvalidUtf8:
         assert main(["monitor", "--in", log, "--strict"]) == EXIT_DATA
         assert "line 2: invalid UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
-    def test_stdin(self, small_lines, tmp_path, strict):
-        # a real stdin, which the in-process tests replace with a StringIO,
-        # decoding strictly as it does under a UTF-8 locale
-        data = "".join([small_lines[0], self.BAD, small_lines[1]])
+    @staticmethod
+    def run_on_stdin(args, data: bytes, encoding: str) -> subprocess.CompletedProcess:
+        """The CLI run in a child on a real stdin, which the in-process tests
+        replace with a StringIO, under a PYTHONIOENCODING of encoding: UTF-8,
+        or latin-1, which would decode any byte, each to some other character."""
         env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONIOENCODING"] = "utf-8:strict"
-        proc = subprocess.run(
-            [sys.executable, "-m", "riskwatch.cli", "monitor", "--in", "-"]
-            + ["--strict"] * strict,
-            input=data.encode("utf-8", "surrogateescape"), env=env,
-            capture_output=True, timeout=300,
-        )
+        env["PYTHONIOENCODING"] = encoding
+        return subprocess.run([sys.executable, "-m", "riskwatch.cli", *args],
+                              input=data, env=env, capture_output=True, timeout=300)
+
+    @pytest.mark.parametrize("strict, encoding", [
+        (False, "utf-8:strict"), (True, "utf-8:strict"),
+        (False, "latin-1"), (True, "latin-1"),
+    ], ids=["lenient", "strict", "lenient-latin-1", "strict-latin-1"])
+    def test_stdin(self, small_lines, strict, encoding):
+        data = "".join([small_lines[0], self.BAD, small_lines[1]])
+        proc = self.run_on_stdin(["monitor", "--in", "-"] + ["--strict"] * strict,
+                                 data.encode("utf-8", "surrogateescape"), encoding)
         err = proc.stderr.decode()
         if strict:
             assert proc.returncode == EXIT_DATA and "line 2: invalid UTF-8" in err
         else:
             assert proc.returncode == EXIT_OK, err
             assert "event log line 2 skipped" in err
+
+    @pytest.mark.parametrize("encoding", ["utf-8:strict", "latin-1"])
+    def test_stdin_reads_a_non_ascii_id_as_a_file_does(self, small_lines, tmp_path,
+                                                       encoding):
+        # every event id starts with an "é"; the last outcome is cut, so its
+        # event's id stays pending in state.json
+        lines = [line.replace('"event_id": "', '"event_id": "\u00e9')
+                 for line in small_lines[:-1]]
+        log = self.write_bytes(tmp_path / "log.ndjson", lines)
+        assert main(["monitor", "--in", log, "--out", str(tmp_path / "file")]) == EXIT_OK
+        proc = self.run_on_stdin(["monitor", "--in", "-", "--out", str(tmp_path / "stdin")],
+                                 Path(log).read_bytes(), encoding)
+        assert proc.returncode == EXIT_OK, proc.stderr.decode()
+        assert files(tmp_path / "stdin") == files(tmp_path / "file")
+        assert '"\\u00e9' in (tmp_path / "file" / "state.json").read_text()
 
 
 def with_carriage_return(line: str) -> str:

@@ -29,7 +29,6 @@ from riskwatch.eventlog import (
     default_config,
     emit_report,
     engine_from_config,
-    event_to_record,
     feed_engine,
     ingest_log,
     load_config,
@@ -37,7 +36,6 @@ from riskwatch.eventlog import (
     load_snapshot_file,
     log_line,
     log_pairs,
-    outcome_to_record,
     policy_from_config,
     read_log,
     read_report,
@@ -106,14 +104,14 @@ class TestLogRoundTrip:
     def test_record_shapes(self):
         e = PredictionEvent("a", TimeIndex(3, 7), 0.25, action_id=1,
                             model_version="m2", cohort="icu")
-        rec = event_to_record(e)
-        assert rec == {"kind": "prediction", "event_id": "a", "period": 3,
-                       "seq": 7, "prob": 0.25, "action": 1,
-                       "model_version": "m2", "cohort": "icu"}
+        assert json.loads(log_line(e)) == {"kind": "prediction", "event_id": "a",
+                                           "period": 3, "seq": 7, "prob": 0.25,
+                                           "action": 1, "model_version": "m2",
+                                           "cohort": "icu"}
         o = OutcomeRecord("a", 1, 0.125, alt_losses=(0.125, 0.5))
-        assert outcome_to_record(o) == {"kind": "outcome", "event_id": "a",
-                                        "y": 1, "loss": 0.125,
-                                        "alt_losses": [0.125, 0.5]}
+        assert json.loads(log_line(o)) == {"kind": "outcome", "event_id": "a",
+                                           "y": 1, "loss": 0.125,
+                                           "alt_losses": [0.125, 0.5]}
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(valid_events, valid_outcomes))

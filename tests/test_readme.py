@@ -1,6 +1,7 @@
 """The examples a reader copies: every python block of README.md and the
-package docstring's usage example run as written, and the state size and
-version README quotes are those the code writes."""
+package docstring's usage example run as written, the state size and
+version README quotes are those the code writes, and its key table lists
+the keys the log layout has."""
 
 import contextlib
 import io
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import riskwatch
+from riskwatch import eventlog
 from riskwatch.cli import EXIT_OK, main
 from riskwatch.monitor import ENGINE_STATE_VERSION
 
@@ -59,3 +61,14 @@ def test_quoted_state_size_and_version_are_the_codes(tmp_path):
     assert round(state.stat().st_size / 1000, 1) == float(size[1])
     assert int(version[1]) == ENGINE_STATE_VERSION
     assert json.loads(state.read_text())["state"]["engine_version"] == ENGINE_STATE_VERSION
+
+
+def test_key_table_lists_the_layouts_keys():
+    # (line, key) per row; a key of every kind's line is listed as "both"
+    table = README.read_text().split("| Line | Key | Accepts |\n", 1)[1].split("\n\n")[0]
+    listed = re.findall(r"^\| (\w+) \| `(\w+)` \|", table, re.M)
+    keys = {kind: set(layout) for kind, (_, layout) in eventlog._LAYOUT.items()}
+    both = set.intersection(*keys.values()) | {eventlog._KIND}
+    expected = [("both", key) for key in both] + [
+        (kind, key) for kind, kind_keys in keys.items() for key in kind_keys - both]
+    assert sorted(listed) == sorted(expected)

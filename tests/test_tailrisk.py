@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,6 +112,27 @@ class TestPinnedValues:
         assert var([3.0], 0.95) == 3.0
         assert cvar_conditional([3.0], 0.95) == 3.0
         assert cvar_tail([3.0], 0.95) == 3.0
+
+
+class TestSumsPastTheFloatRange:
+    """A mean of finite losses is finite though their float sum may not be:
+    there each estimator gives the exact mean, rounded once."""
+
+    BIG = Fraction(1e308)
+    # losses, alpha, then the exact cvar_tail (the top (1 - alpha) * n of
+    # the mass) and cvar_conditional (every loss >= var, here all of them)
+    CASES = [
+        ([1e308] * 2 + [0.0] * 58, 0.95, 2 * BIG / 3, 2 * BIG / 60),
+        ([1e308] * 2 + [-1e308] * 58, 0.95, BIG / 3, -56 * BIG / 60),
+        # tail mass 2.5: the two 1e308 in full and half of a 0.0
+        ([1e308] * 2 + [0.0] * 8, 0.75, 2 * BIG / Fraction(5, 2), 2 * BIG / 10),
+    ]
+
+    @pytest.mark.parametrize("losses, alpha, tail, conditional", CASES,
+                             ids=["zeros", "negatives", "fractional-mass"])
+    def test_exactly_rounded_mean(self, losses, alpha, tail, conditional):
+        assert cvar_tail(losses, alpha) == float(tail)
+        assert cvar_conditional(losses, alpha) == float(conditional)
 
 
 class TestInputChecks:
