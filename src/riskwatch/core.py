@@ -1,4 +1,4 @@
-"""Shared domain types and stream plumbing.
+"""Shared domain types, stream plumbing and the one summation rule (fsum).
 
 The toolkit processes a totally ordered stream of prediction events that are
 later resolved by outcome records. The streaming engine joins them through
@@ -14,9 +14,10 @@ relative to events; resolved pairs are always emitted in event order.
 from __future__ import annotations
 
 import logging
+import math
 import sys
 from dataclasses import dataclass, fields
-from typing import ClassVar, Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .errors import DuplicateOutcome, OrphanOutcome
 
@@ -30,6 +31,24 @@ def finite_number(value) -> bool:
     range (so not NaN). The record types inline it, for speed."""
     return (isinstance(value, float) or type(value) is int) and (
         -_FLOAT_MAX <= value <= _FLOAT_MAX)
+
+
+def fsum(values: Sequence[float], divisor: float = 1) -> float:
+    """The one sum of losses or regrets, over divisor: math.fsum's where that
+    is finite, else the exact quotient rounded once, so a mean of finite
+    values is finite. An inf value gives inf, as in math.fsum. values is a
+    sequence, read up to three times, and may hold an exact Fraction."""
+    try:
+        return math.fsum(values) / divisor
+    except OverflowError:  # a partial sum left the float range
+        if any(map(math.isinf, values)):
+            return math.fsum(filter(math.isinf, values))
+    from fractions import Fraction  # here, not at import: it loads decimal
+    exact = sum(map(Fraction, values)) / Fraction(divisor)
+    try:
+        return float(exact)
+    except OverflowError:  # the quotient itself passes the range
+        return math.inf if exact > 0 else -math.inf
 
 
 def check_event_id(value) -> str:

@@ -56,7 +56,7 @@ from . import belief as belief_mod
 from .alarms import AlarmState, ThresholdPolicy, evaluate
 from .calibration import auc, brier, check_n_bins, ece
 from .core import (Joiner, MetricSnapshot, OutcomeRecord, PredictionEvent,
-                   ResolvedPair, TimeIndex, check_event_id, check_sequence)
+                   ResolvedPair, TimeIndex, check_event_id, check_sequence, fsum)
 from .errors import CorruptSnapshot, NoMetrics, VersionMismatch
 from .regret import step_regret
 from .tailrisk import check_alpha, cvar_tail, var
@@ -165,15 +165,8 @@ class MonitorEngine:
         if self.snapshots:  # the regret summed over the closed periods
             regret_cumulative = self.snapshots[-1].regret_cumulative
         if self._acc_regrets:
-            try:
-                period_regret = math.fsum(self._acc_regrets)
-            except OverflowError:
-                # regrets are >= 0, so once a partial sum passes the float
-                # range the whole sum does too, and it rounds to inf
-                period_regret = math.inf
-            base = 0.0 if regret_cumulative is None else regret_cumulative
-            regret_cumulative = base + period_regret
-            regret_rate = period_regret / len(self._acc_regrets)
+            regret_cumulative = (regret_cumulative or 0.0) + fsum(self._acc_regrets)
+            regret_rate = fsum(self._acc_regrets, len(self._acc_regrets))
 
         positives = sum(self._acc_ys)
         snapshot = MetricSnapshot(

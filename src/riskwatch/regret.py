@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import TimeIndex
+from .core import TimeIndex, fsum
 from .errors import EmptyLedger, OutOfOrderEntry, RaggedActionSets
 
 
@@ -50,9 +50,7 @@ class DecisionLedgerEntry:
     action_losses: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.action_losses) == 0:
-            raise ValueError("action_losses must be non-empty")
-        step_regret(self.chosen_action, self.action_losses)  # range check
+        step_regret(self.chosen_action, self.action_losses)  # range check; () has no action
 
     @property
     def chosen_loss(self) -> float:
@@ -63,9 +61,10 @@ class DecisionLedgerEntry:
 class RegretReport:
     """Summary of a ledger's regret accounting.
 
-    cumulative is the hindsight per-step regret total R(T); rate is
-    cumulative / T. exposure_count counts steps whose realized loss
-    exceeded the safety bound (None when no bound was given).
+    cumulative is the hindsight per-step regret total R(T), inf only where
+    its exact value passes the float range; rate is its per-step mean
+    R(T) / T, finite (both sum by core.fsum). exposure_count counts steps
+    whose realized loss exceeded the safety bound (None if no bound given).
     """
 
     steps: int
@@ -117,11 +116,10 @@ def cumulative_regret(
     """
     entries = _entries_of(ledger)
     per_step = [step_regret(e.chosen_action, e.action_losses) for e in entries]
-    cumulative = math.fsum(per_step)
     return RegretReport(
         steps=len(entries),
-        cumulative=cumulative,
-        rate=cumulative / len(entries),
+        cumulative=fsum(per_step),
+        rate=fsum(per_step, len(entries)),
         best_fixed=best_fixed_action_regret(entries),
         exposure_count=(None if safety_bound is None
                         else safety_exposure(entries, safety_bound)),
@@ -139,11 +137,13 @@ def best_fixed_action_regret(
             raise RaggedActionSets(
                 f"action set size changed from {width} to {len(e.action_losses)}"
             )
-    chosen_total = math.fsum(e.chosen_loss for e in entries)
-    fixed_totals = [
-        math.fsum(e.action_losses[a] for e in entries) for a in range(width)
-    ]
-    return chosen_total - min(fixed_totals)
+    chosen = [e.chosen_loss for e in entries]
+    fixed = [[e.action_losses[a] for e in entries] for a in range(width)]
+    best = fsum(chosen) - min(map(fsum, fixed))
+    if math.isfinite(best):
+        return best
+    # a total passed the float range: the largest exact gap, rounded once
+    return max(fsum(chosen + [-loss for loss in losses]) for losses in fixed)
 
 
 def safety_exposure(

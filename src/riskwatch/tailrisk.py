@@ -25,20 +25,21 @@ hold: epsilon-approximate quantiles in sublinear memory. Exact computation
 is preferred whenever the losses fit in memory.
 
 Every estimator runs on the standard library over a typed array
-(array.array); none loads numpy. Losses must be finite numbers, as an
-OutcomeRecord's loss is: a NaN has no place in a sorted order, and an
-infinite loss has no tail mean.
+(array.array); none loads numpy. Losses must be finite, as an
+OutcomeRecord's loss is (a NaN has no sorted place, an inf no tail mean),
+and their tail mean is finite too: each sum goes through core.fsum, and
+cvar_variational turns exact where an excess could pass the float range.
 """
 
 from __future__ import annotations
 
 import bisect
-import contextlib
 import math
 from array import array
 from itertools import accumulate
 from typing import Sequence
 
+from .core import fsum
 from .errors import BadAlpha, EmptyLosses, EmptySketch
 
 
@@ -80,10 +81,7 @@ def cvar_conditional(losses: Sequence[float], alpha: float = 0.95) -> float:
     x = _check(losses, alpha)
     v = var(x, alpha)
     tail = [value for value in x if value >= v]
-    with contextlib.suppress(OverflowError):
-        return math.fsum(tail) / len(tail)
-    from fractions import Fraction  # here, not at import: it loads decimal
-    return float(sum(map(Fraction, tail)) / len(tail))  # a sum past the float range
+    return fsum(tail, len(tail))
 
 
 def cvar_tail(losses: Sequence[float], alpha: float = 0.95) -> float:
@@ -111,14 +109,12 @@ def cvar_tail(losses: Sequence[float], alpha: float = 0.95) -> float:
     # below the anchor, so cvar_tail >= var holds in floats, not just in
     # exact arithmetic (the fractional term is excess 0 by construction)
     anchor = desc[k] if frac > 0.0 else desc[k - 1]
-    with contextlib.suppress(OverflowError):
-        total = math.fsum(v - anchor for v in desc[:k])
-        if total < math.inf:
-            return anchor + total / mass
+    total = fsum([v - anchor for v in desc[:k]])
+    if total < math.inf:
+        return anchor + total / mass
     # an excess or their sum leaves the float range; the tail mean cannot
-    from fractions import Fraction
-    return float((sum(map(Fraction, desc[:k])) + Fraction(frac) * Fraction(desc[k]))
-                 / Fraction(mass))
+    from fractions import Fraction  # here, not at import: it loads decimal
+    return fsum([*desc[:k], Fraction(frac) * Fraction(desc[k])], mass)
 
 
 def cvar_variational(losses: Sequence[float], alpha: float = 0.95) -> float:
@@ -130,14 +126,17 @@ def cvar_variational(losses: Sequence[float], alpha: float = 0.95) -> float:
     value-at-risk", J. Risk 2(3), 2000). Numerically equal to cvar_tail;
     implemented independently. Linear in memory.
     """
-    x = sorted(_check(losses, alpha))
+    x, tail = sorted(_check(losses, alpha)), 1.0 - alpha
     n = len(x)
+    if not math.isfinite(n * (x[-1] - x[0])):  # an excess may pass the float range
+        from fractions import Fraction  # here, not at import: it loads decimal
+        x, tail = list(map(Fraction, x)), Fraction(tail)  # the same recurrence, exact
     # sum over i of (x_i - x_j)+, from the top down: a running sum of the
     # nonnegative gaps each weighted by the count above them, so no large
     # suffix total is differenced against n * x_j; equal losses add 0
     excess = accumulate(((n - 1 - j) * (x[j + 1] - x[j]) for j in range(n - 2, -1, -1)),
-                        initial=0.0)
-    return min(c + e / n / (1.0 - alpha) for c, e in zip(reversed(x), excess))
+                        initial=0)
+    return float(min(c + e / n / tail for c, e in zip(reversed(x), excess)))
 
 
 class QuantileSketch:

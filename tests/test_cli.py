@@ -285,8 +285,9 @@ class TestMonitor:
 
     @staticmethod
     def overflowing_log(tmp_path):
-        # two finite regrets of 1e308 in period 1: their sum overflows, and
-        # math.fsum raises on that; a quiet period 2 follows the inf
+        # two finite regrets of 1e308 in period 1: their sum passes the float
+        # range, so the cumulative regret is inf, while their mean, the
+        # regret_rate, is 1e308; a quiet period 2 follows the inf
         records = []
         for i, (period, loss) in enumerate([(1, 1e308), (1, 1e308), (2, 0.1)]):
             records += [PredictionEvent(f"e{i}", TimeIndex(period, i), 0.5, action_id=0),
@@ -300,7 +301,7 @@ class TestMonitor:
         out = tmp_path / "out"
         assert main(["monitor", "--in", str(log), "--out", str(out)]) == EXIT_ALARM
         rows = (out / "report.csv").read_text().splitlines()
-        assert [row.split(",")[7:9] for row in rows[1:]] == [["inf", "inf"],
+        assert [row.split(",")[7:9] for row in rows[1:]] == [["inf", "1e+308"],
                                                                ["inf", "0.1"]]
         # state.json loads and saves back byte for byte, and re-emits the report
         engine = load_snapshot_file(out / "state.json")
@@ -323,7 +324,7 @@ class TestMonitor:
         assert text == (out / "report.json").read_text()
         doc = json.loads(text, parse_constant=refuse_constant)
         assert [row["regret_cumulative"] for row in doc["rows"]] == [math.inf] * 2
-        assert [row["regret_rate"] for row in doc["rows"]] == [math.inf, 0.1]
+        assert [row["regret_rate"] for row in doc["rows"]] == [1e308, 0.1]
         assert read_report(text, fmt="json") == doc["rows"]
 
     def test_loss_tail_summing_past_the_float_range(self, tmp_path):

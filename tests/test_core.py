@@ -1,9 +1,13 @@
-"""Stream primitives: validation and the event/outcome join."""
+"""Stream primitives: validation, the event/outcome join and the one
+summation rule."""
 
 import copy
 import dataclasses
 import math
 import pickle
+import sys
+from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from riskwatch.core import (
     OutcomeRecord,
     PredictionEvent,
     TimeIndex,
+    fsum,
     join,
 )
 from riskwatch.errors import DuplicateOutcome, OrphanOutcome
@@ -210,3 +215,42 @@ class TestJoin:
         got = list(join(events, outcomes))
         assert [p.event.event_id for p in got] == [f"e{i}" for i in range(n)]
         assert all(p.event.event_id == p.outcome.event_id for p in got)
+
+
+# finite floats of every size, subnormals and both zeros included, with the
+# largest magnitudes drawn often so that sums pass the float range
+FINITE = st.floats(-sys.float_info.max, sys.float_info.max)
+VECTORS = st.lists(st.one_of(FINITE, st.sampled_from([sys.float_info.max, -1e308, 1e308])),
+                   min_size=1, max_size=40)
+
+
+def rounded_once(exact: Fraction) -> float:
+    """The exact value rounded to the nearest float, or inf of its sign."""
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+class TestFsum:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(VECTORS)
+    def test_sum_is_the_exact_sum_rounded_once(self, xs):
+        assert fsum(xs) == rounded_once(sum(map(Fraction, xs)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(VECTORS, st.integers(1, 60))
+    def test_quotient_is_fsums_else_the_exact_one(self, xs, n):
+        exact = rounded_once(sum(map(Fraction, xs)) / n)
+        try:
+            expected = math.fsum(xs) / n  # math.fsum's bits, where its sum is finite
+        except OverflowError:
+            expected = exact
+        got = fsum(xs, n)
+        assert got == expected
+        assert got == got and (math.isfinite(got) or not math.isfinite(exact))
+
+    def test_an_inf_value_gives_inf(self):
+        # also where the finite values alone pass the float range
+        assert fsum([math.inf, 1e308, 1e308]) == math.inf
+        assert fsum(array("d", [1e308, 1e308, math.inf]), 3) == math.inf

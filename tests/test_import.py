@@ -10,7 +10,8 @@ closes included) load neither.
 
 One ast walk over each module finds every site of six static rules, and
 one table (RULES) says where each may stand:
-- a heavy import (numpy, scipy): only at the sites above;
+- a heavy import (numpy, scipy): only at the sites above; fractions (it
+  loads decimal, about 3 ms) only inside a function, never at load;
 - a transcendental numpy ufunc (exp, log, power, trig and the like):
   nowhere, because numpy picks their SIMD loops by host CPU, and on
   AVX-512 those differ from libm in the last bit, so the outputs would
@@ -57,6 +58,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 HEAVY_IMPORTS = {
     "scipy": lambda site: site == "belief.credible_interval",
     "numpy": lambda site: site.startswith("simulator.") and not site.endswith(".<load>"),
+    # the exact sums past the float range: it loads decimal, so never at load
+    "fractions": lambda site: not site.endswith(".<load>"),
 }
 
 # where a finding of each rule may stand, by the same sites

@@ -1,7 +1,7 @@
 """The examples a reader copies: every python block of README.md and the
-package docstring's usage example run as written, the state size and
-version README quotes are those the code writes, and its key table lists
-the keys the log layout has."""
+package docstring's usage example run as written, the state sizes
+(canonical and daily) and version README quotes are those the code writes,
+and its key table lists the keys the log layout has."""
 
 import contextlib
 import io
@@ -61,6 +61,17 @@ def test_quoted_state_size_and_version_are_the_codes(tmp_path):
     assert round(state.stat().st_size / 1000, 1) == float(size[1])
     assert int(version[1]) == ENGINE_STATE_VERSION
     assert json.loads(state.read_text())["state"]["engine_version"] == ENGINE_STATE_VERSION
+
+
+def test_quoted_daily_state_size_is_the_codes(tmp_path):
+    # 365 daily periods of 60 patients, the drift starting a third of the way in
+    size = re.search(r"one with 365 daily periods is\s+about (\d+) KB", README.read_text())
+    assert size, "README no longer quotes the daily state size"
+    config = tmp_path / "daily.json"
+    config.write_text(json.dumps({"scenario": {
+        "periods": 365, "patients_per_period": 60, "drift_start_period": 122}}))
+    assert main(["simulate", "--scenario", str(config), "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert round((tmp_path / "run" / "state.json").stat().st_size / 1000) == int(size[1])
 
 
 def test_key_table_lists_the_layouts_keys():

@@ -161,3 +161,17 @@ class TestOracleEquivalence:
         }
         oracle = math.fsum(e.chosen_loss for e in ledger) - min(totals.values())
         assert best_fixed_action_regret(ledger) == oracle
+
+
+class TestSumsPastTheFloatRange:
+    """A regret total whose float sum passes the range is inf exactly where
+    the exact total does, and a rate of finite regrets is finite."""
+
+    def test_total_is_inf_and_rate_is_the_exact_mean(self):
+        ledger = [entry(i, 0, [1e308, 0.0]) for i in range(2)]
+        report = cumulative_regret(ledger)
+        assert (report.cumulative, report.rate, report.best_fixed) == (math.inf, 1e308, math.inf)
+
+    def test_best_fixed_of_two_infinite_totals_is_their_exact_gap(self):
+        # both totals round to inf, and inf - inf is NaN
+        assert best_fixed_action_regret([entry(i, 0, [1e308, 1e308]) for i in range(2)]) == 0.0

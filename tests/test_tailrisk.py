@@ -134,6 +134,13 @@ class TestSumsPastTheFloatRange:
         assert cvar_tail(losses, alpha) == float(tail)
         assert cvar_conditional(losses, alpha) == float(conditional)
 
+    @pytest.mark.parametrize("losses, alpha, tail, conditional", CASES,
+                             ids=["zeros", "negatives", "fractional-mass"])
+    def test_variational_agrees_with_the_tail_mean(self, losses, alpha, tail, conditional):
+        # its own (1 - alpha) * n is not snapped as cvar_tail's mass is: at
+        # 0.95 it is 3.0000000000000027, hence rel_tol and not equality
+        assert math.isclose(cvar_variational(losses, alpha), float(tail), rel_tol=1e-14)
+
 
 class TestInputChecks:
     def test_empty(self):
