@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    riskwatch simulate --scenario canonical --seed 42 --out run/
+    riskwatch simulate [--scenario icu_tail|cfg.json] --seed 42 --out run/
     riskwatch monitor  --in run/events.ndjson --out run/ [--policy cfg.json]
     riskwatch replay   --snapshot run/state.json --in run/events.ndjson
     riskwatch report   --in run/state.json --format json
@@ -12,9 +12,10 @@ Exit codes: 0 success, 1 usage error, 2 data or config error, 3 success
 but the alarm machine did not end in the normal state (a machine-readable
 safety signal for pipelines that gate on the monitor).
 
-A config file passed via --policy / --scenario, or named by the
-RISKWATCH_CONFIG environment variable, overrides the built-in defaults
-printed by --print-defaults.
+A run reads every setting from one config document, merged over the
+defaults --print-defaults prints: the file --policy or --scenario names,
+else the one RISKWATCH_CONFIG names. A --scenario naming no existing path
+is a preset name, which replaces only the document's scenario section.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from itertools import chain
 
 from . import eventlog
 from .alarms import OperatingState, breach
-from .errors import RiskwatchError, UnknownPreset
+from .errors import RiskwatchError
 from .monitor import MonitorEngine
-from .simulator import ScenarioConfig, preset, preset_names, scenario_pairs
+from .simulator import ScenarioConfig, preset, scenario_pairs
 from .simulator import generate  # noqa: F401  (not called; bench/spans.py traces it here)
 
 logger = logging.getLogger(__name__)
@@ -76,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="generate a synthetic deployment")
     sim.add_argument(
         "--scenario",
-        default="canonical",
-        help="scenario name (%s) or a config file path"
-        % ", ".join(("canonical",) + preset_names()),
+        help="a config file path, read in place of RISKWATCH_CONFIG, or a "
+             "preset name such as icu_tail, which replaces the config's "
+             "scenario section (default: the config's scenario section)",
     )
     sim.add_argument("--seed", type=int, default=None, help="override scenario seed")
     sim.add_argument("--out", required=True, help="output directory")
@@ -113,23 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
 # -- helpers -------------------------------------------------------------------
 
 
-def _resolve_scenario(name_or_path: str, seed: int | None) -> tuple[ScenarioConfig, dict]:
-    """Scenario plus the config document it was read from."""
-    config = eventlog.load_config(None)  # defaults / RISKWATCH_CONFIG
-    if name_or_path == "canonical" or name_or_path in preset_names():
-        scenario = preset("sepsis_drift" if name_or_path == "canonical"
-                          else name_or_path)
-    elif os.path.exists(name_or_path):
-        config = eventlog.load_config(name_or_path)
-        scenario = eventlog.scenario_from_config(config)
-    else:
-        raise UnknownPreset(
-            f"{name_or_path!r} is not a scenario name "
-            f"({', '.join(('canonical',) + preset_names())}) or a config file"
-        )
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)
-    return scenario, config
+def _resolve_scenario(arg: str | None, seed: int | None) -> tuple[ScenarioConfig, dict]:
+    """Scenario plus the config document it was read from: the file arg
+    names, else RISKWATCH_CONFIG or the defaults, whose scenario section a
+    preset name replaces."""
+    is_path = arg is not None and os.path.exists(arg)
+    config = eventlog.load_config(arg if is_path else None)
+    if arg is not None and not is_path:
+        config["scenario"] = asdict(preset(arg))
+    scenario = eventlog.scenario_from_config(config)
+    return (scenario if seed is None else replace(scenario, seed=seed)), config
 
 
 def _write_outputs(engine: MonitorEngine, out_dir: str | None, fmt: str,

@@ -53,6 +53,7 @@ import logging
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 from itertools import islice
 from operator import attrgetter
 from typing import IO, Callable, Iterable, Iterator, Sequence, get_type_hints
@@ -565,23 +566,23 @@ def load_config(path: str | os.PathLike | None = None) -> dict:
     return merged
 
 
-def scenario_from_config(config: dict) -> ScenarioConfig:
+def _build(config: dict, section: str, make):
+    """make(**config[section]); a setting it refuses with a TypeError or
+    ValueError is raised as BadConfig naming the section."""
     try:
-        return ScenarioConfig(**config["scenario"])
-    except TypeError as exc:
-        raise BadConfig(f"bad scenario settings: {exc}") from exc
+        return make(**config[section])
+    except (TypeError, ValueError) as exc:
+        raise BadConfig(f"bad {section} settings: {exc}") from exc
+
+
+def scenario_from_config(config: dict) -> ScenarioConfig:
+    return _build(config, "scenario", ScenarioConfig)
 
 
 def policy_from_config(config: dict) -> ThresholdPolicy:
-    try:
-        return ThresholdPolicy(**config["policy"])
-    except (TypeError, ValueError) as exc:
-        raise BadConfig(f"bad policy settings: {exc}") from exc
+    return _build(config, "policy", ThresholdPolicy)
 
 
 def engine_from_config(config: dict) -> MonitorEngine:
-    policy = policy_from_config(config)
-    try:
-        return MonitorEngine(policy=policy, **config["monitor"])
-    except ValueError as exc:
-        raise BadConfig(f"bad monitor settings: {exc}") from exc
+    return _build(config, "monitor",
+                  partial(MonitorEngine, policy=policy_from_config(config)))

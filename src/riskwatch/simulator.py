@@ -415,12 +415,15 @@ _PRESETS = {
 
 
 def preset(name: str) -> ScenarioConfig:
-    """Named qualitative scenario shapes; raises UnknownPreset otherwise."""
+    """Named qualitative scenario shapes, "canonical" naming sepsis_drift;
+    raises UnknownPreset otherwise."""
+    aliases = {"canonical": "sepsis_drift"}
     try:
-        factory = _PRESETS[name]
+        factory = _PRESETS[aliases.get(name, name)]
     except KeyError:
         raise UnknownPreset(
-            f"unknown preset {name!r}; available: {', '.join(sorted(_PRESETS))}"
+            f"{name!r} is not a scenario name "
+            f"({', '.join([*aliases, *preset_names()])}) or a config file path"
         ) from None
     return factory()
 

@@ -17,13 +17,14 @@ from pathlib import Path
 
 import pytest
 
+from riskwatch import cli
 from riskwatch.alarms import AlarmState, evaluate
 from riskwatch.cli import EXIT_ALARM, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex
 from riskwatch.eventlog import (CONFIG_ENV_VAR, default_config, load_snapshot_file,
                                 log_line, read_report, save_snapshot_file, write_log)
 from riskwatch.monitor import ENGINE_STATE_VERSION, _pack, _unpack
-from riskwatch.simulator import generate, preset
+from riskwatch.simulator import ScenarioConfig, generate, preset
 
 
 @pytest.fixture(autouse=True)
@@ -152,6 +153,38 @@ class TestSimulate:
                      "--out", str(tmp_path)]) == EXIT_DATA
         assert "weather" in capsys.readouterr().err
 
+    def test_env_config_sets_the_scenario_and_the_policy(self, tmp_path, monkeypatch):
+        # RISKWATCH_CONFIG is read as --scenario naming the same file is: a
+        # run of 2 x 100 patients under a cvar bound every period breaches,
+        # not the canonical 12 x 2,000 under that bound
+        cfg = tmp_path / "strict.json"
+        cfg.write_text(json.dumps({
+            "scenario": {"periods": 2, "patients_per_period": 100},
+            "policy": {"cvar_max": 1e-12, "consecutive_for_suspend": 1}}))
+        assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path / "b")]) == EXIT_OK
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        assert main(["simulate", "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert files(tmp_path / "a") == files(tmp_path / "b")
+        assert len((tmp_path / "a" / "events.ndjson").read_text().splitlines()) == 400
+        report = read_report((tmp_path / "a" / "report.csv").read_text())
+        assert [row["alarm_state"] for row in report] == ["review", "suspended"]
+
+    def test_a_preset_name_replaces_only_the_scenario_section(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "strict.json"
+        cfg.write_text(json.dumps({"scenario": {"periods": 2},
+                                   "policy": {"cvar_max": 1e-12}}))
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        for name, shape in (("icu_tail", "icu_tail"), ("canonical", "sepsis_drift")):
+            scenario, config = cli._resolve_scenario(name, None)
+            assert scenario == preset(shape)
+            assert config["policy"]["cvar_max"] == 1e-12
+
+    def test_an_existing_path_is_a_config_file_before_a_preset_name(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("icu_tail").write_text(json.dumps({"scenario": {"periods": 3}}))
+        assert cli._resolve_scenario("icu_tail", 5)[0] == ScenarioConfig(periods=3, seed=5)
+
     def test_small_canonical_log_is_pinned(self, tmp_path):
         assert main(["simulate", "--scenario", str(small_canonical_config(tmp_path)),
                      "--out", str(tmp_path / "s")]) == EXIT_OK
@@ -218,8 +251,6 @@ class TestSimulate:
     def test_join_rejection_exits_data_naming_the_line(self, tmp_path, capsys,
                                                        monkeypatch):
         # generated pairs always join; a repeated pair stands in for a defect
-        from riskwatch import cli
-
         pairs = list(cli.scenario_pairs(replace(preset("sepsis_drift"), periods=1,
                                                 patients_per_period=3)))
         monkeypatch.setattr(cli, "scenario_pairs", lambda config: pairs + pairs[1:2])

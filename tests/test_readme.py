@@ -1,12 +1,15 @@
-"""The examples a reader copies: every python block of README.md and the
-package docstring's usage example run as written, the state sizes
-(canonical and daily) and version README quotes are those the code writes,
-and its key table lists the keys the log layout has."""
+"""The examples a reader copies: every python block of README.md, every
+line of its CLI block and the package docstring's usage example run as
+written, the state sizes (canonical and daily) and version README quotes
+are those the code writes, and its key table lists the keys the log layout
+has."""
 
 import contextlib
 import io
 import json
 import re
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from riskwatch.monitor import ENGINE_STATE_VERSION
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+CLI_BLOCK = re.search(r"^## CLI\n\n```bash\n(.*?)^```$", README.read_text(), re.M | re.S)[1]
 
 
 def run(source: str) -> str:
@@ -38,6 +42,49 @@ def test_readme_python_block_runs(source):
 def test_readme_blocks_are_found():
     # the tour and the offline metrics at least, so a changed fence fails
     assert len(BLOCKS) >= 2 and any("emit_report" in block for block in BLOCKS)
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # each riskwatch line in order, in one directory, with its < and >
+    # redirects; RISKWATCH_CONFIG cuts the scenario to 3 periods of 100,
+    # which every line but the preset's reads, so 20 replicates are quick
+    monkeypatch.chdir(tmp_path)
+    Path("small.json").write_text(json.dumps(
+        {"scenario": {"periods": 3, "patients_per_period": 100}}))
+    monkeypatch.setenv(eventlog.CONFIG_ENV_VAR, "small.json")
+    printed, codes = [], []
+    for line in CLI_BLOCK.splitlines():
+        argv = shlex.split(line, comments=True)
+        if not argv:
+            continue
+        assert argv.pop(0) == "riskwatch"
+        redirect = {}
+        for op in "<>":
+            if op in argv:
+                at = argv.index(op)
+                redirect[op] = argv[at + 1]
+                del argv[at:at + 2]
+        if "partial.ndjson" in argv:  # the first 1.5 periods of the run's log
+            lines = Path("run/events.ndjson").read_text().splitlines(keepends=True)
+            Path("partial.ndjson").write_text("".join(lines[:300]))
+        if "<" in redirect:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(Path(redirect["<"]).read_text()))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes.append(main(argv))
+        if ">" in redirect:
+            Path(redirect[">"]).write_text(out.getvalue())
+        printed.append(out.getvalue())
+    # simulate x 3, monitor x 2, the interrupted monitor and its replay,
+    # report, --print-defaults; the small canonical run stays normal
+    assert codes == [EXIT_OK] * 9
+    assert Path("run/events.ndjson").read_text().count("\n") == 600
+    assert Path("run-tail/events.ndjson").read_text().count("\n") == 48_000
+    assert sorted(p.name for p in Path("sweep").iterdir()) == sorted(
+        [f"seed-{seed}" for seed in range(42, 62)] + ["summary.json"])
+    assert printed[4] and printed[4] == printed[7]  # the stdin JSON report is the report's
+    assert Path("done/report.csv").read_bytes() == Path("run-mon/report.csv").read_bytes()
+    assert json.loads(Path("myconfig.json").read_text()) == eventlog.default_config()
 
 
 def test_package_docstring_example_runs():
