@@ -18,14 +18,15 @@ is not valid UTF-8 is a parse error too: open_log decodes a file and stdin
 alike, in UTF-8 with surrogateescape, so a bad byte reaches the reader as a
 lone surrogate instead of failing the whole read, and it ends a line at
 "\n" alone.
-ingest_log carries the line numbers on into the engine intake, so a
-record the join rejects is named by its line too.
 
+Intake has one path, read_log -> feed_engine. read_log yields each record
+as a (line number, record) pair, and feed_engine carries the number on
+into the engine, so a record the join rejects is named by its line too.
 A log is addressed by line: an engine carries the number of log lines
 behind its state (lines_consumed), and ingest_log skips that many lines
-undecoded, numbers the rest from there and counts each line it reads.
-ingest_log is the only reader that feeds an engine, and log_pairs the only
-writer: it logs simulated pairs and feeds them through the same intake.
+undecoded, then runs the rest through read_log, numbered on from there,
+and feed_engine, counting each line it reads. log_pairs is the one
+writer: it logs simulated pairs and feeds them through feed_engine.
 
 Engine snapshots are single JSON documents, {"sha256", "state"}: the
 engine state, which carries the one version (engine_version), and a sha256
@@ -97,6 +98,20 @@ REPORT_COLUMNS = tuple(_REPORT_TYPES)
 # what a cell of each type holds when it is not None (a bool is no int)
 _CELL_RULES = {int: ("an integer", (int,)), float: ("a number", (int, float)),
                str: ("a string", (str,))}
+
+
+def _decoded(load: Callable, source, error: type[Exception], what: str):
+    """load(source), json.load or json.loads: the one decode of outside
+    input. Every way json refuses a document (bad syntax, nesting past the
+    recursion limit, an integer literal past int's digit limit) raises
+    error(f"{what}: <reason>"); a file's undecodable bytes pass through."""
+    try:
+        return load(source)
+    except UnicodeDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:
+        reason = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+        raise error(f"{what}: {reason}") from exc
 
 
 # -- event log ---------------------------------------------------------------
@@ -173,10 +188,10 @@ def write_log(
     return lines
 
 
-def _parse_record(record: dict, line_number: int) -> PredictionEvent | OutcomeRecord:
+def _parse_record(record: dict) -> PredictionEvent | OutcomeRecord:
     kind = record.get(_KIND)
     if not (isinstance(kind, str) and kind in _READERS):
-        raise SchemaError(f"unknown record kind {kind!r}", line_number=line_number)
+        raise SchemaError(f"unknown record kind {kind!r}")
     cls, flat, nested = _READERS[kind]
     try:
         fields = {field: record[key] for key, field in flat if key in record}
@@ -185,16 +200,23 @@ def _parse_record(record: dict, line_number: int) -> PredictionEvent | OutcomeRe
                                        if key in record})
         return cls(**fields)
     except (TypeError, ValueError) as exc:  # a missing or malformed field
-        raise SchemaError(str(exc), line_number=line_number) from exc
+        raise SchemaError(str(exc)) from exc
 
 
-def _numbered_records(
-    numbered_lines: Iterable[tuple[int, str]],
-    strict: bool,
+def read_log(
+    lines: Iterable[str],
+    strict: bool = False,
+    start: int = 1,
 ) -> Iterator[tuple[int, PredictionEvent | OutcomeRecord]]:
-    """The records of (line number, line) pairs, each with its number."""
+    """Parse an ndjson event log into (line number, record) pairs, in
+    encounter order, numbering its lines from start.
+
+    Lenient mode (default) skips malformed lines with a logged warning;
+    strict mode raises on the first one. Either way the error names the
+    line. Blank lines are always skipped.
+    """
     skipped = 0
-    for line_number, line in numbered_lines:
+    for line_number, line in enumerate(lines, start):
         text = line.strip()
         if not text:
             continue
@@ -203,21 +225,13 @@ def _numbered_records(
                 try:
                     text.encode("utf-8")
                 except UnicodeEncodeError as exc:  # a surrogate-escaped byte
-                    raise ParseError(
-                        "invalid UTF-8", line_number=line_number
-                    ) from exc
-            try:
-                record = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(
-                    f"invalid JSON: {exc.msg}", line_number=line_number
-                ) from exc
+                    raise ParseError("invalid UTF-8") from exc
+            record = _decoded(json.loads, text, ParseError, "invalid JSON")
             if not isinstance(record, dict):
-                raise SchemaError(
-                    "record must be a JSON object", line_number=line_number
-                )
-            yield line_number, _parse_record(record, line_number)
+                raise SchemaError("record must be a JSON object")
+            yield line_number, _parse_record(record)
         except (ParseError, SchemaError) as exc:
+            exc.line_number = line_number
             if strict:
                 raise
             skipped += 1
@@ -226,27 +240,19 @@ def _numbered_records(
         logger.warning("event log: %d malformed lines skipped", skipped)
 
 
-def read_log(
-    lines: Iterable[str],
-    strict: bool = False,
-) -> Iterator[PredictionEvent | OutcomeRecord]:
-    """Parse an ndjson event log into records, in encounter order.
-
-    Lenient mode (default) skips malformed lines with a logged warning;
-    strict mode raises on the first one. Blank lines are always skipped.
-    Lines are numbered from 1.
-    """
-    for _, record in _numbered_records(enumerate(lines, start=1), strict):
-        yield record
-
-
-def _feed(
+def feed_engine(
     engine: MonitorEngine,
-    numbered: Iterable[tuple[int | None, PredictionEvent | OutcomeRecord]],
-    strict: bool,
+    numbered: Iterable[tuple[int, PredictionEvent | OutcomeRecord]],
+    strict: bool = False,
 ) -> MonitorEngine:
-    """The engine intake behind feed_engine, ingest_log and log_pairs; a
-    rejected record's error names its line when the line number is not None."""
+    """Drive an engine with (line number, record) pairs, as read_log
+    yields them (does not finalize).
+
+    Join problems (orphaned outcome, duplicated outcome or event id, an
+    action outside the decision set) are skipped with a warning in lenient
+    mode and raised in strict mode, same contract as parsing in read_log;
+    the error names the record's line.
+    """
     skipped = 0
     for line_number, record in numbered:
         try:
@@ -266,20 +272,6 @@ def _feed(
     if skipped:
         logger.warning("event stream: %d unjoinable records skipped", skipped)
     return engine
-
-
-def feed_engine(
-    engine: MonitorEngine,
-    records: Iterable[PredictionEvent | OutcomeRecord],
-    strict: bool = False,
-) -> MonitorEngine:
-    """Drive an engine with a parsed record stream (does not finalize).
-
-    Join problems (orphaned outcome, duplicated outcome or event id, an
-    action outside the decision set) are skipped with a warning in lenient
-    mode and raised in strict mode, same contract as parsing in read_log.
-    """
-    return _feed(engine, ((None, record) for record in records), strict)
 
 
 def ingest_log(
@@ -307,14 +299,14 @@ def ingest_log(
             f"{consumed}; was it truncated or rotated?"
         )
 
-    def unread() -> Iterator[tuple[int, str]]:
+    def unread() -> Iterator[str]:
         for line in lines:
             if hold_partial and not line.endswith("\n"):
                 return
             engine.lines_consumed += 1
-            yield engine.lines_consumed, line
+            yield line
 
-    return _feed(engine, _numbered_records(unread(), strict), strict)
+    return feed_engine(engine, read_log(unread(), strict, consumed + 1), strict)
 
 
 def log_pairs(
@@ -334,7 +326,7 @@ def log_pairs(
                 engine.lines_consumed += 1
                 yield engine.lines_consumed, record
 
-    return _feed(engine, logged(), strict=True)
+    return feed_engine(engine, logged(), strict=True)
 
 
 # -- files --------------------------------------------------------------------
@@ -403,9 +395,7 @@ def load_snapshot(fp: IO[str]) -> MonitorEngine:
     """Load a snapshot, verifying its checksum; MonitorEngine.from_state
     checks the state's version and that it is what to_state() writes."""
     try:
-        doc = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise CorruptSnapshot(f"snapshot is not valid JSON: {exc.msg}") from exc
+        doc = _decoded(json.load, fp, CorruptSnapshot, "snapshot is not valid JSON")
     except UnicodeDecodeError as exc:
         raise CorruptSnapshot(f"snapshot is not valid UTF-8: {exc.reason}") from exc
     if not isinstance(doc, dict) or "state" not in doc or "sha256" not in doc:
@@ -492,7 +482,7 @@ def read_report(text: str, fmt: str = "csv") -> list[dict]:
                 if len(raw) == len(columns) else raw
                 for raw in reader if raw]
     elif fmt == "json":
-        doc = json.loads(text)
+        doc = _decoded(json.loads, text, SchemaError, "report is not valid JSON")
         if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
             raise SchemaError("report has no list of rows")
         columns, rows = doc.get("columns"), doc["rows"]
@@ -547,11 +537,9 @@ def load_config(path: str | os.PathLike | None = None) -> dict:
         return merged
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            user = json.load(fp)
-    except OSError as exc:
+            user = _decoded(json.load, fp, BadConfig, f"config {path!r} is not valid JSON")
+    except (OSError, UnicodeDecodeError) as exc:
         raise BadConfig(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadConfig(f"config {path!r} is not valid JSON: {exc.msg}") from exc
     if not isinstance(user, dict):
         raise BadConfig("config root must be a JSON object")
     for section, values in user.items():

@@ -86,7 +86,7 @@ class TestLogRoundTrip:
         events = canonical_output.events[:500]
         have = {e.event_id for e in events}
         outcomes = [o for o in canonical_output.outcomes if o.event_id in have]
-        parsed = list(read_log(io.StringIO(log_text(events, outcomes)), strict=True))
+        parsed = [r for _, r in read_log(io.StringIO(log_text(events, outcomes)), strict=True)]
         back_events = [r for r in parsed if isinstance(r, PredictionEvent)]
         back_outcomes = [r for r in parsed if isinstance(r, OutcomeRecord)]
         assert back_events == list(events)
@@ -118,7 +118,7 @@ class TestLogRoundTrip:
     @example(OutcomeRecord("e1", 0, 3, alt_losses=(3, -0.0)))
     @example(PredictionEvent("é \\ \"\n", TimeIndex(1, 0), 1, cohort="ICU ☤"))
     def test_every_valid_record_reads_back_from_its_line(self, record):
-        back = list(read_log([log_line(record)], strict=True))
+        back = [r for _, r in read_log([log_line(record)], strict=True)]
         assert back == [record]
         assert repr(back[0]) == repr(record)  # ints stay ints, -0.0 stays -0.0
 
@@ -160,7 +160,7 @@ class TestLenientVsStrict:
 
     def test_lenient_skips_and_warns(self, caplog):
         with caplog.at_level("WARNING"):
-            out = list(read_log(io.StringIO(self.BAD_JSON + self.GOOD + self.BAD_SCHEMA)))
+            out = [r for _, r in read_log(io.StringIO(self.BAD_JSON + self.GOOD + self.BAD_SCHEMA))]
         assert len(out) == 1
         assert out[0].event_id == "b"
         assert "line 1" in caplog.text
@@ -208,14 +208,14 @@ class TestLenientVsStrict:
             OutcomeRecord("a", 0, 1.0),  # duplicate
         ]
         with caplog.at_level("WARNING"):
-            feed_engine(engine, records)
+            feed_engine(engine, enumerate(records, 1))
         assert "2 unjoinable records skipped" in caplog.text
         assert engine.outcomes_seen == 1
 
     def test_feed_engine_strict_raises(self):
         engine = MonitorEngine()
         with pytest.raises(Exception):
-            feed_engine(engine, [OutcomeRecord("zzz", 1, 1.0)], strict=True)
+            feed_engine(engine, [(1, OutcomeRecord("zzz", 1, 1.0))], strict=True)
 
     # event "a" names an action outside its two-action set; "b" is valid
     BAD_ACTION_LOG = (
@@ -459,7 +459,7 @@ class TestSnapshotIntegrity:
     def make(self, canonical_output, upto=3_000):
         engine = MonitorEngine()
         pairs = zip(canonical_output.events[:upto], canonical_output.outcomes[:upto])
-        feed_engine(engine, (r for pair in pairs for r in pair))
+        feed_engine(engine, enumerate((r for pair in pairs for r in pair), 1))
         return engine
 
     def test_mid_period_save_load_to_state(self, canonical_output):

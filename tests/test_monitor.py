@@ -370,9 +370,9 @@ class TestJoinDiscipline:
         reused = [PredictionEvent("e0", TimeIndex(1, 1), 0.5)]
         if strict:
             with pytest.raises(SchemaError, match="duplicate event_id"):
-                feed_engine(engine, reused, strict=True)
+                feed_engine(engine, enumerate(reused, 1), strict=True)
         else:
-            feed_engine(engine, reused)  # skipped
+            feed_engine(engine, enumerate(reused, 1))  # skipped
         assert engine.to_state() == before
 
     def test_second_outcome_after_its_period_closed_is_orphan(self):
