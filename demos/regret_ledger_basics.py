@@ -1,26 +1,26 @@
 #!/usr/bin/env python3
 # Decision regret from first principles, then on a simulated deployment.
 #
-# Every entry stores the loss of every action that was available, so the
-# ledger can answer two different questions after the fact:
+# A ledger is a list of entries whose sequence numbers strictly rise. Every
+# entry stores the loss of every action that was available, so the ledger
+# can answer two different questions after the fact:
 #   cumulative   - how much worse than the per-step optimum did we do
 #   best_fixed   - how much worse than the single best constant policy
 
 from riskwatch import (
-    DecisionLedger,
     DecisionLedgerEntry,
     TimeIndex,
     best_fixed_action_regret,
     cumulative_regret,
     generate,
     preset,
+    safety_exposure,
 )
 
 MONITOR, ACT = 0, 1
 
 
 def tiny_worked_example():
-    ledger = DecisionLedger()
     # (chosen, monitor loss, act loss)
     steps = [
         (MONITOR, 0.00, 0.05),   # right call
@@ -28,18 +28,18 @@ def tiny_worked_example():
         (ACT, 0.02, 0.05),       # over-treated a mild case
         (ACT, 1.30, 0.05),       # right call
     ]
-    for seq, (chosen, l_mon, l_act) in enumerate(steps):
-        ledger.record(
-            DecisionLedgerEntry(TimeIndex(1, seq), chosen, (l_mon, l_act))
-        )
+    ledger = [
+        DecisionLedgerEntry(TimeIndex(1, seq), chosen, (l_mon, l_act))
+        for seq, (chosen, l_mon, l_act) in enumerate(steps)
+    ]
 
-    report = cumulative_regret(ledger, safety_bound=0.5)
+    report = cumulative_regret(ledger)
     print("four hand-written decisions")
     print(f"  steps              {report.steps}")
     print(f"  cumulative regret  {report.cumulative:.4f}   (0.85 missed + 0.03 overtreat)")
     print(f"  regret rate        {report.rate:.4f}")
-    print(f"  vs best fixed      {report.best_fixed:.4f}")
-    print(f"  losses over bound  {report.exposure_count}")
+    print(f"  vs best fixed      {best_fixed_action_regret(ledger):.4f}")
+    print(f"  losses over 0.5    {safety_exposure(ledger, 0.5)}")
 
 
 def deployment_regret():

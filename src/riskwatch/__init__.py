@@ -42,7 +42,6 @@ from .tailrisk import (
     var,
 )
 from .regret import (
-    DecisionLedger,
     DecisionLedgerEntry,
     RegretReport,
     best_fixed_action_regret,
@@ -87,7 +86,6 @@ __all__ = [
     "AlarmRecord",
     "AlarmState",
     "BetaPosterior",
-    "DecisionLedger",
     "DecisionLedgerEntry",
     "MetricSnapshot",
     "MonitorEngine",

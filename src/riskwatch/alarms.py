@@ -43,8 +43,8 @@ class ThresholdPolicy:
     the same period before the period counts as breaching.
 
     Each setting is checked here, so a bad one fails before any record is
-    read: a bound is None or a finite number, the streak counts are
-    integers, conjunctive is a bool; else ValueError.
+    read: a bound is None or a finite number, at least one bound is set,
+    the streak counts are integers, conjunctive is a bool; else ValueError.
     """
 
     ece_max: float | None = 0.045
@@ -61,6 +61,9 @@ class ThresholdPolicy:
             bound = getattr(self, name)
             if bound is not None and not finite_number(bound):
                 raise ValueError(f"{name} must be None or a finite number, got {bound!r}")
+        if not self.bounds():
+            raise ValueError(f"{', '.join(_BOUND_FIELDS.values())} are all None: "
+                             "no metric is bounded")
         for f in fields(self):
             count = getattr(self, f.name)
             if f.type == "int" and (type(count) is not int or count < 1):

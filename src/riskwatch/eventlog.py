@@ -217,7 +217,7 @@ def read_log(
     """
     skipped = 0
     for line_number, line in enumerate(lines, start):
-        text = line.strip()
+        text = line.strip(" \t\r\n")  # JSON's whitespace, no other
         if not text:
             continue
         try:

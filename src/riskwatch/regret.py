@@ -1,20 +1,22 @@
 """Decision-regret accounting over a ledger of chosen actions.
 
-Each ledger entry records which action the deployed policy took and what
-every available action would have cost. step_regret scores one decision
-(the streaming engine calls it per resolved pair); two comparators are
-exposed over a whole ledger:
+A ledger is a sequence of DecisionLedgerEntry, each recording which action
+the deployed policy took and what every available action would have cost.
+Every function below refuses an empty ledger (EmptyLedger) and one whose
+sequence numbers do not strictly rise (OutOfOrderEntry). step_regret
+scores one decision; the streaming engine calls it per resolved pair.
+Over a whole ledger:
 
 * cumulative_regret: per-step hindsight, at every step comparing the chosen
-  action's loss to that step's best action. Nonnegative and nondecreasing
-  by construction; zero exactly when the policy picked an argmin every step.
+  action's loss to that step's best action, summed as the engine sums a
+  period's regrets. Nonnegative and nondecreasing by construction; zero
+  exactly when the policy picked an argmin every step.
 * best_fixed_action_regret: compare the whole run to the single action
   that would have been best held fixed throughout. Signed: an adaptive
   policy can beat every fixed action, and the per-step sum of minima never
-  exceeds the best fixed action's total.
-
-A safety exposure counter (steps whose realized loss exceeded a bound)
-rides along for harm accounting that regret alone does not capture.
+  exceeds the best fixed action's total. Needs one action-set size.
+* safety_exposure: the steps whose realized loss exceeded a bound, a harm
+  that regret alone does not capture.
 """
 
 from __future__ import annotations
@@ -59,60 +61,37 @@ class DecisionLedgerEntry:
 
 @dataclass(frozen=True)
 class RegretReport:
-    """Summary of a ledger's regret accounting.
-
-    cumulative is the hindsight per-step regret total R(T), inf only where
-    its exact value passes the float range; rate is its per-step mean
-    R(T) / T, finite (both sum by core.fsum). exposure_count counts steps
-    whose realized loss exceeded the safety bound (None if no bound given).
-    """
+    """Summary of a ledger's hindsight per-step regret, as the engine
+    scores a period: cumulative is the total R(T), inf only where its exact
+    value passes the float range; rate is its per-step mean R(T) / T,
+    finite (both sum by core.fsum)."""
 
     steps: int
     cumulative: float
     rate: float
-    best_fixed: float
-    exposure_count: int | None = None
 
 
-class DecisionLedger:
-    """Append-only, sequence-ordered record of decisions."""
-
-    def __init__(self):
-        self._entries: list[DecisionLedgerEntry] = []
-
-    def record(self, entry: DecisionLedgerEntry) -> None:
-        """Append one entry; sequence numbers must strictly increase."""
-        if self._entries and entry.time.sequence <= self._entries[-1].time.sequence:
-            raise OutOfOrderEntry(
-                f"sequence {entry.time.sequence} does not exceed "
-                f"{self._entries[-1].time.sequence}"
-            )
-        self._entries.append(entry)
-
-    @property
-    def entries(self) -> tuple[DecisionLedgerEntry, ...]:
-        return tuple(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-def _entries_of(ledger: DecisionLedger | Sequence[DecisionLedgerEntry]):
-    entries = ledger.entries if isinstance(ledger, DecisionLedger) else tuple(ledger)
-    if len(entries) == 0:
+def _entries_of(ledger: Sequence[DecisionLedgerEntry]) -> tuple[DecisionLedgerEntry, ...]:
+    """The ledger as a tuple, refused if empty (EmptyLedger) or if its
+    sequence numbers do not strictly rise (OutOfOrderEntry)."""
+    entries = tuple(ledger)
+    if not entries:
         raise EmptyLedger("regret requested on an empty ledger")
+    for before, after in zip(entries, entries[1:]):
+        if after.time.sequence <= before.time.sequence:
+            raise OutOfOrderEntry(
+                f"sequence {after.time.sequence} does not exceed {before.time.sequence}"
+            )
     return entries
 
 
-def cumulative_regret(
-    ledger: DecisionLedger | Sequence[DecisionLedgerEntry],
-    safety_bound: float | None = None,
-) -> RegretReport:
+def cumulative_regret(ledger: Sequence[DecisionLedgerEntry]) -> RegretReport:
     """Hindsight per-step regret: sum of chosen loss minus step minimum.
 
     Ties at a step's minimum produce zero regret for any tying choice (the
     comparator is the lowest-loss action, lowest action id on ties, but the
-    regret difference is identical across tying actions).
+    regret difference is identical across tying actions). Steps may offer
+    different numbers of actions.
     """
     entries = _entries_of(ledger)
     per_step = [step_regret(e.chosen_action, e.action_losses) for e in entries]
@@ -120,16 +99,14 @@ def cumulative_regret(
         steps=len(entries),
         cumulative=fsum(per_step),
         rate=fsum(per_step, len(entries)),
-        best_fixed=best_fixed_action_regret(entries),
-        exposure_count=(None if safety_bound is None
-                        else safety_exposure(entries, safety_bound)),
     )
 
 
-def best_fixed_action_regret(
-    ledger: DecisionLedger | Sequence[DecisionLedgerEntry],
-) -> float:
-    """Chosen total minus the best single fixed action's total. Signed."""
+def best_fixed_action_regret(ledger: Sequence[DecisionLedgerEntry]) -> float:
+    """Chosen total minus the best single fixed action's total. Signed.
+
+    Every step must offer the same number of actions (else RaggedActionSets).
+    """
     entries = _entries_of(ledger)
     width = len(entries[0].action_losses)
     for e in entries:
@@ -146,10 +123,7 @@ def best_fixed_action_regret(
     return max(fsum(chosen + [-loss for loss in losses]) for losses in fixed)
 
 
-def safety_exposure(
-    ledger: DecisionLedger | Sequence[DecisionLedgerEntry],
-    bound: float,
-) -> int:
+def safety_exposure(ledger: Sequence[DecisionLedgerEntry], bound: float) -> int:
     """Count of steps whose realized (chosen) loss exceeded the bound."""
     entries = _entries_of(ledger)
     return sum(1 for e in entries if e.chosen_loss > bound)

@@ -1,6 +1,6 @@
 """Tail-risk measures over a period's realized losses.
 
-Three routes to the same tail:
+The tail's quantile and three estimators of its mean:
 
 * var: the empirical lower quantile of the loss distribution, the order
   statistic L_(ceil(alpha*n)).

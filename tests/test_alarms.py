@@ -144,6 +144,13 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             ThresholdPolicy(recovery_periods=0)
 
+    @pytest.mark.parametrize("bound", ["ece_max", "cvar_max", "regret_rate_max", "drift_min"])
+    def test_at_least_one_bound(self, bound):
+        unbounded = dict(ece_max=None, cvar_max=None)
+        with pytest.raises(ValueError, match="no metric is bounded"):
+            ThresholdPolicy(**unbounded)
+        assert list(ThresholdPolicy(**{**unbounded, bound: 0.5}).bounds().values()) == [0.5]
+
 
 class TestHistoryAndFirstBreach:
     def test_history_append_only(self):

@@ -76,6 +76,9 @@ class TestConjugacy:
                 BetaPosterior(a, b)
         with pytest.raises(ValueError):
             update(BetaPosterior(1.0, 1.0), 2)
+        for positives, negatives in [(-1, 0), (0, -1)]:
+            with pytest.raises(ValueError, match="nonnegative"):
+                update_batch(BetaPosterior(1.0, 1.0), positives, negatives)
 
 
 class TestCredibleInterval:

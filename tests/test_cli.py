@@ -401,7 +401,8 @@ class TestMonitor:
     @pytest.mark.parametrize("settings", [
         {"ece_max": float("nan"), "cvar_max": None}, {"ece_max": "x"},
         {"conjunctive": "no"}, {"consecutive_for_review": 1.5},
-    ], ids=["ece_max-nan", "ece_max-str", "conjunctive-str", "review-1.5"])
+        {"ece_max": None, "cvar_max": None},
+    ], ids=["ece_max-nan", "ece_max-str", "conjunctive-str", "review-1.5", "no-bound"])
     def test_bad_policy_refused_before_any_line(
         self, sim_dir, tmp_path, capsys, caplog, settings, strict
     ):

@@ -100,6 +100,12 @@ class TestLogRoundTrip:
         lines = log_text([e], [o]).splitlines()
         assert json.loads(lines[0])["kind"] == "prediction"
         assert json.loads(lines[1])["kind"] == "outcome"
+        # an outcome with no event in the log is written after every event
+        orphan = OutcomeRecord("z", 0, 1.0)
+        buf = io.StringIO()
+        assert write_log(buf, [e], [orphan, o]) == 3
+        assert [json.loads(line)["event_id"] for line in buf.getvalue().splitlines()] == [
+            "a", "a", "z"]
 
     def test_record_shapes(self):
         e = PredictionEvent("a", TimeIndex(3, 7), 0.25, action_id=1,
@@ -125,17 +131,26 @@ class TestLogRoundTrip:
     def test_blank_lines_skipped(self):
         text = '\n{"kind": "prediction", "event_id": "a", "period": 1, "seq": 0, "prob": 0.5}\n\n'
         assert len(list(read_log(io.StringIO(text), strict=True))) == 1
+        # JSON's own whitespace around a record or alone on a line, CRLF too
+        text = (' \t{"kind": "prediction", "event_id": "a", "period": 1, "seq": 0, "prob": 0.5}'
+                '\r\n \t\r\n')
+        assert len(list(read_log(io.StringIO(text), strict=True))) == 1
 
 
 class TestLenientVsStrict:
     BAD_JSON = "{nope\n"
     BAD_SCHEMA = '{"kind": "prediction", "event_id": "a", "period": 1, "seq": 0}\n'
     GOOD = '{"kind": "prediction", "event_id": "b", "period": 1, "seq": 1, "prob": 0.5}\n'
+    # lines JSON refuses: bad syntax, and whitespace that str.strip removes
+    # but JSON does not allow, around an object or alone on a line
+    NOT_JSON = [BAD_JSON, "\xa0" + GOOD[:-1] + "\xa0\n", "\u2028" + GOOD,
+                GOOD[:-1] + "\x85\n", "\x0c\n", "\x1c\n"]
 
     def test_strict_parse_error_carries_line_number(self):
-        with pytest.raises(ParseError) as err:
-            list(read_log(io.StringIO(self.GOOD + self.BAD_JSON), strict=True))
-        assert err.value.line_number == 2
+        for bad in self.NOT_JSON:
+            with pytest.raises(ParseError, match="invalid JSON") as err:
+                list(read_log(io.StringIO(self.GOOD + bad), strict=True))
+            assert err.value.line_number == 2
 
     def test_strict_schema_error_carries_line_number(self):
         with pytest.raises(SchemaError) as err:
@@ -159,12 +174,14 @@ class TestLenientVsStrict:
         assert err.value.line_number == 42
 
     def test_lenient_skips_and_warns(self, caplog):
-        with caplog.at_level("WARNING"):
-            out = [r for _, r in read_log(io.StringIO(self.BAD_JSON + self.GOOD + self.BAD_SCHEMA))]
-        assert len(out) == 1
-        assert out[0].event_id == "b"
-        assert "line 1" in caplog.text
-        assert "2 malformed lines skipped" in caplog.text
+        for bad in self.NOT_JSON:
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                out = [r for _, r in read_log(io.StringIO(bad + self.GOOD + self.BAD_SCHEMA))]
+            assert len(out) == 1
+            assert out[0].event_id == "b"
+            assert "line 1 skipped" in caplog.text
+            assert "2 malformed lines skipped" in caplog.text
 
     @pytest.mark.parametrize("line,fragment", [
         ('{"kind": "mystery"}', "unknown record kind"),
@@ -310,10 +327,13 @@ class TestLogPairs:
 
 # policy settings that once passed: a NaN bound never breaches, a string
 # bound fails only at the first close, any non-empty string turns
-# conjunctive on, and a fractional streak count is accepted
+# conjunctive on, a fractional streak count is accepted, and a policy with
+# no bound fails at the first close
 BAD_POLICIES = [{"ece_max": math.nan, "cvar_max": None}, {"ece_max": "x"},
-                {"conjunctive": "no"}, {"consecutive_for_review": 1.5}]
-BAD_POLICY_IDS = ["ece_max-nan", "ece_max-str", "conjunctive-str", "review-1.5"]
+                {"conjunctive": "no"}, {"consecutive_for_review": 1.5},
+                {"ece_max": None, "cvar_max": None}]
+BAD_POLICY_IDS = ["ece_max-nan", "ece_max-str", "conjunctive-str", "review-1.5",
+                  "no-bound"]
 
 
 def checksummed(state) -> io.StringIO:
@@ -501,6 +521,8 @@ class TestSnapshotIntegrity:
          RANGE),
         (lambda state: state["policy"].update(ece_max=math.nan), "policy-nan-bound",
          "engine state is malformed: .*ece_max"),
+        (lambda state: state["policy"].update(ece_max=None, cvar_max=None),
+         "policy-no-bound", "engine state is malformed: .*no metric is bounded"),
         (_set("pending", "action_id", 0, True), "pending-action-true",
          "engine state is malformed: .*action_id"),
         (_set("pending", "cohort", 0, ["icu"]), "pending-cohort-list",
@@ -835,6 +857,8 @@ class TestReports:
         snaps, hist = run
         with pytest.raises(ValueError):
             emit_report(snaps, hist, fmt="xml")
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            read_report(emit_report(snaps, hist, fmt="csv"), fmt="xml")
 
     def test_bad_header_rejected(self):
         with pytest.raises(SchemaError):

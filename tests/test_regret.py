@@ -1,4 +1,5 @@
-"""Regret accounting: ledger discipline, hand values, regret laws, oracles."""
+"""Regret accounting: ledger discipline, hand values, regret laws, oracles,
+and agreement with the engine's period regret."""
 
 import math
 
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskwatch.core import TimeIndex
+from riskwatch.alarms import ThresholdPolicy
+from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex
 from riskwatch.errors import EmptyLedger, OutOfOrderEntry, RaggedActionSets
+from riskwatch.monitor import MonitorEngine
 from riskwatch.regret import (
-    DecisionLedger,
     DecisionLedgerEntry,
+    RegretReport,
     best_fixed_action_regret,
     cumulative_regret,
     safety_exposure,
@@ -45,24 +48,29 @@ def ledgers(min_steps=1, max_steps=60, max_actions=8):
     )
 
 
+# every function over a whole ledger, as a function of the ledger alone
+LEDGER_FUNCTIONS = [cumulative_regret, best_fixed_action_regret,
+                    lambda ledger: safety_exposure(ledger, 1.0)]
+
+
 class TestLedger:
     def test_sequences_must_increase(self):
-        ledger = DecisionLedger()
-        ledger.record(entry(5, 0, [1.0, 2.0]))
-        with pytest.raises(OutOfOrderEntry):
-            ledger.record(entry(5, 0, [1.0, 2.0]))
-        with pytest.raises(OutOfOrderEntry):
-            ledger.record(entry(3, 0, [1.0, 2.0]))
-        ledger.record(entry(6, 1, [1.0, 2.0]))
-        assert len(ledger) == 2
+        for fn in LEDGER_FUNCTIONS:
+            for seqs in [(5, 5), (5, 3), (5, 6, 6), (0, 2, 1)]:
+                with pytest.raises(OutOfOrderEntry):
+                    fn([entry(seq, 0, [1.0, 2.0]) for seq in seqs])
+            ledger = [entry(5, 0, [1.0, 2.0]), entry(6, 1, [1.0, 2.0])]
+            fn(ledger)  # gaps are allowed
+            fn(iter(ledger))  # any iterable of entries reads as a ledger
 
     def test_chosen_action_in_range(self):
         with pytest.raises(ValueError):
             entry(0, 2, [1.0, 2.0])
 
     def test_empty_ledger_rejected(self):
-        with pytest.raises(EmptyLedger):
-            cumulative_regret([])
+        for fn in LEDGER_FUNCTIONS:
+            with pytest.raises(EmptyLedger):
+                fn([])
 
 
 class TestHandValues:
@@ -78,20 +86,20 @@ class TestHandValues:
         assert report.steps == 3
         # fixed action 0 total = 7, fixed action 1 total = 8, chosen = 6
         # hindsight per-step sequence beats every fixed action
-        assert report.best_fixed == 6.0 - 7.0 == -1.0
+        assert best_fixed_action_regret(ledger) == 6.0 - 7.0 == -1.0
 
     def test_exposure_count(self):
         ledger = [entry(0, 0, [0.5, 9.0]), entry(1, 1, [0.5, 9.0])]
         assert safety_exposure(ledger, bound=1.0) == 1
-        report = cumulative_regret(ledger, safety_bound=1.0)
-        assert report.exposure_count == 1
-        assert cumulative_regret(ledger).exposure_count is None
+        assert safety_exposure(ledger, bound=9.0) == 0
 
     def test_ragged_action_sets(self):
+        ledger = [entry(0, 0, [1.0, 2.0]), entry(1, 2, [1.0, 2.0, 3.0])]
         with pytest.raises(RaggedActionSets):
-            best_fixed_action_regret(
-                [entry(0, 0, [1.0, 2.0]), entry(1, 0, [1.0, 2.0, 3.0])]
-            )
+            best_fixed_action_regret(ledger)
+        # only the fixed-action comparator needs one action-set size
+        assert cumulative_regret(ledger) == RegretReport(2, 2.0, 1.0)
+        assert safety_exposure(ledger, bound=2.0) == 1
 
 
 class TestRegretLaws:
@@ -126,8 +134,7 @@ class TestRegretLaws:
             for a in range(len(ledger[0].action_losses))
         )
         assert per_step_opt <= fixed_opt + 1e-9
-        report = cumulative_regret(ledger)
-        assert report.best_fixed <= report.cumulative + 1e-9
+        assert best_fixed_action_regret(ledger) <= cumulative_regret(ledger).cumulative + 1e-9
 
     @given(ledgers(min_steps=2))
     @settings(max_examples=100, deadline=None)
@@ -169,9 +176,46 @@ class TestSumsPastTheFloatRange:
 
     def test_total_is_inf_and_rate_is_the_exact_mean(self):
         ledger = [entry(i, 0, [1e308, 0.0]) for i in range(2)]
-        report = cumulative_regret(ledger)
-        assert (report.cumulative, report.rate, report.best_fixed) == (math.inf, 1e308, math.inf)
+        assert cumulative_regret(ledger) == RegretReport(2, math.inf, 1e308)
+        assert best_fixed_action_regret(ledger) == math.inf
 
     def test_best_fixed_of_two_infinite_totals_is_their_exact_gap(self):
         # both totals round to inf, and inf - inf is NaN
         assert best_fixed_action_regret([entry(i, 0, [1e308, 1e308]) for i in range(2)]) == 0.0
+
+
+class TestEngineAgreement:
+    """cumulative_regret over a period's decisions is the engine's regret
+    for that period, bit for bit, whatever the action-set sizes."""
+
+    # (period, chosen action, counterfactual losses): two and three actions
+    DECISIONS = [
+        (1, 0, (0.0, 0.05)),
+        (1, 0, (0.9, 0.05)),
+        (1, 2, (0.3, 0.1, 0.11)),
+        (1, 1, (0.02, 0.0, 0.4)),
+        (2, 1, (0.7, 0.2)),
+        (2, 0, (0.1, 0.3, 0.05)),
+        (2, 2, (1.3, 0.05, 0.05)),
+    ]
+
+    def test_snapshots_match_cumulative_regret(self):
+        engine = MonitorEngine(ThresholdPolicy(ece_max=None, cvar_max=None,
+                                               regret_rate_max=0.5))
+        periods = {}
+        for seq, (period, chosen, losses) in enumerate(self.DECISIONS):
+            time = TimeIndex(period, seq)
+            engine.observe_event(PredictionEvent(f"e{seq}", time, 0.5, action_id=chosen))
+            engine.observe_outcome(OutcomeRecord(f"e{seq}", seq % 2, losses[chosen], losses))
+            periods.setdefault(period, []).append(entry(seq, chosen, losses, period))
+        engine.finalize()
+
+        assert [s.time.period for s in engine.snapshots] == sorted(periods)
+        running = 0.0
+        for snapshot, ledger in zip(engine.snapshots, periods.values()):
+            report = cumulative_regret(ledger)
+            running += report.cumulative
+            assert snapshot.regret_rate == report.rate
+            assert snapshot.regret_cumulative == running
+        # by hand: 0.85 (step 1) + 0.01 (step 2) in period 1, 0.05 (step 5) in period 2
+        assert running == pytest.approx(0.86 + 0.05)

@@ -238,6 +238,14 @@ class TestConfigValidation:
             ScenarioConfig(act_threshold=1.5)
         with pytest.raises(BadConfig):
             ScenarioConfig(tail_fraction=0.1, tail_scale=0.0)
+        for settings in [{"drift_start_period": 0}, {"class_separation": 0.0},
+                         {"miscalibration_gain": -0.1}, {"loss_w_fn": -1.0},
+                         {"loss_w_fp": -1.0}, {"harm_cap": -1.0},
+                         {"baseline_harm_scale": -1.0}, {"intervention_cost": -1.0},
+                         {"tail_fraction": 1.0}, {"tail_fraction": -0.1},
+                         {"regret_escalation": -0.5}]:
+            with pytest.raises(BadConfig, match=next(iter(settings))):
+                ScenarioConfig(**settings)
 
     @pytest.mark.parametrize("settings", [
         {"patients_per_period": 100.5},
