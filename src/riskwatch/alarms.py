@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, fields
 
-from .core import MetricSnapshot, TimeIndex, finite_number
+from .core import MetricSnapshot, TimeIndex, check_integer, finite_number
 from .errors import NoMetrics
 
 
@@ -57,23 +57,19 @@ class ThresholdPolicy:
     conjunctive: bool = False
 
     def __post_init__(self):
-        for name in _BOUND_FIELDS.values():
-            bound = getattr(self, name)
-            if bound is not None and not finite_number(bound):
-                raise ValueError(f"{name} must be None or a finite number, got {bound!r}")
+        for f in fields(self):  # each setting by its annotation
+            value = getattr(self, f.name)
+            if f.type == "int":
+                check_integer(f.name, value, 1)
+            elif f.type == "bool" and type(value) is not bool:
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
+            elif f.type == "float | None" and not (value is None or finite_number(value)):
+                raise ValueError(f"{f.name} must be None or a finite number, got {value!r}")
         if not self.bounds():
             raise ValueError(f"{', '.join(_BOUND_FIELDS.values())} are all None: "
                              "no metric is bounded")
-        for f in fields(self):
-            count = getattr(self, f.name)
-            if f.type == "int" and (type(count) is not int or count < 1):
-                raise ValueError(f"{f.name} must be an integer >= 1, got {count!r}")
         if self.consecutive_for_suspend < self.consecutive_for_review:
-            raise ValueError(
-                "consecutive_for_suspend must be >= consecutive_for_review"
-            )
-        if type(self.conjunctive) is not bool:
-            raise ValueError(f"conjunctive must be true or false, got {self.conjunctive!r}")
+            raise ValueError("consecutive_for_suspend must be >= consecutive_for_review")
 
     def bounds(self) -> dict[str, float]:
         """Enabled metric name -> bound."""

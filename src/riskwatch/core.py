@@ -1,4 +1,4 @@
-"""Shared domain types, stream plumbing and the one summation rule (fsum).
+"""Shared domain types and value rules, stream plumbing and the one sum (fsum).
 
 The toolkit processes a totally ordered stream of prediction events that are
 later resolved by outcome records. The streaming engine joins them through
@@ -26,11 +26,38 @@ logger = logging.getLogger(__name__)
 _FLOAT_MAX = sys.float_info.max
 
 
-def finite_number(value) -> bool:
-    """The one number test: a float or a non-bool int, in the finite float
-    range (so not NaN). The record types inline it, for speed."""
-    return (isinstance(value, float) or type(value) is int) and (
-        -_FLOAT_MAX <= value <= _FLOAT_MAX)
+def finite_number(value, least: float = -_FLOAT_MAX, most: float = _FLOAT_MAX) -> bool:
+    """The one number test: a float or a non-bool int in [least, most], so not
+    NaN; the default bounds are the finite float range."""
+    return (isinstance(value, float) or type(value) is int) and least <= value <= most
+
+
+def is_probability(value) -> bool:
+    """The probability rule: a number in [0, 1]."""
+    return finite_number(value, 0.0, 1.0)
+
+
+def is_outcome(value) -> bool:
+    """The outcome rule: the integer 0 or 1, not a bool."""
+    return type(value) is int and 0 <= value <= 1
+
+
+def check_integer(name: str, value, least: int) -> int:
+    """The integer rule: an int, not a bool, >= least; else ValueError naming it."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def check_losses(name: str, losses) -> tuple:
+    """The rule for the losses of all alternatives: a non-empty list or tuple
+    of finite numbers, returned as a tuple; else ValueError naming it."""
+    losses = tuple(losses) if type(losses) is list else losses
+    if type(losses) is not tuple or not losses:
+        raise ValueError(f"{name} must be a non-empty list or tuple, got {losses!r}")
+    if not all(map(finite_number, losses)):
+        raise ValueError(f"{name} must be finite numbers, got {losses!r}")
+    return losses
 
 
 def fsum(values: Sequence[float], divisor: float = 1) -> float:
@@ -58,13 +85,6 @@ def check_event_id(value) -> str:
     return value
 
 
-def check_sequence(value) -> int:
-    """The sequence rule: an integer >= 0, returned as it is; else ValueError."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"sequence must be an integer >= 0, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True, order=True, slots=True)
 class TimeIndex:
     """Position of an event in deployment time.
@@ -78,9 +98,8 @@ class TimeIndex:
     sequence: int
 
     def __post_init__(self):
-        if type(self.period) is not int or self.period < 1:
-            raise ValueError(f"period must be an integer >= 1, got {self.period!r}")
-        check_sequence(self.sequence)
+        check_integer("period", self.period, 1)
+        check_integer("sequence", self.sequence, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,10 +122,9 @@ class PredictionEvent:
 
     def __post_init__(self):
         check_event_id(self.event_id)
-        prob = self.predicted_prob
-        if not ((isinstance(prob, float) or type(prob) is int) and 0.0 <= prob <= 1.0):
-            raise ValueError(
-                f"predicted_prob must be a number, finite, in [0, 1]; got {prob!r}")
+        if not is_probability(self.predicted_prob):
+            raise ValueError("predicted_prob must be a number, finite, in [0, 1]; "
+                             f"got {self.predicted_prob!r}")
         if self.action_id is not None and type(self.action_id) is not int:
             raise ValueError(
                 f"action_id must be None or an integer, got {self.action_id!r}")
@@ -135,24 +153,12 @@ class OutcomeRecord:
 
     def __post_init__(self):
         check_event_id(self.event_id)
-        if type(self.outcome) is not int or self.outcome not in (0, 1):
+        if not is_outcome(self.outcome):
             raise ValueError(f"outcome must be the integer 0 or 1, got {self.outcome!r}")
-        loss = self.loss
-        if not ((isinstance(loss, float) or type(loss) is int)
-                and -_FLOAT_MAX <= loss <= _FLOAT_MAX):
-            raise ValueError(f"loss must be finite: a float or an int; got {loss!r}")
-        alts = self.alt_losses
-        if alts is not None:
-            if type(alts) is list:
-                alts = tuple(alts)
-                object.__setattr__(self, "alt_losses", alts)
-            if type(alts) is not tuple or not alts:
-                raise ValueError(
-                    f"alt_losses must be a non-empty list or tuple, got {alts!r}")
-            for alt in alts:
-                if not ((isinstance(alt, float) or type(alt) is int)
-                        and -_FLOAT_MAX <= alt <= _FLOAT_MAX):
-                    raise ValueError(f"alt_losses must be finite numbers, got {alts!r}")
+        if not finite_number(self.loss):
+            raise ValueError(f"loss must be finite: a float or an int; got {self.loss!r}")
+        if self.alt_losses is not None:
+            object.__setattr__(self, "alt_losses", check_losses("alt_losses", self.alt_losses))
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,8 +178,8 @@ class MetricSnapshot:
     not an error; downstream consumers (alarms, reports) must handle it.
     n, an integer >= 1, is the number of resolved pairs behind it, and
     positives, an integer in [0, n], the number of them with outcome 1. A
-    defined metric is a float or a non-bool int, never NaN (the engine state
-    stores None as NaN), and may be inf (a regret overflow).
+    defined metric is a number in its range in _METRIC_RANGES, so never NaN
+    (the engine state stores None as NaN).
     """
 
     time: TimeIndex
@@ -192,16 +198,16 @@ class MetricSnapshot:
     METRIC_FIELDS: ClassVar[tuple[str, ...]]  # every field after time and the counts
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if type(self.positives) is not int or not 0 <= self.positives <= self.n:
-            raise ValueError(f"positives must be an integer in [0, n], got {self.positives!r}")
+        check_integer("n", self.n, 1)
+        if check_integer("positives", self.positives, 0) > self.n:
+            raise ValueError(f"positives must be at most n = {self.n}, got {self.positives!r}")
         defined = self.defined()
         if not defined:
             raise ValueError("snapshot must carry at least one defined metric")
         for name, value in defined.items():
-            if not (isinstance(value, float) or type(value) is int) or value != value:
-                raise ValueError(f"{name} must be None or a number, not NaN; got {value!r}")
+            least, most = _METRIC_RANGES[name]
+            if not finite_number(value, least, most):
+                raise ValueError(f"{name} must be a number in [{least}, {most}], got {value!r}")
 
     def defined(self) -> dict[str, float]:
         """Mapping of metric name -> value for the metrics that are defined."""
@@ -213,6 +219,16 @@ class MetricSnapshot:
 
 
 MetricSnapshot.METRIC_FIELDS = tuple(f.name for f in fields(MetricSnapshot)[3:])
+
+# each metric's range, which holds every value a close computes; a regret is
+# >= 0 and inf past the float range. ece, fsum of fl(count / n) * gap, is <= 1
+# while n * n_bins < 2**53 (ROADMAP, aim 2, gives the argument)
+_UNIT, _FINITE, _NONNEGATIVE = (0.0, 1.0), (-_FLOAT_MAX, _FLOAT_MAX), (0.0, math.inf)
+_METRIC_RANGES = {
+    "ece": _UNIT, "brier": _UNIT, "auc": _UNIT, "var": _FINITE, "cvar": _FINITE,
+    "regret_cumulative": _NONNEGATIVE, "regret_rate": _NONNEGATIVE,
+    "posterior_mean": _UNIT, "drift_score": (0.5, 1.0),
+}
 
 
 class Joiner:

@@ -90,7 +90,7 @@ class NoMetrics(RiskwatchError):
 
 # -- simulator ---------------------------------------------------------------
 
-class BadConfig(RiskwatchError):
+class BadConfig(RiskwatchError, ValueError):
     """Scenario configuration violates a structural constraint."""
 
 

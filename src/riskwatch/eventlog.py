@@ -235,7 +235,7 @@ def read_log(
             if strict:
                 raise
             skipped += 1
-            logger.warning("event log line %d skipped: %s", line_number, exc)
+            logger.warning("event log line %d skipped: %s", line_number, exc.args[0])
     if skipped:
         logger.warning("event log: %d malformed lines skipped", skipped)
 

@@ -54,9 +54,10 @@ from operator import attrgetter
 
 from . import belief as belief_mod
 from .alarms import AlarmState, ThresholdPolicy, evaluate
-from .calibration import auc, brier, check_n_bins, ece
+from .calibration import auc, brier, ece
 from .core import (Joiner, MetricSnapshot, OutcomeRecord, PredictionEvent,
-                   ResolvedPair, TimeIndex, check_event_id, check_sequence, fsum)
+                   ResolvedPair, TimeIndex, check_event_id, check_integer, finite_number,
+                   fsum, is_outcome, is_probability)
 from .errors import CorruptSnapshot, NoMetrics, VersionMismatch
 from .regret import step_regret
 from .tailrisk import check_alpha, cvar_tail, var
@@ -78,9 +79,11 @@ class MonitorEngine:
         n_bins: int = 10,
         alpha: float = 0.95,
     ):
-        self.n_bins = check_n_bins(n_bins)
+        self.n_bins = check_integer("n_bins", n_bins, 1)
         self.alpha = check_alpha(alpha)
-        self._policy = policy or ThresholdPolicy()
+        self._policy = ThresholdPolicy() if policy is None else policy
+        if not isinstance(self._policy, ThresholdPolicy):
+            raise ValueError(f"policy must be a ThresholdPolicy, got {policy!r}")
 
         self.snapshots: list[MetricSnapshot] = []
         self.alarm = AlarmState()
@@ -271,10 +274,7 @@ class MonitorEngine:
             **{name: state[name] for name in ENGINE_DEFAULTS},
         )
         for name in _COUNTERS:
-            count = state[name]
-            if type(count) is not int or count < 0:
-                raise ValueError(f"{name} {count!r} is negative or not an integer")
-            setattr(engine, name, count)
+            setattr(engine, name, check_integer(name, state[name], 0))
         for row in _from_columns(MetricSnapshot, _typed(state["snapshots"], dict, "snapshots")):
             engine._commit(replace(row, **engine._belief(row.n, row.positives)))
         acc = _typed(state["acc"], dict, "acc")
@@ -295,8 +295,8 @@ class MonitorEngine:
         for event in _from_columns(PredictionEvent, _typed(state["pending"], dict, "pending")):
             engine._join.add(event)
         if state["last_event_seq"] is not None:  # below a pending seq, it differs
-            engine._join.last_seq = max(check_sequence(state["last_event_seq"]),
-                                        engine._join.last_seq or 0)
+            last_seq = check_integer("last_event_seq", state["last_event_seq"], 0)
+            engine._join.last_seq = max(last_seq, engine._join.last_seq or 0)
         return engine
 
 
@@ -311,11 +311,11 @@ ENGINE_DEFAULTS = {
 
 # the open period's value arrays: the typecode each is held and packed in
 # (float64 "d", or uint8 "B" for outcomes, on every host) and the test a
-# loaded value must pass (to_state() writes no other)
+# loaded value must pass (to_state() writes no other), the record's own rule
 _ACC = {
-    "probs": ("d", lambda v: 0.0 <= v <= 1.0),  # also false for NaN
-    "ys": ("B", lambda v: v <= 1),
-    "losses": ("d", math.isfinite),
+    "probs": ("d", is_probability),
+    "ys": ("B", is_outcome),
+    "losses": ("d", finite_number),
     # steps with counterfactual losses only; a step's regret can overflow to +inf
     "regrets": ("d", lambda v: v >= 0.0),
 }

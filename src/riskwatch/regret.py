@@ -2,6 +2,8 @@
 
 A ledger is a sequence of DecisionLedgerEntry, each recording which action
 the deployed policy took and what every available action would have cost.
+An entry's action_losses follow OutcomeRecord's alt_losses rule, and its
+chosen_action is an integer that indexes them; else ValueError naming the field.
 Every function below refuses an empty ledger (EmptyLedger) and one whose
 sequence numbers do not strictly rise (OutOfOrderEntry). step_regret
 scores one decision; the streaming engine calls it per resolved pair.
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import TimeIndex, fsum
+from .core import TimeIndex, check_integer, check_losses, fsum
 from .errors import EmptyLedger, OutOfOrderEntry, RaggedActionSets
 
 
@@ -52,7 +54,9 @@ class DecisionLedgerEntry:
     action_losses: tuple[float, ...]
 
     def __post_init__(self):
-        step_regret(self.chosen_action, self.action_losses)  # range check; () has no action
+        losses = check_losses("action_losses", self.action_losses)
+        object.__setattr__(self, "action_losses", losses)
+        step_regret(check_integer("chosen_action", self.chosen_action, 0), losses)  # in range
 
     @property
     def chosen_loss(self) -> float:

@@ -45,7 +45,8 @@ from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Iterator
 
 from .alarms import AlarmRecord, ThresholdPolicy
-from .core import MetricSnapshot, OutcomeRecord, PredictionEvent, TimeIndex, finite_number
+from .core import (MetricSnapshot, OutcomeRecord, PredictionEvent, TimeIndex,
+                   check_integer, finite_number)
 from .errors import BadConfig, MissingExtra, UnknownPreset
 from .monitor import MonitorEngine
 
@@ -90,39 +91,27 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.type == "int":  # the rest take floats
-                if type(v) is not int:
-                    raise BadConfig(f"{f.name} must be an integer, got {v!r}")
+            if f.type == "int":  # each >= 1 but the seed; the rest take floats
+                try:
+                    check_integer(f.name, v, 0 if f.name == "seed" else 1)
+                except ValueError as exc:
+                    raise BadConfig(*exc.args) from None
             elif not finite_number(v):
                 raise BadConfig(f"{f.name} must be a finite number, got {v!r}")
-        if self.seed < 0:
-            raise BadConfig("seed must be >= 0")
-        if self.periods < 1:
-            raise BadConfig("periods must be >= 1")
-        if self.patients_per_period < 1:
-            raise BadConfig("patients_per_period must be >= 1")
-        for name in ("base_prevalence", "final_prevalence"):
+        for name in ("base_prevalence", "final_prevalence", "act_threshold"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise BadConfig(f"{name} must lie in (0, 1), got {v}")
-        if self.drift_start_period < 1:
-            raise BadConfig("drift_start_period must be >= 1")
         if self.class_separation <= 0:
             raise BadConfig("class_separation must be positive")
-        if self.miscalibration_gain < 0:
-            raise BadConfig("miscalibration_gain must be >= 0")
-        for name in ("loss_w_fn", "loss_w_fp", "harm_cap", "baseline_harm_scale",
-                     "intervention_cost"):
+        for name in ("miscalibration_gain", "loss_w_fn", "loss_w_fp", "harm_cap",
+                     "baseline_harm_scale", "intervention_cost", "regret_escalation"):
             if getattr(self, name) < 0:
                 raise BadConfig(f"{name} must be >= 0")
-        if not 0.0 < self.act_threshold < 1.0:
-            raise BadConfig("act_threshold must lie in (0, 1)")
         if not 0.0 <= self.tail_fraction < 1.0:
             raise BadConfig("tail_fraction must lie in [0, 1)")
         if self.tail_fraction > 0 and self.tail_scale <= 0:
             raise BadConfig("tail_scale must be positive when tail_fraction > 0")
-        if self.regret_escalation < 0:
-            raise BadConfig("regret_escalation must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ The tail's quantile and three estimators of its mean:
 * var: the empirical lower quantile of the loss distribution, the order
   statistic L_(ceil(alpha*n)).
 * cvar_conditional: mean of the losses at or above var. The inclusive
-  conditional mean is intuitive but over-weights a boundary atom whose
+  conditional mean reads naturally but over-weights a boundary atom whose
   probability mass exceeds the 1-alpha tail.
 * cvar_tail: mean of the top (1-alpha) probability mass, giving the
   boundary atom only the fractional weight the tail actually needs. This

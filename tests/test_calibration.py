@@ -246,6 +246,15 @@ class TestEce:
         ys = [r[1] for r in rows]
         assert 0.0 <= ece(probs, ys, n_bins=n_bins) <= 1.0
 
+    @pytest.mark.parametrize("n_bins", [1, 2, 10])
+    def test_bounded_by_one_where_every_gap_is_one(self, n_bins):
+        # every weight count / n rounds on its own, yet the sum stays <= 1,
+        # the bound MetricSnapshot holds a loaded ece to
+        for n in range(1, 150):
+            for k in range(n + 1):
+                assert ece([0.0] * k + [1.0] * (n - k), [1] * k + [0] * (n - k),
+                           n_bins=n_bins) <= 1.0
+
 
 @pytest.mark.parametrize("metric, probs, ys, match", [
     *(pytest.param(metric, [float("nan"), 0.5, 0.2], [0, 1, 0], r"\[0, 1\]",

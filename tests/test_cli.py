@@ -248,6 +248,14 @@ class TestSimulate:
         assert "riskwatch simulate: error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_scenario_setting_names_its_section(self, tmp_path, capsys):
+        # as a bad policy or monitor setting does
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": {"periods": 0}}))
+        assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path / "s")]) == EXIT_DATA
+        assert capsys.readouterr().err == ("riskwatch simulate: error: bad scenario settings: "
+                                           "periods must be an integer >= 1, got 0\n")
+
     def test_join_rejection_exits_data_naming_the_line(self, tmp_path, capsys,
                                                        monkeypatch):
         # generated pairs always join; a repeated pair stands in for a defect
@@ -895,7 +903,7 @@ class TestInvalidUtf8:
         out, whole = tmp_path / "out", tmp_path / "whole"
         with caplog.at_level("WARNING"):
             assert main(run + ["--out", str(out)]) == EXIT_OK
-        assert "event log line 1701 skipped: line 1701: invalid UTF-8" in caplog.text
+        assert "event log line 1701 skipped: invalid UTF-8" in caplog.text
         assert "1 malformed lines skipped" in caplog.text
         assert not any(r.getMessage().startswith("record for") for r in caplog.records)
         state = json.loads((out / "state.json").read_text())["state"]

@@ -102,6 +102,20 @@ class TestValidation:
         assert record.alt_losses == (0.5, 1)
         hash(record)
 
+    @pytest.mark.parametrize("metric, value", [
+        ("ece", 5.0), ("brier", -3.0), ("auc", 1.5), ("posterior_mean", -0.1),
+        ("drift_score", 0.3), ("drift_score", 1.5), ("regret_cumulative", -1.0),
+        ("regret_rate", -math.inf), ("var", math.inf), ("cvar", -math.inf),
+    ], ids=repr)
+    def test_snapshot_metric_outside_what_a_close_computes(self, metric, value):
+        with pytest.raises(ValueError, match=f"{metric} must be a number in"):
+            MetricSnapshot(TimeIndex(1, 0), n=1, **{metric: value})
+
+    def test_snapshot_metrics_at_the_ends_of_their_ranges(self):
+        MetricSnapshot(TimeIndex(1, 0), n=1, ece=1.0, brier=0, auc=0.0, var=-sys.float_info.max,
+                       cvar=sys.float_info.max, regret_cumulative=math.inf,
+                       regret_rate=math.inf, posterior_mean=1.0, drift_score=0.5)
+
     def test_snapshot_needs_a_metric(self):
         with pytest.raises(ValueError):
             MetricSnapshot(time=TimeIndex(1, 0), n=10)

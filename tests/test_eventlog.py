@@ -174,14 +174,20 @@ class TestLenientVsStrict:
         assert err.value.line_number == 42
 
     def test_lenient_skips_and_warns(self, caplog):
-        for bad in self.NOT_JSON:
+        # each warning names the line once, and the reason the line was refused
+        reasons = ["Expecting property name enclosed in double quotes", "Expecting value",
+                   "Expecting value", "Extra data", "Expecting value", "Expecting value"]
+        for bad, reason in zip(self.NOT_JSON, reasons, strict=True):
             caplog.clear()
             with caplog.at_level("WARNING"):
                 out = [r for _, r in read_log(io.StringIO(bad + self.GOOD + self.BAD_SCHEMA))]
             assert len(out) == 1
             assert out[0].event_id == "b"
-            assert "line 1 skipped" in caplog.text
-            assert "2 malformed lines skipped" in caplog.text
+            first, schema, total = caplog.messages
+            assert first == f"event log line 1 skipped: invalid JSON: {reason}"
+            assert schema.startswith("event log line 3 skipped: ")
+            assert "line 3:" not in schema
+            assert total == "event log: 2 malformed lines skipped"
 
     @pytest.mark.parametrize("line,fragment", [
         ('{"kind": "mystery"}', "unknown record kind"),
@@ -211,7 +217,7 @@ class TestLenientVsStrict:
     def test_integer_past_the_float_range_is_a_schema_error(self, caplog):
         with caplog.at_level("WARNING"):
             assert list(read_log(io.StringIO(self.HUGE_LOSS + self.GOOD))) != []
-        assert "line 1 skipped: line 1: loss must be finite" in caplog.text
+        assert "event log line 1 skipped: loss must be finite" in caplog.text
         with pytest.raises(SchemaError, match="loss must be finite") as err:
             list(read_log(io.StringIO(self.HUGE_LOSS), strict=True))
         assert err.value.line_number == 1
@@ -499,7 +505,7 @@ class TestSnapshotIntegrity:
         assert buf.getvalue() == (
             f'{{"sha256":"{digest}","state":{canonical}}}\n')
 
-    RANGE = "engine state is malformed: .*(out of range|negative)"
+    RANGE = "engine state is malformed: .*out of range"
     MALFORMED = [
         (lambda state: 123, "an-integer", "engine state"),
         (lambda state: {"engine_version": ENGINE_STATE_VERSION}, "version-only",
@@ -518,7 +524,7 @@ class TestSnapshotIntegrity:
         (_set_first("regrets", -math.inf), "regret-inf", RANGE),
         (_set_first("regrets", math.nan), "regret-nan", RANGE),
         (lambda state: state.update(lines_consumed=-1), "negative-lines-consumed",
-         RANGE),
+         "engine state is malformed: .*lines_consumed must be an integer >= 0"),
         (lambda state: state["policy"].update(ece_max=math.nan), "policy-nan-bound",
          "engine state is malformed: .*ece_max"),
         (lambda state: state["policy"].update(ece_max=None, cvar_max=None),
@@ -532,7 +538,7 @@ class TestSnapshotIntegrity:
          "engine state is malformed: .*regret_cumulative"),
         (_set("open_time", 0, "2"), "open-period-str", "engine state is malformed: .*period"),
         (_set("last_event_seq", "3049"), "last-event-seq-str",
-         "engine state is malformed: .*sequence"),
+         "engine state is malformed: .*last_event_seq must be an integer"),
         # a closed period's positive count, from which a load derives its
         # belief: an integer in [0, n], as the snapshot's rule says
         (_set("snapshots", "positives", 0, -1), "positives-negative",
@@ -553,7 +559,8 @@ class TestSnapshotIntegrity:
          "engine state is malformed: .*ece"),
         (_set("snapshots", "ece", "not base64!"), "ece-not-base64",
          "engine state is malformed: .*ece"),
-        (_set("stale_pairs", -1), "negative-stale-pairs", RANGE),
+        (_set("stale_pairs", -1), "negative-stale-pairs",
+         "engine state is malformed: .*stale_pairs must be an integer >= 0"),
         (_set("snapshots", "n", 0, -3), "snapshot-n-negative",
          "engine state is malformed: .*n must be"),
         (_set("resolved_ids", 0, 7), "resolved-id-int",
@@ -609,6 +616,17 @@ class TestSnapshotIntegrity:
         # made: a replay of it raises NoMetrics
         (_set_metrics(math.nan, "ece", "cvar"), "snapshot-unjudgeable",
          "engine state is malformed: .*no enabled metric is defined"),
+        # a closed period's metric outside every value a close computes, one
+        # row per range rule (the belief's two are derived, not stored)
+        (_set_metrics(5.0, "ece"), "ece-above-1",
+         r"engine state is malformed: .*ece must be a number in \[0.0, 1.0\]"),
+        (_set_metrics(-3.0, "brier"), "brier-below-0",
+         r"engine state is malformed: .*brier must be a number in \[0.0, 1.0\]"),
+        (_set_metrics(-1.0, "regret_cumulative"), "regret-cumulative-negative",
+         r"engine state is malformed: .*regret_cumulative must be a number in "
+         r"\[0.0, inf\]"),
+        (_set_metrics(math.inf, "var"), "var-inf",
+         "engine state is malformed: .*var must be a number in .*got inf"),
         (lambda state: state["resolved_ids"].reverse(), "resolved-ids-unsorted",
          "engine state is malformed: .*'resolved_ids' is not as to_state"),
         # states no intake builds, which once loaded: the closes commit

@@ -8,7 +8,7 @@ memory, and scipy.special alone adds about 20 MB, so the package, the CLI,
 engine_from_config and every monitor, replay and report call (period
 closes included) load neither.
 
-One ast walk over each module finds every site of six static rules, and
+One ast walk over each module finds every site of seven static rules, and
 one table (RULES) says where each may stand:
 - a heavy import (numpy, scipy): only at the sites above; fractions (it
   loads decimal, about 3 ms) only inside a function, never at load;
@@ -23,7 +23,9 @@ one table (RULES) says where each may stand:
   value as a float object, about 3x the engine's typed arrays;
 - a file operation (open, os.replace, os.fsync, os.remove and the like,
   or sys.stdin): only in eventlog, so one opener decodes every log and one
-  atomic writer writes every output.
+  atomic writer writes every output;
+- an int type test (type(x) is int, type(x) is not int, isinstance with
+  int): only in core, which states the integer and number rules once.
 
 The runtime checks run in a fresh interpreter whose import system refuses
 numpy, scipy or both, as on an install without the extras: the CLI must
@@ -70,6 +72,7 @@ RULES = {
     "lines_consumed write": lambda site: site.startswith(("eventlog.", "monitor.")),
     "_acc_* list": lambda site: False,
     "file operation": lambda site: site.startswith("eventlog."),
+    "int type test": lambda site: site.startswith("core."),
 }
 
 # the calls the "file operation" rule finds, besides any use of sys.stdin
@@ -105,7 +108,9 @@ def findings(source: str) -> list[Finding]:
       by =, += or setattr;
     - "_acc_* list": an _acc_* attribute bound to a list (a literal, a
       comprehension or a list() call), tuple assignments included;
-    - "file operation": a call to one of FILE_CALLS, or sys.stdin.
+    - "file operation": a call to one of FILE_CALLS, or sys.stdin;
+    - "int type test": type(x) is int, type(x) is not int, or an isinstance
+      call whose type, or a member of its tuple of types, is int.
 
     The site is "<load>" for code that runs when the module loads (at
     module level or in a class body). Code under `if TYPE_CHECKING:` never
@@ -142,6 +147,8 @@ def findings(source: str) -> list[Finding]:
                 and isinstance(node.args[1], ast.Constant)
                 and node.args[1].value == "lines_consumed"):
             found.append(Finding("lines_consumed write", site, line, "lines_consumed"))
+        if _tests_for_int(node):
+            found.append(Finding("int type test", site, line, "int"))
         if not runs:
             return
         if isinstance(node, ast.Call) and _dotted(node.func) in FILE_CALLS:
@@ -189,6 +196,20 @@ def _dotted(node) -> str | None:
     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
         return f"{node.value.id}.{node.attr}"
     return None
+
+
+def _tests_for_int(node) -> bool:
+    """Whether the node is type(x) is (not) int, or isinstance(x, int) or
+    with a tuple of types holding int."""
+    if isinstance(node, ast.Compare):
+        return (isinstance(node.left, ast.Call) and _dotted(node.left.func) == "type"
+                and all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                and any(_dotted(c) == "int" for c in node.comparators))
+    if isinstance(node, ast.Call) and _dotted(node.func) == "isinstance" and len(node.args) == 2:
+        kinds = node.args[1]
+        return any(_dotted(k) == "int"
+                   for k in (kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]))
+    return False
 
 
 def _annotations(node):
@@ -258,6 +279,12 @@ def test_only_the_log_intake_counts_lines(path):
 def test_only_eventlog_touches_files(path):
     assert [f for f in PACKAGE_FINDINGS if f.rule == "file operation"]  # eventlog's
     assert violations("file operation", path) == []
+
+
+@pytest.mark.parametrize("path", modules_under("int type test"), ids=lambda p: p.name)
+def test_only_core_tests_for_int(path):
+    assert [f for f in PACKAGE_FINDINGS if f.rule == "int type test"]  # core's
+    assert violations("int type test", path) == []
 
 
 def test_engine_accumulators_are_never_lists():
@@ -350,6 +377,25 @@ def test_checker_flags_every_kind_of_write():
     )
     assert sorted(f.line for f in findings(source)
                   if f.rule == "lines_consumed write") == [1, 2, 3, 4]
+
+
+def test_checker_flags_every_int_type_test():
+    source = (
+        "def check(n):\n"
+        "    if type(n) is not int or n < 1:\n"
+        "        raise ValueError(n)\n"
+        "ok = type(n) is int\n"
+        "isinstance(n, int)\n"
+        "isinstance(n, (float, int))\n"
+        "isinstance(n, float)\n"
+        "type(n) is float or int(n)\n"
+    )
+    assert [(f.line, f.site) for f in findings(source) if f.rule == "int type test"] == [
+        (2, "check"), (4, "<load>"), (5, "<load>"), (6, "<load>")]
+    # a copy of the integer rule planted outside core breaks the rule
+    planted = findings((PACKAGE / "calibration.py").read_text(encoding="utf-8") + source)
+    assert [f.line for f in planted if f.rule == "int type test"
+            and not RULES["int type test"](f"calibration.{f.site}")]
 
 
 def test_file_operations_checker():

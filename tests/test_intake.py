@@ -64,7 +64,7 @@ class TestOutsideJson:
             code = main(["monitor", "--in", str(log), "--out", str(tmp_path / "mon")])
         assert code == main(["monitor", "--in", str(run / "sim" / "events.ndjson"),
                              "--out", str(tmp_path / "clean")])
-        assert "event log line 2 skipped: line 2: invalid JSON" in caplog.text
+        assert "event log line 2 skipped: invalid JSON" in caplog.text
         assert reason in caplog.text
         assert "1 malformed lines skipped" in caplog.text
         assert ((tmp_path / "mon" / "report.csv").read_bytes()

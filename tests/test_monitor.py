@@ -157,7 +157,8 @@ class TestStateFreezing:
     @pytest.mark.parametrize("settings, error", [
         ({"n_bins": 2.0}, ValueError), ({"n_bins": True}, ValueError),
         ({"alpha": "0.5"}, BadAlpha), ({"alpha": 1}, BadAlpha),
-    ], ids=["n_bins-float", "n_bins-true", "alpha-str", "alpha-int"])
+        ({"policy": {"ece_max": 0.1}}, ValueError),
+    ], ids=["n_bins-float", "n_bins-true", "alpha-str", "alpha-int", "policy-dict"])
     def test_settings_follow_the_metrics_own_rules(self, settings, error):
         with pytest.raises(error, match=f"{next(iter(settings))} must"):
             MonitorEngine(**settings)

@@ -64,8 +64,26 @@ class TestLedger:
             fn(iter(ledger))  # any iterable of entries reads as a ledger
 
     def test_chosen_action_in_range(self):
-        with pytest.raises(ValueError):
-            entry(0, 2, [1.0, 2.0])
+        # an integer that indexes the losses; a bool or a float is none
+        for chosen in (2, -1, True, 1.0):
+            with pytest.raises(ValueError, match="chosen_action"):
+                entry(0, chosen, [1.0, 2.0])
+
+    @pytest.mark.parametrize("losses", [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.0),
+                                        ("0.3", 0.1), (True, 0.0), ()], ids=repr)
+    def test_losses_follow_the_alt_losses_rule(self, losses):
+        # one rule for the losses of every alternative, so a NaN loss is
+        # refused here as in a log, not scored as nan or dropped as 0.0
+        with pytest.raises(ValueError) as record:
+            OutcomeRecord("x", 0, 0.0, alt_losses=losses)
+        with pytest.raises(ValueError) as ledger:
+            entry(0, 0, losses)
+        assert str(ledger.value) == str(record.value).replace("alt_losses", "action_losses")
+
+    def test_losses_list_stored_as_tuple(self):
+        e = DecisionLedgerEntry(TimeIndex(1, 0), chosen_action=1, action_losses=[0.5, 1])
+        assert e.action_losses == (0.5, 1)
+        hash(e)
 
     def test_empty_ledger_rejected(self):
         for fn in LEDGER_FUNCTIONS:
