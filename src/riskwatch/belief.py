@@ -22,7 +22,7 @@ from functools import reduce
 from itertools import accumulate
 from operator import add
 
-from .core import finite_number
+from .core import check_integer, finite_number, is_outcome
 from .errors import BadLevel, MissingExtra
 
 
@@ -50,16 +50,16 @@ class BetaPosterior:
 
 
 def update(posterior: BetaPosterior, outcome: int) -> BetaPosterior:
-    """Condition the belief on one Bernoulli outcome (closed form)."""
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
+    """Condition the belief on one outcome, 0 or 1 by is_outcome (closed form)."""
+    if not is_outcome(outcome):
+        raise ValueError(f"outcome must be the integer 0 or 1, got {outcome!r}")
     return update_batch(posterior, outcome, 1 - outcome)
 
 
 def update_batch(posterior: BetaPosterior, positives: int, negatives: int) -> BetaPosterior:
-    """Condition on a batch of outcomes at once."""
-    if positives < 0 or negatives < 0:
-        raise ValueError("counts must be nonnegative")
+    """Condition on a batch of outcomes at once; each count an integer >= 0."""
+    check_integer("positives", positives, 0)
+    check_integer("negatives", negatives, 0)
     return BetaPosterior(posterior.a + positives, posterior.b + negatives)
 
 

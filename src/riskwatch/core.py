@@ -177,9 +177,9 @@ class MetricSnapshot:
     or regret on a log without counterfactual losses. Undefined is a value,
     not an error; downstream consumers (alarms, reports) must handle it.
     n, an integer >= 1, is the number of resolved pairs behind it, and
-    positives, an integer in [0, n], the number of them with outcome 1. A
-    defined metric is a number in its range in _METRIC_RANGES, so never NaN
-    (the engine state stores None as NaN).
+    positives, an integer in [0, n], the number of them with outcome 1. The
+    metrics follow check_metrics: a defined one is a number in its range,
+    so never NaN (the engine state stores None as NaN).
     """
 
     time: TimeIndex
@@ -204,10 +204,7 @@ class MetricSnapshot:
         defined = self.defined()
         if not defined:
             raise ValueError("snapshot must carry at least one defined metric")
-        for name, value in defined.items():
-            least, most = _METRIC_RANGES[name]
-            if not finite_number(value, least, most):
-                raise ValueError(f"{name} must be a number in [{least}, {most}], got {value!r}")
+        check_metrics(defined)
 
     def defined(self) -> dict[str, float]:
         """Mapping of metric name -> value for the metrics that are defined."""
@@ -229,6 +226,15 @@ _METRIC_RANGES = {
     "regret_cumulative": _NONNEGATIVE, "regret_rate": _NONNEGATIVE,
     "posterior_mean": _UNIT, "drift_score": (0.5, 1.0),
 }
+
+
+def check_metrics(metrics: dict) -> None:
+    """The metric rule: each of metrics, by name, is None or a number in its
+    range in _METRIC_RANGES; else ValueError naming the first that is not."""
+    for name, value in metrics.items():
+        least, most = _METRIC_RANGES[name]
+        if value is not None and not finite_number(value, least, most):
+            raise ValueError(f"{name} must be a number in [{least}, {most}], got {value!r}")
 
 
 class Joiner:

@@ -59,8 +59,8 @@ from itertools import islice
 from operator import attrgetter
 from typing import IO, Callable, Iterable, Iterator, Sequence, get_type_hints
 
-from .alarms import AlarmRecord, ThresholdPolicy
-from .core import MetricSnapshot, OutcomeRecord, PredictionEvent
+from .alarms import AlarmRecord, OperatingState, ThresholdPolicy
+from .core import MetricSnapshot, OutcomeRecord, PredictionEvent, check_integer, check_metrics
 from .errors import (
     BadConfig,
     CorruptSnapshot,
@@ -78,26 +78,12 @@ logger = logging.getLogger(__name__)
 
 CONFIG_ENV_VAR = "RISKWATCH_CONFIG"
 
-# each report column and the type of its cells, in column order
-_REPORT_TYPES = {
-    "period": int,
-    "n": int,
-    "auc": float,
-    "ece": float,
-    "brier": float,
-    "var": float,
-    "cvar": float,
-    "regret_cumulative": float,
-    "regret_rate": float,
-    "posterior_mean": float,
-    "drift_score": float,
-    "alarm_state": str,
-}
-REPORT_COLUMNS = tuple(_REPORT_TYPES)
-
-# what a cell of each type holds when it is not None (a bool is no int)
-_CELL_RULES = {int: ("an integer", (int,)), float: ("a number", (int, float)),
-               str: ("a string", (str,))}
+# the report's columns, in the order that is its format
+REPORT_COLUMNS = ("period", "n", "auc", "ece", "brier", "var", "cvar", "regret_cumulative",
+                  "regret_rate", "posterior_mean", "drift_score", "alarm_state")
+# how a CSV cell's value is written and read back: str(type(value)), type(text)
+_REPORT_TYPES = {"period": int, "n": int, "alarm_state": str,
+                 **dict.fromkeys(MetricSnapshot.METRIC_FIELDS, float)}
 
 
 def _decoded(load: Callable, source, error: type[Exception], what: str):
@@ -470,8 +456,11 @@ def read_report(text: str, fmt: str = "csv") -> list[dict]:
 
     One rule for both formats: the columns are REPORT_COLUMNS in order and
     every row has a cell for each of them (else SchemaError); at least one
-    row (else EmptyReport); every cell None or of its column's type in
-    _REPORT_TYPES (else SchemaError naming the row and column)."""
+    row (else EmptyReport); every cell by the rule its value was written
+    under (else SchemaError naming the row and column): period and n by
+    check_integer (least 1), each metric by check_metrics, alarm_state None
+    or an OperatingState value. No rule spans rows: emit_report takes the
+    snapshots in any order."""
     if fmt == "csv":
         reader = csv.reader(io.StringIO(text))
         columns = next(reader, None)
@@ -496,10 +485,15 @@ def read_report(text: str, fmt: str = "csv") -> list[dict]:
         if not isinstance(row, dict) or list(row) != columns:
             raise SchemaError(f"report row {number} does not have one cell per column")
         for col, cell in row.items():
-            kind, types = _CELL_RULES[_REPORT_TYPES[col]]
-            if cell is not None and type(cell) not in types:
-                raise SchemaError(
-                    f"report row {number}: column {col!r} is not {kind}: {cell!r}")
+            try:
+                if col in ("period", "n"):
+                    check_integer(col, cell, 1)
+                elif col != "alarm_state":
+                    check_metrics({col: cell})
+                elif cell is not None:
+                    OperatingState(cell)
+            except ValueError as exc:
+                raise SchemaError(f"report row {number}: column {col!r}: {exc}") from exc
     return rows
 
 

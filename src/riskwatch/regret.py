@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import TimeIndex, check_integer, check_losses, fsum
+from .core import TimeIndex, check_integer, check_losses, finite_number, fsum
 from .errors import EmptyLedger, OutOfOrderEntry, RaggedActionSets
 
 
@@ -128,6 +128,8 @@ def best_fixed_action_regret(ledger: Sequence[DecisionLedgerEntry]) -> float:
 
 
 def safety_exposure(ledger: Sequence[DecisionLedgerEntry], bound: float) -> int:
-    """Count of steps whose realized (chosen) loss exceeded the bound."""
+    """Count of steps whose realized (chosen) loss exceeded the finite bound."""
+    if not finite_number(bound):
+        raise ValueError(f"bound must be a finite number, got {bound!r}")
     entries = _entries_of(ledger)
     return sum(1 for e in entries if e.chosen_loss > bound)

@@ -39,14 +39,13 @@ from array import array
 from itertools import accumulate
 from typing import Sequence
 
-from .core import fsum
+from .core import finite_number, fsum
 from .errors import BadAlpha, EmptyLosses, EmptySketch
 
 
 def check_alpha(alpha) -> float:
-    """The alpha rule: a float in (0, 1) (no int or bool lies there),
-    returned as it is; else BadAlpha."""
-    if not (isinstance(alpha, float) and 0.0 < alpha < 1.0):
+    """The alpha rule: a number in (0, 1) by finite_number, returned as it is; else BadAlpha."""
+    if not (finite_number(alpha) and 0.0 < alpha < 1.0):
         raise BadAlpha(f"alpha must lie in (0, 1), got {alpha!r}")
     return alpha
 
@@ -150,8 +149,8 @@ class QuantileSketch:
     """
 
     def __init__(self, epsilon: float = 0.01):
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+        if not (finite_number(epsilon) and 0.0 < epsilon < 1.0):
+            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
         self.epsilon = epsilon
         self.n = 0
         self._values: list[float] = []      # sorted tuple values
@@ -169,15 +168,14 @@ class QuantileSketch:
         return len(self._values)
 
     def insert(self, value: float) -> None:
-        v = float(value)
-        if not math.isfinite(v):
-            raise ValueError(f"sketch values must be finite, got {v}")
-        i = bisect.bisect_left(self._values, v)
+        if not finite_number(value):
+            raise ValueError(f"sketch values must be finite numbers, got {value!r}")
+        i = bisect.bisect_left(self._values, value)
         if i == 0 or i == len(self._values):
             delta = 0  # new extreme: rank known exactly at insertion
         else:
             delta = max(0, int(math.floor(2.0 * self.epsilon * self.n)) - 1)
-        self._values.insert(i, v)
+        self._values.insert(i, value)
         self._g.insert(i, 1)
         self._delta.insert(i, delta)
         self.n += 1
@@ -198,8 +196,8 @@ class QuantileSketch:
 
     def quantile(self, q: float) -> float:
         """Value whose rank is within epsilon * n of ceil(q * n)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must lie in [0, 1], got {q}")
+        if not finite_number(q, 0.0, 1.0):
+            raise ValueError(f"q must lie in [0, 1], got {q!r}")
         if self.n == 0:
             raise EmptySketch("quantile queried on an empty sketch")
         rank = max(1, math.ceil(q * self.n))

@@ -77,8 +77,24 @@ class TestConjugacy:
         with pytest.raises(ValueError):
             update(BetaPosterior(1.0, 1.0), 2)
         for positives, negatives in [(-1, 0), (0, -1)]:
-            with pytest.raises(ValueError, match="nonnegative"):
+            with pytest.raises(ValueError, match="must be an integer >= 0"):
                 update_batch(BetaPosterior(1.0, 1.0), positives, negatives)
+
+    @pytest.mark.parametrize("outcome", [True, False, 1.0, 0.0, 2, -1, "1", None])
+    def test_outcome_follows_the_outcome_rule(self, outcome):
+        # True and 1.0 were once taken as 1, giving Beta(2, 1)
+        with pytest.raises(ValueError, match="outcome must be the integer 0 or 1"):
+            update(BetaPosterior(), outcome)
+
+    @pytest.mark.parametrize("name, count", [
+        ("positives", 2.5), ("positives", True), ("positives", -1), ("positives", "3"),
+        ("negatives", 1.0), ("negatives", False), ("negatives", -2), ("negatives", None),
+    ])
+    def test_counts_follow_the_integer_rule(self, name, count):
+        # a count of 2.5 was once added as it was, giving Beta(3.5, 1)
+        counts = {"positives": 0, "negatives": 0, name: count}
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 0, got"):
+            update_batch(BetaPosterior(), **counts)
 
 
 class TestCredibleInterval:

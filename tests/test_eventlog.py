@@ -11,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riskwatch.alarms import ThresholdPolicy
-from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex
+from riskwatch.alarms import AlarmRecord, OperatingState, ThresholdPolicy
+from riskwatch.core import (
+    _METRIC_RANGES, MetricSnapshot, OutcomeRecord, PredictionEvent, TimeIndex,
+)
 from riskwatch.errors import (
     BadConfig,
     CorruptSnapshot,
@@ -826,6 +828,40 @@ def run(canonical_output):
     return run_monitor(canonical_output)
 
 
+def report_text(rows: list[dict], fmt: str) -> str:
+    """rows as a report, written as emit_report writes them, whatever they hold."""
+    if fmt == "json":
+        return json.dumps({"columns": list(REPORT_COLUMNS), "rows": rows})
+    cells = (("" if v is None else str(v) for v in row.values()) for row in rows)
+    return "\n".join([",".join(REPORT_COLUMNS), *map(",".join, cells)]) + "\n"
+
+
+# a cell outside what its column's rule allows, for every column
+OUT_OF_RANGE = [
+    ("period", 0), ("period", -3), ("n", 0), ("auc", math.nan), ("ece", -5.0),
+    ("ece", 1.5), ("brier", math.inf), ("var", math.inf), ("cvar", -math.inf),
+    ("regret_cumulative", -1.0), ("regret_rate", math.nan), ("posterior_mean", 2.0),
+    ("drift_score", 0.25), ("alarm_state", "bogus"),
+]
+
+
+@st.composite
+def snapshots(draw):
+    """A snapshot with metrics drawn in range: inf regrets, and undefined
+    metrics (at least one defined)."""
+    def metric(name):
+        least, most = _METRIC_RANGES[name]
+        values = st.floats(least, most)
+        return st.none() | (values | st.just(math.inf) if most == math.inf else values)
+
+    names = MetricSnapshot.METRIC_FIELDS
+    values = draw(st.fixed_dictionaries({name: metric(name) for name in names}).filter(
+        lambda values: any(v is not None for v in values.values())))
+    n = draw(st.integers(1, 10**9))
+    return MetricSnapshot(TimeIndex(draw(st.integers(1, 10**6)), 0), n,
+                          draw(st.integers(0, n)), **values)
+
+
 class TestReports:
     def test_column_order_pinned(self):
         assert REPORT_COLUMNS == (
@@ -910,8 +946,42 @@ class TestReports:
         snaps, hist = run
         doc = json.loads(emit_report(snaps, hist, fmt="json"))
         doc["rows"][1][col] = cell
-        with pytest.raises(SchemaError, match=f"row 2: column '{col}' is not "):
+        with pytest.raises(SchemaError, match=f"row 2: column '{col}': "):
             read_report(json.dumps(doc), fmt="json")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("col, value", OUT_OF_RANGE)
+    def test_cell_out_of_its_range_rejected(self, run, fmt, col, value):
+        snaps, hist = run
+        rows = report_rows(snaps, hist)
+        rows[1][col] = value
+        with pytest.raises(SchemaError, match=f"report row 2: column '{col}': "):
+            read_report(report_text(rows, fmt), fmt=fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("line, cells, col", [
+        ("1,10,nan,-5.0,,,,,,,,normal", [1, 10, math.nan, -5.0], "auc"),
+        ("-3,0,,0.1,,,,,,,,bogus", [-3, 0, None, 0.1], "period"),
+    ])
+    def test_rows_emit_report_cannot_write_rejected(self, fmt, line, cells, col):
+        # both once read back: auc nan and ece -5.0; period -3, n 0 and
+        # alarm_state 'bogus'
+        good = [1, 10, None, 0.1] + [None] * 7 + ["normal"]
+        bad = cells + [None] * 7 + [line.rsplit(",", 1)[1]]
+        rows = [dict(zip(REPORT_COLUMNS, good)), dict(zip(REPORT_COLUMNS, bad))]
+        assert report_text(rows, "csv").splitlines()[2] == line
+        with pytest.raises(SchemaError, match=f"report row 2: column '{col}': "):
+            read_report(report_text(rows, fmt), fmt=fmt)
+
+    @given(st.lists(snapshots(), min_size=1, max_size=4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reads_back_every_report_emit_writes(self, snaps, data):
+        states = st.one_of(st.none(), st.sampled_from(OperatingState))
+        hist = [AlarmRecord(snap.time, state, ()) for snap in snaps
+                if (state := data.draw(states)) is not None]
+        rows = report_rows(snaps, hist)
+        for fmt in ("csv", "json"):
+            assert repr(read_report(emit_report(snaps, hist, fmt), fmt)) == repr(rows)
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("rows"),

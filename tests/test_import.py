@@ -8,7 +8,7 @@ memory, and scipy.special alone adds about 20 MB, so the package, the CLI,
 engine_from_config and every monitor, replay and report call (period
 closes included) load neither.
 
-One ast walk over each module finds every site of seven static rules, and
+One ast walk over each module finds every site of eight static rules, and
 one table (RULES) says where each may stand:
 - a heavy import (numpy, scipy): only at the sites above; fractions (it
   loads decimal, about 3 ms) only inside a function, never at load;
@@ -25,7 +25,9 @@ one table (RULES) says where each may stand:
   or sys.stdin): only in eventlog, so one opener decodes every log and one
   atomic writer writes every output;
 - an int type test (type(x) is int, type(x) is not int, isinstance with
-  int): only in core, which states the integer and number rules once.
+  int): only in core, which states the integer and number rules once;
+- a float type test (type(x) is float, type(x) is not float, isinstance
+  with float): only in core too, for the same reason.
 
 The runtime checks run in a fresh interpreter whose import system refuses
 numpy, scipy or both, as on an install without the extras: the CLI must
@@ -73,6 +75,7 @@ RULES = {
     "_acc_* list": lambda site: False,
     "file operation": lambda site: site.startswith("eventlog."),
     "int type test": lambda site: site.startswith("core."),
+    "float type test": lambda site: site.startswith("core."),
 }
 
 # the calls the "file operation" rule finds, besides any use of sys.stdin
@@ -110,7 +113,8 @@ def findings(source: str) -> list[Finding]:
       comprehension or a list() call), tuple assignments included;
     - "file operation": a call to one of FILE_CALLS, or sys.stdin;
     - "int type test": type(x) is int, type(x) is not int, or an isinstance
-      call whose type, or a member of its tuple of types, is int.
+      call whose type, or a member of its tuple of types, is int;
+    - "float type test": the same with float.
 
     The site is "<load>" for code that runs when the module loads (at
     module level or in a class body). Code under `if TYPE_CHECKING:` never
@@ -147,8 +151,8 @@ def findings(source: str) -> list[Finding]:
                 and isinstance(node.args[1], ast.Constant)
                 and node.args[1].value == "lines_consumed"):
             found.append(Finding("lines_consumed write", site, line, "lines_consumed"))
-        if _tests_for_int(node):
-            found.append(Finding("int type test", site, line, "int"))
+        found.extend(Finding(f"{kind} type test", site, line, kind)
+                     for kind in ("int", "float") if _tests_for(node, kind))
         if not runs:
             return
         if isinstance(node, ast.Call) and _dotted(node.func) in FILE_CALLS:
@@ -198,16 +202,16 @@ def _dotted(node) -> str | None:
     return None
 
 
-def _tests_for_int(node) -> bool:
-    """Whether the node is type(x) is (not) int, or isinstance(x, int) or
-    with a tuple of types holding int."""
+def _tests_for(node, kind: str) -> bool:
+    """Whether the node is type(x) is (not) kind, or isinstance(x, kind) or
+    with a tuple of types holding kind ("int" or "float")."""
     if isinstance(node, ast.Compare):
         return (isinstance(node.left, ast.Call) and _dotted(node.left.func) == "type"
                 and all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
-                and any(_dotted(c) == "int" for c in node.comparators))
+                and any(_dotted(c) == kind for c in node.comparators))
     if isinstance(node, ast.Call) and _dotted(node.func) == "isinstance" and len(node.args) == 2:
         kinds = node.args[1]
-        return any(_dotted(k) == "int"
+        return any(_dotted(k) == kind
                    for k in (kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]))
     return False
 
@@ -285,6 +289,12 @@ def test_only_eventlog_touches_files(path):
 def test_only_core_tests_for_int(path):
     assert [f for f in PACKAGE_FINDINGS if f.rule == "int type test"]  # core's
     assert violations("int type test", path) == []
+
+
+@pytest.mark.parametrize("path", modules_under("float type test"), ids=lambda p: p.name)
+def test_only_core_tests_for_float(path):
+    assert [f for f in PACKAGE_FINDINGS if f.rule == "float type test"]  # core's
+    assert violations("float type test", path) == []
 
 
 def test_engine_accumulators_are_never_lists():
@@ -396,6 +406,25 @@ def test_checker_flags_every_int_type_test():
     planted = findings((PACKAGE / "calibration.py").read_text(encoding="utf-8") + source)
     assert [f.line for f in planted if f.rule == "int type test"
             and not RULES["int type test"](f"calibration.{f.site}")]
+
+
+def test_checker_flags_every_float_type_test():
+    source = (
+        "def check(x):\n"
+        "    if type(x) is not float or x < 0:\n"
+        "        raise ValueError(x)\n"
+        "ok = type(x) is float\n"
+        "isinstance(x, float)\n"
+        "isinstance(x, (int, float))\n"
+        "isinstance(x, int)\n"
+        "type(x) is int or float(x)\n"
+    )
+    assert [(f.line, f.site) for f in findings(source) if f.rule == "float type test"] == [
+        (2, "check"), (4, "<load>"), (5, "<load>"), (6, "<load>")]
+    # a copy of the number rule planted outside core breaks the rule
+    planted = findings((PACKAGE / "calibration.py").read_text(encoding="utf-8") + source)
+    assert [f.line for f in planted if f.rule == "float type test"
+            and not RULES["float type test"](f"calibration.{f.site}")]
 
 
 def test_file_operations_checker():

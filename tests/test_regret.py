@@ -111,6 +111,13 @@ class TestHandValues:
         assert safety_exposure(ledger, bound=1.0) == 1
         assert safety_exposure(ledger, bound=9.0) == 0
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, True, "x", None])
+    def test_exposure_bound_follows_the_number_rule(self, bound):
+        # a NaN bound once counted 0 exposures and True counted as 1
+        ledger = [entry(0, 0, [0.5, 9.0]), entry(1, 1, [0.5, 9.0])]
+        with pytest.raises(ValueError, match="bound must be a finite number, got"):
+            safety_exposure(ledger, bound)
+
     def test_ragged_action_sets(self):
         ledger = [entry(0, 0, [1.0, 2.0]), entry(1, 2, [1.0, 2.0, 3.0])]
         with pytest.raises(RaggedActionSets):

@@ -112,3 +112,31 @@ class TestErrors:
         sketch.insert(1.0)
         with pytest.raises(ValueError):
             sketch.quantile(1.5)
+
+    @pytest.mark.parametrize("bad", ["1.5", True, False, None, [1.0]])
+    def test_value_follows_the_number_rule(self, bad):
+        # the string "1.5" and True were once stored as 1.5 and 1.0
+        sketch = QuantileSketch()
+        sketch.insert(2.0)
+        with pytest.raises(ValueError, match="sketch values must be finite numbers, got"):
+            sketch.insert(bad)
+        assert len(sketch) == 1
+
+    @pytest.mark.parametrize("q", [True, False, "0.5", None, math.nan, -0.5])
+    def test_q_follows_the_number_rule(self, q):
+        # quantile(True) once answered as quantile(1.0)
+        sketch = QuantileSketch()
+        sketch.insert(1.0)
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\], got"):
+            sketch.quantile(q)
+
+    @pytest.mark.parametrize("epsilon", [True, "0.1", None, math.nan, math.inf])
+    def test_epsilon_follows_the_number_rule(self, epsilon):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\), got"):
+            QuantileSketch(epsilon=epsilon)
+
+    def test_ends_of_the_ranges_are_numbers(self):
+        sketch = QuantileSketch(epsilon=0.5)
+        for value in (3, 1.0, -2):  # an int is a number too
+            sketch.insert(value)
+        assert (sketch.quantile(0), sketch.quantile(1)) == (-2, 3)
