@@ -17,9 +17,9 @@ storing the decisions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .core import MetricSnapshot, TimeIndex, check_integer, finite_number
+from .core import MetricSnapshot, TimeIndex, check_fields
 from .errors import NoMetrics
 
 
@@ -57,14 +57,7 @@ class ThresholdPolicy:
     conjunctive: bool = False
 
     def __post_init__(self):
-        for f in fields(self):  # each setting by its annotation
-            value = getattr(self, f.name)
-            if f.type == "int":
-                check_integer(f.name, value, 1)
-            elif f.type == "bool" and type(value) is not bool:
-                raise ValueError(f"{f.name} must be true or false, got {value!r}")
-            elif f.type == "float | None" and not (value is None or finite_number(value)):
-                raise ValueError(f"{f.name} must be None or a finite number, got {value!r}")
+        check_fields(self, {})  # each setting in its annotation's default range
         if not self.bounds():
             raise ValueError(f"{', '.join(_BOUND_FIELDS.values())} are all None: "
                              "no metric is bounded")

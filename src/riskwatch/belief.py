@@ -22,7 +22,7 @@ from functools import reduce
 from itertools import accumulate
 from operator import add
 
-from .core import check_integer, finite_number, is_outcome
+from .core import OPEN_UNIT, POSITIVE, check_fields, check_integer, finite_number, is_outcome
 from .errors import BadLevel, MissingExtra
 
 
@@ -35,9 +35,7 @@ class BetaPosterior:
     b: float = 1.0
 
     def __post_init__(self):
-        if not all(finite_number(v) and v > 0 for v in (self.a, self.b)):
-            raise ValueError(
-                f"Beta parameters must be finite numbers > 0, got ({self.a!r}, {self.b!r})")
+        check_fields(self, {"a": POSITIVE, "b": POSITIVE})
 
     @property
     def mean(self) -> float:
@@ -72,7 +70,7 @@ def credible_interval(
     Quantiles of the Beta posterior at (1-level)/2 and 1-(1-level)/2,
     accurate to well below 1e-8.
     """
-    if not 0.0 < level < 1.0:
+    if not finite_number(level, *OPEN_UNIT):
         raise BadLevel(f"level must lie in (0, 1), got {level}")
     # imported when called: no monitor path needs quantiles, and scipy is
     # an extra (riskwatch[interval]), not a requirement

@@ -24,6 +24,9 @@ from .errors import DuplicateOutcome, OrphanOutcome
 logger = logging.getLogger(__name__)
 
 _FLOAT_MAX = sys.float_info.max
+# (0, 1) and (0, max] as the closed ranges of their floats, for finite_number
+OPEN_UNIT = (math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
+POSITIVE = (OPEN_UNIT[0], _FLOAT_MAX)
 
 
 def finite_number(value, least: float = -_FLOAT_MAX, most: float = _FLOAT_MAX) -> bool:
@@ -49,15 +52,16 @@ def check_integer(name: str, value, least: int) -> int:
     return value
 
 
-def check_losses(name: str, losses) -> tuple:
-    """The rule for the losses of all alternatives: a non-empty list or tuple
-    of finite numbers, returned as a tuple; else ValueError naming it."""
-    losses = tuple(losses) if type(losses) is list else losses
+def check_losses(record, name: str) -> None:
+    """The rule for the losses of all alternatives, the field name of record:
+    a non-empty list or tuple of finite numbers, a list stored back as a
+    tuple (only then: a frozen record's setattr is slow); else ValueError."""
+    if type(losses := getattr(record, name)) is list:
+        object.__setattr__(record, name, losses := tuple(losses))
     if type(losses) is not tuple or not losses:
         raise ValueError(f"{name} must be a non-empty list or tuple, got {losses!r}")
     if not all(map(finite_number, losses)):
         raise ValueError(f"{name} must be finite numbers, got {losses!r}")
-    return losses
 
 
 def fsum(values: Sequence[float], divisor: float = 1) -> float:
@@ -98,8 +102,7 @@ class TimeIndex:
     sequence: int
 
     def __post_init__(self):
-        check_integer("period", self.period, 1)
-        check_integer("sequence", self.sequence, 0)
+        check_fields(self, {"sequence": 0})
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +161,7 @@ class OutcomeRecord:
         if not finite_number(self.loss):
             raise ValueError(f"loss must be finite: a float or an int; got {self.loss!r}")
         if self.alt_losses is not None:
-            object.__setattr__(self, "alt_losses", check_losses("alt_losses", self.alt_losses))
+            check_losses(self, "alt_losses")
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,13 +201,11 @@ class MetricSnapshot:
     METRIC_FIELDS: ClassVar[tuple[str, ...]]  # every field after time and the counts
 
     def __post_init__(self):
-        check_integer("n", self.n, 1)
-        if check_integer("positives", self.positives, 0) > self.n:
+        check_fields(self, _SNAPSHOT_RANGES)
+        if self.positives > self.n:
             raise ValueError(f"positives must be at most n = {self.n}, got {self.positives!r}")
-        defined = self.defined()
-        if not defined:
+        if not self.defined():
             raise ValueError("snapshot must carry at least one defined metric")
-        check_metrics(defined)
 
     def defined(self) -> dict[str, float]:
         """Mapping of metric name -> value for the metrics that are defined."""
@@ -226,15 +227,36 @@ _METRIC_RANGES = {
     "regret_cumulative": _NONNEGATIVE, "regret_rate": _NONNEGATIVE,
     "posterior_mean": _UNIT, "drift_score": (0.5, 1.0),
 }
+_SNAPSHOT_RANGES = {"positives": 0, **_METRIC_RANGES}
+# the number annotations check_fields reads, and what each allows besides a number
+_NUMBERS = {"float": "", "float | None": "None or "}
 
 
-def check_metrics(metrics: dict) -> None:
-    """The metric rule: each of metrics, by name, is None or a number in its
-    range in _METRIC_RANGES; else ValueError naming the first that is not."""
+def check_metrics(metrics: dict, ranges: dict = _METRIC_RANGES) -> None:
+    """The number rule: each of metrics, by name, is None or a number in its
+    closed range in ranges; else ValueError naming the first that is not."""
     for name, value in metrics.items():
-        least, most = _METRIC_RANGES[name]
+        least, most = ranges[name]
         if value is not None and not finite_number(value, least, most):
             raise ValueError(f"{name} must be a number in [{least}, {most}], got {value!r}")
+
+
+def check_fields(record, ranges: dict) -> None:
+    """The field rule, each field of the dataclass record by its annotation:
+    an int by check_integer, least ranges[name] (else 1); a bool a bool; a
+    float, or a float | None but for None, a number in ranges[name] by
+    check_metrics (else any finite number). Any other annotation, a
+    ClassVar's too, is left to the class. Else ValueError naming the field."""
+    for f in record.__dataclass_fields__.values():  # fields() takes twice as long
+        name, value, kind = f.name, getattr(record, f.name), f.type
+        if kind == "int":
+            check_integer(name, value, ranges.get(name, 1))
+        elif kind == "bool" and type(value) is not bool:
+            raise ValueError(f"{name} must be true or false, got {value!r}")
+        elif kind in _NUMBERS and name in ranges and value is not None:
+            check_metrics({name: value}, ranges)
+        elif kind in _NUMBERS and not (finite_number(value) or value is None and kind != "float"):
+            raise ValueError(f"{name} must be {_NUMBERS[kind]}a finite number, got {value!r}")
 
 
 class Joiner:

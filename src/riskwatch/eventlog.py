@@ -499,9 +499,10 @@ def read_report(text: str, fmt: str = "csv") -> list[dict]:
 
 def _csv_cell(col: str, cell: str):
     """A CSV report cell as the value emit_report wrote, or its text where
-    it holds none, which the cell rule refuses."""
+    emit_report writes no value so (03, 1E-05), which the cell rule refuses."""
     with contextlib.suppress(ValueError):
-        return _REPORT_TYPES.get(col, str)(cell) if cell else None
+        value = _REPORT_TYPES.get(col, str)(cell) if cell else None
+        return value if value is None or str(value) == cell else cell
     return cell
 
 

@@ -54,9 +54,8 @@ class DecisionLedgerEntry:
     action_losses: tuple[float, ...]
 
     def __post_init__(self):
-        losses = check_losses("action_losses", self.action_losses)
-        object.__setattr__(self, "action_losses", losses)
-        step_regret(check_integer("chosen_action", self.chosen_action, 0), losses)  # in range
+        check_losses(self, "action_losses")  # then step_regret checks the action's range
+        step_regret(check_integer("chosen_action", self.chosen_action, 0), self.action_losses)
 
     @property
     def chosen_loss(self) -> float:

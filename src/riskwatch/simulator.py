@@ -41,12 +41,12 @@ so a seed gives the same bytes whatever the host's vector units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator
 
 from .alarms import AlarmRecord, ThresholdPolicy
-from .core import (MetricSnapshot, OutcomeRecord, PredictionEvent, TimeIndex,
-                   check_integer, finite_number)
+from .core import (OPEN_UNIT, POSITIVE, MetricSnapshot, OutcomeRecord, PredictionEvent,
+                   TimeIndex, check_fields)
 from .errors import BadConfig, MissingExtra, UnknownPreset
 from .monitor import MonitorEngine
 
@@ -89,29 +89,23 @@ class ScenarioConfig:
     regret_escalation: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.type == "int":  # each >= 1 but the seed; the rest take floats
-                try:
-                    check_integer(f.name, v, 0 if f.name == "seed" else 1)
-                except ValueError as exc:
-                    raise BadConfig(*exc.args) from None
-            elif not finite_number(v):
-                raise BadConfig(f"{f.name} must be a finite number, got {v!r}")
-        for name in ("base_prevalence", "final_prevalence", "act_threshold"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise BadConfig(f"{name} must lie in (0, 1), got {v}")
-        if self.class_separation <= 0:
-            raise BadConfig("class_separation must be positive")
-        for name in ("miscalibration_gain", "loss_w_fn", "loss_w_fp", "harm_cap",
-                     "baseline_harm_scale", "intervention_cost", "regret_escalation"):
-            if getattr(self, name) < 0:
-                raise BadConfig(f"{name} must be >= 0")
-        if not 0.0 <= self.tail_fraction < 1.0:
-            raise BadConfig("tail_fraction must lie in [0, 1)")
+        try:
+            check_fields(self, _RANGES)
+        except ValueError as exc:
+            raise BadConfig(*exc.args) from None
         if self.tail_fraction > 0 and self.tail_scale <= 0:
             raise BadConfig("tail_scale must be positive when tail_fraction > 0")
+
+
+# each setting's closed range, an open end as the float beside it (the ints
+# are >= 1 but the seed, tail_scale any finite number), by core.check_fields
+_RANGES = {
+    **dict.fromkeys(("base_prevalence", "final_prevalence", "act_threshold"), OPEN_UNIT),
+    "class_separation": POSITIVE, "tail_fraction": (0.0, OPEN_UNIT[1]), "seed": 0,
+    **dict.fromkeys(("miscalibration_gain", "loss_w_fn", "loss_w_fp", "harm_cap",
+                     "baseline_harm_scale", "intervention_cost", "regret_escalation"),
+                    (0.0, POSITIVE[1])),
+}
 
 
 @dataclass(frozen=True)

@@ -39,13 +39,13 @@ from array import array
 from itertools import accumulate
 from typing import Sequence
 
-from .core import finite_number, fsum
+from .core import OPEN_UNIT, finite_number, fsum
 from .errors import BadAlpha, EmptyLosses, EmptySketch
 
 
 def check_alpha(alpha) -> float:
     """The alpha rule: a number in (0, 1) by finite_number, returned as it is; else BadAlpha."""
-    if not (finite_number(alpha) and 0.0 < alpha < 1.0):
+    if not finite_number(alpha, *OPEN_UNIT):
         raise BadAlpha(f"alpha must lie in (0, 1), got {alpha!r}")
     return alpha
 
@@ -149,7 +149,7 @@ class QuantileSketch:
     """
 
     def __init__(self, epsilon: float = 0.01):
-        if not (finite_number(epsilon) and 0.0 < epsilon < 1.0):
+        if not finite_number(epsilon, *OPEN_UNIT):
             raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
         self.epsilon = epsilon
         self.n = 0

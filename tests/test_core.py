@@ -13,15 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskwatch.alarms import ThresholdPolicy
+from riskwatch.belief import BetaPosterior, credible_interval
 from riskwatch.core import (
+    OPEN_UNIT,
+    POSITIVE,
     MetricSnapshot,
     OutcomeRecord,
     PredictionEvent,
     TimeIndex,
+    _SNAPSHOT_RANGES,
     fsum,
     join,
 )
-from riskwatch.errors import DuplicateOutcome, OrphanOutcome
+from riskwatch.errors import BadAlpha, BadConfig, BadLevel, DuplicateOutcome, OrphanOutcome
+from riskwatch.simulator import _RANGES, ScenarioConfig
+from riskwatch.tailrisk import QuantileSketch, check_alpha
 
 
 def ev(i, period=1, prob=0.5, action=None):
@@ -121,6 +128,164 @@ class TestValidation:
             MetricSnapshot(time=TimeIndex(1, 0), n=10)
         snap = MetricSnapshot(time=TimeIndex(1, 0), n=10, ece=0.02)
         assert snap.defined() == {"ece": 0.02}
+
+
+# The rules each settings and snapshot class held before core.check_fields,
+# as they were written, kept as the reference check_fields must match: each
+# returns None where the record is accepted, else the refusal (its message
+# where the class keeps it).
+_MAX = sys.float_info.max
+
+
+def _number(v, least=-_MAX, most=_MAX):
+    return (isinstance(v, float) or type(v) is int) and least <= v <= most
+
+
+def _integer(name, v, least):
+    if type(v) is not int or v < least:
+        return f"{name} must be an integer >= {least}, got {v!r}"
+    return None
+
+
+def reference_policy(f):
+    for name in ("consecutive_for_review", "consecutive_for_suspend", "recovery_periods"):
+        if _integer(name, f[name], 1):
+            return _integer(name, f[name], 1)
+    if type(f["conjunctive"]) is not bool:
+        return f"conjunctive must be true or false, got {f['conjunctive']!r}"
+    bounds = ("ece_max", "cvar_max", "regret_rate_max", "drift_min")
+    for name in bounds:
+        if not (f[name] is None or _number(f[name])):
+            return f"{name} must be None or a finite number, got {f[name]!r}"
+    if all(f[name] is None for name in bounds):
+        return f"{', '.join(bounds)} are all None: no metric is bounded"
+    if f["consecutive_for_suspend"] < f["consecutive_for_review"]:
+        return "consecutive_for_suspend must be >= consecutive_for_review"
+    return None
+
+
+def reference_scenario(f):
+    ints = ("periods", "patients_per_period", "drift_start_period", "seed")
+    for name, v in f.items():
+        if name in ints and _integer(name, v, 0 if name == "seed" else 1):
+            return "int"
+        if name not in ints and not _number(v):
+            return "not finite"
+    if not all(0.0 < f[name] < 1.0
+               for name in ("base_prevalence", "final_prevalence", "act_threshold")):
+        return "(0, 1)"
+    if f["class_separation"] <= 0:
+        return "class_separation"
+    if any(f[name] < 0 for name in ("miscalibration_gain", "loss_w_fn", "loss_w_fp", "harm_cap",
+                                    "baseline_harm_scale", "intervention_cost",
+                                    "regret_escalation")):
+        return ">= 0"
+    if not 0.0 <= f["tail_fraction"] < 1.0:
+        return "tail_fraction"
+    if f["tail_fraction"] > 0 and f["tail_scale"] <= 0:
+        return "tail_scale"
+    return None
+
+
+def reference_snapshot(f):
+    ranges = {"ece": (0.0, 1.0), "brier": (0.0, 1.0), "auc": (0.0, 1.0),
+              "var": (-_MAX, _MAX), "cvar": (-_MAX, _MAX),
+              "regret_cumulative": (0.0, math.inf), "regret_rate": (0.0, math.inf),
+              "posterior_mean": (0.0, 1.0), "drift_score": (0.5, 1.0)}
+    if _integer("n", f["n"], 1):
+        return _integer("n", f["n"], 1)
+    if _integer("positives", f["positives"], 0):
+        return _integer("positives", f["positives"], 0)
+    if f["positives"] > f["n"]:
+        return f"positives must be at most n = {f['n']}, got {f['positives']!r}"
+    if all(f[name] is None for name in ranges):
+        return "snapshot must carry at least one defined metric"
+    for name, (least, most) in ranges.items():
+        if f[name] is not None and not _number(f[name], least, most):
+            return f"{name} must be a number in [{least}, {most}], got {f[name]!r}"
+    return None
+
+
+def reference_time(f):
+    return _integer("period", f["period"], 1) or _integer("sequence", f["sequence"], 0)
+
+
+def reference_beta(f):
+    return None if all(_number(v) and v > 0 for v in f.values()) else "not > 0"
+
+
+# class, a record it accepts, its range table, the reference, the error it
+# raises, and whether its messages are the reference's
+PARITY = [
+    (ThresholdPolicy, ThresholdPolicy(), {}, reference_policy, ValueError, True),
+    (ScenarioConfig, ScenarioConfig(tail_fraction=0.1, tail_scale=1.0), _RANGES,
+     reference_scenario, BadConfig, False),
+    (MetricSnapshot, MetricSnapshot(TimeIndex(1, 0), 10, 3, ece=0.1, brier=0.2, auc=0.6,
+                                    var=1.0, cvar=2.0, regret_cumulative=3.0, regret_rate=0.3,
+                                    posterior_mean=0.3, drift_score=0.7),
+     _SNAPSHOT_RANGES, reference_snapshot, ValueError, True),
+    (TimeIndex, TimeIndex(3, 5), {"sequence": 0}, reference_time, ValueError, True),
+    (BetaPosterior, BetaPosterior(2.0, 3.0), {"a": POSITIVE, "b": POSITIVE},
+     reference_beta, ValueError, False),
+]
+
+
+def probes(least, most):
+    """Each end of [least, most] and the floats beside it, and values of
+    every other kind."""
+    ends = {v for end in (least, most)
+            for v in (end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf))}
+    return [*ends, 0, 0.0, -0.0, math.nan, math.inf, -math.inf, True, False, 7, 1, 2,
+            "0.5", None]
+
+
+def parity_cases():
+    for cls, record, ranges, reference, error, same_messages in PARITY:
+        for field in dataclasses.fields(cls):
+            if field.type not in ("int", "bool", "float", "float | None"):
+                continue  # MetricSnapshot.time, a TimeIndex, checked by its own class
+            if field.type == "int":
+                least = ranges.get(field.name, 1)
+                values = [*probes(float(least), float(least)), least - 1, least, least + 1]
+            else:
+                values = probes(*ranges.get(field.name, (-_MAX, _MAX)))
+            for value in values:
+                yield pytest.param(cls, record, field.name, value, reference, error,
+                                   same_messages, id=f"{cls.__name__}.{field.name}={value!r}")
+
+
+class TestFieldRuleParity:
+    @pytest.mark.parametrize("cls, record, name, value, reference, error, same_messages",
+                             list(parity_cases()))
+    def test_accepts_and_refuses_as_the_hand_written_rules_did(
+            self, cls, record, name, value, reference, error, same_messages):
+        values = {f.name: getattr(record, f.name) for f in dataclasses.fields(cls)}
+        values[name] = value
+        expected = reference(values)
+        if expected is None:
+            cls(**values)
+            return
+        with pytest.raises(error) as refused:
+            cls(**values)
+        if same_messages:
+            assert str(refused.value) == expected
+
+    @pytest.mark.parametrize("rule, error", [
+        (check_alpha, BadAlpha), (QuantileSketch, ValueError),
+        (lambda level: credible_interval(BetaPosterior(), level), BadLevel),
+    ], ids=["alpha", "epsilon", "level"])
+    @pytest.mark.parametrize("value", probes(*OPEN_UNIT), ids=repr)
+    def test_open_unit_rules_refuse_as_the_comparisons_did(self, rule, error, value):
+        # a level that is no number ("0.5", None) raised TypeError; BadLevel now
+        try:
+            rule(value)
+        except error:
+            refused = True
+        except Exception:  # past the rule: no scipy, or a sketch of epsilon 5e-324
+            refused = False
+        else:
+            refused = False
+        assert refused == (not (_number(value) and 0.0 < value < 1.0))
 
 
 class TestSlottedRecords:

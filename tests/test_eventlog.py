@@ -927,7 +927,12 @@ class TestReports:
         with pytest.raises(SchemaError, match="row 2"):
             read_report("".join(lines), fmt="csv")
 
-    @pytest.mark.parametrize("col, cell", [("period", "x"), ("n", "1.0"), ("ece", "abc")])
+    # a cell is read only in the text emit_report writes: "03" is not the 3
+    # it writes, nor "1E-05", "Infinity" or "0.50" the float
+    @pytest.mark.parametrize("col, cell", [
+        ("period", "x"), ("n", "1.0"), ("ece", "abc"), ("period", "03"), ("ece", "1E-05"),
+        ("regret_cumulative", "Infinity"), ("ece", "0.50"),
+    ])
     def test_csv_cell_that_is_not_a_number_rejected(self, run, col, cell):
         snaps, hist = run
         lines = emit_report(snaps, hist, fmt="csv").splitlines(True)
@@ -962,6 +967,8 @@ class TestReports:
     @pytest.mark.parametrize("line, cells, col", [
         ("1,10,nan,-5.0,,,,,,,,normal", [1, 10, math.nan, -5.0], "auc"),
         ("-3,0,,0.1,,,,,,,,bogus", [-3, 0, None, 0.1], "period"),
+        # int and float take a sign, an underscore and spaces; emit_report writes none
+        ("+3,1_0,, 0.5 ,,,,,,,,normal", ["+3", "1_0", None, " 0.5 "], "period"),
     ])
     def test_rows_emit_report_cannot_write_rejected(self, fmt, line, cells, col):
         # both once read back: auc nan and ece -5.0; period -3, n 0 and
@@ -982,6 +989,15 @@ class TestReports:
         rows = report_rows(snaps, hist)
         for fmt in ("csv", "json"):
             assert repr(read_report(emit_report(snaps, hist, fmt), fmt)) == repr(rows)
+        # and a CSV report emits back from its rows to the same bytes
+        text = emit_report(snaps, hist)
+        rows = read_report(text)
+        again = [MetricSnapshot(TimeIndex(row["period"], 0), row["n"],
+                                **{name: row[name] for name in MetricSnapshot.METRIC_FIELDS})
+                 for row in rows]
+        states = [AlarmRecord(TimeIndex(row["period"], 0), OperatingState(row["alarm_state"]), ())
+                  for row in rows if row["alarm_state"] is not None]
+        assert emit_report(again, states) == text
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("rows"),

@@ -8,7 +8,7 @@ memory, and scipy.special alone adds about 20 MB, so the package, the CLI,
 engine_from_config and every monitor, replay and report call (period
 closes included) load neither.
 
-One ast walk over each module finds every site of eight static rules, and
+One ast walk over each module finds every site of nine static rules, and
 one table (RULES) says where each may stand:
 - a heavy import (numpy, scipy): only at the sites above; fractions (it
   loads decimal, about 3 ms) only inside a function, never at load;
@@ -27,7 +27,9 @@ one table (RULES) says where each may stand:
 - an int type test (type(x) is int, type(x) is not int, isinstance with
   int): only in core, which states the integer and number rules once;
 - a float type test (type(x) is float, type(x) is not float, isinstance
-  with float): only in core too, for the same reason.
+  with float): only in core too, for the same reason;
+- a bool type test (the same with bool): only in core, whose check_fields
+  states the bool rule of every settings class once.
 
 The runtime checks run in a fresh interpreter whose import system refuses
 numpy, scipy or both, as on an install without the extras: the CLI must
@@ -76,6 +78,7 @@ RULES = {
     "file operation": lambda site: site.startswith("eventlog."),
     "int type test": lambda site: site.startswith("core."),
     "float type test": lambda site: site.startswith("core."),
+    "bool type test": lambda site: site.startswith("core."),
 }
 
 # the calls the "file operation" rule finds, besides any use of sys.stdin
@@ -114,7 +117,7 @@ def findings(source: str) -> list[Finding]:
     - "file operation": a call to one of FILE_CALLS, or sys.stdin;
     - "int type test": type(x) is int, type(x) is not int, or an isinstance
       call whose type, or a member of its tuple of types, is int;
-    - "float type test": the same with float.
+    - "float type test", "bool type test": the same with float, with bool.
 
     The site is "<load>" for code that runs when the module loads (at
     module level or in a class body). Code under `if TYPE_CHECKING:` never
@@ -152,7 +155,7 @@ def findings(source: str) -> list[Finding]:
                 and node.args[1].value == "lines_consumed"):
             found.append(Finding("lines_consumed write", site, line, "lines_consumed"))
         found.extend(Finding(f"{kind} type test", site, line, kind)
-                     for kind in ("int", "float") if _tests_for(node, kind))
+                     for kind in ("int", "float", "bool") if _tests_for(node, kind))
         if not runs:
             return
         if isinstance(node, ast.Call) and _dotted(node.func) in FILE_CALLS:
@@ -204,7 +207,7 @@ def _dotted(node) -> str | None:
 
 def _tests_for(node, kind: str) -> bool:
     """Whether the node is type(x) is (not) kind, or isinstance(x, kind) or
-    with a tuple of types holding kind ("int" or "float")."""
+    with a tuple of types holding kind ("int", "float" or "bool")."""
     if isinstance(node, ast.Compare):
         return (isinstance(node.left, ast.Call) and _dotted(node.left.func) == "type"
                 and all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
@@ -295,6 +298,12 @@ def test_only_core_tests_for_int(path):
 def test_only_core_tests_for_float(path):
     assert [f for f in PACKAGE_FINDINGS if f.rule == "float type test"]  # core's
     assert violations("float type test", path) == []
+
+
+@pytest.mark.parametrize("path", modules_under("bool type test"), ids=lambda p: p.name)
+def test_only_core_tests_for_bool(path):
+    assert [f for f in PACKAGE_FINDINGS if f.rule == "bool type test"]  # core's
+    assert violations("bool type test", path) == []
 
 
 def test_engine_accumulators_are_never_lists():
@@ -425,6 +434,25 @@ def test_checker_flags_every_float_type_test():
     planted = findings((PACKAGE / "calibration.py").read_text(encoding="utf-8") + source)
     assert [f.line for f in planted if f.rule == "float type test"
             and not RULES["float type test"](f"calibration.{f.site}")]
+
+
+def test_checker_flags_every_bool_type_test():
+    source = (
+        "def check(b):\n"
+        "    if type(b) is not bool:\n"
+        "        raise ValueError(b)\n"
+        "ok = type(b) is bool\n"
+        "isinstance(b, bool)\n"
+        "isinstance(b, (int, bool))\n"
+        "isinstance(b, int)\n"
+        "bool(b)\n"
+    )
+    assert [(f.line, f.site) for f in findings(source) if f.rule == "bool type test"] == [
+        (2, "check"), (4, "<load>"), (5, "<load>"), (6, "<load>")]
+    # a copy of the bool rule planted outside core breaks the rule
+    planted = findings((PACKAGE / "alarms.py").read_text(encoding="utf-8") + source)
+    assert [f.line for f in planted if f.rule == "bool type test"
+            and not RULES["bool type test"](f"alarms.{f.site}")]
 
 
 def test_file_operations_checker():

@@ -58,6 +58,22 @@ class TestAgreementWithOfflineMetrics:
             assert snap.var == var(losses, 0.95)
             assert snap.cvar == cvar_tail(losses, 0.95)
 
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.5]) | st.floats(-1e6, 1e6),
+                    min_size=1, max_size=40),
+           st.floats(0.01, 0.99))
+    @example([0.0, -0.0], 0.6)  # the top value of a tie
+    @example([-0.0, 0.0, 5.0, -0.0], 0.4)
+    @settings(max_examples=200, deadline=None)
+    def test_close_tail_bits_are_the_estimators_on_the_unsorted_losses(self, losses, alpha):
+        # the close sorts the losses once for var and cvar_tail; ties (-0.0
+        # beside 0.0) must keep the bits the estimators give unsorted input
+        engine = MonitorEngine(alpha=alpha)
+        drive(engine, [ev(i) for i in range(len(losses))],
+              [oc(i, loss=loss) for i, loss in enumerate(losses)])
+        engine.finalize()
+        (snap,) = engine.snapshots
+        assert repr((snap.var, snap.cvar)) == repr((var(losses, alpha), cvar_tail(losses, alpha)))
+
     def test_offline_trajectory_matches_engine(self, canonical_output):
         # the offline join, grouped by period here, against the engine's join
         engine = MonitorEngine()

@@ -1,12 +1,14 @@
 """The examples a reader copies: every python block of README.md, every
 line of its CLI block and the package docstring's usage example run as
 written, the state sizes (canonical and daily) and version README quotes
-are those the code writes, and its key table lists the keys the log layout
-has."""
+are those the code writes, its key table lists the keys the log layout
+has, and its config paragraph the range of every scenario setting."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import re
 import shlex
 import sys
@@ -18,6 +20,7 @@ import riskwatch
 from riskwatch import eventlog
 from riskwatch.cli import EXIT_OK, main
 from riskwatch.monitor import ENGINE_STATE_VERSION
+from riskwatch.simulator import _RANGES, ScenarioConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
@@ -130,3 +133,35 @@ def test_key_table_lists_the_layouts_keys():
     expected = [("both", key) for key in both] + [
         (kind, key) for kind, kind_keys in keys.items() for key in kind_keys - both]
     assert sorted(listed) == sorted(expected)
+
+
+def interval(least: float, most: float) -> str:
+    """A closed float range in README's notation: an end beside a whole
+    number is that number's open end, and the largest float is max."""
+    def end(value: float, inward: float) -> tuple[bool, str]:
+        if abs(value) == sys.float_info.max:
+            return False, "max" if value > 0 else "-max"
+        whole = float(round(value))
+        assert value in (whole, math.nextafter(whole, inward)), value
+        return value != whole, f"{whole:g}"
+
+    (low_open, low), (high_open, high) = end(least, math.inf), end(most, -math.inf)
+    return f"{'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
+
+
+def test_config_paragraph_lists_each_scenario_range():
+    # "`a`, `b` and `c` lie in (0, 1)", "`d` in [0, max]", one range per
+    # group of settings; "are integers >= 1", "`seed` >= 0" for the ints
+    text = " ".join(README.read_text().split())
+    text = text.split("In `scenario`, ", 1)[1].split("A config that breaks", 1)[0]
+    listed = {}
+    for names, notation in re.findall(r"((?:`\w+`(?:, | and )?)+) (?:lie )?in ([\[(][^])]*[])])",
+                                      text):
+        listed.update(dict.fromkeys(re.findall(r"`(\w+)`", names), notation))
+    for names, least in re.findall(r"((?:`\w+`(?:, | and )?)+) (?:are integers )?>= (\d+)", text):
+        listed.update(dict.fromkeys(re.findall(r"`(\w+)`", names), int(least)))
+    finite = (-sys.float_info.max, sys.float_info.max)  # a float's range by default
+    expected = {f.name: _RANGES.get(f.name, 1) if f.type == "int"
+                else interval(*_RANGES.get(f.name, finite))
+                for f in dataclasses.fields(ScenarioConfig)}
+    assert listed == expected
