@@ -105,6 +105,12 @@ class TimeIndex:
         check_fields(self, {"sequence": 0})
 
 
+def check_time(name: str, value) -> None:
+    """The time rule: a TimeIndex itself, not a tuple or dict; else ValueError naming it."""
+    if type(value) is not TimeIndex:
+        raise ValueError(f"{name} must be a TimeIndex, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class PredictionEvent:
     """One model prediction at serving time.
@@ -125,6 +131,7 @@ class PredictionEvent:
 
     def __post_init__(self):
         check_event_id(self.event_id)
+        check_time("time", self.time)
         if not is_probability(self.predicted_prob):
             raise ValueError("predicted_prob must be a number, finite, in [0, 1]; "
                              f"got {self.predicted_prob!r}")
@@ -243,14 +250,16 @@ def check_metrics(metrics: dict, ranges: dict = _METRIC_RANGES) -> None:
 
 def check_fields(record, ranges: dict) -> None:
     """The field rule, each field of the dataclass record by its annotation:
-    an int by check_integer, least ranges[name] (else 1); a bool a bool; a
-    float, or a float | None but for None, a number in ranges[name] by
-    check_metrics (else any finite number). Any other annotation, a
-    ClassVar's too, is left to the class. Else ValueError naming the field."""
+    an int by check_integer, least ranges[name] (else 1); a TimeIndex by
+    check_time; a bool a bool; a float, or a float | None but for None, a
+    number in ranges[name] by check_metrics (else any finite number); any
+    other, a ClassVar's too, is left to the class. Else ValueError naming it."""
     for f in record.__dataclass_fields__.values():  # fields() takes twice as long
         name, value, kind = f.name, getattr(record, f.name), f.type
         if kind == "int":
             check_integer(name, value, ranges.get(name, 1))
+        elif kind == "TimeIndex":
+            check_time(name, value)
         elif kind == "bool" and type(value) is not bool:
             raise ValueError(f"{name} must be true or false, got {value!r}")
         elif kind in _NUMBERS and name in ranges and value is not None:

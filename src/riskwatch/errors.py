@@ -23,9 +23,7 @@ class _LineError(RiskwatchError):
     """An error about one record of an event log; names its 1-based line
     number once the reader knows it."""
 
-    def __init__(self, message: str, line_number: int | None = None):
-        super().__init__(message)
-        self.line_number = line_number
+    line_number: int | None = None
 
     def __str__(self) -> str:
         base = super().__str__()

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import TimeIndex, check_integer, check_losses, finite_number, fsum
+from .core import TimeIndex, check_fields, check_losses, finite_number, fsum
 from .errors import EmptyLedger, OutOfOrderEntry, RaggedActionSets
 
 
@@ -55,7 +55,8 @@ class DecisionLedgerEntry:
 
     def __post_init__(self):
         check_losses(self, "action_losses")  # then step_regret checks the action's range
-        step_regret(check_integer("chosen_action", self.chosen_action, 0), self.action_losses)
+        check_fields(self, {"chosen_action": 0})
+        step_regret(self.chosen_action, self.action_losses)
 
     @property
     def chosen_loss(self) -> float:

@@ -34,8 +34,8 @@ numpy is imported inside the functions that draw and transform arrays,
 so importing this module, or building a ScenarioConfig, does not load it.
 numpy is an extra (riskwatch[simulate]): without it, a draw raises
 MissingExtra.
-Every exp and log goes through libm (_exp, _log), never numpy's SIMD loops,
-so a seed gives the same bytes whatever the host's vector units.
+Exps go through libm (_exp) and normal quantiles through statistics (_ndtri),
+not numpy's SIMD loops, so a seed draws the same bytes on any vector unit.
 """
 
 from __future__ import annotations
@@ -127,55 +127,9 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-# The Cephes ndtri (S. L. Moshier), the routine scipy.special.ndtri ships:
-# the same tables, Horner order and branch points, so the results agree bit
-# for bit. Loading scipy.special for it alone would add ~20 MB of RSS.
-_S2PI = 2.50662827463100050242e0
-_EXPM2 = 0.13533528323661269189  # exp(-2)
-# |p - 0.5| <= 3/8
-_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-       1.39312609387279679503e1, -1.23916583867381258016e0)
-_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-       1.59056225126211695515e1, -1.18331621121330003142e0)
-# sqrt(-2 log p) in [2, 8)
-_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-# sqrt(-2 log p) >= 8
-_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-       2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
-
-def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
-    """Horner's rule, highest power first."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
-    """_polevl with an implicit leading coefficient of 1."""
-    return _polevl(x, (1.0, *coef))
-
-
-# libm's log and exp, elementwise: np.log and np.exp pick SIMD loops by host
-# CPU, and on AVX-512 those can differ from libm by an ulp, which would make
-# the scenario depend on the machine that draws it
-def _log(x: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    return np.array([math.log(v) for v in x.tolist()])
-
-
+# libm's exp, elementwise: np.exp picks SIMD loops by host CPU, and on
+# AVX-512 those can differ from libm by an ulp, which would make the
+# scenario depend on the machine that draws it
 def _exp(x: np.ndarray) -> np.ndarray:
     import numpy as np
 
@@ -189,29 +143,14 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 
 def _ndtri(p: np.ndarray) -> np.ndarray:
-    """Inverse of the standard normal CDF, elementwise over a float array:
-    -inf at 0, +inf at 1, nan outside [0, 1]."""
+    """Inverse of the standard normal CDF, elementwise over a float array in
+    [0, 1]: statistics.NormalDist's inv_cdf (Wichura's AS241), with -inf at
+    0 and +inf at 1, where inv_cdf raises."""
     import numpy as np
+    from statistics import NormalDist  # here, not at import: it loads decimal
 
-    out = np.full(p.shape, np.nan)
-    out[p == 0.0] = -np.inf
-    out[p == 1.0] = np.inf
-    upper = p > 1.0 - _EXPM2
-    y = np.where(upper, 1.0 - p, p)
-    mid = y > _EXPM2
-    ym = y[mid] - 0.5
-    y2 = ym * ym
-    out[mid] = (ym + ym * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
-    # nan takes this branch too, as in Cephes, which returns it negated
-    tail = ~(mid | (p <= 0.0) | (p >= 1.0))
-    x = np.sqrt(-2.0 * _log(y[tail]))
-    x0 = x - _log(x) / x
-    z = 1.0 / x
-    x1 = np.where(x < 8.0, z * _polevl(z, _P1) / _p1evl(z, _Q1),
-                  z * _polevl(z, _P2) / _p1evl(z, _Q2))
-    x = x0 - x1
-    out[tail] = np.where(upper[tail], x, -x)
-    return out
+    inv_cdf, ends = NormalDist().inv_cdf, {0.0: -math.inf, 1.0: math.inf}
+    return np.array([inv_cdf(v) if 0.0 < v < 1.0 else ends[v] for v in p.tolist()])
 
 
 def prevalence_at(config: ScenarioConfig, period: int) -> float:

@@ -39,7 +39,7 @@ from array import array
 from itertools import accumulate
 from typing import Sequence
 
-from .core import OPEN_UNIT, finite_number, fsum
+from .core import OPEN_UNIT, POSITIVE, finite_number, fsum
 from .errors import BadAlpha, EmptyLosses, EmptySketch
 
 
@@ -157,7 +157,7 @@ class QuantileSketch:
         self._g: list[int] = []
         self._delta: list[int] = []
         self._since_compress = 0
-        self._compress_every = max(1, int(math.floor(1.0 / (2.0 * epsilon))))
+        self._compress_every = max(1, math.floor(min(1.0 / (2.0 * epsilon), POSITIVE[1])))
 
     def __len__(self) -> int:
         return self.n

@@ -52,8 +52,8 @@ def small_cfg(tmp_path_factory):
 
 # the sha256 of the simulate log and state of the canonical scenario cut to
 # 3 periods of 200 patients, the same under every numpy SIMD dispatch level
-SMALL_LOG_SHA256 = "83f3cc1317c496d57d13a26af83cb321c422b7cefca1263b5d68b88d61487402"
-SMALL_STATE_SHA256 = "b771f064e3d5198610abe11e612c77a873e72aa571b6b941fa427a8317a2b3c7"
+SMALL_LOG_SHA256 = "033e551e9f1b2e0012e892e2f20a0e7c96b4fcc8bda88e457c8c8fbbdbf94050"
+SMALL_STATE_SHA256 = "158734ee610cb3b1815728ba42ff01c8d8733de44f3398eaab96bcc1e8e06811"
 
 
 def refuse_constant(token):

