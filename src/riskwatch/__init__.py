@@ -23,7 +23,6 @@ from .core import (
     MetricSnapshot,
     OutcomeRecord,
     PredictionEvent,
-    ResolvedPair,
     TimeIndex,
     join,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "QuantileSketch",
     "RegretReport",
     "ReliabilityBin",
-    "ResolvedPair",
     "ScenarioConfig",
     "ScenarioOutput",
     "ThresholdPolicy",

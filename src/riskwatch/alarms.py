@@ -36,9 +36,9 @@ _LADDER = [OperatingState.NORMAL, OperatingState.REVIEW, OperatingState.SUSPENDE
 class ThresholdPolicy:
     """Bounds and hysteresis for the alarm machine.
 
-    A bound of None disables that metric. ece_max, cvar_max,
-    regret_rate_max and drift_min all breach when the metric exceeds the
-    bound (drift_min is the smallest drift score considered alarming).
+    A bound of None disables that metric. A metric breaches only when it
+    is strictly above its bound (ece_max, cvar_max, regret_rate_max or
+    drift_min): a drift score equal to drift_min does not alarm.
     conjunctive=True requires every enabled, defined metric to breach in
     the same period before the period counts as breaching.
 

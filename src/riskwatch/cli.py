@@ -169,13 +169,13 @@ def _cmd_simulate(args) -> int:
         seeded = replace(scenario, seed=base_seed + i)
         out_dir = (args.out if args.replicates == 1
                    else os.path.join(args.out, f"seed-{seeded.seed}"))
-        # the first period is drawn before any file is made, so a missing
-        # extra is refused with nothing written
+        # the engine is built before the draw, so bad settings cost no draw,
+        # and the first period is drawn before any file is made, so neither
+        # bad settings nor a missing extra leave a file behind
+        engine = eventlog.engine_from_config(config)
         pairs = iter(scenario_pairs(seeded))
         first = next(pairs)
         os.makedirs(out_dir, exist_ok=True)
-
-        engine = eventlog.engine_from_config(config)
         eventlog.write_file(
             os.path.join(out_dir, "events.ndjson"),
             lambda fp: eventlog.log_pairs(fp, engine, chain([first], pairs)))

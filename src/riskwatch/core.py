@@ -172,14 +172,6 @@ class OutcomeRecord:
 
 
 @dataclass(frozen=True, slots=True)
-class ResolvedPair:
-    """A prediction joined with its outcome."""
-
-    event: PredictionEvent
-    outcome: OutcomeRecord
-
-
-@dataclass(frozen=True, slots=True)
 class MetricSnapshot:
     """Per-period readout of every monitored metric.
 
@@ -278,8 +270,8 @@ class Joiner:
     DuplicateOutcome, and one naming an id not pending raises OrphanOutcome.
     The owner may clear resolved_ids to keep its state bounded on an endless
     stream (the engine does at each period close); a second outcome for a
-    cleared id is then an orphan. match() only checks, so a caller can
-    validate the pair before resolve() changes any state.
+    cleared id is then an orphan. match() returns the pending event and only
+    checks, so a caller can validate the pair before resolve() retires it.
     """
 
     def __init__(self):
@@ -300,8 +292,8 @@ class Joiner:
         self.pending[event.event_id] = event
         self.last_seq = seq
 
-    def match(self, outcome: OutcomeRecord) -> ResolvedPair:
-        """The pair this outcome completes; the joiner is left unchanged."""
+    def match(self, outcome: OutcomeRecord) -> PredictionEvent:
+        """The pending event this outcome resolves; the joiner is left unchanged."""
         if outcome.event_id in self.resolved_ids:
             raise DuplicateOutcome(f"second outcome for event_id {outcome.event_id!r}")
         event = self.pending.get(outcome.event_id)
@@ -309,41 +301,40 @@ class Joiner:
             raise OrphanOutcome(
                 f"outcome references unknown event_id {outcome.event_id!r}"
             )
-        return ResolvedPair(event, outcome)
+        return event
 
-    def resolve(self, pair: ResolvedPair) -> None:
-        """Retire a matched pair's event from pending."""
-        del self.pending[pair.event.event_id]
-        self.resolved_ids[pair.event.event_id] = None
+    def resolve(self, event: PredictionEvent) -> None:
+        """Retire a matched event from pending."""
+        del self.pending[event.event_id]
+        self.resolved_ids[event.event_id] = None
 
 
 def join(
     events: Iterable[PredictionEvent],
     outcomes: Iterable[OutcomeRecord],
-) -> Iterator[ResolvedPair]:
+) -> Iterator[tuple[PredictionEvent, OutcomeRecord]]:
     """Pair prediction events with their outcome records.
 
-    Pairs are yielded in event-stream order regardless of the order
-    outcomes arrive in. Events whose outcomes never arrive are held to the
-    end and dropped with a logged count. Join errors are the Joiner's: a
-    repeated event_id or out-of-order seq, an orphaned outcome and a
-    duplicated outcome raise. The Joiner keeps every resolved id here,
-    since the events are all held anyway.
+    Yields (event, outcome) tuples in event-stream order, grouped by
+    event.time.period, whatever order the outcomes arrive in. Events whose
+    outcomes never arrive are held to the end and dropped with a logged
+    count. Join errors are the Joiner's: a repeated event_id or out-of-order
+    seq, an orphaned outcome and a duplicated outcome raise. The Joiner
+    keeps every resolved id here, since the events are all held anyway.
     """
     ordered = list(events)
     joiner = Joiner()
     for ev in ordered:
         joiner.add(ev)
 
-    matched: dict[str, ResolvedPair] = {}
+    matched: dict[str, OutcomeRecord] = {}
     cursor = 0  # next event position awaiting emission
     for out in outcomes:
-        pair = joiner.match(out)
-        joiner.resolve(pair)
-        matched[out.event_id] = pair
+        joiner.resolve(joiner.match(out))
+        matched[out.event_id] = out
         # flush the resolved prefix in event order
         while cursor < len(ordered) and ordered[cursor].event_id in matched:
-            yield matched.pop(ordered[cursor].event_id)
+            yield ordered[cursor], matched.pop(ordered[cursor].event_id)
             cursor += 1
 
     if joiner.pending:

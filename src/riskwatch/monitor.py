@@ -56,7 +56,7 @@ from . import belief as belief_mod
 from .alarms import AlarmState, ThresholdPolicy, evaluate
 from .calibration import auc, brier, ece
 from .core import (Joiner, MetricSnapshot, OutcomeRecord, PredictionEvent,
-                   ResolvedPair, TimeIndex, check_event_id, check_integer, finite_number,
+                   TimeIndex, check_event_id, check_integer, finite_number,
                    fsum, is_outcome, is_probability)
 from .errors import CorruptSnapshot, NoMetrics, VersionMismatch
 from .regret import step_regret
@@ -116,14 +116,14 @@ class MonitorEngine:
         self._join.add(event)
 
     def observe_outcome(self, outcome: OutcomeRecord) -> None:
-        pair = self._join.match(outcome)
+        event = self._join.match(outcome)
         # scored (and range-checked) before the pair changes any state
         regret = None
-        if pair.event.action_id is not None and outcome.alt_losses is not None:
-            regret = step_regret(pair.event.action_id, outcome.alt_losses)
-        # a close forgets the resolved ids, so resolve this pair after it
-        self._on_pair(pair, regret)
-        self._join.resolve(pair)
+        if event.action_id is not None and outcome.alt_losses is not None:
+            regret = step_regret(event.action_id, outcome.alt_losses)
+        # a close forgets the resolved ids, so resolve this event after it
+        self._on_pair(event, outcome, regret)
+        self._join.resolve(event)
 
     def finalize(self) -> None:
         """Close the open period and flush warnings for unresolved events."""
@@ -144,16 +144,17 @@ class MonitorEngine:
             return period < self._open_time.period
         return bool(self.snapshots) and period <= self.snapshots[-1].time.period
 
-    def _on_pair(self, pair: ResolvedPair, regret: float | None) -> None:
-        time = pair.event.time
+    def _on_pair(self, event: PredictionEvent, outcome: OutcomeRecord,
+                 regret: float | None) -> None:
+        time = event.time
         if self._stale(time.period):
             self.stale_pairs += 1
             return
         if self._open_time is not None and time.period > self._open_time.period:
             self._close_period()
-        self._acc_probs.append(pair.event.predicted_prob)
-        self._acc_ys.append(pair.outcome.outcome)
-        self._acc_losses.append(pair.outcome.loss)
+        self._acc_probs.append(event.predicted_prob)
+        self._acc_ys.append(outcome.outcome)
+        self._acc_losses.append(outcome.loss)
         if regret is not None:
             self._acc_regrets.append(regret)
         self._open_time = time

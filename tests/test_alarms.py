@@ -1,5 +1,7 @@
 """Alarm state machine: escalation, hysteresis, breach semantics."""
 
+import math
+
 import pytest
 
 from riskwatch.alarms import (
@@ -61,6 +63,14 @@ class TestEscalation:
         state = evaluate(AlarmState(), snap(1, ece=0.5, cvar=0.5), POLICY)
         assert state.history[-1].breached == ("ece", "cvar")
         assert state.history[-1].time.period == 1
+        # a metric equal to its bound does not breach; the next float up does
+        policy = ThresholdPolicy(regret_rate_max=0.2, drift_min=0.9)
+        at = policy.bounds()
+        assert len(at) == 4
+        assert evaluate(AlarmState(), snap(1, **at), policy).history[-1].breached == ()
+        for metric, bound in at.items():
+            over = snap(1, **{**at, metric: math.nextafter(bound, math.inf)})
+            assert evaluate(AlarmState(), over, policy).history[-1].breached == (metric,)
 
 
 class TestRecovery:

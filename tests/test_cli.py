@@ -389,38 +389,28 @@ class TestMonitor:
                      "--policy", str(policy),
                      "--out", str(tmp_path / "m")]) == EXIT_OK
 
-    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
-    @pytest.mark.parametrize("settings", [{"n_bins": 0}, {"alpha": 1.5}],
-                             ids=["n_bins-0", "alpha-1.5"])
-    def test_bad_monitor_settings_refused_before_any_line(
-        self, sim_dir, tmp_path, capsys, caplog, settings, strict
+    @pytest.mark.parametrize("run", [
+        ["monitor"], ["monitor", "--strict"], ["simulate"], ["simulate", "--replicates", "2"],
+    ], ids=["monitor-lenient", "monitor-strict", "simulate", "simulate-replicates"])
+    @pytest.mark.parametrize("section, settings", [
+        ("monitor", {"n_bins": 0}), ("monitor", {"alpha": 1.5}),
+        ("policy", {"ece_max": float("nan"), "cvar_max": None}), ("policy", {"ece_max": "x"}),
+        ("policy", {"conjunctive": "no"}), ("policy", {"consecutive_for_review": 1.5}),
+        ("policy", {"ece_max": None, "cvar_max": None}),
+    ], ids=["n_bins-0", "alpha-1.5", "ece_max-nan", "ece_max-str", "conjunctive-str",
+            "review-1.5", "no-bound"])
+    def test_bad_settings_refused_before_any_line_or_file(
+        self, sim_dir, tmp_path, capsys, caplog, section, settings, run
     ):
-        policy = tmp_path / "bad.json"
-        policy.write_text(json.dumps({"monitor": settings}))
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({section: settings}))  # NaN as NaN
         out = tmp_path / "m"
-        argv = ["monitor", "--in", str(sim_dir / "events.ndjson"),
-                "--policy", str(policy), "--out", str(out)]
-        assert main(argv + ["--strict"] * strict) == EXIT_DATA
-        assert "bad monitor settings" in capsys.readouterr().err
-        assert "skipped" not in caplog.text
-        assert not out.exists()
-
-    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
-    @pytest.mark.parametrize("settings", [
-        {"ece_max": float("nan"), "cvar_max": None}, {"ece_max": "x"},
-        {"conjunctive": "no"}, {"consecutive_for_review": 1.5},
-        {"ece_max": None, "cvar_max": None},
-    ], ids=["ece_max-nan", "ece_max-str", "conjunctive-str", "review-1.5", "no-bound"])
-    def test_bad_policy_refused_before_any_line(
-        self, sim_dir, tmp_path, capsys, caplog, settings, strict
-    ):
-        policy = tmp_path / "bad.json"
-        policy.write_text(json.dumps({"policy": settings}))  # NaN as NaN
-        out = tmp_path / "m"
-        argv = ["monitor", "--in", str(sim_dir / "events.ndjson"),
-                "--policy", str(policy), "--out", str(out)]
-        assert main(argv + ["--strict"] * strict) == EXIT_DATA
-        assert "bad policy settings" in capsys.readouterr().err
+        if run[0] == "monitor":
+            argv = run + ["--in", str(sim_dir / "events.ndjson"), "--policy", str(config)]
+        else:
+            argv = run + ["--scenario", str(config)]
+        assert main(argv + ["--out", str(out)]) == EXIT_DATA
+        assert f"bad {section} settings" in capsys.readouterr().err
         assert "skipped" not in caplog.text
         assert not out.exists()
 

@@ -18,6 +18,7 @@ from riskwatch.belief import BetaPosterior, credible_interval
 from riskwatch.core import (
     OPEN_UNIT,
     POSITIVE,
+    Joiner,
     MetricSnapshot,
     OutcomeRecord,
     PredictionEvent,
@@ -359,8 +360,20 @@ class TestJoin:
     def test_pairs_in_event_order_despite_outcome_order(self):
         events = [ev(0), ev(1), ev(2)]
         outcomes = [oc(2), oc(0), oc(1)]
-        got = [p.event.event_id for p in join(events, outcomes)]
-        assert got == ["e0", "e1", "e2"]
+        got = [(e.event_id, o.event_id) for e, o in join(events, outcomes)]
+        assert got == [("e0", "e0"), ("e1", "e1"), ("e2", "e2")]
+
+    def test_match_returns_the_event_and_resolve_retires_it(self):
+        joiner = Joiner()
+        joiner.add(ev(0))
+        before = (dict(joiner.pending), dict(joiner.resolved_ids), joiner.last_seq)
+        event = joiner.match(oc(0))
+        assert event is joiner.pending["e0"]
+        assert (joiner.pending, joiner.resolved_ids, joiner.last_seq) == before
+        joiner.resolve(event)
+        assert (joiner.pending, joiner.resolved_ids) == ({}, {"e0": None})
+        with pytest.raises(DuplicateOutcome):
+            joiner.match(oc(0))
 
     def test_orphan_outcome(self):
         with pytest.raises(OrphanOutcome):
@@ -405,8 +418,8 @@ class TestJoin:
             order[i], order[j] = order[j], order[i]
         outcomes = [oc(k) for k in order]
         got = list(join(events, outcomes))
-        assert [p.event.event_id for p in got] == [f"e{i}" for i in range(n)]
-        assert all(p.event.event_id == p.outcome.event_id for p in got)
+        assert [e.event_id for e, _ in got] == [f"e{i}" for i in range(n)]
+        assert all(e.event_id == o.event_id for e, o in got)
 
 
 # finite floats of every size, subnormals and both zeros included, with the

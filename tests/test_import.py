@@ -17,7 +17,8 @@ one table (RULES) says where each may stand:
   nowhere, because numpy picks their SIMD loops by host CPU, and on
   AVX-512 those differ from libm in the last bit, so the outputs would
   depend on the machine that wrote them;
-- an unused import: only in __init__.py, which imports to re-export;
+- an unused import: only in __init__.py, which imports to re-export, so
+  there the names its imports bind must be its __all__;
 - a write to lines_consumed: only in the log intake (eventlog) and the
   engine that creates and restores the count (monitor);
 - an _acc_* attribute bound to a list: nowhere, since a list boxes every
@@ -49,6 +50,7 @@ from typing import NamedTuple
 
 import pytest
 
+import riskwatch
 from riskwatch.belief import BetaPosterior, credible_interval
 from riskwatch.cli import EXIT_ALARM, EXIT_DATA, EXIT_OK, main
 from riskwatch.eventlog import CONFIG_ENV_VAR
@@ -57,6 +59,7 @@ from riskwatch.tailrisk import cvar_variational
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCH = SRC.parent / "bench"
 PACKAGE = SRC / "riskwatch"
+INIT = PACKAGE / "__init__.py"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 # where the package may import each heavy module: a test of the import
@@ -70,6 +73,8 @@ HEAVY_IMPORTS = {
     **dict.fromkeys(("fractions", "statistics"), lambda site: not site.endswith(".<load>")),
 }
 
+TYPE_TEST_RULES = ("int type test", "float type test", "bool type test")
+
 # where a finding of each rule may stand, by the same sites
 RULES = {
     **HEAVY_IMPORTS,
@@ -78,9 +83,7 @@ RULES = {
     "lines_consumed write": lambda site: site.startswith(("eventlog.", "monitor.")),
     "_acc_* list": lambda site: False,
     "file operation": lambda site: site.startswith("eventlog."),
-    "int type test": lambda site: site.startswith("core."),
-    "float type test": lambda site: site.startswith("core."),
-    "bool type test": lambda site: site.startswith("core."),
+    **{rule: lambda site: site.startswith("core.") for rule in TYPE_TEST_RULES},
 }
 
 # the calls the "file operation" rule finds, besides any use of sys.stdin
@@ -279,6 +282,29 @@ def test_no_unused_imports(path):
     assert violations("unused import", path) == []
 
 
+def export_gaps(source: str, exported) -> tuple[set[str], set[str]]:
+    """The names the module-level imports of a package's __init__ source
+    bind that exported leaves out, and the names in exported, __version__
+    aside, that no import binds."""
+    imported = {alias.asname or alias.name.split(".")[0] for node in ast.parse(source).body
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    exported = set(exported) - {"__version__"}
+    return imported - exported, exported - imported
+
+
+def test_init_exports_what_it_imports():
+    # the unused-import rule spares __init__.py, so this check stands in for it
+    assert export_gaps(INIT.read_text(encoding="utf-8"), riskwatch.__all__) == (set(), set())
+
+
+def test_export_check_flags_a_planted_import_and_an_export_with_no_import():
+    source = INIT.read_text(encoding="utf-8") + "from .core import Joiner\n"
+    assert export_gaps(source, riskwatch.__all__) == ({"Joiner"}, set())
+    assert export_gaps(source, [*riskwatch.__all__, "Joiner", "Ghost"]) == (set(), {"Ghost"})
+
+
 @pytest.mark.parametrize("path", modules_under("lines_consumed write"), ids=lambda p: p.name)
 def test_only_the_log_intake_counts_lines(path):
     assert violations("lines_consumed write", path) == []
@@ -290,22 +316,12 @@ def test_only_eventlog_touches_files(path):
     assert violations("file operation", path) == []
 
 
-@pytest.mark.parametrize("path", modules_under("int type test"), ids=lambda p: p.name)
-def test_only_core_tests_for_int(path):
-    assert [f for f in PACKAGE_FINDINGS if f.rule == "int type test"]  # core's
-    assert violations("int type test", path) == []
-
-
-@pytest.mark.parametrize("path", modules_under("float type test"), ids=lambda p: p.name)
-def test_only_core_tests_for_float(path):
-    assert [f for f in PACKAGE_FINDINGS if f.rule == "float type test"]  # core's
-    assert violations("float type test", path) == []
-
-
-@pytest.mark.parametrize("path", modules_under("bool type test"), ids=lambda p: p.name)
-def test_only_core_tests_for_bool(path):
-    assert [f for f in PACKAGE_FINDINGS if f.rule == "bool type test"]  # core's
-    assert violations("bool type test", path) == []
+@pytest.mark.parametrize("rule, path", [
+    pytest.param(rule, path, id=f"{rule.split()[0]}-{path.name}")
+    for rule in TYPE_TEST_RULES for path in modules_under(rule)])
+def test_only_core_tests_for_a_type(rule, path):
+    assert [f for f in PACKAGE_FINDINGS if f.rule == rule]  # core's
+    assert violations(rule, path) == []
 
 
 def test_engine_accumulators_are_never_lists():
@@ -413,8 +429,11 @@ def test_checker_flags_every_kind_of_write():
                   if f.rule == "lines_consumed write") == [1, 2, 3, 4]
 
 
-def test_checker_flags_every_int_type_test():
-    source = (
+# each type-test rule's checker test: a source whose lines 2, 4, 5 and 6
+# test for the type and whose lines 7 and 8 do not, and the module outside
+# core in which a planted copy of that source breaks the rule
+TYPE_TEST_SOURCES = {
+    "int": ((
         "def check(n):\n"
         "    if type(n) is not int or n < 1:\n"
         "        raise ValueError(n)\n"
@@ -423,17 +442,8 @@ def test_checker_flags_every_int_type_test():
         "isinstance(n, (float, int))\n"
         "isinstance(n, float)\n"
         "type(n) is float or int(n)\n"
-    )
-    assert [(f.line, f.site) for f in findings(source) if f.rule == "int type test"] == [
-        (2, "check"), (4, "<load>"), (5, "<load>"), (6, "<load>")]
-    # a copy of the integer rule planted outside core breaks the rule
-    planted = findings((PACKAGE / "calibration.py").read_text(encoding="utf-8") + source)
-    assert [f.line for f in planted if f.rule == "int type test"
-            and not RULES["int type test"](f"calibration.{f.site}")]
-
-
-def test_checker_flags_every_float_type_test():
-    source = (
+    ), "calibration"),
+    "float": ((
         "def check(x):\n"
         "    if type(x) is not float or x < 0:\n"
         "        raise ValueError(x)\n"
@@ -442,17 +452,8 @@ def test_checker_flags_every_float_type_test():
         "isinstance(x, (int, float))\n"
         "isinstance(x, int)\n"
         "type(x) is int or float(x)\n"
-    )
-    assert [(f.line, f.site) for f in findings(source) if f.rule == "float type test"] == [
-        (2, "check"), (4, "<load>"), (5, "<load>"), (6, "<load>")]
-    # a copy of the number rule planted outside core breaks the rule
-    planted = findings((PACKAGE / "calibration.py").read_text(encoding="utf-8") + source)
-    assert [f.line for f in planted if f.rule == "float type test"
-            and not RULES["float type test"](f"calibration.{f.site}")]
-
-
-def test_checker_flags_every_bool_type_test():
-    source = (
+    ), "calibration"),
+    "bool": ((
         "def check(b):\n"
         "    if type(b) is not bool:\n"
         "        raise ValueError(b)\n"
@@ -461,13 +462,19 @@ def test_checker_flags_every_bool_type_test():
         "isinstance(b, (int, bool))\n"
         "isinstance(b, int)\n"
         "bool(b)\n"
-    )
-    assert [(f.line, f.site) for f in findings(source) if f.rule == "bool type test"] == [
+    ), "alarms"),
+}
+
+
+@pytest.mark.parametrize("kind", TYPE_TEST_SOURCES)
+def test_checker_flags_every_type_test(kind):
+    source, module = TYPE_TEST_SOURCES[kind]
+    rule = f"{kind} type test"
+    assert [(f.line, f.site) for f in findings(source) if f.rule == rule] == [
         (2, "check"), (4, "<load>"), (5, "<load>"), (6, "<load>")]
-    # a copy of the bool rule planted outside core breaks the rule
-    planted = findings((PACKAGE / "alarms.py").read_text(encoding="utf-8") + source)
-    assert [f.line for f in planted if f.rule == "bool type test"
-            and not RULES["bool type test"](f"alarms.{f.site}")]
+    # a copy of core's rule for the type planted outside core breaks the rule
+    planted = findings((PACKAGE / f"{module}.py").read_text(encoding="utf-8") + source)
+    assert [f.line for f in planted if f.rule == rule and not RULES[rule](f"{module}.{f.site}")]
 
 
 def test_file_operations_checker():

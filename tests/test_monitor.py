@@ -80,15 +80,15 @@ class TestAgreementWithOfflineMetrics:
         drive(engine, canonical_output.events, canonical_output.outcomes)
         engine.finalize()
         by_period = {}
-        for pair in join(canonical_output.events, canonical_output.outcomes):
-            by_period.setdefault(pair.event.time.period, []).append(pair)
+        for event, outcome in join(canonical_output.events, canonical_output.outcomes):
+            by_period.setdefault(event.time.period, []).append((event, outcome))
         points = []
         for pairs in by_period.values():
-            probs = [p.event.predicted_prob for p in pairs]
-            ys = [p.outcome.outcome for p in pairs]
-            losses = [p.outcome.loss for p in pairs]
+            probs = [e.predicted_prob for e, _ in pairs]
+            ys = [o.outcome for _, o in pairs]
+            losses = [o.loss for _, o in pairs]
             points.append((
-                pairs[-1].event.time, len(pairs), ece(probs, ys), brier(probs, ys),
+                pairs[-1][0].time, len(pairs), ece(probs, ys), brier(probs, ys),
                 auc(probs, ys), var(losses, 0.95), cvar_tail(losses, 0.95),
             ))
         assert points == [
