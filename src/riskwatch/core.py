@@ -315,29 +315,26 @@ def join(
 ) -> Iterator[tuple[PredictionEvent, OutcomeRecord]]:
     """Pair prediction events with their outcome records.
 
-    Yields (event, outcome) tuples in event-stream order, grouped by
-    event.time.period, whatever order the outcomes arrive in. Events whose
-    outcomes never arrive are held to the end and dropped with a logged
-    count. Join errors are the Joiner's: a repeated event_id or out-of-order
-    seq, an orphaned outcome and a duplicated outcome raise. The Joiner
-    keeps every resolved id here, since the events are all held anyway.
+    Reads every event and outcome, then yields (event, outcome) tuples in
+    event-stream order, grouped by event.time.period, whatever order the
+    outcomes arrived in. An event whose outcome never arrives is counted in a
+    logged warning and holds back no pair. Join errors are the Joiner's and
+    raise before any pair is yielded: a repeated event_id or out-of-order seq,
+    an orphaned outcome and a duplicated outcome. The Joiner keeps every
+    resolved id, since join holds every record anyway.
     """
     ordered = list(events)
     joiner = Joiner()
     for ev in ordered:
         joiner.add(ev)
-
     matched: dict[str, OutcomeRecord] = {}
-    cursor = 0  # next event position awaiting emission
     for out in outcomes:
         joiner.resolve(joiner.match(out))
         matched[out.event_id] = out
-        # flush the resolved prefix in event order
-        while cursor < len(ordered) and ordered[cursor].event_id in matched:
-            yield ordered[cursor], matched.pop(ordered[cursor].event_id)
-            cursor += 1
-
     if joiner.pending:
         logger.warning("join: %d events left unresolved at stream end",
                        len(joiner.pending))
+    for ev in ordered:
+        if ev.event_id in matched:
+            yield ev, matched[ev.event_id]
 

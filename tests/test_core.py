@@ -10,7 +10,7 @@ from array import array
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riskwatch.alarms import ThresholdPolicy
@@ -403,22 +403,43 @@ class TestJoin:
         assert len(got) == 1
         assert "1 events left unresolved" in caplog.text
 
+    def test_resolved_pairs_behind_an_unresolved_event_are_yielded(self, caplog):
+        with caplog.at_level("WARNING"):
+            got = [(e.event_id, o.event_id)
+                   for e, o in join([ev(0), ev(1), ev(2)], [oc(1), oc(2)])]
+        assert got == [("e1", "e1"), ("e2", "e2")]
+        assert "1 events left unresolved" in caplog.text
+
+    @pytest.mark.parametrize("error, late", [(OrphanOutcome, oc(7)), (DuplicateOutcome, oc(0))],
+                             ids=["orphan", "duplicate"])
+    def test_join_error_raises_before_any_pair(self, error, late):
+        pairs = join([ev(0), ev(1)], [oc(0), late])
+        with pytest.raises(error):
+            next(pairs)
+
     @given(
         n=st.integers(1, 40),
         lookahead=st.integers(0, 5),
         data=st.data(),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_join_is_order_insensitive_within_lookahead(self, n, lookahead, data):
-        # outcomes arrive shuffled but never more than `lookahead` behind
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_join_is_order_insensitive_within_lookahead(self, n, lookahead, data, caplog):
+        # outcomes arrive shuffled but never more than `lookahead` behind,
+        # and a drawn subset never arrives
         events = [ev(i) for i in range(n)]
         order = list(range(n))
         for i in range(n):
             j = data.draw(st.integers(i, min(n - 1, i + lookahead)))
             order[i], order[j] = order[j], order[i]
-        outcomes = [oc(k) for k in order]
-        got = list(join(events, outcomes))
-        assert [e.event_id for e, _ in got] == [f"e{i}" for i in range(n)]
+        dropped = data.draw(st.sets(st.sampled_from(range(n))))
+        outcomes = [oc(k) for k in order if k not in dropped]
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            got = list(join(events, outcomes))
+        assert [e.event_id for e, _ in got] == [f"e{i}" for i in range(n) if i not in dropped]
+        assert caplog.messages == (
+            [f"join: {len(dropped)} events left unresolved at stream end"] if dropped else [])
         assert all(e.event_id == o.event_id for e, o in got)
 
 
