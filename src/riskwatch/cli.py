@@ -26,7 +26,6 @@ import logging
 import os
 import sys
 from dataclasses import asdict, replace
-from itertools import chain
 
 from . import eventlog
 from .alarms import OperatingState, breach
@@ -169,16 +168,13 @@ def _cmd_simulate(args) -> int:
         seeded = replace(scenario, seed=base_seed + i)
         out_dir = (args.out if args.replicates == 1
                    else os.path.join(args.out, f"seed-{seeded.seed}"))
-        # the engine is built before the draw, so bad settings cost no draw,
-        # and the first period is drawn before any file is made, so neither
-        # bad settings nor a missing extra leave a file behind
+        # the engine is built before any file is made, so bad settings
+        # cost no draw and leave no file behind
         engine = eventlog.engine_from_config(config)
-        pairs = iter(scenario_pairs(seeded))
-        first = next(pairs)
         os.makedirs(out_dir, exist_ok=True)
         eventlog.write_file(
             os.path.join(out_dir, "events.ndjson"),
-            lambda fp: eventlog.log_pairs(fp, engine, chain([first], pairs)))
+            lambda fp: eventlog.log_pairs(fp, engine, scenario_pairs(seeded)))
         engine.finalize()
         _write_outputs(engine, out_dir, args.format)
 

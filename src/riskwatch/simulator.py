@@ -26,22 +26,22 @@ Sampling is variance-reduced so the published monthly trajectories are
 properties of the design rather than of one lucky seed: outcome counts use
 fixed-margin sampling (expected count, randomized rounding, randomized
 positions) and latent scores use per-class jittered-quantile stratification
-(exact Normal marginals, shuffled). Every period draws from its own child
-stream, default_rng([seed, period]), so runs are reproducible and periods
-are independent.
-
-numpy is imported inside the functions that draw and transform arrays,
-so importing this module, or building a ScenarioConfig, does not load it.
-numpy is an extra (riskwatch[simulate]): without it, a draw raises
-MissingExtra.
-Exps go through libm (_exp) and normal quantiles through statistics (_ndtri),
-not numpy's SIMD loops, so a seed draws the same bytes on any vector unit.
+(exact Normal marginals, shuffled). Every period draws from its own
+stream, random.Random(f"{seed}:{period}"), so runs are reproducible and
+periods are independent. Every draw is a Random.random() call, the one
+method whose output Python keeps stable across versions; normals are
+statistics.NormalDist's inv_cdf of a uniform, and shuffles are Fisher-Yates
+over random(). The columns are plain lists; only generate_arrays, which
+hands them out as numpy arrays, needs numpy (riskwatch[simulate]), and
+without it raises MissingExtra.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
+from random import Random
 from typing import TYPE_CHECKING, Iterator
 
 from .alarms import AlarmRecord, ThresholdPolicy
@@ -54,7 +54,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 MONITOR, ACT = 0, 1  # action ids of the binary decision set
-_ROW_BLOCK = 1024  # rows scenario_records turns into Python numbers at once
+_INT_COLUMNS = ("period", "y", "action")  # the rest of a draw's columns are floats
+# the floats next to the ends of the unit interval: a quantile the draw takes
+# is moved into [_LOWEST, _HIGHEST], so no normal draw is infinite
+_LOWEST, _HIGHEST = math.ulp(0.0), 1.0 - 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -127,30 +130,30 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-# libm's exp, elementwise: np.exp picks SIMD loops by host CPU, and on
-# AVX-512 those can differ from libm by an ulp, which would make the
-# scenario depend on the machine that draws it
-def _exp(x: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    out = []
-    for v in x.tolist():
-        try:
-            out.append(math.exp(v))
-        except OverflowError:  # past the float range, where np.exp gives inf
-            out.append(math.inf)
-    return np.array(out)
+def _exp(x: float) -> float:
+    """libm's exp, with inf past the float range, where math.exp raises."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
-def _ndtri(p: np.ndarray) -> np.ndarray:
-    """Inverse of the standard normal CDF, elementwise over a float array in
-    [0, 1]: statistics.NormalDist's inv_cdf (Wichura's AS241), with -inf at
-    0 and +inf at 1, where inv_cdf raises."""
-    import numpy as np
+@cache
+def _standard_normal():
     from statistics import NormalDist  # here, not at import: it loads decimal
 
-    inv_cdf, ends = NormalDist().inv_cdf, {0.0: -math.inf, 1.0: math.inf}
-    return np.array([inv_cdf(v) if 0.0 < v < 1.0 else ends[v] for v in p.tolist()])
+    return NormalDist()
+
+
+def _ndtri(p: float) -> float:
+    """Inverse of the standard normal CDF at p in [0, 1]: statistics.NormalDist's
+    inv_cdf (Wichura's AS241), with -inf at 0 and +inf at 1, where inv_cdf
+    raises, and NaN through."""
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    return _standard_normal().inv_cdf(p)
 
 
 def prevalence_at(config: ScenarioConfig, period: int) -> float:
@@ -163,74 +166,82 @@ def prevalence_at(config: ScenarioConfig, period: int) -> float:
     return config.base_prevalence + (config.final_prevalence - config.base_prevalence) * frac
 
 
-def period_arrays(config: ScenarioConfig) -> Iterator[dict[str, np.ndarray]]:
-    """Vectorized scenario draw, one period at a time in period order.
+def period_arrays(config: ScenarioConfig) -> Iterator[dict[str, list]]:
+    """The scenario draw, one period at a time in period order.
 
-    Yields one dict of arrays per period: period, y, true_prob, pred_prob,
-    loss, loss_monitor, loss_act, action. Each period draws from its own
-    stream, so a chunk does not depend on the periods drawn before it.
-    This frame holds none of a chunk's arrays; _period_draw makes them.
+    Yields one dict of equal-length lists per period: period, y,
+    true_prob, pred_prob, loss, loss_monitor, loss_act, action. Each period
+    draws from its own stream, so a chunk does not depend on the periods
+    drawn before it. This frame holds none of a chunk's lists; _period_draw
+    makes them.
     """
     for m in range(1, config.periods + 1):
         yield _period_draw(config, m)
 
 
-def _period_draw(config: ScenarioConfig, m: int) -> dict[str, np.ndarray]:
-    """The arrays of period m, drawn from its own stream. Every draw of the
-    package comes through here, so this is where a missing numpy is named."""
-    try:
-        import numpy as np
-    except ModuleNotFoundError as exc:
-        raise MissingExtra("simulate", "numpy") from exc
-
+def _period_draw(config: ScenarioConfig, m: int) -> dict[str, list]:
+    """The columns of period m, drawn from its own stream, one
+    Random.random() call at a time."""
     n = config.patients_per_period
     d = config.class_separation
+    draw = Random(f"{config.seed}:{m}").random
     base_logit = _logit(config.base_prevalence)
-    rng = np.random.default_rng([config.seed, m])
     pim = prevalence_at(config, m)
     since_onset = max(0, m - config.drift_start_period)
     shift = config.miscalibration_gain * since_onset
 
-    # fixed-margin outcomes: expected count, randomized rounding/positions
+    # fixed-margin outcomes: expected count, randomized rounding, and the
+    # positions of the k events by the first k steps of a Fisher-Yates shuffle
     expected = pim * n
-    k = int(expected) + (1 if rng.random() < expected - int(expected) else 0)
-    y = np.zeros(n, dtype=np.int64)
-    y[rng.permutation(n)[:k]] = 1
+    k = int(expected) + (1 if draw() < expected - int(expected) else 0)
+    order = list(range(n))
+    for i in range(k):
+        j = i + int(draw() * (n - i))
+        order[i], order[j] = order[j], order[i]
+    y = [0] * n
+    for i in order[:k]:
+        y[i] = 1
 
     # stratified latent scores per class: jittered equiprobable normal
     # quantiles, shuffled within class (exact N(d*y, 1) marginals)
-    s = np.empty(n, dtype=float)
+    s = [0.0] * n
     for cls in (0, 1):
-        idx = np.flatnonzero(y == cls)
-        if idx.size == 0:
-            continue
-        z = _ndtri((np.arange(idx.size) + rng.random(idx.size)) / idx.size)
-        rng.shuffle(z)
-        s[idx] = z + d * cls
+        idx = [i for i in range(n) if y[i] == cls]
+        size = len(idx)
+        z = [_ndtri(min(max((j + draw()) / size, _LOWEST), _HIGHEST)) for j in range(size)]
+        for i in range(size - 1, 0, -1):
+            j = int(draw() * (i + 1))
+            z[i], z[j] = z[j], z[i]
+        for i, v in zip(idx, z):
+            s[i] = v + d * cls
 
-    # generative posterior log-odds at the frozen prevalence
-    u = base_logit + d * s - d * d / 2.0
-    true_prob = 1.0 / (1.0 + _exp(-(u + (_logit(pim) - base_logit))))
-    pred_prob = 1.0 / (1.0 + _exp(-(u - shift)))
-
-    eps = np.abs(rng.standard_normal(n)) * config.baseline_harm_scale
-    if config.tail_fraction > 0.0:
-        heavy = rng.random(n) < config.tail_fraction
-        eps = np.where(
-            heavy, config.tail_scale * _exp(rng.standard_normal(n)), eps
-        )
-
-    under = np.minimum(np.maximum(true_prob - pred_prob, 0.0), config.harm_cap)
-    over = np.minimum(np.maximum(pred_prob - true_prob, 0.0), config.harm_cap)
-    if config.regret_escalation > 0.0:
-        under = under * (1.0 + config.regret_escalation * since_onset)
-    loss_monitor = config.loss_w_fn * y * under + eps
-    loss_act = config.intervention_cost + config.loss_w_fp * (1 - y) * over + eps
-    action = np.where(pred_prob >= config.act_threshold, ACT, MONITOR)
-    loss = np.where(action == ACT, loss_act, loss_monitor)
+    # generative posterior log-odds at the frozen prevalence, then each
+    # row's background harm, heavy-tailed on a tail_fraction share of rows
+    lift = _logit(pim) - base_logit
+    escalation = 1.0 + config.regret_escalation * since_onset
+    true_prob, pred_prob, loss, loss_monitor, loss_act, action = [], [], [], [], [], []
+    for yi, si in zip(y, s):
+        u = base_logit + d * si - d * d / 2.0
+        tp = 1.0 / (1.0 + _exp(-(u + lift)))
+        pp = 1.0 / (1.0 + _exp(-(u - shift)))
+        if config.tail_fraction > 0.0 and draw() < config.tail_fraction:
+            eps = config.tail_scale * _exp(_ndtri(max(draw(), _LOWEST)))
+        else:
+            eps = abs(_ndtri(max(draw(), _LOWEST))) * config.baseline_harm_scale
+        under = min(max(tp - pp, 0.0), config.harm_cap) * escalation
+        over = min(max(pp - tp, 0.0), config.harm_cap)
+        lm = config.loss_w_fn * yi * under + eps
+        la = config.intervention_cost + config.loss_w_fp * (1 - yi) * over + eps
+        act = ACT if pp >= config.act_threshold else MONITOR
+        true_prob.append(tp)
+        pred_prob.append(pp)
+        loss_monitor.append(lm)
+        loss_act.append(la)
+        action.append(act)
+        loss.append(la if act == ACT else lm)
 
     return {
-        "period": np.full(n, m, dtype=np.int64),
+        "period": [m] * n,
         "y": y,
         "true_prob": true_prob,
         "pred_prob": pred_prob,
@@ -242,49 +253,49 @@ def _period_draw(config: ScenarioConfig, m: int) -> dict[str, np.ndarray]:
 
 
 def generate_arrays(config: ScenarioConfig) -> dict[str, np.ndarray]:
-    """The whole scenario draw; the array core behind generate().
+    """The whole scenario draw as numpy arrays: the period_arrays chunks,
+    int64 period, y and action and float64 for the rest, concatenated.
+    Deterministic given the config's seed; needs numpy (riskwatch[simulate])."""
+    try:
+        import numpy as np
+    except ModuleNotFoundError as exc:
+        raise MissingExtra("simulate", "numpy") from exc
 
-    Returns flat arrays over all periods, the period_arrays chunks
-    concatenated. Deterministic given the config's seed.
-    """
-    chunks = list(period_arrays(config))  # first, so a missing numpy is named
-    import numpy as np
-
+    chunks = [{k: np.array(column, dtype=np.int64 if k in _INT_COLUMNS else np.float64)
+               for k, column in chunk.items()} for chunk in period_arrays(config)]
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
 
 def scenario_records(
-    arrays: dict[str, np.ndarray], start: int = 0
+    columns: dict[str, list], start: int = 0
 ) -> Iterator[tuple[PredictionEvent, OutcomeRecord]]:
-    """The (event, outcome) pair of each row of scenario arrays.
+    """The (event, outcome) pair of each row of scenario columns.
 
     Rows are numbered from start, the row's position in the whole
     scenario: it sets the event_id and the sequence number.
     """
-    columns = [arrays[k] for k in (
-        "period", "pred_prob", "action", "y", "loss", "loss_monitor", "loss_act")]
-    for lo in range(0, columns[0].size, _ROW_BLOCK):
-        rows = zip(*(c[lo:lo + _ROW_BLOCK].tolist() for c in columns))
-        for i, (period, prob, action, y, loss, loss_monitor, loss_act) in enumerate(
-            rows, start=start + lo
-        ):
-            event_id = f"ev-{i:06d}"
-            yield (
-                PredictionEvent(event_id, TimeIndex(period, i), prob, action, "frozen-v1"),
-                OutcomeRecord(event_id, y, loss, (loss_monitor, loss_act)),
-            )
+    rows = zip(*(columns[k] for k in (
+        "period", "pred_prob", "action", "y", "loss", "loss_monitor", "loss_act")))
+    for i, (period, prob, action, y, loss, loss_monitor, loss_act) in enumerate(
+        rows, start=start
+    ):
+        event_id = f"ev-{i:06d}"
+        yield (
+            PredictionEvent(event_id, TimeIndex(period, i), prob, action, "frozen-v1"),
+            OutcomeRecord(event_id, y, loss, (loss_monitor, loss_act)),
+        )
 
 
 def scenario_pairs(
     config: ScenarioConfig,
 ) -> Iterator[tuple[PredictionEvent, OutcomeRecord]]:
     """The scenario's (event, outcome) pairs, drawn one period at a time,
-    so only one period's arrays are held at once."""
+    so only one period's columns are held at once."""
     start = 0
     for chunk in period_arrays(config):
         records = scenario_records(chunk, start)
-        start += chunk["period"].size
-        del chunk  # records holds the arrays only until they are used up
+        start += len(chunk["period"])
+        del chunk  # records holds the columns only until they are used up
         yield from records
 
 
@@ -293,13 +304,14 @@ def generate(config: ScenarioConfig) -> ScenarioOutput:
 
     Holds the whole scenario in memory; scenario_pairs streams it.
     """
-    arrays = generate_arrays(config)
-    events, outcomes = zip(*scenario_records(arrays))
+    chunks = list(period_arrays(config))
+    columns = {k: [v for chunk in chunks for v in chunk[k]] for k in chunks[0]}
+    events, outcomes = zip(*scenario_records(columns))
     return ScenarioOutput(
         config=config,
         events=events,
         outcomes=outcomes,
-        truth=tuple(arrays["true_prob"].tolist()),
+        truth=tuple(columns["true_prob"]),
     )
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from riskwatch import cli
-from riskwatch.alarms import AlarmState, evaluate
+from riskwatch.alarms import AlarmState, ThresholdPolicy, evaluate
 from riskwatch.cli import EXIT_ALARM, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from riskwatch.core import OutcomeRecord, PredictionEvent, TimeIndex
 from riskwatch.eventlog import (CONFIG_ENV_VAR, default_config, load_snapshot_file,
@@ -51,9 +51,9 @@ def small_cfg(tmp_path_factory):
 
 
 # the sha256 of the simulate log and state of the canonical scenario cut to
-# 3 periods of 200 patients, the same under every numpy SIMD dispatch level
-SMALL_LOG_SHA256 = "033e551e9f1b2e0012e892e2f20a0e7c96b4fcc8bda88e457c8c8fbbdbf94050"
-SMALL_STATE_SHA256 = "158734ee610cb3b1815728ba42ff01c8d8733de44f3398eaab96bcc1e8e06811"
+# 3 periods of 200 patients
+SMALL_LOG_SHA256 = "129cd90d2e4750f75b9d0b7585958ad99f629a604ca24f6b8e7ecdf9b6293641"
+SMALL_STATE_SHA256 = "364c3fd44f2f682f9234dc6ac4b6e7204db6f0ff2a936f54aabf13db9d46e6c8"
 
 
 def refuse_constant(token):
@@ -66,29 +66,6 @@ def small_canonical_config(directory):
     path = directory / "c.json"
     path.write_text(json.dumps({"scenario": {"periods": 3, "patients_per_period": 200}}))
     return path
-
-
-# argv: scenario file, output dir; prints the exit codes, the SIMD targets
-# numpy runs with and the sha256 of each output file, as JSON
-DISPATCH_CHILD = """
-import hashlib, json, pathlib, sys
-import riskwatch.cli
-
-cfg, out = sys.argv[1:3]
-codes = [riskwatch.cli.main(["simulate", "--scenario", cfg, "--out", out + "/sim"]),
-         riskwatch.cli.main(["monitor", "--in", out + "/sim/events.ndjson",
-                             "--out", out + "/mon"])]
-try:
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-print(json.dumps({
-    "codes": codes,
-    "enabled": [name for name in __cpu_dispatch__ if __cpu_features__[name]],
-    "digests": {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in sorted(pathlib.Path(out).glob("*/*"))},
-}))
-"""
 
 
 class TestSimulate:
@@ -197,36 +174,25 @@ class TestSimulate:
         digest = hashlib.sha256((tmp_path / "s" / "state.json").read_bytes())
         assert digest.hexdigest() == SMALL_STATE_SHA256
 
-    def test_outputs_do_not_depend_on_numpy_simd_dispatch(self, tmp_path):
-        # numpy picks SIMD loops by host CPU, and NPY_DISABLE_CPU_FEATURES
-        # turns them off in the process it is set on: the pinned simulate
-        # and a monitor over its log must give the same bytes with each
-        # prefix of the enabled targets, highest first, turned off
+    @pytest.mark.parametrize("hash_seed", ["0", "4242"])
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path, hash_seed):
+        # a child interpreter under its own PYTHONHASHSEED writes the pinned
+        # simulate log and state, and a monitor over that log the same state
         cfg = small_canonical_config(tmp_path)
-        env = {k: v for k, v in os.environ.items()
-               if k not in (CONFIG_ENV_VAR, "NPY_DISABLE_CPU_FEATURES")}
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-
-        def run(disabled):
-            out = tmp_path / f"level-{len(disabled)}"
-            proc = subprocess.run(
-                [sys.executable, "-c", DISPATCH_CHILD, str(cfg), str(out)],
-                env={**env, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)},
-                capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            return json.loads(proc.stdout.splitlines()[-1])
-
-        default = run([])
-        assert default["codes"] == [EXIT_OK, EXIT_OK]
-        assert default["digests"]["sim/events.ndjson"] == SMALL_LOG_SHA256
-        assert default["digests"]["sim/state.json"] == SMALL_STATE_SHA256
-        assert default["digests"]["mon/state.json"] == SMALL_STATE_SHA256
-        highest_first = default["enabled"][::-1]
-        for k in range(1, len(highest_first) + 1):
-            got = run(highest_first[:k])
-            assert got["enabled"] == default["enabled"][:-k]  # the switch took
-            assert got["codes"] == default["codes"]
-            assert got["digests"] == default["digests"]
+        env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+        env.update(PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                   PYTHONHASHSEED=hash_seed)
+        for argv in (["simulate", "--scenario", str(cfg), "--out", str(tmp_path / "sim")],
+                     ["monitor", "--in", str(tmp_path / "sim" / "events.ndjson"),
+                      "--out", str(tmp_path / "mon")]):
+            proc = subprocess.run([sys.executable, "-m", "riskwatch.cli", *argv],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == EXIT_OK, proc.stderr
+        digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                  for name in ("sim/events.ndjson", "sim/state.json", "mon/state.json")}
+        assert digest == {"sim/events.ndjson": SMALL_LOG_SHA256,
+                          "sim/state.json": SMALL_STATE_SHA256,
+                          "mon/state.json": SMALL_STATE_SHA256}
 
     @pytest.mark.parametrize("scenario, extra", [
         ({"patients_per_period": 100.5}, []),
@@ -481,8 +447,8 @@ def simulate_peak(tmp_path, periods: int) -> int:
 
 
 def test_simulate_memory_does_not_grow_with_the_stream(tmp_path, small_cfg):
-    # warm up, so that imports made on the first run (numpy.random, which
-    # numpy loads lazily) are not charged to the first measured one
+    # warm up, so that imports made on the first run (statistics, which the
+    # draw loads on first use) are not charged to the first measured one
     assert main(["simulate", "--scenario", str(small_cfg),
                  "--out", str(tmp_path / "warm")]) == EXIT_OK
     two, eight = simulate_peak(tmp_path, 2), simulate_peak(tmp_path, 8)
@@ -585,6 +551,32 @@ def small_lines(tmp_path_factory, small_cfg):
 def write(path, lines):
     path.write_text("".join(lines))
     return str(path)
+
+
+POLICY = ThresholdPolicy()  # the default policy every monitor call here runs
+
+
+def first_pairs(lines, count, keep):
+    """The lines of the first count pairs of a log in which each outcome
+    line follows its event line, taking only the pairs for which
+    keep(event, outcome) holds, each the JSON of its line."""
+    kept = [lines[i:i + 2] for i in range(0, len(lines), 2)
+            if keep(json.loads(lines[i]), json.loads(lines[i + 1]))]
+    assert len(kept) >= count
+    return [line for pair in kept[:count] for line in pair]
+
+
+def quiet(event, outcome) -> bool:
+    """Whether a pair alone in its period breaches no bound of the default
+    policy: its outcome is 0, so its ece is its prob, and its cvar is its loss."""
+    return (outcome["y"] == 0 and event["prob"] <= POLICY.ece_max
+            and outcome["loss"] <= POLICY.cvar_max)
+
+
+def missed(event, outcome) -> bool:
+    """Whether a pair's outcome is 1 on a prob more than ece_max below it,
+    so that any period of such pairs alone breaches the ece bound."""
+    return outcome["y"] == 1 and event["prob"] < 1.0 - POLICY.ece_max
 
 
 class TestLineAddressedReplay:
@@ -911,8 +903,9 @@ class TestInvalidUtf8:
         assert "error: line 1701: invalid UTF-8" in capsys.readouterr().err
 
     def test_three_line_log(self, small_lines, tmp_path, capsys):
-        log = self.write_bytes(tmp_path / "three.ndjson",
-                               [small_lines[0], self.BAD, small_lines[1]])
+        # a quiet pair, so the lenient run's exit code is the parse's alone
+        event, outcome = first_pairs(small_lines, 1, quiet)
+        log = self.write_bytes(tmp_path / "three.ndjson", [event, self.BAD, outcome])
         assert main(["monitor", "--in", log]) == EXIT_OK
         assert main(["monitor", "--in", log, "--strict"]) == EXIT_DATA
         assert "line 2: invalid UTF-8" in capsys.readouterr().err
@@ -933,7 +926,8 @@ class TestInvalidUtf8:
         (False, "latin-1"), (True, "latin-1"),
     ], ids=["lenient", "strict", "lenient-latin-1", "strict-latin-1"])
     def test_stdin(self, small_lines, strict, encoding):
-        data = "".join([small_lines[0], self.BAD, small_lines[1]])
+        event, outcome = first_pairs(small_lines, 1, quiet)
+        data = "".join([event, self.BAD, outcome])
         proc = self.run_on_stdin(["monitor", "--in", "-"] + ["--strict"] * strict,
                                  data.encode("utf-8", "surrogateescape"), encoding)
         err = proc.stderr.decode()
@@ -991,7 +985,7 @@ class TestLineEndings:
 
     def test_stdin(self, small_lines, tmp_path):
         # a real stdin, which the in-process tests replace with a StringIO
-        lines = small_lines[:4]
+        lines = first_pairs(small_lines, 2, missed)
         data = with_carriage_return(lines[0]) + "".join(lines[1:]).replace("\n", "\r\n")
         env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")

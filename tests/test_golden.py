@@ -122,61 +122,61 @@ GOLDEN = {
         "config.json":
             "1b25cb941087df6e3f693ab4a31df8374fe173f155c12a7f33ab4b5c9b93f437",
         "events.ndjson":
-            "1bd11e79ec436588a549c4784bd50f5776be84667ff3c223bf8eb9587e4774c0",
+            "3a3b818cb9efafe5c54a1fbf87fa2ddea160e5f3bc681785760ee0457a3939e1",
         "report.csv":
-            "39b4c72cdc15064408049d72586a8aa73d76633d4e79ad43ded61ce9fd57babd",
+            "a5855eb6801f6f84aeb217e990e6ff160fe0c6a9bfa1de1a5d78e0b820f2590a",
         "state.json":
-            "42ed39055f4ba622a30574bf3f4709f26c20c77a020a85f86859f0b3421291c5",
+            "d81a87de0f943a706a05981f6cf7f7b583da9dec8d53aad4ff0cbe0539072e72",
     }, 0),
     "simulate-icu_tail-json": ({
         "config.json":
             "1b25cb941087df6e3f693ab4a31df8374fe173f155c12a7f33ab4b5c9b93f437",
         "events.ndjson":
-            "1bd11e79ec436588a549c4784bd50f5776be84667ff3c223bf8eb9587e4774c0",
+            "3a3b818cb9efafe5c54a1fbf87fa2ddea160e5f3bc681785760ee0457a3939e1",
         "report.json":
-            "5796a4801eb3517d5119b3b76a23c748378d40c4d9ea2f61ca27827196dee0ce",
+            "c4442301811a5fc50c1ebe132388c552b099ef33e7f741c3a73741a6e7f6db97",
         "state.json":
-            "42ed39055f4ba622a30574bf3f4709f26c20c77a020a85f86859f0b3421291c5",
+            "d81a87de0f943a706a05981f6cf7f7b583da9dec8d53aad4ff0cbe0539072e72",
     }, 0),
     "simulate-oncology_regret-csv": ({
         "config.json":
             "a7a9121cf9467dd47360fbfab948e969bbea7fe81982e8678b37b5318c629af5",
         "events.ndjson":
-            "b5431664214f1b9a42f0d8b6b7c5117cb1e4a8794593173f80b972440553c82f",
+            "19a69bd466c7fd2e8286df879c2f3cabd96d5c63ff8d50d8ffbf2c6c6367a60b",
         "report.csv":
-            "d47b5eac695c3667c77a33212bcbed2481ea2435664d634ec5a2f1ed0a8a06d8",
+            "9918b4b5cdb4dbedce5026fc3edcc0eeb0168fe0eeeec02b97b33988eb81a42d",
         "state.json":
-            "c0d5b8fce81acf07648a7890e77beca121162f28a7eea35da1f387374ef34694",
+            "d1a0512866a24e2fef170faf6aab50f4de138fcf6c57b05e02fef59f136dd14b",
     }, 0),
     "simulate-oncology_regret-json": ({
         "config.json":
             "a7a9121cf9467dd47360fbfab948e969bbea7fe81982e8678b37b5318c629af5",
         "events.ndjson":
-            "b5431664214f1b9a42f0d8b6b7c5117cb1e4a8794593173f80b972440553c82f",
+            "19a69bd466c7fd2e8286df879c2f3cabd96d5c63ff8d50d8ffbf2c6c6367a60b",
         "report.json":
-            "8f8eed98bba437a54e39f4bb89983d269f7060d56b8b1610c5aed430813c2f50",
+            "37cf24a1c635d0f53075c779b42647f7a746633b01761134b4d32531ed20c5c3",
         "state.json":
-            "c0d5b8fce81acf07648a7890e77beca121162f28a7eea35da1f387374ef34694",
+            "d1a0512866a24e2fef170faf6aab50f4de138fcf6c57b05e02fef59f136dd14b",
     }, 0),
     "simulate-sepsis_drift-csv": ({
         "config.json":
             "9cfb7796c42826993dd392081f46bf974f457d215699eb23f0075ea863db2201",
         "events.ndjson":
-            "31bf8600bb1204150522483d6bb25ff52be4f319772254065565c3a40ee5fac4",
+            "17bbb0f72af69f8158249989b57577f9327315694de75aef9b6865d713042abf",
         "report.csv":
-            "066f95280919bf7debd1c00bdcca6ae40c60fc3b89804f5d6d24701a71368c25",
+            "a51efdd24dce488b8fbcbbeb9116c9faff7d4317cd30f641770b3b52eac1833a",
         "state.json":
-            "904041d6912e097373591d4df36699c081c890edf54dd9035fb35b8a382035a5",
+            "ce186e73b83aa659a3df165a570bbb451a9cc9518b204859b61f344350a6ce09",
     }, 0),
     "simulate-sepsis_drift-json": ({
         "config.json":
             "9cfb7796c42826993dd392081f46bf974f457d215699eb23f0075ea863db2201",
         "events.ndjson":
-            "31bf8600bb1204150522483d6bb25ff52be4f319772254065565c3a40ee5fac4",
+            "17bbb0f72af69f8158249989b57577f9327315694de75aef9b6865d713042abf",
         "report.json":
-            "d55c767a87b707da2b56a71990af52239ea4d5fc991b1381018fa59c54687f9d",
+            "d936178e8fbb01c6f96ea7b36e3e49f326862b0185d41281d887ddfd69619428",
         "state.json":
-            "904041d6912e097373591d4df36699c081c890edf54dd9035fb35b8a382035a5",
+            "ce186e73b83aa659a3df165a570bbb451a9cc9518b204859b61f344350a6ce09",
     }, 0),
 }
 

@@ -1,17 +1,18 @@
 """The package keeps its static rules, and runs without its extras.
 
 The standard library is riskwatch's only requirement. numpy is the
-`simulate` extra: only the simulator's draws import it, when called.
-scipy is the `interval` extra: only credible_interval imports it, when
-called. Importing numpy takes about 0.15 s and about 12 MB of resident
-memory, and scipy.special alone adds about 20 MB, so the package, the CLI,
-engine_from_config and every monitor, replay and report call (period
-closes included) load neither.
+`simulate` extra: only generate_arrays, which hands the scenario draw out
+as numpy arrays, imports it, when called. scipy is the `interval` extra:
+only credible_interval imports it, when called. Importing numpy takes
+about 0.15 s and about 12 MB of resident memory, and scipy.special alone
+adds about 20 MB, so the package, the CLI, engine_from_config and every
+simulate, monitor, replay and report call (period closes included) load
+neither.
 
 One ast walk over each module finds every site of nine static rules, and
 one table (RULES) says where each may stand:
-- a heavy import (numpy, scipy): only at the sites above; fractions and
-  statistics (each loads decimal, about 3 ms) only inside a function,
+- a heavy import (numpy, scipy): only at the two sites above; fractions
+  and statistics (each loads decimal, about 3 ms) only inside a function,
   never at load;
 - a transcendental numpy ufunc (exp, log, power, trig and the like):
   nowhere, because numpy picks their SIMD loops by host CPU, and on
@@ -52,7 +53,7 @@ import pytest
 
 import riskwatch
 from riskwatch.belief import BetaPosterior, credible_interval
-from riskwatch.cli import EXIT_ALARM, EXIT_DATA, EXIT_OK, main
+from riskwatch.cli import EXIT_ALARM, EXIT_OK, main
 from riskwatch.eventlog import CONFIG_ENV_VAR
 from riskwatch.tailrisk import cvar_variational
 
@@ -67,7 +68,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 # when the module loads
 HEAVY_IMPORTS = {
     "scipy": lambda site: site == "belief.credible_interval",
-    "numpy": lambda site: site.startswith("simulator.") and not site.endswith(".<load>"),
+    "numpy": lambda site: site == "simulator.generate_arrays",
     # the exact sums past the float range, and the simulator's normal
     # quantiles: each loads decimal, so never at load
     **dict.fromkeys(("fractions", "statistics"), lambda site: not site.endswith(".<load>")),
@@ -362,13 +363,16 @@ def test_checker_catches_a_module_level_numpy_import():
         "except ImportError:\n"
         "    pass\n"
         "from .numpy import x\n"
-        "def f():\n"
+        "def generate_arrays():\n"
+        "    import numpy as np\n"
+        "def period_arrays():\n"
         "    import numpy as np\n"
     )
     found = sites(source, "numpy")
-    assert found == [("numpy", "<load>"), ("numpy", "<load>"), ("numpy", "f")]
+    assert found == [("numpy", "<load>"), ("numpy", "<load>"), ("numpy", "generate_arrays"),
+                     ("numpy", "period_arrays")]
     assert [s for s in found if not HEAVY_IMPORTS["numpy"]("simulator." + s[1])] == [
-        ("numpy", "<load>"), ("numpy", "<load>")]
+        ("numpy", "<load>"), ("numpy", "<load>"), ("numpy", "period_arrays")]
 
 
 def test_checker_catches_a_module_level_statistics_import():
@@ -513,7 +517,8 @@ def test_acc_list_bindings_checker():
 # CLI argvs; a JSON list of losses. Prints as JSON the refused modules the
 # imports asked for; each call's exit code, stdout, stderr and the refused
 # modules it asked for; cvar_variational of the losses and what it asked
-# for; what credible_interval gives or raises
+# for; what credible_interval gives or raises; the dtype of a small
+# generate_arrays draw's y, or what it raises
 BLOCKED_CHILD = """
 import contextlib, io, json, sys
 
@@ -534,6 +539,7 @@ def took():
 sys.meta_path.insert(0, Refuse())
 import riskwatch.cli
 from riskwatch.belief import BetaPosterior, credible_interval
+from riskwatch.simulator import ScenarioConfig, generate_arrays
 from riskwatch.tailrisk import cvar_variational
 
 at_import = took()
@@ -548,8 +554,12 @@ try:
     interval = list(credible_interval(BetaPosterior(3.0, 7.0), level=0.9))
 except Exception as exc:
     interval = [type(exc).__name__, str(exc)]
+try:
+    arrays = str(generate_arrays(ScenarioConfig(periods=1, patients_per_period=10))["y"].dtype)
+except Exception as exc:
+    arrays = [type(exc).__name__, str(exc)]
 print(json.dumps({"at_import": at_import, "calls": calls, "cvar": cvar,
-                  "interval": interval}))
+                  "interval": interval, "arrays": arrays}))
 """
 
 LOSSES = [(i * 7919 % 1000) / 37.0 for i in range(2000)]  # ties included
@@ -619,27 +629,25 @@ def refusing_both(tmp_path_factory):
     return tmp_path, got, here
 
 
-def test_monitor_paths_never_import_numpy(refusing_both):
+def test_cli_paths_never_import_numpy(refusing_both):
     tmp_path, got, here = refusing_both
 
-    *monitoring, simulate = got["calls"]
-    # every call but simulate runs without numpy, never asks for it and
-    # gives the codes and bytes it gives here
-    assert [c[0] for c in monitoring] == [c[0] for c in here[:-1]] == [
-        EXIT_OK, EXIT_ALARM, EXIT_OK, EXIT_ALARM, EXIT_OK, EXIT_OK]
-    assert [c[1] for c in monitoring] == [c[1] for c in here[:-1]]
-    assert monitoring[0][1] and monitoring[4][1] and monitoring[5][1]
+    # every call, simulate included, runs without numpy, never asks for it
+    # and gives the codes and bytes it gives here
+    assert [c[0] for c in got["calls"]] == [c[0] for c in here] == [
+        EXIT_OK, EXIT_ALARM, EXIT_OK, EXIT_ALARM, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert [c[1] for c in got["calls"]] == [c[1] for c in here]
+    assert got["calls"][0][1] and got["calls"][4][1] and got["calls"][5][1]
     assert asked_for("numpy", got["at_import"]) == []
-    assert [asked_for("numpy", c[3]) for c in monitoring] == [[]] * 6
-    for name in ("monitor", "part", "replay"):
+    assert [asked_for("numpy", c[3]) for c in got["calls"]] == [[]] * 7
+    for name in ("monitor", "part", "replay", "simulate"):
         assert same_files(tmp_path, name)
     assert got["cvar"] == [cvar_variational(LOSSES, 0.9), []]
 
-    # simulate needs the extra and names it: it exits 2 like any data error
-    assert simulate[0] == EXIT_DATA and here[-1][0] == EXIT_OK
-    assert "pip install 'riskwatch[simulate]'" in simulate[2]
-    assert simulate[3] == ["numpy"]
-    assert not (tmp_path / "child" / "simulate").exists()  # refused before any file
+    # generate_arrays, which hands the draw out as numpy arrays, needs the
+    # extra and names it
+    assert got["arrays"][0] == "MissingExtra"
+    assert "pip install 'riskwatch[simulate]'" in got["arrays"][1]
 
 
 def test_monitor_path_never_imports_scipy(refusing_both):
@@ -670,6 +678,7 @@ def test_simulate_path_never_imports_scipy(tmp_path, monkeypatch):
         assert same_files(tmp_path, name)
     assert got["interval"][0] == "MissingExtra"
     assert "riskwatch[interval]" in got["interval"][1]
+    assert got["arrays"] == "int64"
     # and credible_interval works wherever scipy is installed
     lo, hi = credible_interval(BetaPosterior(3.0, 7.0), level=0.9)
     assert 0.0 < lo < 0.3 < hi < 1.0

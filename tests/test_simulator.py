@@ -1,6 +1,7 @@
 """Synthetic deployment generator: determinism, structure, drift mechanics."""
 
 import math
+import random
 import weakref
 from dataclasses import replace
 
@@ -45,22 +46,25 @@ class TestPeriodStreaming:
     ], ids=["canonical", "icu_tail"])
     def test_arrays_are_the_period_chunks_concatenated(self, config):
         chunks = list(period_arrays(config))
-        assert [int(c["period"][0]) for c in chunks] == list(range(1, config.periods + 1))
+        assert [c["period"][0] for c in chunks] == list(range(1, config.periods + 1))
         whole = generate_arrays(config)
         assert list(whole) == list(chunks[0])
         for key, arr in whole.items():
-            joined = np.concatenate([c[key] for c in chunks])
-            assert arr.dtype == joined.dtype, key
-            assert arr.tobytes() == joined.tobytes(), key
+            joined = [v for c in chunks for v in c[key]]
+            kind = int if key in ("period", "y", "action") else float
+            assert {type(v) for v in joined} == {kind}, key  # plain lists of Python numbers
+            assert arr.dtype == (np.int64 if kind is int else np.float64), key
+            assert arr.tolist() == joined, key
 
     def test_generate_is_the_row_builder(self):
         config = small()
         out = generate(config)
-        arrays = generate_arrays(config)
-        pairs = list(scenario_records(arrays))
+        chunks = list(period_arrays(config))
+        columns = {k: [v for c in chunks for v in c[k]] for k in chunks[0]}
+        pairs = list(scenario_records(columns))
         assert out.events == tuple(e for e, _ in pairs)
         assert out.outcomes == tuple(o for _, o in pairs)
-        assert out.truth == tuple(arrays["true_prob"].tolist())
+        assert out.truth == tuple(columns["true_prob"])
         assert [e.time.sequence for e in out.events] == list(range(len(pairs)))
 
     def test_streamed_pairs_number_rows_across_periods(self):
@@ -70,11 +74,14 @@ class TestPeriodStreaming:
         assert [o for _, o in pairs] == list(out.outcomes)
         assert pairs[300][0].event_id == "ev-000300"  # first row of period 2
 
-    def test_pairs_hold_one_period_of_arrays_at_a_time(self, monkeypatch):
+    def test_pairs_hold_one_period_of_columns_at_a_time(self, monkeypatch):
         config = small()
-        refs = []  # weak references to each period's arrays, in period order
-        live_at_draw = []  # period m's live arrays as period m + 1's draw starts
+        refs = []  # weak references to each period's columns, in period order
+        live_at_draw = []  # period m's live columns as period m + 1's draw starts
         live_at_pair = []  # and as period m + 1's first pair is yielded
+
+        class Column(list):  # a list that takes weak references
+            pass
 
         def live(m):
             return sum(ref() is not None for ref in refs[m - 1])
@@ -84,8 +91,8 @@ class TestPeriodStreaming:
             for _ in range(config.periods):
                 if refs:
                     live_at_draw.append(live(len(refs)))
-                chunk = next(chunks)
-                refs.append([weakref.ref(a) for a in chunk.values()])
+                chunk = {k: Column(v) for k, v in next(chunks).items()}
+                refs.append([weakref.ref(c) for c in chunk.values()])
                 yield chunk
                 del chunk
 
@@ -101,15 +108,24 @@ class TestPeriodStreaming:
 
 class TestDeterminism:
     def test_same_seed_same_output(self):
-        a = generate_arrays(small())
-        b = generate_arrays(small())
-        for key in a:
-            assert np.array_equal(a[key], b[key]), key
+        assert list(period_arrays(small())) == list(period_arrays(small()))
 
     def test_seed_changes_output(self):
         a = generate_arrays(small(seed=1))
         b = generate_arrays(small(seed=2))
         assert not np.array_equal(a["pred_prob"], b["pred_prob"])
+
+    def test_each_period_draws_from_its_own_string_seeded_stream(self, monkeypatch):
+        seeds = []
+
+        class Recorded(random.Random):
+            def seed(self, a=None, version=2):
+                seeds.append(a)
+                super().seed(a, version)
+
+        monkeypatch.setattr(simulator, "Random", Recorded)
+        list(period_arrays(small(seed=12)))
+        assert seeds == ["12:1", "12:2", "12:3", "12:4"]
 
     def test_events_deterministic_end_to_end(self):
         x = generate(small())
@@ -316,10 +332,10 @@ class TestTailPreset:
 
 
 class TestNdtri:
-    """_ndtri is statistics.NormalDist's inv_cdf elementwise, with its ends
-    at 0 and 1, and stays within a few ulps of scipy.special.ndtri."""
+    """_ndtri is statistics.NormalDist's inv_cdf, with its ends at 0 and 1
+    and NaN through, and stays within a few ulps of scipy.special.ndtri."""
 
-    def test_inv_cdf_elementwise_within_8_ulps_of_scipy(self):
+    def test_inv_cdf_within_8_ulps_of_scipy(self):
         from statistics import NormalDist
 
         from scipy.special import ndtri  # the oracle
@@ -332,37 +348,69 @@ class TestNdtri:
                 v = c
                 for _ in range(5):  # c itself and 4 ulps on each side
                     edges.append(v)
-                    v = np.nextafter(v, toward)
+                    v = math.nextafter(v, toward)
         strata = [(np.arange(n) + rng.random(n)) / n
                   for n in (1, 2, 3, 7, 1000, 20000)]
         p = np.concatenate([
-            rng.random(1_000_000), tails, 1.0 - tails, edges, [0.0, 1.0, 5e-324], *strata,
+            rng.random(1_000_000), tails, 1.0 - tails, edges, [5e-324], *strata,
         ])
-        got = _ndtri(p)
-        inner = (p > 0.0) & (p < 1.0)
+        p = p[(p > 0.0) & (p < 1.0)]
+        got = np.array([_ndtri(v) for v in p.tolist()])
         inv_cdf = NormalDist().inv_cdf
-        assert got[inner].tolist() == [inv_cdf(v) for v in p[inner].tolist()]
-        assert got[p == 0.0].tolist() == [-math.inf] * int((p == 0.0).sum())
-        assert got[p == 1.0].tolist() == [math.inf] * int((p == 1.0).sum())
+        assert got.tolist() == [inv_cdf(v) for v in p.tolist()]
         want = ndtri(p)
         # for floats of one sign, the distance in ulps is the gap in their bits
-        ulps = np.abs(got[inner].view(np.int64) - want[inner].view(np.int64))
-        assert ulps.max() <= 8, (p[inner][ulps.argmax()], ulps.max())
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 8, (p[ulps.argmax()], ulps.max())
+
+    def test_ends_and_nan(self):
+        assert _ndtri(0.0) == -math.inf and _ndtri(1.0) == math.inf
+        assert math.isnan(_ndtri(math.nan))
+        assert math.isfinite(_ndtri(5e-324)) and math.isfinite(_ndtri(math.nextafter(1.0, 0.0)))
 
 
 class TestLibmExp:
-    """_exp is libm's exp elementwise, with np.exp's inf past the float range."""
+    """_exp is libm's exp, with inf past the float range."""
 
     def test_equals_math_exp_and_overflows_to_inf(self):
-        x = np.array([-1000.0, -1.5, 0.0, 0.5, 709.0, 710.0, 1e308, np.inf, -np.inf])
-        got = _exp(x)
-        assert got.dtype == np.float64
-        assert got[:5].tolist() == [math.exp(v) for v in x[:5].tolist()]
-        assert got[5:].tolist() == [math.inf, math.inf, math.inf, 0.0]
-        assert math.isnan(_exp(np.array([np.nan]))[0])
+        x = [-1000.0, -1.5, 0.0, 0.5, 709.0, 710.0, 1e308, math.inf, -math.inf]
+        assert [_exp(v) for v in x[:5]] == [math.exp(v) for v in x[:5]]
+        assert [_exp(v) for v in x[5:]] == [math.inf, math.inf, math.inf, 0.0]
+        assert math.isnan(_exp(math.nan))
 
     def test_a_scenario_past_the_float_range_still_draws(self):
         # class_separation 60 puts the log-odds near -1800: exp overflows
         arrays = generate_arrays(small(class_separation=60.0, periods=1))
         assert np.isin(arrays["pred_prob"], (0.0, 1.0)).any()
         assert ((arrays["pred_prob"] >= 0.0) & (arrays["pred_prob"] <= 1.0)).all()
+
+
+class TestUniformEnds:
+    """Random.random() returns floats in [0, 1): a draw made of its ends,
+    0.0 and the float below 1, at every call still gives finite
+    probabilities and losses, since no uniform reaches inv_cdf's ends."""
+
+    @pytest.mark.parametrize("values", [
+        (0.0,), (math.nextafter(1.0, 0.0),), (0.0, math.nextafter(1.0, 0.0)),
+    ], ids=["zero", "below-one", "alternating"])
+    @pytest.mark.parametrize("config", [
+        small(periods=6, patients_per_period=50),
+        replace(preset("icu_tail"), periods=2, patients_per_period=50),
+        replace(preset("oncology_regret"), periods=6, patients_per_period=50,
+                drift_start_period=1),
+        small(class_separation=60.0, periods=1, patients_per_period=50),
+    ], ids=["canonical", "icu_tail", "oncology_regret", "separation-60"])
+    def test_extreme_uniforms_give_finite_draws(self, monkeypatch, values, config):
+        class Extreme(random.Random):
+            def random(self):
+                self.calls = getattr(self, "calls", -1) + 1
+                return values[self.calls % len(values)]
+
+        monkeypatch.setattr(simulator, "Random", Extreme)
+        for chunk in period_arrays(config):
+            assert len(set(map(len, chunk.values()))) == 1
+            for key in ("true_prob", "pred_prob"):
+                assert all(0.0 <= v <= 1.0 for v in chunk[key]), key
+            for key in ("loss", "loss_monitor", "loss_act"):
+                assert all(math.isfinite(v) and v >= 0.0 for v in chunk[key]), key
+            assert set(chunk["y"]) <= {0, 1}

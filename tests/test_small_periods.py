@@ -27,13 +27,14 @@ ECE_MAX = ThresholdPolicy().ece_max
 
 # the share of calibrated periods with ece > ece_max, by pairs per period,
 # over 2,400 periods (seeds 1000-1199 x 12), as README tabulates it
-FALSE_BREACH_RATE = {60: 0.888, 100: 0.710, 200: 0.295, 500: 0.006, 1000: 0.0, 2000: 0.0}
+FALSE_BREACH_RATE = {60: 0.892, 100: 0.721, 200: 0.278, 500: 0.005, 1000: 0.0, 2000: 0.0}
 
 
 def iid_periods(config: ScenarioConfig, seed: int):
     """period_arrays(config), each outcome redrawn i.i.d. from true_prob."""
     rng = np.random.default_rng([seed, config.patients_per_period])
     for chunk in period_arrays(config):
+        chunk = {k: np.asarray(column) for k, column in chunk.items()}
         chunk["y"] = (rng.random(chunk["y"].size) < chunk["true_prob"]).astype(np.int64)
         yield chunk
 
@@ -54,7 +55,8 @@ def alarm_states(config: ScenarioConfig, seed: int, stop_at_breach: bool = False
     out of normal."""
     engine, start, states = MonitorEngine(), 0, []
     for chunk in iid_periods(config, seed):
-        for event, outcome in scenario_records(chunk, start):
+        for event, outcome in scenario_records({k: c.tolist() for k, c in chunk.items()},
+                                               start):
             engine.observe_event(event)
             engine.observe_outcome(outcome)
         start += chunk["y"].size
@@ -82,14 +84,16 @@ def test_false_breach_rate_of_ece_by_period_size(n, seeds):
 
 def test_smallest_period_size_that_stays_normal_is_1000():
     # over 120 calibrated periods: at 1,000 pairs the default policy stays
-    # normal (seeds 1-5 all do); at 500 a breach, about once in 120
-    # periods by the table, puts it in review (seeds 1-10: 7 do)
+    # normal (seeds 1-5 all do); at 500 a breach, about once in 200
+    # periods by the table, puts it in review. A run leaves normal with
+    # chance about 0.45 (seeds 1-10: 4 do), so all of seeds 1-10 staying
+    # normal would happen about once in 400 draws
     periods = 120
     assert set(alarm_states(stationary_control(ScenarioConfig(
         patients_per_period=1000, periods=periods, seed=1)), 1)) == {OperatingState.NORMAL}
-    assert alarm_states(stationary_control(ScenarioConfig(
-        patients_per_period=500, periods=periods, seed=2)), 2,
-        stop_at_breach=True)[-1] is not OperatingState.NORMAL
+    assert any(alarm_states(stationary_control(ScenarioConfig(
+        patients_per_period=500, periods=periods, seed=seed)), seed,
+        stop_at_breach=True)[-1] is not OperatingState.NORMAL for seed in range(1, 11))
 
 
 def test_canonical_drift_is_seen_in_period_6_with_iid_outcomes():
