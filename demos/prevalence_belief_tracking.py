@@ -7,12 +7,9 @@
 # probability that the two beliefs disagree about the underlying rate:
 # ~0.5 means indistinguishable, ~1.0 means the rate has moved.
 
-import numpy as np
-
 from riskwatch import (
     BetaPosterior,
     canonical_scenario,
-    credible_interval,
     drift_score,
     generate_arrays,
     update_batch,
@@ -23,7 +20,7 @@ def main():
     arrays = generate_arrays(canonical_scenario())
 
     baseline = None
-    print(f"{'month':>5} {'events':>7} {'mean':>7} {'95% interval':>17} {'drift':>7}")
+    print(f"{'month':>5} {'events':>7} {'mean':>7} {'drift':>7}")
     for m in sorted(set(arrays["period"].tolist())):
         y = arrays["y"][arrays["period"] == m]
         pos = int(y.sum())
@@ -31,13 +28,9 @@ def main():
         if baseline is None:
             baseline = belief  # frozen: everything after is compared to this
 
-        lo, hi = credible_interval(belief, 0.95)
         score = drift_score(baseline, belief)
         flag = " <-- rate has moved" if score > 0.95 and m > 1 else ""
-        print(
-            f"{m:>5} {pos:>7} {belief.mean:>7.4f} [{lo:.4f}, {hi:.4f}] "
-            f"{score:>7.4f}{flag}"
-        )
+        print(f"{m:>5} {pos:>7} {belief.mean:>7.4f} {score:>7.4f}{flag}")
 
     # the score is symmetric in direction and needs no tuning constants;
     # two beliefs that overlap heavily simply cannot score high

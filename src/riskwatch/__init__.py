@@ -24,7 +24,6 @@ from .core import (
     OutcomeRecord,
     PredictionEvent,
     TimeIndex,
-    join,
 )
 from .calibration import (
     ReliabilityBin,
@@ -47,7 +46,7 @@ from .regret import (
     cumulative_regret,
     safety_exposure,
 )
-from .belief import BetaPosterior, credible_interval, drift_score, update, update_batch
+from .belief import BetaPosterior, drift_score, update, update_batch
 from .alarms import (
     AlarmRecord,
     AlarmState,
@@ -102,7 +101,6 @@ __all__ = [
     "best_fixed_action_regret",
     "brier",
     "canonical_scenario",
-    "credible_interval",
     "cumulative_regret",
     "cvar_conditional",
     "cvar_tail",
@@ -115,7 +113,6 @@ __all__ = [
     "evaluate",
     "generate",
     "generate_arrays",
-    "join",
     "load_config",
     "load_snapshot_file",
     "preset",

@@ -10,8 +10,7 @@ drift in either direction scores near 1 and agreement scores near 0.5.
 
 drift_score runs on the standard library's libm calls, so its value does
 not depend on which SIMD loops numpy picks on the host; it never loads
-numpy. scipy is imported only inside credible_interval, when called; without
-it installed, credible_interval raises MissingExtra.
+numpy.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from functools import reduce
 from itertools import accumulate
 from operator import add
 
-from .core import OPEN_UNIT, POSITIVE, check_fields, check_integer, finite_number, is_outcome
-from .errors import BadLevel, MissingExtra
+from .core import POSITIVE, check_fields, check_integer, is_outcome
 
 
 @dataclass(frozen=True)
@@ -41,11 +39,6 @@ class BetaPosterior:
     def mean(self) -> float:
         return self.a / (self.a + self.b)
 
-    @property
-    def variance(self) -> float:
-        s = self.a + self.b
-        return (self.a * self.b) / (s * s * (s + 1.0))
-
 
 def update(posterior: BetaPosterior, outcome: int) -> BetaPosterior:
     """Condition the belief on one outcome, 0 or 1 by is_outcome (closed form)."""
@@ -59,30 +52,6 @@ def update_batch(posterior: BetaPosterior, positives: int, negatives: int) -> Be
     check_integer("positives", positives, 0)
     check_integer("negatives", negatives, 0)
     return BetaPosterior(posterior.a + positives, posterior.b + negatives)
-
-
-def credible_interval(
-    posterior: BetaPosterior,
-    level: float = 0.95,
-) -> tuple[float, float]:
-    """Equal-tailed credible interval at the given level.
-
-    Quantiles of the Beta posterior at (1-level)/2 and 1-(1-level)/2,
-    accurate to well below 1e-8.
-    """
-    if not finite_number(level, *OPEN_UNIT):
-        raise BadLevel(f"level must lie in (0, 1), got {level}")
-    # imported when called: no monitor path needs quantiles, and scipy is
-    # an extra (riskwatch[interval]), not a requirement
-    try:
-        from scipy.special import betaincinv
-    except ModuleNotFoundError as exc:
-        raise MissingExtra("interval", "scipy") from exc
-
-    tail = (1.0 - level) / 2.0
-    lo = float(betaincinv(posterior.a, posterior.b, tail))
-    hi = float(betaincinv(posterior.a, posterior.b, 1.0 - tail))
-    return lo, hi
 
 
 def drift_score(baseline: BetaPosterior, rolling: BetaPosterior) -> float:

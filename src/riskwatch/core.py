@@ -2,26 +2,22 @@
 
 The toolkit processes a totally ordered stream of prediction events that are
 later resolved by outcome records. The streaming engine joins them through
-the Joiner here and scores each closed period into a MetricSnapshot; join()
-applies the same Joiner to whole streams, so both follow one set of join
-rules.
+the Joiner here, the one set of join rules, and scores each closed period
+into a MetricSnapshot.
 
 Ordering model: a single writer appends events with strictly increasing
 sequence numbers and nondecreasing periods. Outcomes may arrive out of order
-relative to events; resolved pairs are always emitted in event order.
+relative to events; the Joiner holds each event until its outcome arrives.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import ClassVar, Sequence
 
 from .errors import DuplicateOutcome, OrphanOutcome
-
-logger = logging.getLogger(__name__)
 
 _FLOAT_MAX = sys.float_info.max
 # (0, 1) and (0, max] as the closed ranges of their floats, for finite_number
@@ -307,34 +303,3 @@ class Joiner:
         """Retire a matched event from pending."""
         del self.pending[event.event_id]
         self.resolved_ids[event.event_id] = None
-
-
-def join(
-    events: Iterable[PredictionEvent],
-    outcomes: Iterable[OutcomeRecord],
-) -> Iterator[tuple[PredictionEvent, OutcomeRecord]]:
-    """Pair prediction events with their outcome records.
-
-    Reads every event and outcome, then yields (event, outcome) tuples in
-    event-stream order, grouped by event.time.period, whatever order the
-    outcomes arrived in. An event whose outcome never arrives is counted in a
-    logged warning and holds back no pair. Join errors are the Joiner's and
-    raise before any pair is yielded: a repeated event_id or out-of-order seq,
-    an orphaned outcome and a duplicated outcome. The Joiner keeps every
-    resolved id, since join holds every record anyway.
-    """
-    ordered = list(events)
-    joiner = Joiner()
-    for ev in ordered:
-        joiner.add(ev)
-    matched: dict[str, OutcomeRecord] = {}
-    for out in outcomes:
-        joiner.resolve(joiner.match(out))
-        matched[out.event_id] = out
-    if joiner.pending:
-        logger.warning("join: %d events left unresolved at stream end",
-                       len(joiner.pending))
-    for ev in ordered:
-        if ev.event_id in matched:
-            yield ev, matched[ev.event_id]
-

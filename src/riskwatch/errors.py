@@ -74,12 +74,6 @@ class RaggedActionSets(RiskwatchError):
     """Fixed-action comparison needs the same action count at every step."""
 
 
-# -- belief ------------------------------------------------------------------
-
-class BadLevel(RiskwatchError):
-    """Credible level must lie strictly inside (0, 1)."""
-
-
 # -- alarms ------------------------------------------------------------------
 
 class NoMetrics(RiskwatchError):

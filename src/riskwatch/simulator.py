@@ -146,13 +146,9 @@ def _standard_normal():
 
 
 def _ndtri(p: float) -> float:
-    """Inverse of the standard normal CDF at p in [0, 1]: statistics.NormalDist's
-    inv_cdf (Wichura's AS241), with -inf at 0 and +inf at 1, where inv_cdf
-    raises, and NaN through."""
-    if p == 0.0:
-        return -math.inf
-    if p == 1.0:
-        return math.inf
+    """Inverse of the standard normal CDF at p in (0, 1): statistics.NormalDist's
+    inv_cdf (Wichura's AS241), NaN through. It raises at 0 and 1, so every
+    caller first moves p into [_LOWEST, _HIGHEST]."""
     return _standard_normal().inv_cdf(p)
 
 

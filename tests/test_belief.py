@@ -1,4 +1,4 @@
-"""Beta-Bernoulli belief: conjugacy, intervals vs a bisection oracle, drift."""
+"""Beta-Bernoulli belief: conjugacy and the exact drift score."""
 
 import itertools
 import math
@@ -13,27 +13,10 @@ from scipy.special import betainc, betaincinv, betaln
 from riskwatch.belief import (
     BetaPosterior,
     _pairwise_sum,
-    credible_interval,
     drift_score,
     update,
     update_batch,
 )
-from riskwatch.errors import BadLevel
-
-
-def oracle_beta_quantile(a, b, q, tol=1e-12):
-    """Invert the regularized incomplete beta by bisection; no scipy.stats."""
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if betainc(a, b, mid) < q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return (lo + hi) / 2.0
-
 
 params = st.floats(0.5, 500.0, allow_nan=False)
 
@@ -64,10 +47,9 @@ class TestConjugacy:
         assert forward == backward
         assert forward == update_batch(prior, sum(ys), len(ys) - sum(ys))
 
-    def test_moments(self):
+    def test_mean(self):
         post = BetaPosterior(3.0, 7.0)
         assert post.mean == pytest.approx(0.3)
-        assert post.variance == pytest.approx(0.3 * 0.7 / 11.0)
 
     def test_positive_parameters_required(self):
         for a, b in [(0.0, 1.0), (math.nan, 1.0), (math.inf, 2.0), (True, 1.0),
@@ -95,52 +77,6 @@ class TestConjugacy:
         counts = {"positives": 0, "negatives": 0, name: count}
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 0, got"):
             update_batch(BetaPosterior(), **counts)
-
-
-class TestCredibleInterval:
-    @given(params, params, st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_bisection_oracle(self, a, b, level):
-        lo, hi = credible_interval(BetaPosterior(a, b), level=level)
-        tail = (1.0 - level) / 2.0
-        assert lo == pytest.approx(oracle_beta_quantile(a, b, tail), abs=1e-9)
-        assert hi == pytest.approx(oracle_beta_quantile(a, b, 1.0 - tail), abs=1e-9)
-
-    def test_equals_scipy_stats_quantiles(self):
-        # the interval came from scipy.stats.beta.ppf before; the switch to
-        # betaincinv keeps every bit
-        from scipy import stats
-
-        mismatches = []
-        for a, b, level in itertools.product(
-            [0.5, 1.0, 2.5, 13.0, 120.0, 500.0, 4000.0],
-            [0.5, 1.0, 7.0, 60.0, 350.0, 4000.0],
-            [0.5, 0.8, 0.9, 0.95, 0.99, 0.999],
-        ):
-            tail = (1.0 - level) / 2.0
-            expected = (float(stats.beta.ppf(tail, a, b)), float(stats.beta.ppf(1.0 - tail, a, b)))
-            got = credible_interval(BetaPosterior(a, b), level=level)
-            if got != expected:
-                mismatches.append((a, b, level, got, expected))
-        assert mismatches == []
-
-    def test_interval_brackets_mean_for_symmetric(self):
-        lo, hi = credible_interval(BetaPosterior(50.0, 50.0), level=0.95)
-        assert lo < 0.5 < hi
-        assert lo + hi == pytest.approx(1.0, abs=1e-9)
-
-    @given(params, params)
-    @settings(max_examples=60, deadline=None)
-    def test_nested_levels(self, a, b):
-        post = BetaPosterior(a, b)
-        lo80, hi80 = credible_interval(post, level=0.8)
-        lo95, hi95 = credible_interval(post, level=0.95)
-        assert lo95 <= lo80 and hi80 <= hi95
-
-    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 2.0])
-    def test_bad_level(self, level):
-        with pytest.raises(BadLevel):
-            credible_interval(BetaPosterior(1.0, 1.0), level=level)
 
 
 def mc_drift(baseline, rolling, samples, seed):

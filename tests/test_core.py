@@ -1,5 +1,4 @@
-"""Stream primitives: validation, the event/outcome join and the one
-summation rule."""
+"""Stream primitives: validation, the Joiner and the one summation rule."""
 
 import copy
 import dataclasses
@@ -10,11 +9,11 @@ from array import array
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskwatch.alarms import ThresholdPolicy
-from riskwatch.belief import BetaPosterior, credible_interval
+from riskwatch.belief import BetaPosterior
 from riskwatch.core import (
     OPEN_UNIT,
     POSITIVE,
@@ -25,10 +24,8 @@ from riskwatch.core import (
     TimeIndex,
     _SNAPSHOT_RANGES,
     fsum,
-    join,
 )
-from riskwatch.errors import (BadAlpha, BadConfig, BadLevel, DuplicateOutcome, MissingExtra,
-                              OrphanOutcome)
+from riskwatch.errors import BadAlpha, BadConfig, DuplicateOutcome
 from riskwatch.regret import DecisionLedgerEntry
 from riskwatch.simulator import _RANGES, ScenarioConfig
 from riskwatch.tailrisk import QuantileSketch, check_alpha
@@ -286,17 +283,13 @@ class TestFieldRuleParity:
 
     @pytest.mark.parametrize("rule, error", [
         (check_alpha, BadAlpha), (QuantileSketch, ValueError),
-        (lambda level: credible_interval(BetaPosterior(), level), BadLevel),
-    ], ids=["alpha", "epsilon", "level"])
+    ], ids=["alpha", "epsilon"])
     @pytest.mark.parametrize("value", probes(*OPEN_UNIT), ids=repr)
     def test_open_unit_rules_refuse_as_the_comparisons_did(self, rule, error, value):
-        # a level that is no number ("0.5", None) raised TypeError; BadLevel now
         try:
             rule(value)
         except error:
             refused = True
-        except MissingExtra:  # past the rule, on an install without scipy
-            refused = False
         else:
             refused = False
         assert refused == (not (_number(value) and 0.0 < value < 1.0))
@@ -357,12 +350,6 @@ class TestSlottedRecords:
 
 
 class TestJoin:
-    def test_pairs_in_event_order_despite_outcome_order(self):
-        events = [ev(0), ev(1), ev(2)]
-        outcomes = [oc(2), oc(0), oc(1)]
-        got = [(e.event_id, o.event_id) for e, o in join(events, outcomes)]
-        assert got == [("e0", "e0"), ("e1", "e1"), ("e2", "e2")]
-
     def test_match_returns_the_event_and_resolve_retires_it(self):
         joiner = Joiner()
         joiner.add(ev(0))
@@ -374,73 +361,6 @@ class TestJoin:
         assert (joiner.pending, joiner.resolved_ids) == ({}, {"e0": None})
         with pytest.raises(DuplicateOutcome):
             joiner.match(oc(0))
-
-    def test_orphan_outcome(self):
-        with pytest.raises(OrphanOutcome):
-            list(join([ev(0)], [oc(7)]))
-
-    def test_duplicate_outcome(self):
-        with pytest.raises(DuplicateOutcome):
-            list(join([ev(0)], [oc(0), oc(0)]))
-
-    def test_duplicate_event_id_rejected(self):
-        with pytest.raises(ValueError):
-            list(join([ev(0), ev(0)], [oc(0)]))
-
-    def test_out_of_order_seq_rejected(self):
-        with pytest.raises(ValueError, match="not above the last accepted seq 2"):
-            list(join([ev(2), ev(1)], [oc(1)]))
-
-    def test_duplicate_outcome_caught_across_periods(self):
-        # join holds every event, so it keeps every resolved id as well
-        with pytest.raises(DuplicateOutcome):
-            list(join([ev(0, period=1), ev(1, period=2)], [oc(0), oc(1), oc(0)]))
-
-    def test_unresolved_events_dropped_with_warning(self, caplog):
-        events = [ev(0), ev(1)]
-        with caplog.at_level("WARNING"):
-            got = list(join(events, [oc(0)]))
-        assert len(got) == 1
-        assert "1 events left unresolved" in caplog.text
-
-    def test_resolved_pairs_behind_an_unresolved_event_are_yielded(self, caplog):
-        with caplog.at_level("WARNING"):
-            got = [(e.event_id, o.event_id)
-                   for e, o in join([ev(0), ev(1), ev(2)], [oc(1), oc(2)])]
-        assert got == [("e1", "e1"), ("e2", "e2")]
-        assert "1 events left unresolved" in caplog.text
-
-    @pytest.mark.parametrize("error, late", [(OrphanOutcome, oc(7)), (DuplicateOutcome, oc(0))],
-                             ids=["orphan", "duplicate"])
-    def test_join_error_raises_before_any_pair(self, error, late):
-        pairs = join([ev(0), ev(1)], [oc(0), late])
-        with pytest.raises(error):
-            next(pairs)
-
-    @given(
-        n=st.integers(1, 40),
-        lookahead=st.integers(0, 5),
-        data=st.data(),
-    )
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_join_is_order_insensitive_within_lookahead(self, n, lookahead, data, caplog):
-        # outcomes arrive shuffled but never more than `lookahead` behind,
-        # and a drawn subset never arrives
-        events = [ev(i) for i in range(n)]
-        order = list(range(n))
-        for i in range(n):
-            j = data.draw(st.integers(i, min(n - 1, i + lookahead)))
-            order[i], order[j] = order[j], order[i]
-        dropped = data.draw(st.sets(st.sampled_from(range(n))))
-        outcomes = [oc(k) for k in order if k not in dropped]
-        caplog.clear()
-        with caplog.at_level("WARNING"):
-            got = list(join(events, outcomes))
-        assert [e.event_id for e, _ in got] == [f"e{i}" for i in range(n) if i not in dropped]
-        assert caplog.messages == (
-            [f"join: {len(dropped)} events left unresolved at stream end"] if dropped else [])
-        assert all(e.event_id == o.event_id for e, o in got)
 
 
 # finite floats of every size, subnormals and both zeros included, with the

@@ -1,17 +1,17 @@
 """The package keeps its static rules, and runs without its extras.
 
-The standard library is riskwatch's only requirement. numpy is the
-`simulate` extra: only generate_arrays, which hands the scenario draw out
-as numpy arrays, imports it, when called. scipy is the `interval` extra:
-only credible_interval imports it, when called. Importing numpy takes
-about 0.15 s and about 12 MB of resident memory, and scipy.special alone
-adds about 20 MB, so the package, the CLI, engine_from_config and every
-simulate, monitor, replay and report call (period closes included) load
-neither.
+The standard library is riskwatch's only requirement. numpy is the one
+extra, `simulate`: only generate_arrays, which hands the scenario draw out
+as numpy arrays, imports it, when called. scipy is no extra: the package
+imports it nowhere, and only the tests use it, as an oracle. Importing
+numpy takes about 0.15 s and about 12 MB of resident memory, and
+scipy.special alone adds about 20 MB, so the package, the CLI,
+engine_from_config and every simulate, monitor, replay and report call
+(period closes included) load neither.
 
 One ast walk over each module finds every site of nine static rules, and
 one table (RULES) says where each may stand:
-- a heavy import (numpy, scipy): only at the two sites above; fractions
+- a heavy import: numpy only at the site above, scipy nowhere; fractions
   and statistics (each loads decimal, about 3 ms) only inside a function,
   never at load;
 - a transcendental numpy ufunc (exp, log, power, trig and the like):
@@ -35,9 +35,9 @@ one table (RULES) says where each may stand:
   states the bool rule of every settings class once.
 
 The runtime checks run in a fresh interpreter whose import system refuses
-numpy, scipy or both, as on an install without the extras: the CLI must
-give the same exit codes and bytes there as in this process, and the
-calls that need an extra must name it."""
+numpy, scipy or both, as on an install without them: the CLI must give
+the same exit codes and bytes there as in this process, and the call that
+needs the extra must name it."""
 
 import ast
 import io
@@ -52,7 +52,6 @@ from typing import NamedTuple
 import pytest
 
 import riskwatch
-from riskwatch.belief import BetaPosterior, credible_interval
 from riskwatch.cli import EXIT_ALARM, EXIT_OK, main
 from riskwatch.eventlog import CONFIG_ENV_VAR
 from riskwatch.tailrisk import cvar_variational
@@ -67,7 +66,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 # site, "<module>.<function>", or "<module>.<load>" for an import that runs
 # when the module loads
 HEAVY_IMPORTS = {
-    "scipy": lambda site: site == "belief.credible_interval",
+    "scipy": lambda site: False,
     "numpy": lambda site: site == "simulator.generate_arrays",
     # the exact sums past the float range, and the simulator's normal
     # quantiles: each loads decimal, so never at load
@@ -270,7 +269,9 @@ def modules_under(rule: str) -> list[Path]:
 
 @pytest.mark.parametrize("heavy", sorted(HEAVY_IMPORTS))
 def test_heavy_modules_are_imported_only_where_allowed(heavy):
-    assert [f for f in PACKAGE_FINDINGS if f.rule == heavy]  # the walk sees what it polices
+    # the walk sees what it polices; scipy, allowed nowhere, is found only
+    # where test_scipy_import_sites_checker plants it
+    assert [f for f in PACKAGE_FINDINGS if f.rule == heavy] or heavy == "scipy"
     assert violations(heavy) == []
 
 
@@ -517,8 +518,7 @@ def test_acc_list_bindings_checker():
 # CLI argvs; a JSON list of losses. Prints as JSON the refused modules the
 # imports asked for; each call's exit code, stdout, stderr and the refused
 # modules it asked for; cvar_variational of the losses and what it asked
-# for; what credible_interval gives or raises; the dtype of a small
-# generate_arrays draw's y, or what it raises
+# for; the dtype of a small generate_arrays draw's y, or what it raises
 BLOCKED_CHILD = """
 import contextlib, io, json, sys
 
@@ -538,7 +538,6 @@ def took():
 
 sys.meta_path.insert(0, Refuse())
 import riskwatch.cli
-from riskwatch.belief import BetaPosterior, credible_interval
 from riskwatch.simulator import ScenarioConfig, generate_arrays
 from riskwatch.tailrisk import cvar_variational
 
@@ -551,15 +550,11 @@ for argv in json.loads(sys.argv[2]):
     calls.append([code, out.getvalue(), err.getvalue(), took()])
 cvar = [cvar_variational(json.loads(sys.argv[3]), 0.9), took()]
 try:
-    interval = list(credible_interval(BetaPosterior(3.0, 7.0), level=0.9))
-except Exception as exc:
-    interval = [type(exc).__name__, str(exc)]
-try:
     arrays = str(generate_arrays(ScenarioConfig(periods=1, patients_per_period=10))["y"].dtype)
 except Exception as exc:
     arrays = [type(exc).__name__, str(exc)]
 print(json.dumps({"at_import": at_import, "calls": calls, "cvar": cvar,
-                  "interval": interval, "arrays": arrays}))
+                  "arrays": arrays}))
 """
 
 LOSSES = [(i * 7919 % 1000) / 37.0 for i in range(2000)]  # ties included
@@ -663,9 +658,6 @@ def test_monitor_path_never_imports_scipy(refusing_both):
     for name in ("report.csv", "state.json"):
         assert (tmp_path / "child" / "replay" / name).read_bytes() == (
             tmp_path / "sim" / name).read_bytes()
-    # credible_interval needs the extra and names it
-    assert got["interval"][0] == "MissingExtra"
-    assert "riskwatch[interval]" in got["interval"][1]
 
 
 def test_simulate_path_never_imports_scipy(tmp_path, monkeypatch):
@@ -676,12 +668,7 @@ def test_simulate_path_never_imports_scipy(tmp_path, monkeypatch):
     assert got["at_import"] == [] and [c[3] for c in got["calls"]] == [[]] * 7
     for name in ("monitor", "part", "replay", "simulate"):
         assert same_files(tmp_path, name)
-    assert got["interval"][0] == "MissingExtra"
-    assert "riskwatch[interval]" in got["interval"][1]
     assert got["arrays"] == "int64"
-    # and credible_interval works wherever scipy is installed
-    lo, hi = credible_interval(BetaPosterior(3.0, 7.0), level=0.9)
-    assert 0.0 < lo < 0.3 < hi < 1.0
 
 
 def test_the_benchmark_finds_every_name_it_wraps():

@@ -332,8 +332,9 @@ class TestTailPreset:
 
 
 class TestNdtri:
-    """_ndtri is statistics.NormalDist's inv_cdf, with its ends at 0 and 1
-    and NaN through, and stays within a few ulps of scipy.special.ndtri."""
+    """_ndtri is statistics.NormalDist's inv_cdf, finite at the ends of the
+    draw's clamp and NaN through, and stays within a few ulps of
+    scipy.special.ndtri."""
 
     def test_inv_cdf_within_8_ulps_of_scipy(self):
         from statistics import NormalDist
@@ -364,7 +365,6 @@ class TestNdtri:
         assert ulps.max() <= 8, (p[ulps.argmax()], ulps.max())
 
     def test_ends_and_nan(self):
-        assert _ndtri(0.0) == -math.inf and _ndtri(1.0) == math.inf
         assert math.isnan(_ndtri(math.nan))
         assert math.isfinite(_ndtri(5e-324)) and math.isfinite(_ndtri(math.nextafter(1.0, 0.0)))
 
