@@ -25,10 +25,11 @@ from riskwatch.core import (
     _SNAPSHOT_RANGES,
     fsum,
 )
-from riskwatch.errors import BadAlpha, BadConfig, DuplicateOutcome
+from riskwatch.errors import BadAlpha, BadConfig, DuplicateOutcome, OrphanOutcome
+from riskwatch.monitor import MonitorEngine
 from riskwatch.regret import DecisionLedgerEntry
 from riskwatch.simulator import _RANGES, ScenarioConfig
-from riskwatch.tailrisk import QuantileSketch, check_alpha
+from riskwatch.tailrisk import QuantileSketch, check_alpha, cvar_tail
 
 
 def ev(i, period=1, prob=0.5, action=None):
@@ -281,9 +282,13 @@ class TestFieldRuleParity:
         if same_messages:
             assert str(refused.value) == expected
 
+    # check_alpha itself, and the two places a user's alpha reaches it: the
+    # engine's setting and the tail estimators the report calls
     @pytest.mark.parametrize("rule, error", [
         (check_alpha, BadAlpha), (QuantileSketch, ValueError),
-    ], ids=["alpha", "epsilon"])
+        (lambda alpha: MonitorEngine(alpha=alpha), BadAlpha),
+        (lambda alpha: cvar_tail([1.0, 2.0], alpha), BadAlpha),
+    ], ids=["alpha", "epsilon", "engine", "cvar_tail"])
     @pytest.mark.parametrize("value", probes(*OPEN_UNIT), ids=repr)
     def test_open_unit_rules_refuse_as_the_comparisons_did(self, rule, error, value):
         try:
@@ -349,7 +354,28 @@ class TestSlottedRecords:
             dataclasses.replace(snap, drift_score=None)
 
 
+def joiner_of(*events):
+    joiner = Joiner()
+    for event in events:
+        joiner.add(event)
+    return joiner
+
+
+def state(joiner):
+    return dict(joiner.pending), dict(joiner.resolved_ids), joiner.last_seq
+
+
 class TestJoin:
+    def test_pairs_each_outcome_with_its_event_in_any_order(self):
+        joiner = joiner_of(ev(0), ev(1), ev(2))
+        got = []
+        for outcome in [oc(2), oc(0), oc(1)]:
+            event = joiner.match(outcome)
+            joiner.resolve(event)
+            got.append((event.event_id, outcome.event_id))
+        assert got == [("e2", "e2"), ("e0", "e0"), ("e1", "e1")]
+        assert joiner.pending == {} and list(joiner.resolved_ids) == ["e2", "e0", "e1"]
+
     def test_match_returns_the_event_and_resolve_retires_it(self):
         joiner = Joiner()
         joiner.add(ev(0))
@@ -361,6 +387,98 @@ class TestJoin:
         assert (joiner.pending, joiner.resolved_ids) == ({}, {"e0": None})
         with pytest.raises(DuplicateOutcome):
             joiner.match(oc(0))
+
+    def test_orphan_outcome(self):
+        with pytest.raises(OrphanOutcome, match="unknown event_id 'e7'"):
+            joiner_of(ev(0)).match(oc(7))
+
+    def test_duplicate_outcome(self):
+        joiner = joiner_of(ev(0))
+        joiner.resolve(joiner.match(oc(0)))
+        with pytest.raises(DuplicateOutcome, match="second outcome for event_id 'e0'"):
+            joiner.match(oc(0))
+
+    def test_duplicate_event_id_rejected(self):
+        # its seq is above the last one, so only the id catches it, pending
+        # or resolved
+        joiner = joiner_of(ev(0))
+        with pytest.raises(ValueError, match="duplicate event_id 'e0' in event stream"):
+            joiner.add(PredictionEvent("e0", TimeIndex(1, 1), 0.5))
+        joiner.resolve(joiner.match(oc(0)))
+        with pytest.raises(ValueError, match="duplicate event_id 'e0' in event stream"):
+            joiner.add(PredictionEvent("e0", TimeIndex(1, 2), 0.5))
+
+    def test_out_of_order_seq_rejected(self):
+        with pytest.raises(ValueError, match="seq 1 is not above the last accepted seq 2$"):
+            joiner_of(ev(2), ev(1))
+
+    def test_duplicate_outcome_caught_across_periods(self):
+        # the joiner keeps every resolved id until its owner clears them;
+        # a second outcome for a cleared id is then an orphan
+        joiner = joiner_of(ev(0, period=1), ev(1, period=2))
+        for i in (0, 1):
+            joiner.resolve(joiner.match(oc(i)))
+        with pytest.raises(DuplicateOutcome):
+            joiner.match(oc(0))
+        joiner.resolved_ids.clear()
+        with pytest.raises(OrphanOutcome):
+            joiner.match(oc(0))
+
+    @pytest.mark.parametrize("error, late", [(OrphanOutcome, oc(7)), (DuplicateOutcome, oc(0))],
+                             ids=["orphan", "duplicate"])
+    def test_refused_match_changes_nothing(self, error, late):
+        joiner = joiner_of(ev(0), ev(1))
+        joiner.resolve(joiner.match(oc(0)))
+        before = state(joiner)
+        with pytest.raises(error):
+            joiner.match(late)
+        assert state(joiner) == before
+
+    @pytest.mark.parametrize("event", [
+        ev(1), PredictionEvent("e1", TimeIndex(1, 4), 0.5),
+        PredictionEvent("e0", TimeIndex(1, 4), 0.5),
+    ], ids=["out-of-order", "pending-id", "resolved-id"])
+    def test_refused_add_changes_nothing(self, event):
+        joiner = joiner_of(ev(0), ev(1), ev(3))
+        joiner.resolve(joiner.match(oc(0)))
+        before = state(joiner)
+        with pytest.raises(ValueError):
+            joiner.add(event)
+        assert state(joiner) == before
+
+    def test_unresolved_events_stay_pending(self):
+        joiner = joiner_of(ev(0), ev(1))
+        joiner.resolve(joiner.match(oc(0)))
+        assert list(joiner.pending) == ["e1"] and joiner.pending["e1"] == ev(1)
+
+    def test_resolved_pairs_behind_an_unresolved_event_are_matched(self):
+        joiner = joiner_of(ev(0), ev(1), ev(2))
+        got = []
+        for outcome in (oc(1), oc(2)):
+            event = joiner.match(outcome)
+            joiner.resolve(event)
+            got.append(event.event_id)
+        assert got == ["e1", "e2"] and list(joiner.pending) == ["e0"]
+
+    @given(n=st.integers(1, 40), lookahead=st.integers(0, 5), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_in_any_order_within_lookahead(self, n, lookahead, data):
+        # outcomes arrive shuffled but never more than `lookahead` behind,
+        # and a drawn subset never arrives
+        joiner = joiner_of(*(ev(i) for i in range(n)))
+        order = list(range(n))
+        for i in range(n):
+            j = data.draw(st.integers(i, min(n - 1, i + lookahead)))
+            order[i], order[j] = order[j], order[i]
+        dropped = data.draw(st.sets(st.sampled_from(range(n))))
+        arrived = [k for k in order if k not in dropped]
+        for k in arrived:
+            event = joiner.match(oc(k))
+            assert event == ev(k)
+            joiner.resolve(event)
+        assert list(joiner.resolved_ids) == [f"e{k}" for k in arrived]
+        assert list(joiner.pending) == [f"e{i}" for i in range(n) if i in dropped]
+        assert joiner.last_seq == n - 1
 
 
 # finite floats of every size, subnormals and both zeros included, with the
