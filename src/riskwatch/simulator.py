@@ -31,14 +31,18 @@ stream, random.Random(f"{seed}:{period}"), so runs are reproducible and
 periods are independent. Every draw is a Random.random() call, the one
 method whose output Python keeps stable across versions; normals are
 statistics.NormalDist's inv_cdf of a uniform, and shuffles are Fisher-Yates
-over random(). The columns are plain lists; only generate_arrays, which
-hands them out as numpy arrays, needs numpy (riskwatch[simulate]), and
-without it raises MissingExtra.
+over random(). A period's draw keeps only its outcomes and latent scores,
+a bytearray and an array('d'); each row's probabilities, harm, losses and
+action are computed as the row is pulled, so scenario_pairs holds no
+output column. period_arrays appends the rows to plain lists; only
+generate_arrays, which hands those out as numpy arrays, needs numpy
+(riskwatch[simulate]), and without it raises MissingExtra.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from functools import cache
 from random import Random
@@ -54,7 +58,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 MONITOR, ACT = 0, 1  # action ids of the binary decision set
-_INT_COLUMNS = ("period", "y", "action")  # the rest of a draw's columns are floats
+# a row of the draw, and a column of period_arrays each; the ints are
+# _INT_COLUMNS, the rest floats
+_COLUMNS = ("period", "y", "true_prob", "pred_prob", "loss", "loss_monitor", "loss_act",
+            "action")
+_INT_COLUMNS = ("period", "y", "action")
 # the floats next to the ends of the unit interval: a quantile the draw takes
 # is moved into [_LOWEST, _HIGHEST], so no normal draw is infinite
 _LOWEST, _HIGHEST = math.ulp(0.0), 1.0 - 2.0 ** -53
@@ -168,55 +176,65 @@ def period_arrays(config: ScenarioConfig) -> Iterator[dict[str, list]]:
     Yields one dict of equal-length lists per period: period, y,
     true_prob, pred_prob, loss, loss_monitor, loss_act, action. Each period
     draws from its own stream, so a chunk does not depend on the periods
-    drawn before it. This frame holds none of a chunk's lists; _period_draw
-    makes them.
+    drawn before it. Each row is appended to the lists as _period_rows
+    computes it; no list of rows is held.
     """
     for m in range(1, config.periods + 1):
-        yield _period_draw(config, m)
+        columns = tuple([] for _ in _COLUMNS)
+        for row in _period_rows(config, m):
+            for column, v in zip(columns, row):
+                column.append(v)
+        yield dict(zip(_COLUMNS, columns))
 
 
-def _period_draw(config: ScenarioConfig, m: int) -> dict[str, list]:
-    """The columns of period m, drawn from its own stream, one
-    Random.random() call at a time."""
+def _period_draw(config: ScenarioConfig, m: int, draw) -> tuple[bytearray, array]:
+    """Period m's outcomes and latent scores, by draw, its stream's
+    Random.random: the permutation and the quantiles die with this frame."""
     n = config.patients_per_period
     d = config.class_separation
-    draw = Random(f"{config.seed}:{m}").random
-    base_logit = _logit(config.base_prevalence)
-    pim = prevalence_at(config, m)
-    since_onset = max(0, m - config.drift_start_period)
-    shift = config.miscalibration_gain * since_onset
 
     # fixed-margin outcomes: expected count, randomized rounding, and the
     # positions of the k events by the first k steps of a Fisher-Yates shuffle
-    expected = pim * n
+    expected = prevalence_at(config, m) * n
     k = int(expected) + (1 if draw() < expected - int(expected) else 0)
-    order = list(range(n))
+    order = array("l", range(n))
     for i in range(k):
         j = i + int(draw() * (n - i))
         order[i], order[j] = order[j], order[i]
-    y = [0] * n
+    y = bytearray(n)
     for i in order[:k]:
         y[i] = 1
 
     # stratified latent scores per class: jittered equiprobable normal
     # quantiles, shuffled within class (exact N(d*y, 1) marginals)
-    s = [0.0] * n
+    s = array("d", [0.0]) * n
     for cls in (0, 1):
-        idx = [i for i in range(n) if y[i] == cls]
-        size = len(idx)
-        z = [_ndtri(min(max((j + draw()) / size, _LOWEST), _HIGHEST)) for j in range(size)]
+        size = y.count(cls)
+        z = array("d", (_ndtri(min(max((j + draw()) / size, _LOWEST), _HIGHEST))
+                        for j in range(size)))
         for i in range(size - 1, 0, -1):
             j = int(draw() * (i + 1))
             z[i], z[j] = z[j], z[i]
-        for i, v in zip(idx, z):
+        for i, v in zip((i for i in range(n) if y[i] == cls), z):
             s[i] = v + d * cls
+    return y, s
 
-    # generative posterior log-odds at the frozen prevalence, then each
-    # row's background harm, heavy-tailed on a tail_fraction share of rows
-    lift = _logit(pim) - base_logit
+
+def _period_rows(config: ScenarioConfig, m: int) -> Iterator[tuple]:
+    """The rows of period m, in _COLUMNS order, each computed as it is
+    pulled: its probabilities, its background harm (drawn from the
+    period's stream after the scores, heavy-tailed on a tail_fraction
+    share of rows), its losses and its action."""
+    draw = Random(f"{config.seed}:{m}").random
+    y, s = _period_draw(config, m, draw)
+    d = config.class_separation
+    base_logit = _logit(config.base_prevalence)
+    lift = _logit(prevalence_at(config, m)) - base_logit
+    since_onset = max(0, m - config.drift_start_period)
+    shift = config.miscalibration_gain * since_onset
     escalation = 1.0 + config.regret_escalation * since_onset
-    true_prob, pred_prob, loss, loss_monitor, loss_act, action = [], [], [], [], [], []
     for yi, si in zip(y, s):
+        # the generative posterior log-odds at the frozen prevalence
         u = base_logit + d * si - d * d / 2.0
         tp = 1.0 / (1.0 + _exp(-(u + lift)))
         pp = 1.0 / (1.0 + _exp(-(u - shift)))
@@ -229,23 +247,21 @@ def _period_draw(config: ScenarioConfig, m: int) -> dict[str, list]:
         lm = config.loss_w_fn * yi * under + eps
         la = config.intervention_cost + config.loss_w_fp * (1 - yi) * over + eps
         act = ACT if pp >= config.act_threshold else MONITOR
-        true_prob.append(tp)
-        pred_prob.append(pp)
-        loss_monitor.append(lm)
-        loss_act.append(la)
-        action.append(act)
-        loss.append(la if act == ACT else lm)
+        yield m, yi, tp, pp, la if act == ACT else lm, lm, la, act
 
-    return {
-        "period": [m] * n,
-        "y": y,
-        "true_prob": true_prob,
-        "pred_prob": pred_prob,
-        "loss": loss,
-        "loss_monitor": loss_monitor,
-        "loss_act": loss_act,
-        "action": action,
-    }
+
+def _rows(config: ScenarioConfig) -> Iterator[tuple]:
+    """The rows of every period, in period order."""
+    for m in range(1, config.periods + 1):
+        yield from _period_rows(config, m)
+
+
+def _records(i: int, row: tuple) -> tuple[PredictionEvent, OutcomeRecord]:
+    """The (event, outcome) pair of row i of the scenario."""
+    period, y, _, prob, loss, loss_monitor, loss_act, action = row
+    event_id = f"ev-{i:06d}"
+    return (PredictionEvent(event_id, TimeIndex(period, i), prob, action, "frozen-v1"),
+            OutcomeRecord(event_id, y, loss, (loss_monitor, loss_act)))
 
 
 def generate_arrays(config: ScenarioConfig) -> dict[str, np.ndarray]:
@@ -262,37 +278,23 @@ def generate_arrays(config: ScenarioConfig) -> dict[str, np.ndarray]:
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
 
-def scenario_records(
-    columns: dict[str, list], start: int = 0
-) -> Iterator[tuple[PredictionEvent, OutcomeRecord]]:
+def scenario_records(columns: dict[str, list],
+                     start: int = 0) -> Iterator[tuple[PredictionEvent, OutcomeRecord]]:
     """The (event, outcome) pair of each row of scenario columns.
 
     Rows are numbered from start, the row's position in the whole
     scenario: it sets the event_id and the sequence number.
     """
-    rows = zip(*(columns[k] for k in (
-        "period", "pred_prob", "action", "y", "loss", "loss_monitor", "loss_act")))
-    for i, (period, prob, action, y, loss, loss_monitor, loss_act) in enumerate(
-        rows, start=start
-    ):
-        event_id = f"ev-{i:06d}"
-        yield (
-            PredictionEvent(event_id, TimeIndex(period, i), prob, action, "frozen-v1"),
-            OutcomeRecord(event_id, y, loss, (loss_monitor, loss_act)),
-        )
+    for i, row in enumerate(zip(*(columns[k] for k in _COLUMNS)), start=start):
+        yield _records(i, row)
 
 
-def scenario_pairs(
-    config: ScenarioConfig,
-) -> Iterator[tuple[PredictionEvent, OutcomeRecord]]:
-    """The scenario's (event, outcome) pairs, drawn one period at a time,
-    so only one period's columns are held at once."""
-    start = 0
-    for chunk in period_arrays(config):
-        records = scenario_records(chunk, start)
-        start += len(chunk["period"])
-        del chunk  # records holds the columns only until they are used up
-        yield from records
+def scenario_pairs(config: ScenarioConfig) -> Iterator[tuple[PredictionEvent, OutcomeRecord]]:
+    """The scenario's (event, outcome) pairs, each built from its row as the
+    row is drawn: beside the pair, only the drawing period's outcomes and
+    latent scores are held, a bytearray and an array('d')."""
+    for i, row in enumerate(_rows(config)):
+        yield _records(i, row)
 
 
 def generate(config: ScenarioConfig) -> ScenarioOutput:
@@ -300,15 +302,12 @@ def generate(config: ScenarioConfig) -> ScenarioOutput:
 
     Holds the whole scenario in memory; scenario_pairs streams it.
     """
-    chunks = list(period_arrays(config))
-    columns = {k: [v for chunk in chunks for v in chunk[k]] for k in chunks[0]}
-    events, outcomes = zip(*scenario_records(columns))
-    return ScenarioOutput(
-        config=config,
-        events=events,
-        outcomes=outcomes,
-        truth=tuple(columns["true_prob"]),
-    )
+    pairs, truth = [], []
+    for i, row in enumerate(_rows(config)):
+        pairs.append(_records(i, row))
+        truth.append(row[2])
+    events, outcomes = zip(*pairs)
+    return ScenarioOutput(config=config, events=events, outcomes=outcomes, truth=tuple(truth))
 
 
 def canonical_scenario() -> ScenarioConfig:

@@ -2,7 +2,7 @@
 
 import math
 import random
-import weakref
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -37,8 +37,8 @@ def small(**over):
 
 
 class TestPeriodStreaming:
-    """generate_arrays and generate are the per-period draw and the row
-    builder applied to the whole scenario at once."""
+    """period_arrays, generate and scenario_pairs read the one row stream
+    of each period's draw."""
 
     @pytest.mark.parametrize("config", [
         small(),
@@ -74,36 +74,30 @@ class TestPeriodStreaming:
         assert [o for _, o in pairs] == list(out.outcomes)
         assert pairs[300][0].event_id == "ev-000300"  # first row of period 2
 
-    def test_pairs_hold_one_period_of_columns_at_a_time(self, monkeypatch):
-        config = small()
-        refs = []  # weak references to each period's columns, in period order
-        live_at_draw = []  # period m's live columns as period m + 1's draw starts
-        live_at_pair = []  # and as period m + 1's first pair is yielded
+    @pytest.mark.parametrize("name", preset_names())
+    def test_pairs_are_the_records_of_the_period_columns(self, name):
+        # the two readers of the row stream: icu_tail draws a tail uniform
+        # on some rows, oncology_regret escalates the missed-positive harm
+        config = replace(preset(name), patients_per_period=150, seed=5)
+        chunks = list(period_arrays(config))
+        columns = {k: [v for c in chunks for v in c[k]] for k in chunks[0]}
+        assert list(scenario_pairs(config)) == list(scenario_records(columns))
 
-        class Column(list):  # a list that takes weak references
-            pass
-
-        def live(m):
-            return sum(ref() is not None for ref in refs[m - 1])
-
-        def tracked(config):
-            chunks = period_arrays(config)
-            for _ in range(config.periods):
-                if refs:
-                    live_at_draw.append(live(len(refs)))
-                chunk = {k: Column(v) for k, v in next(chunks).items()}
-                refs.append([weakref.ref(c) for c in chunk.values()])
-                yield chunk
-                del chunk
-
-        monkeypatch.setattr(simulator, "period_arrays", tracked)
-        period = 1
-        for event, _ in scenario_pairs(config):
-            if event.time.period != period:
-                period = event.time.period
-                live_at_pair.append(live(period - 1))
-        assert len(refs) == config.periods
-        assert live_at_draw == live_at_pair == [0] * (config.periods - 1)
+    def test_pairs_hold_under_128_bytes_per_row_of_a_period(self):
+        # scenario_pairs keeps a period's outcomes and latent scores, not
+        # its output columns: draining two periods, each pair dropped as it
+        # comes, peaks at a few typed arrays of the period
+        n = 20_000
+        config = small(periods=2, patients_per_period=n)
+        list(scenario_pairs(small(periods=1, patients_per_period=10)))  # lazy imports
+        tracemalloc.start()
+        try:
+            for pair in scenario_pairs(config):
+                del pair
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * n, peak / n
 
 
 class TestDeterminism:
