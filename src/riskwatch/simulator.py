@@ -34,9 +34,9 @@ statistics.NormalDist's inv_cdf of a uniform, and shuffles are Fisher-Yates
 over random(). A period's draw keeps only its outcomes and latent scores,
 a bytearray and an array('d'); each row's probabilities, harm, losses and
 action are computed as the row is pulled, so scenario_pairs holds no
-output column. period_arrays appends the rows to plain lists; only
-generate_arrays, which hands those out as numpy arrays, needs numpy
-(riskwatch[simulate]), and without it raises MissingExtra.
+output column. generate_arrays writes each row into one preallocated
+typed array per column and hands those out as numpy views; only it needs
+numpy (riskwatch[simulate]), and without it raises MissingExtra.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 MONITOR, ACT = 0, 1  # action ids of the binary decision set
-# a row of the draw, and a column of period_arrays each; the ints are
+# a row of the draw, and a column of generate_arrays each; the ints are
 # _INT_COLUMNS, the rest floats
 _COLUMNS = ("period", "y", "true_prob", "pred_prob", "loss", "loss_monitor", "loss_act",
             "action")
@@ -170,23 +170,6 @@ def prevalence_at(config: ScenarioConfig, period: int) -> float:
     return config.base_prevalence + (config.final_prevalence - config.base_prevalence) * frac
 
 
-def period_arrays(config: ScenarioConfig) -> Iterator[dict[str, list]]:
-    """The scenario draw, one period at a time in period order.
-
-    Yields one dict of equal-length lists per period: period, y,
-    true_prob, pred_prob, loss, loss_monitor, loss_act, action. Each period
-    draws from its own stream, so a chunk does not depend on the periods
-    drawn before it. Each row is appended to the lists as _period_rows
-    computes it; no list of rows is held.
-    """
-    for m in range(1, config.periods + 1):
-        columns = tuple([] for _ in _COLUMNS)
-        for row in _period_rows(config, m):
-            for column, v in zip(columns, row):
-                column.append(v)
-        yield dict(zip(_COLUMNS, columns))
-
-
 def _period_draw(config: ScenarioConfig, m: int, draw) -> tuple[bytearray, array]:
     """Period m's outcomes and latent scores, by draw, its stream's
     Random.random: the permutation and the quantiles die with this frame."""
@@ -265,28 +248,25 @@ def _records(i: int, row: tuple) -> tuple[PredictionEvent, OutcomeRecord]:
 
 
 def generate_arrays(config: ScenarioConfig) -> dict[str, np.ndarray]:
-    """The whole scenario draw as numpy arrays: the period_arrays chunks,
-    int64 period, y and action and float64 for the rest, concatenated.
-    Deterministic given the config's seed; needs numpy (riskwatch[simulate])."""
+    """The whole scenario draw as numpy arrays, int64 period, y and action
+    and float64 for the rest. Each row is written into one typed array per
+    column, sized to the draw up front, and each array is handed out as a
+    writable numpy view of its buffer, not a copy. Deterministic given the
+    config's seed; needs numpy (riskwatch[simulate])."""
     try:
         import numpy as np
     except ModuleNotFoundError as exc:
         raise MissingExtra("simulate", "numpy") from exc
 
-    chunks = [{k: np.array(column, dtype=np.int64 if k in _INT_COLUMNS else np.float64)
-               for k, column in chunk.items()} for chunk in period_arrays(config)]
-    return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
-
-
-def scenario_records(columns: dict[str, list],
-                     start: int = 0) -> Iterator[tuple[PredictionEvent, OutcomeRecord]]:
-    """The (event, outcome) pair of each row of scenario columns.
-
-    Rows are numbered from start, the row's position in the whole
-    scenario: it sets the event_id and the sequence number.
-    """
-    for i, row in enumerate(zip(*(columns[k] for k in _COLUMNS)), start=start):
-        yield _records(i, row)
+    n = config.periods * config.patients_per_period
+    columns = [array("q" if k in _INT_COLUMNS else "d", [0]) * n for k in _COLUMNS]
+    # one unpacking per row, about twice as fast as a loop over the columns
+    period, y, true_prob, pred_prob, loss, loss_monitor, loss_act, action = columns
+    for i, row in enumerate(_rows(config)):
+        (period[i], y[i], true_prob[i], pred_prob[i], loss[i], loss_monitor[i], loss_act[i],
+         action[i]) = row
+    return {k: np.frombuffer(column, dtype=column.typecode)
+            for k, column in zip(_COLUMNS, columns)}
 
 
 def scenario_pairs(config: ScenarioConfig) -> Iterator[tuple[PredictionEvent, OutcomeRecord]]:

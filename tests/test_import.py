@@ -366,14 +366,14 @@ def test_checker_catches_a_module_level_numpy_import():
         "from .numpy import x\n"
         "def generate_arrays():\n"
         "    import numpy as np\n"
-        "def period_arrays():\n"
+        "def scenario_pairs():\n"
         "    import numpy as np\n"
     )
     found = sites(source, "numpy")
     assert found == [("numpy", "<load>"), ("numpy", "<load>"), ("numpy", "generate_arrays"),
-                     ("numpy", "period_arrays")]
+                     ("numpy", "scenario_pairs")]
     assert [s for s in found if not HEAVY_IMPORTS["numpy"]("simulator." + s[1])] == [
-        ("numpy", "<load>"), ("numpy", "<load>"), ("numpy", "period_arrays")]
+        ("numpy", "<load>"), ("numpy", "<load>"), ("numpy", "scenario_pairs")]
 
 
 def test_checker_catches_a_module_level_statistics_import():

@@ -20,12 +20,10 @@ from riskwatch.simulator import (
     canonical_scenario,
     generate,
     generate_arrays,
-    period_arrays,
     prevalence_at,
     preset,
     preset_names,
     scenario_pairs,
-    scenario_records,
     stationary_control,
 )
 
@@ -37,51 +35,38 @@ def small(**over):
 
 
 class TestPeriodStreaming:
-    """period_arrays, generate and scenario_pairs read the one row stream
+    """generate_arrays, generate and scenario_pairs read the one row stream
     of each period's draw."""
 
-    @pytest.mark.parametrize("config", [
-        small(),
-        replace(preset("icu_tail"), periods=3, patients_per_period=400, seed=4),
-    ], ids=["canonical", "icu_tail"])
-    def test_arrays_are_the_period_chunks_concatenated(self, config):
-        chunks = list(period_arrays(config))
-        assert [c["period"][0] for c in chunks] == list(range(1, config.periods + 1))
-        whole = generate_arrays(config)
-        assert list(whole) == list(chunks[0])
-        for key, arr in whole.items():
-            joined = [v for c in chunks for v in c[key]]
-            kind = int if key in ("period", "y", "action") else float
-            assert {type(v) for v in joined} == {kind}, key  # plain lists of Python numbers
-            assert arr.dtype == (np.int64 if kind is int else np.float64), key
-            assert arr.tolist() == joined, key
-
-    def test_generate_is_the_row_builder(self):
-        config = small()
+    @pytest.mark.parametrize("name", preset_names())
+    def test_arrays_are_the_generated_records(self, name):
+        # icu_tail draws a tail uniform on some rows, oncology_regret
+        # escalates the missed-positive harm
+        config = replace(preset(name), periods=3, patients_per_period=150, seed=5)
+        arrays = generate_arrays(config)
         out = generate(config)
-        chunks = list(period_arrays(config))
-        columns = {k: [v for c in chunks for v in c[k]] for k in chunks[0]}
-        pairs = list(scenario_records(columns))
-        assert out.events == tuple(e for e, _ in pairs)
-        assert out.outcomes == tuple(o for _, o in pairs)
-        assert out.truth == tuple(columns["true_prob"])
-        assert [e.time.sequence for e in out.events] == list(range(len(pairs)))
+        assert list(arrays) == ["period", "y", "true_prob", "pred_prob", "loss",
+                                "loss_monitor", "loss_act", "action"]
+        for key, arr in arrays.items():
+            assert arr.dtype == (np.int64 if key in ("period", "y", "action") else np.float64)
+            assert arr.shape == (len(out.events),), key
+        assert arrays["period"].tolist() == [e.time.period for e in out.events]
+        assert arrays["pred_prob"].tolist() == [e.predicted_prob for e in out.events]
+        assert arrays["action"].tolist() == [e.action_id for e in out.events]
+        assert arrays["y"].tolist() == [o.outcome for o in out.outcomes]
+        assert arrays["loss"].tolist() == [o.loss for o in out.outcomes]
+        assert arrays["loss_monitor"].tolist() == [o.alt_losses[MONITOR] for o in out.outcomes]
+        assert arrays["loss_act"].tolist() == [o.alt_losses[ACT] for o in out.outcomes]
+        assert arrays["true_prob"].tolist() == list(out.truth)
+        assert list(scenario_pairs(config)) == list(zip(out.events, out.outcomes))
 
     def test_streamed_pairs_number_rows_across_periods(self):
         out = generate(small())
         pairs = list(scenario_pairs(small()))
         assert [e for e, _ in pairs] == list(out.events)
         assert [o for _, o in pairs] == list(out.outcomes)
+        assert [e.time.sequence for e in out.events] == list(range(len(pairs)))
         assert pairs[300][0].event_id == "ev-000300"  # first row of period 2
-
-    @pytest.mark.parametrize("name", preset_names())
-    def test_pairs_are_the_records_of_the_period_columns(self, name):
-        # the two readers of the row stream: icu_tail draws a tail uniform
-        # on some rows, oncology_regret escalates the missed-positive harm
-        config = replace(preset(name), patients_per_period=150, seed=5)
-        chunks = list(period_arrays(config))
-        columns = {k: [v for c in chunks for v in c[k]] for k in chunks[0]}
-        assert list(scenario_pairs(config)) == list(scenario_records(columns))
 
     def test_pairs_hold_under_128_bytes_per_row_of_a_period(self):
         # scenario_pairs keeps a period's outcomes and latent scores, not
@@ -99,10 +84,34 @@ class TestPeriodStreaming:
             tracemalloc.stop()
         assert peak < 128 * n, peak / n
 
+    def test_arrays_peak_under_1_5_times_their_bytes(self):
+        # generate_arrays writes each row into the one array per column it
+        # hands out: beside those, a period's outcomes and latent scores
+        config = small(periods=2, patients_per_period=20_000)
+        generate_arrays(small(periods=1, patients_per_period=10))  # lazy imports
+        tracemalloc.start()
+        try:
+            arrays = generate_arrays(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(arr.nbytes for arr in arrays.values())
+        assert size == 8 * 8 * 40_000
+        assert peak < 1.5 * size, peak / size
+
+    def test_arrays_are_writable_views_of_their_buffers(self):
+        arrays = generate_arrays(small())
+        for key, arr in arrays.items():
+            assert arr.flags.writeable and not arr.flags.owndata, key
+        arrays["loss"][0] = -1.0
+        assert arrays["loss"][0] == -1.0
+
 
 class TestDeterminism:
     def test_same_seed_same_output(self):
-        assert list(period_arrays(small())) == list(period_arrays(small()))
+        a, b = generate_arrays(small()), generate_arrays(small())
+        assert list(a) == list(b)
+        assert all(a[k].tobytes() == b[k].tobytes() for k in a)
 
     def test_seed_changes_output(self):
         a = generate_arrays(small(seed=1))
@@ -118,7 +127,7 @@ class TestDeterminism:
                 super().seed(a, version)
 
         monkeypatch.setattr(simulator, "Random", Recorded)
-        list(period_arrays(small(seed=12)))
+        generate_arrays(small(seed=12))
         assert seeds == ["12:1", "12:2", "12:3", "12:4"]
 
     def test_events_deterministic_end_to_end(self):
@@ -275,8 +284,7 @@ class TestConfigValidation:
         with pytest.raises(BadConfig):
             ScenarioConfig(**settings)
 
-    @pytest.mark.parametrize("draw", [period_arrays, generate_arrays,
-                                      scenario_pairs, generate],
+    @pytest.mark.parametrize("draw", [generate_arrays, scenario_pairs, generate],
                              ids=lambda f: f.__name__)
     def test_seed_comes_only_from_the_checked_config(self, draw):
         # replace(config, seed=s) is the route that goes through the checks
@@ -401,10 +409,11 @@ class TestUniformEnds:
                 return values[self.calls % len(values)]
 
         monkeypatch.setattr(simulator, "Random", Extreme)
-        for chunk in period_arrays(config):
-            assert len(set(map(len, chunk.values()))) == 1
-            for key in ("true_prob", "pred_prob"):
-                assert all(0.0 <= v <= 1.0 for v in chunk[key]), key
-            for key in ("loss", "loss_monitor", "loss_act"):
-                assert all(math.isfinite(v) and v >= 0.0 for v in chunk[key]), key
-            assert set(chunk["y"]) <= {0, 1}
+        arrays = generate_arrays(config)
+        assert arrays["period"].tolist() == [
+            m for m in range(1, config.periods + 1) for _ in range(config.patients_per_period)]
+        for key in ("true_prob", "pred_prob"):
+            assert ((arrays[key] >= 0.0) & (arrays[key] <= 1.0)).all(), key
+        for key in ("loss", "loss_monitor", "loss_act"):
+            assert (np.isfinite(arrays[key]) & (arrays[key] >= 0.0)).all(), key
+        assert set(arrays["y"].tolist()) <= {0, 1}

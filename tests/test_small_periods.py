@@ -20,7 +20,7 @@ import pytest
 from riskwatch.alarms import OperatingState, ThresholdPolicy
 from riskwatch.calibration import ece
 from riskwatch.monitor import MonitorEngine
-from riskwatch.simulator import (ScenarioConfig, period_arrays, scenario_records,
+from riskwatch.simulator import (ScenarioConfig, _records, generate_arrays,
                                  stationary_control)
 
 ECE_MAX = ThresholdPolicy().ece_max
@@ -31,10 +31,12 @@ FALSE_BREACH_RATE = {60: 0.892, 100: 0.721, 200: 0.278, 500: 0.005, 1000: 0.0, 2
 
 
 def iid_periods(config: ScenarioConfig, seed: int):
-    """period_arrays(config), each outcome redrawn i.i.d. from true_prob."""
+    """Each period's slice of generate_arrays(config), each outcome redrawn
+    i.i.d. from true_prob."""
     rng = np.random.default_rng([seed, config.patients_per_period])
-    for chunk in period_arrays(config):
-        chunk = {k: np.asarray(column) for k, column in chunk.items()}
+    arrays, n = generate_arrays(config), config.patients_per_period
+    for start in range(0, arrays["y"].size, n):
+        chunk = {k: column[start:start + n] for k, column in arrays.items()}
         chunk["y"] = (rng.random(chunk["y"].size) < chunk["true_prob"]).astype(np.int64)
         yield chunk
 
@@ -55,8 +57,9 @@ def alarm_states(config: ScenarioConfig, seed: int, stop_at_breach: bool = False
     out of normal."""
     engine, start, states = MonitorEngine(), 0, []
     for chunk in iid_periods(config, seed):
-        for event, outcome in scenario_records({k: c.tolist() for k, c in chunk.items()},
-                                               start):
+        rows = zip(*(column.tolist() for column in chunk.values()))
+        for i, row in enumerate(rows, start):
+            event, outcome = _records(i, row)
             engine.observe_event(event)
             engine.observe_outcome(outcome)
         start += chunk["y"].size
