@@ -38,6 +38,34 @@ class TestPeriodStreaming:
     """generate_arrays, generate and scenario_pairs read the one row stream
     of each period's draw."""
 
+    @pytest.mark.parametrize("config", [
+        small(),
+        replace(preset("icu_tail"), periods=3, patients_per_period=777, seed=4),
+    ], ids=["canonical", "icu_tail"])
+    def test_arrays_are_the_period_chunks_concatenated(self, config):
+        chunks = [list(simulator._period_rows(config, m)) for m in range(1, config.periods + 1)]
+        assert [[row[0] for row in c] for c in chunks] == [
+            [m] * config.patients_per_period for m in range(1, config.periods + 1)]
+        whole = generate_arrays(config)
+        for j, (key, arr) in enumerate(whole.items()):
+            joined = [row[j] for c in chunks for row in c]
+            kind = int if key in ("period", "y", "action") else float
+            assert {type(v) for v in joined} == {kind}, key  # plain Python numbers
+            assert arr.dtype == (np.int64 if kind is int else np.float64), key
+            assert arr.tolist() == joined, key
+
+    def test_generate_is_the_row_builder(self):
+        config = small()
+        out = generate(config)
+        arrays = generate_arrays(config)
+        rows = zip(*(column.tolist() for column in arrays.values()))
+        pairs = [simulator._records(i, row) for i, row in enumerate(rows)]
+        assert out.events == tuple(e for e, _ in pairs)
+        assert out.outcomes == tuple(o for _, o in pairs)
+        assert out.truth == tuple(arrays["true_prob"].tolist())
+        assert [e.event_id for e in out.events[:2]] == ["ev-000000", "ev-000001"]
+        assert {e.model_version for e in out.events} == {"frozen-v1"}
+
     @pytest.mark.parametrize("name", preset_names())
     def test_arrays_are_the_generated_records(self, name):
         # icu_tail draws a tail uniform on some rows, oncology_regret
