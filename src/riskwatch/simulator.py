@@ -34,9 +34,10 @@ statistics.NormalDist's inv_cdf of a uniform, and shuffles are Fisher-Yates
 over random(). A period's draw keeps only its outcomes and latent scores,
 a bytearray and an array('d'); each row's probabilities, harm, losses and
 action are computed as the row is pulled, so scenario_pairs holds no
-output column. generate_arrays writes each row into one preallocated
-typed array per column and hands those out as numpy views; only it needs
-numpy (riskwatch[simulate]), and without it raises MissingExtra.
+output column. generate_arrays writes each row into one anonymous
+mapping per column and hands those out as numpy views, so a column goes
+back to the OS when its last view is dropped; only it needs numpy
+(riskwatch[simulate]), and without it raises MissingExtra.
 """
 
 from __future__ import annotations
@@ -249,23 +250,30 @@ def _records(i: int, row: tuple) -> tuple[PredictionEvent, OutcomeRecord]:
 
 def generate_arrays(config: ScenarioConfig) -> dict[str, np.ndarray]:
     """The whole scenario draw as numpy arrays, int64 period, y and action
-    and float64 for the rest. Each row is written into one typed array per
-    column, sized to the draw up front, and each array is handed out as a
-    writable numpy view of its buffer, not a copy. Deterministic given the
-    config's seed; needs numpy (riskwatch[simulate])."""
+    and float64 for the rest. Each row is written into one anonymous mapping
+    per column, sized to the draw up front, and each mapping is handed out
+    as a writable numpy view, not a copy; it is unmapped when its last view
+    is dropped. Deterministic given the config's seed; needs numpy
+    (riskwatch[simulate])."""
     try:
         import numpy as np
     except ModuleNotFoundError as exc:
         raise MissingExtra("simulate", "numpy") from exc
 
+    import mmap
+
     n = config.periods * config.patients_per_period
-    columns = [array("q" if k in _INT_COLUMNS else "d", [0]) * n for k in _COLUMNS]
+    # each column is its own anonymous mapping, unmapped when its last view
+    # dies; a freed malloc'd column below malloc's mmap threshold (which
+    # numpy's import raises) would stay in the heap
+    columns = [memoryview(mmap.mmap(-1, 8 * n)).cast("q" if k in _INT_COLUMNS else "d")
+               for k in _COLUMNS]
     # one unpacking per row, about twice as fast as a loop over the columns
     period, y, true_prob, pred_prob, loss, loss_monitor, loss_act, action = columns
     for i, row in enumerate(_rows(config)):
         (period[i], y[i], true_prob[i], pred_prob[i], loss[i], loss_monitor[i], loss_act[i],
          action[i]) = row
-    return {k: np.frombuffer(column, dtype=column.typecode)
+    return {k: np.frombuffer(column, dtype=column.format)
             for k, column in zip(_COLUMNS, columns)}
 
 

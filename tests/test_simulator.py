@@ -1,9 +1,14 @@
 """Synthetic deployment generator: determinism, structure, drift mechanics."""
 
 import math
+import mmap
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,23 @@ from riskwatch.simulator import (
     scenario_pairs,
     stationary_control,
 )
+
+
+# draws the canonical scenario and prints its output bytes and how far VmRSS
+# fell when the draw was deleted
+RSS_CHILD = """
+from riskwatch.simulator import canonical_scenario, generate_arrays
+
+def rss():
+    with open("/proc/self/status") as fp:
+        return next(int(line.split()[1]) * 1024 for line in fp if line.startswith("VmRSS:"))
+
+arrays = generate_arrays(canonical_scenario())
+size = sum(arr.nbytes for arr in arrays.values())
+before = rss()
+del arrays
+print(size, before - rss())
+"""
 
 
 def small(**over):
@@ -113,8 +135,9 @@ class TestPeriodStreaming:
         assert peak < 128 * n, peak / n
 
     def test_arrays_peak_under_1_5_times_their_bytes(self):
-        # generate_arrays writes each row into the one array per column it
-        # hands out: beside those, a period's outcomes and latent scores
+        # generate_arrays writes each row into the one mapping per column it
+        # hands out: beside those, a period's outcomes and latent scores.
+        # tracemalloc sees no mapped page, so the mappings are added to its peak
         config = small(periods=2, patients_per_period=20_000)
         generate_arrays(small(periods=1, patients_per_period=10))  # lazy imports
         tracemalloc.start()
@@ -123,9 +146,26 @@ class TestPeriodStreaming:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        for key, arr in arrays.items():
+            assert isinstance(arr.base.obj, mmap.mmap), key
+            assert len(arr.base.obj) == arr.nbytes, key
         size = sum(arr.nbytes for arr in arrays.values())
         assert size == 8 * 8 * 40_000
-        assert peak < 1.5 * size, peak / size
+        assert peak + size < 1.5 * size, (peak + size) / size
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads VmRSS from /proc/self/status")
+    def test_dropped_draw_gives_its_pages_back(self):
+        # in a fresh interpreter numpy first loads inside the call, which
+        # raises glibc's mmap threshold above a canonical column's 192 KB: a
+        # column taken from malloc would then stay in the heap once dropped
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", RSS_CHILD], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        size, fell = map(int, proc.stdout.split())
+        assert size == 8 * 8 * 24_000
+        assert fell >= 0.9 * size, fell / size
 
     def test_arrays_are_writable_views_of_their_buffers(self):
         arrays = generate_arrays(small())
