@@ -16,6 +16,7 @@ numpy.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
@@ -75,16 +76,16 @@ def drift_score(baseline: BetaPosterior, rolling: BetaPosterior) -> float:
     log_first = (math.lgamma(b0 + b1) + math.lgamma(a0 + b0)
                  - math.lgamma(a0 + b0 + b1) - math.lgamma(b0))
     log, log1p, c = math.log, math.log1p, a0 + b0 + b1
-    log_ratios = [log(a0 + i) + log(b1 + i) - log(c + i) - log1p(i)
-                  for i in map(float, range(int(a1) - 1))]
-    terms = [math.exp(log_first + t) for t in accumulate(log_ratios, initial=0.0)]
+    log_ratios = (log(a0 + i) + log(b1 + i) - log(c + i) - log1p(i)
+                  for i in map(float, range(int(a1) - 1)))
+    terms = array("d", (math.exp(log_first + t) for t in accumulate(log_ratios, initial=0.0)))
     # a pairwise sum, not math.fsum: the logs carry ~1e-11 error anyway, and
     # fsum slows to milliseconds when the terms span hundreds of decades
     s = min(_pairwise_sum(terms), 1.0)
     return max(s, 1.0 - s)
 
 
-def _pairwise_sum(x: list[float]) -> float:
+def _pairwise_sum(x: array) -> float:
     """Sum of x in the order numpy's np.sum adds float64 values: eight
     running sums over blocks of at most 128, halves split at a multiple of
     8. So drift_score keeps the values it had on numpy."""

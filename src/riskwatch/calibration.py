@@ -21,12 +21,16 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 from operator import mul, sub
 from typing import Sequence
 
 from .core import check_integer
 from .errors import EmptyWindow
+
+# auc's equal-width buckets, each sorted on its own: about 64 values each,
+# at most this many
+_AUC_BUCKETS = 256
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,23 @@ def _as_prob_outcome(probs: Sequence[float], outcomes: Sequence[int]):
     return p, y
 
 
+def _buckets(p: array, y: array, k: int) -> tuple[list[array], list[array]]:
+    """The values of p in k equal-width buckets over [0, 1], and the
+    positives among them: v goes to bucket int(v * k), and a v whose
+    product rounds to k (1.0, and some just below) to the last. The bucket
+    is monotone in v, so each bucket holds a slice of the sorted values."""
+    values = [array("d") for _ in range(k + 1)]
+    positives = [array("d") for _ in range(k + 1)]
+    for v, o in zip(p, y):
+        b = int(v * k)
+        values[b].append(v)
+        if o:
+            positives[b].append(v)
+    values[k - 1] += values.pop()
+    positives[k - 1] += positives.pop()
+    return values, positives
+
+
 def reliability_bins(
     probs: Sequence[float],
     outcomes: Sequence[int],
@@ -74,31 +95,20 @@ def reliability_bins(
     """
     check_integer("n_bins", n_bins, 1)
     p, y = _as_prob_outcome(probs, outcomes)
-    # equal-width bins over [0, 1]: bin int(p * n_bins), with a p whose
-    # product rounds to n_bins (1.0, and some just below) in the last one.
-    # The bin is monotone in p, so each bin is a slice of the sorted
-    # values, and fsum makes the order within a bin irrelevant
-    times_n = float(n_bins).__mul__
-    ordered, positives = sorted(p), sorted(compress(p, y))
-
-    def cuts(values):  # the start of each bin in sorted values, then the end
-        return [0, *(bisect_left(values, b, key=times_n) for b in range(1, n_bins)),
-                len(values)]
-
-    at, pos_at = cuts(ordered), cuts(positives)
     # numpy's linspace(0, 1, n_bins + 1): multiples of one step, last edge 1
     step = 1.0 / n_bins
     edges = [b * step for b in range(n_bins)] + [1.0]
 
     bins: list[ReliabilityBin] = []
-    for b in range(n_bins):
-        count = at[b + 1] - at[b]
+    for b, (members, positives) in enumerate(zip(*_buckets(p, y, n_bins))):
+        count = len(members)
         if count == 0:
             bins.append(ReliabilityBin(edges[b], edges[b + 1], 0, None, None))
             continue
-        mean_pred = math.fsum(ordered[at[b]:at[b + 1]]) / count
-        event_rate = (pos_at[b + 1] - pos_at[b]) / count
-        bins.append(ReliabilityBin(edges[b], edges[b + 1], count, mean_pred, event_rate))
+        # fsum makes the order within a bin irrelevant
+        mean_pred = math.fsum(members) / count
+        bins.append(ReliabilityBin(edges[b], edges[b + 1], count, mean_pred,
+                                   len(positives) / count))
     return bins
 
 
@@ -126,7 +136,7 @@ def brier(probs: Sequence[float], outcomes: Sequence[int]) -> float:
     """Mean squared error of the predicted probabilities."""
     p, y = _as_prob_outcome(probs, outcomes)
     # d * d, not d ** 2: ** is libm pow, which need not be correctly rounded
-    d = list(map(sub, p, y))
+    d = array("d", map(sub, p, y))
     return math.fsum(map(mul, d, d)) / len(p)
 
 
@@ -138,18 +148,23 @@ def auc(probs: Sequence[float], outcomes: Sequence[int]) -> float | None:
     (undefined, not 0.5) when the period holds a single outcome class.
     """
     p, y = _as_prob_outcome(probs, outcomes)
-    positives = list(compress(p, y))
-    n_pos = len(positives)
+    n_pos = y.count(1)
     n_neg = len(p) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
     # a run of tied values at sorted positions i..j (0-based) shares the
     # 1-based midrank (i + j + 2) / 2, and for a member v of the run
     # bisect_left gives i and bisect_right j + 1; so twice the positives'
-    # rank sum is a whole number, summed exactly
-    ordered = sorted(p)
-    twice_rank_sum = (sum(map(bisect_left, repeat(ordered, n_pos), positives))
-                      + sum(map(bisect_right, repeat(ordered, n_pos), positives))
-                      + n_pos)
+    # rank sum is a whole number, summed exactly. Ties share a bucket, so a
+    # value's sorted position is the count in the buckets below plus its
+    # position in its own, and only one bucket is sorted (boxed) at a time
+    twice_rank_sum, below = n_pos, 0
+    for members, positives in zip(*_buckets(p, y, min(len(p) // 64 + 1, _AUC_BUCKETS))):
+        if positives:
+            ordered, m = sorted(members), len(positives)
+            twice_rank_sum += (2 * below * m
+                               + sum(map(bisect_left, repeat(ordered, m), positives))
+                               + sum(map(bisect_right, repeat(ordered, m), positives)))
+        below += len(members)
     rank_sum = twice_rank_sum / 2
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

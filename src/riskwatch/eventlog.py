@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import logging
@@ -58,6 +57,14 @@ from functools import partial
 from itertools import islice
 from operator import attrgetter
 from typing import IO, Callable, Iterable, Iterator, Sequence, get_type_hints
+
+try:  # CPython's builtin sha256: hashlib's would load OpenSSL, about 3.6 MB
+    from _sha256 import sha256  # CPython 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12 on
+    except ImportError:
+        from hashlib import sha256
 
 from .alarms import AlarmRecord, OperatingState, ThresholdPolicy
 from .core import MetricSnapshot, OutcomeRecord, PredictionEvent, check_integer, check_metrics
@@ -373,7 +380,7 @@ def save_snapshot(engine: MonitorEngine, fp: IO[str]) -> None:
     type that owns such a value is the one that refuses it.)
     """
     state = _canonical(engine.to_state(), allow_nan=False)
-    digest = hashlib.sha256(state.encode()).hexdigest()
+    digest = sha256(state.encode()).hexdigest()
     fp.write(f'{{"sha256":"{digest}","state":{state}}}\n')
 
 
@@ -386,7 +393,7 @@ def load_snapshot(fp: IO[str]) -> MonitorEngine:
         raise CorruptSnapshot(f"snapshot is not valid UTF-8: {exc.reason}") from exc
     if not isinstance(doc, dict) or "state" not in doc or "sha256" not in doc:
         raise CorruptSnapshot("snapshot document missing required keys")
-    digest = hashlib.sha256(_canonical(doc["state"]).encode()).hexdigest()
+    digest = sha256(_canonical(doc["state"]).encode()).hexdigest()
     if digest != doc["sha256"]:
         raise CorruptSnapshot("snapshot checksum mismatch; file damaged or edited")
     engine = MonitorEngine.from_state(doc["state"])

@@ -173,8 +173,6 @@ class MonitorEngine:
             regret_rate = fsum(self._acc_regrets, len(self._acc_regrets))
 
         positives = sum(self._acc_ys)
-        # sorted once: var's and cvar_tail's own sorts are then linear passes
-        losses = array("d", sorted(self._acc_losses))
         snapshot = MetricSnapshot(
             time=self._open_time,
             n=n,
@@ -182,8 +180,8 @@ class MonitorEngine:
             ece=ece(self._acc_probs, self._acc_ys, n_bins=self.n_bins),
             brier=brier(self._acc_probs, self._acc_ys),
             auc=auc(self._acc_probs, self._acc_ys),
-            var=var(losses, self.alpha),
-            cvar=cvar_tail(losses, self.alpha),
+            var=var(self._acc_losses, self.alpha),
+            cvar=cvar_tail(self._acc_losses, self.alpha),
             regret_cumulative=regret_cumulative,
             regret_rate=regret_rate,
             **self._belief(n, positives),

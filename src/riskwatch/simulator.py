@@ -149,16 +149,22 @@ def _exp(x: float) -> float:
 
 @cache
 def _standard_normal():
-    from statistics import NormalDist  # here, not at import: it loads decimal
-
-    return NormalDist()
+    """The standard normal's inverse CDF: the C function that
+    statistics.NormalDist's inv_cdf wraps, so a draw loads neither
+    statistics nor its decimal, or where there is none inv_cdf itself."""
+    try:
+        from _statistics import _normal_dist_inv_cdf
+    except ImportError:
+        from statistics import NormalDist  # here, not at import: it loads decimal
+        return NormalDist().inv_cdf
+    return lambda p: _normal_dist_inv_cdf(p, 0.0, 1.0)
 
 
 def _ndtri(p: float) -> float:
     """Inverse of the standard normal CDF at p in (0, 1): statistics.NormalDist's
     inv_cdf (Wichura's AS241), NaN through. It raises at 0 and 1, so every
     caller first moves p into [_LOWEST, _HIGHEST]."""
-    return _standard_normal().inv_cdf(p)
+    return _standard_normal()(p)
 
 
 def prevalence_at(config: ScenarioConfig, period: int) -> float:

@@ -9,6 +9,8 @@ must give their bits on every input.
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
+from itertools import compress, repeat
 
 import numpy as np
 import pytest
@@ -126,6 +128,56 @@ def numpy_auc(probs, ys):
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+# -- the sort-based formulas the metrics ran on before they binned the values
+# of the engine's typed arrays in place, kept as references: the metrics
+# must give their bits on every input
+
+
+def sorted_reliability_bins(probs, ys, n_bins=10):
+    p, y = array("d", probs), array("d", ys)
+    times_n = float(n_bins).__mul__
+    ordered, positives = sorted(p), sorted(compress(p, y))
+
+    def cuts(values):  # the start of each bin in sorted values, then the end
+        return [0, *(bisect_left(values, b, key=times_n) for b in range(1, n_bins)),
+                len(values)]
+
+    at, pos_at = cuts(ordered), cuts(positives)
+    step = 1.0 / n_bins
+    edges = [b * step for b in range(n_bins)] + [1.0]
+    bins = []
+    for b in range(n_bins):
+        count = at[b + 1] - at[b]
+        if count == 0:
+            bins.append(ReliabilityBin(edges[b], edges[b + 1], 0, None, None))
+            continue
+        bins.append(ReliabilityBin(edges[b], edges[b + 1], count,
+                                   math.fsum(ordered[at[b]:at[b + 1]]) / count,
+                                   (pos_at[b + 1] - pos_at[b]) / count))
+    return bins
+
+
+def sorted_ece(probs, ys, n_bins=10):
+    bins = sorted_reliability_bins(probs, ys, n_bins)
+    n = sum(b.count for b in bins)
+    return math.fsum((b.count / n) * abs(b.mean_pred - b.event_rate)
+                     for b in bins if b.count > 0)
+
+
+def sorted_auc(probs, ys):
+    p, y = array("d", probs), array("d", ys)
+    positives = list(compress(p, y))
+    n_pos = len(positives)
+    n_neg = len(p) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    ordered = sorted(p)
+    twice_rank_sum = (sum(map(bisect_left, repeat(ordered, n_pos), positives))
+                      + sum(map(bisect_right, repeat(ordered, n_pos), positives))
+                      + n_pos)
+    return (twice_rank_sum / 2 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 # probabilities with ties, -0.0, 0.0, 1.0 and subnormals; one row or many,
 # one outcome class or both
 numpy_rows = st.lists(
@@ -174,6 +226,57 @@ class TestSameBitsAsTheNumpyFormulas:
     def test_auc(self, rows, as_input):
         probs, ys = [r[0] for r in rows], [r[1] for r in rows]
         assert repr(auc(*as_input(probs, ys))) == repr(numpy_auc(probs, ys))
+
+
+# the floats at and next to every edge of 1 to 30 equal-width bins, 1.0
+# and the float below it, whose product with n_bins may round up to n_bins
+EDGE_PROBS = sorted({v for n in range(1, 31) for b in range(n + 1)
+                     for v in (b / n, math.nextafter(b / n, 0.0), math.nextafter(b / n, 1.0))
+                     if 0.0 <= v <= 1.0} | {1.0 - 2.0 ** -53, -0.0})
+edge_rows = st.lists(st.tuples(st.sampled_from(EDGE_PROBS), st.integers(0, 1)),
+                     min_size=1, max_size=300)
+as_list_or_array = st.sampled_from([
+    lambda probs, ys: (probs, ys),
+    lambda probs, ys: (array("d", probs), array("B", ys)),
+])
+
+
+class TestSameBitsAsTheSortedFormulas:
+    """The binned metrics give the bits of the sorts they replaced, on lists
+    and on the engine's typed arrays, bin edges and 1 - 2**-53 included."""
+
+    @given(st.one_of(numpy_rows, edge_rows), st.integers(1, 30), as_list_or_array)
+    @settings(max_examples=300, deadline=None)
+    def test_reliability_bins_and_ece(self, rows, n_bins, as_input):
+        probs, ys = [r[0] for r in rows], [r[1] for r in rows]
+        want = sorted_reliability_bins(probs, ys, n_bins)
+        assert repr(reliability_bins(*as_input(probs, ys), n_bins=n_bins)) == repr(want)
+        assert repr(ece(*as_input(probs, ys), n_bins=n_bins)) == repr(
+            sorted_ece(probs, ys, n_bins))
+
+    @given(st.one_of(numpy_rows, edge_rows), as_list_or_array)
+    @settings(max_examples=300, deadline=None)
+    def test_auc(self, rows, as_input):
+        probs, ys = [r[0] for r in rows], [r[1] for r in rows]
+        assert repr(auc(*as_input(probs, ys))) == repr(sorted_auc(probs, ys))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), as_list_or_array)
+    @settings(max_examples=40, deadline=None)
+    def test_auc_over_thousands_of_ties_in_few_buckets(self, seed, decimals, as_input):
+        # rounded values pile into a few of auc's buckets, each holding
+        # long runs of ties
+        rng = np.random.default_rng(seed)
+        probs = (rng.random(5000) ** 3).round(decimals).tolist()
+        ys = (rng.random(5000) < 0.3).astype(int).tolist()
+        assert repr(auc(*as_input(probs, ys))) == repr(sorted_auc(probs, ys))
+
+    @pytest.mark.parametrize("p", [1.0, 1.0 - 2.0 ** -53, 0.9, math.nextafter(0.9, 0.0), 0.0])
+    def test_the_top_edge(self, p):
+        probs, ys = [p, 0.05, p, 0.95, 0.5], [1, 0, 0, 1, 1]
+        for n_bins in (1, 3, 10):
+            assert repr(reliability_bins(probs, ys, n_bins=n_bins)) == repr(
+                sorted_reliability_bins(probs, ys, n_bins))
+        assert repr(auc(probs, ys)) == repr(sorted_auc(probs, ys))
 
 
 probs_and_ys = st.lists(

@@ -13,7 +13,8 @@ One ast walk over each module finds every site of nine static rules, and
 one table (RULES) says where each may stand:
 - a heavy import: numpy only at the site above, scipy nowhere; fractions
   and statistics (each loads decimal, about 3 ms) only inside a function,
-  never at load;
+  never at load; hashlib (it loads OpenSSL, about 3.6 MB) only as
+  eventlog's fallback where CPython's builtin sha256 is missing;
 - a transcendental numpy ufunc (exp, log, power, trig and the like):
   nowhere, because numpy picks their SIMD loops by host CPU, and on
   AVX-512 those differ from libm in the last bit, so the outputs would
@@ -71,6 +72,8 @@ HEAVY_IMPORTS = {
     # the exact sums past the float range, and the simulator's normal
     # quantiles: each loads decimal, so never at load
     **dict.fromkeys(("fractions", "statistics"), lambda site: not site.endswith(".<load>")),
+    # the state checksum's fallback, where CPython's builtin sha256 is missing
+    "hashlib": lambda site: site == "eventlog.<load>",
 }
 
 TYPE_TEST_RULES = ("int type test", "float type test", "bool type test")
@@ -669,6 +672,68 @@ def test_simulate_path_never_imports_scipy(tmp_path, monkeypatch):
     for name in ("monitor", "part", "replay", "simulate"):
         assert same_files(tmp_path, name)
     assert got["arrays"] == "int64"
+
+
+# runs CLI calls in a fresh interpreter, then prints which of the named
+# modules are loaded
+LOADED_CHILD = """
+import contextlib, io, json, sys
+import riskwatch.cli
+
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        riskwatch.cli.main(argv)
+print(json.dumps(sorted(set(json.loads(sys.argv[2])) & sys.modules.keys())))
+"""
+
+
+def loaded_by(argvs: list[list[str]], modules: list[str]) -> list[str]:
+    """Those of the modules that the CLI calls leave loaded in a fresh interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run([sys.executable, "-c", LOADED_CHILD, json.dumps(argvs),
+                           json.dumps(modules)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def small_simulate(tmp_path: Path) -> list[str]:
+    """A simulate call of the canonical scenario at 300 patients per period."""
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps({"scenario": {"patients_per_period": 300}}))
+    return ["simulate", "--scenario", str(cfg), "--out", str(tmp_path / "sim")]
+
+
+CPYTHON_ONLY = pytest.mark.skipif(sys.implementation.name != "cpython",
+                                  reason="a builtin module of CPython")
+
+
+@CPYTHON_ONLY
+def test_the_state_checksum_is_the_builtin_sha256():
+    # CPython 3.10 and 3.11 name the module _sha256, 3.12 on _sha2; a silent
+    # fallback to hashlib's would show only as the memory OpenSSL takes
+    from riskwatch import eventlog
+
+    assert eventlog.sha256.__module__ == ("_sha256" if sys.version_info < (3, 12) else "_sha2")
+
+
+@CPYTHON_ONLY
+def test_snapshots_save_and_load_without_openssl(tmp_path):
+    log, part = tmp_path / "sim" / "events.ndjson", tmp_path / "part"
+    argvs = [small_simulate(tmp_path),
+             ["monitor", "--in", str(log), "--out", str(part), "--no-finalize"],
+             ["replay", "--snapshot", str(part / "state.json"), "--in", str(log),
+              "--out", str(tmp_path / "replay")]]
+    assert loaded_by(argvs, ["_hashlib", "hashlib"]) == []
+    assert (tmp_path / "replay" / "state.json").is_file()
+
+
+@CPYTHON_ONLY
+def test_simulate_loads_no_decimal(tmp_path):
+    # the draw's normal quantiles call the C function statistics wraps
+    assert loaded_by([small_simulate(tmp_path)], ["decimal", "fractions", "statistics"]) == []
+    assert (tmp_path / "sim" / "state.json").is_file()
 
 
 def test_the_benchmark_finds_every_name_it_wraps():

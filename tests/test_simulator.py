@@ -4,6 +4,7 @@ import math
 import mmap
 import os
 import random
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -433,6 +434,25 @@ class TestNdtri:
         # for floats of one sign, the distance in ulps is the gap in their bits
         ulps = np.abs(got.view(np.int64) - want.view(np.int64))
         assert ulps.max() <= 8, (p[ulps.argmax()], ulps.max())
+
+    def test_equals_inv_cdf_bit_for_bit_by_either_route(self, monkeypatch):
+        # _ndtri calls the C function that inv_cdf wraps, or, where there is
+        # no _statistics, inv_cdf itself; both give inv_cdf's bits, at the
+        # ends of the draw's clamp, at AS241's region edges and for NaN
+        from statistics import NormalDist
+
+        inv_cdf = NormalDist().inv_cdf
+        edges = [q for c in (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0))
+                 for q in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))]
+        grid = [simulator._LOWEST, simulator._HIGHEST, math.nan, 1e-300, 0.5, *edges,
+                *((j + 0.5) / 1000 for j in range(1000))]
+
+        def bits(f):
+            return [struct.pack("<d", f(p)) for p in grid]
+
+        assert bits(_ndtri) == bits(inv_cdf)
+        monkeypatch.setitem(sys.modules, "_statistics", None)  # its import then fails
+        assert bits(simulator._standard_normal.__wrapped__()) == bits(inv_cdf)
 
     def test_ends_and_nan(self):
         assert math.isnan(_ndtri(math.nan))

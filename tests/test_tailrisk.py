@@ -1,6 +1,7 @@
 """VaR/CVaR estimators: pinned values, coherence laws, estimator equivalence."""
 
 import math
+import random
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from riskwatch import tailrisk
+from riskwatch.core import fsum
 from riskwatch.errors import BadAlpha, EmptyLosses
 from riskwatch.tailrisk import (
     cvar_conditional,
@@ -87,6 +90,104 @@ class TestSameBitsAsTheNumpyFormulas:
     def test_estimator(self, estimator, formula, losses, alpha, as_input):
         # repr tells -0.0 from 0.0, which == does not
         assert repr(estimator(as_input(losses), alpha)) == repr(formula(losses, alpha))
+
+
+# -- the whole-column sorts var and cvar_tail ran on before they sorted only
+# the top of the losses, kept as references: the estimators must give their
+# bits on every input, the order of -0.0 and 0.0 included
+
+
+def sorted_var(losses, alpha):
+    x = array("d", losses)
+    target = alpha * len(x)
+    nearest = round(target)
+    r = (nearest if nearest > 0 and abs(target - nearest) <= 1e-9 * len(x)
+         else math.ceil(target))
+    return sorted(x)[r - 1]
+
+
+def sorted_cvar_tail(losses, alpha):
+    x = array("d", losses)
+    n = len(x)
+    mass = (1.0 - alpha) * n
+    nearest = round(mass)
+    mass = float(nearest if nearest > 0 and abs(mass - nearest) <= 1e-9 * n else mass)
+    k = int(math.floor(mass))
+    frac = mass - k
+    desc = sorted(x)[::-1]
+    if k == 0:
+        return desc[0]
+    anchor = desc[k] if frac > 0.0 else desc[k - 1]
+    total = fsum([v - anchor for v in desc[:k]])
+    if total < math.inf:
+        return anchor + total / mass
+    return fsum([*desc[:k], Fraction(frac) * Fraction(desc[k])], mass)
+
+
+def long_losses(kind, n, seed):
+    """n losses of one kind, past the 2,048 below which the estimators sort all."""
+    rng = random.Random(seed)
+    if kind == "spread":
+        return [rng.uniform(-5.0, 5.0) for _ in range(n)]
+    if kind == "ties":  # both zeros among few values
+        return [rng.choice([-0.0, 0.0, 0.0, 1.0, -1.0, 0.5]) for _ in range(n)]
+    if kind == "past-the-float-range":
+        return [rng.choice([1e308, -1e308, 0.0, 1.0]) for _ in range(n)]
+    ascending = sorted(rng.random() for _ in range(n))
+    return {"ascending": ascending, "descending": ascending[::-1], "equal": [0.25] * n}[kind]
+
+
+LONG_KINDS = ["spread", "ties", "past-the-float-range", "ascending", "descending", "equal"]
+as_list_or_array = st.sampled_from([list, lambda v: array("d", v)])
+
+
+class TestSameBitsAsTheSortedFormulas:
+    @given(kind=st.sampled_from(LONG_KINDS), n=st.integers(2048, 6000),
+           seed=st.integers(0, 2**32 - 1), alpha=numpy_alphas, as_input=as_list_or_array)
+    @settings(max_examples=150, deadline=None)
+    def test_long_losses(self, kind, n, seed, alpha, as_input):
+        losses = long_losses(kind, n, seed)
+        assert repr(var(as_input(losses), alpha)) == repr(sorted_var(losses, alpha))
+        assert repr(cvar_tail(as_input(losses), alpha)) == repr(sorted_cvar_tail(losses, alpha))
+
+    @given(losses=numpy_losses, alpha=numpy_alphas, as_input=as_list_or_array)
+    @settings(max_examples=150, deadline=None)
+    def test_short_losses(self, losses, alpha, as_input):
+        assert repr(var(as_input(losses), alpha)) == repr(sorted_var(losses, alpha))
+        assert repr(cvar_tail(as_input(losses), alpha)) == repr(sorted_cvar_tail(losses, alpha))
+
+    @pytest.mark.parametrize("kind", ["ascending", "descending", "equal"])
+    @pytest.mark.parametrize("alpha", [0.5, 0.95, 0.999, 1.0 - 1e-12])
+    def test_ordered_and_equal_losses(self, kind, alpha):
+        losses = long_losses(kind, 4096, 1)
+        assert repr(var(losses, alpha)) == repr(sorted_var(losses, alpha))
+        assert repr(cvar_tail(losses, alpha)) == repr(sorted_cvar_tail(losses, alpha))
+
+    @pytest.mark.parametrize("alpha", [0.9, 0.925, 0.95, 0.951, 0.97, 0.9749])
+    def test_signed_zeros_at_the_tail_boundary(self, alpha):
+        # 200 zeros of both signs, scattered, between -1.0 and the top 2.0s:
+        # from alpha 0.925 to 0.975 the tail's boundary falls among them
+        rng = random.Random(3)
+        losses = [-1.0] * 3700 + [2.0] * 100
+        for _ in range(200):
+            losses.insert(rng.randrange(len(losses) + 1), rng.choice([-0.0, 0.0]))
+        assert repr(var(losses, alpha)) == repr(sorted_var(losses, alpha))
+        assert repr(cvar_tail(losses, alpha)) == repr(sorted_cvar_tail(losses, alpha))
+
+    def test_a_stride_aligned_with_the_data_falls_back_to_the_full_sort(self, monkeypatch):
+        # every 20th loss is the largest, so the stride of 20 sees only those:
+        # its bound passes 1,024 values where the tail needs 1,025
+        losses = [1e6 if i % 20 == 0 else (i * 7919 % 1000) / 37.0 for i in range(20480)]
+        sorted_lengths = []
+
+        def spy(values, **kwargs):
+            values = list(values)
+            sorted_lengths.append(len(values))
+            return sorted(values, **kwargs)
+
+        monkeypatch.setattr(tailrisk, "sorted", spy, raising=False)
+        assert repr(var(losses, 0.95)) == repr(sorted_var(losses, 0.95))
+        assert sorted_lengths == [1024, 1024, 20480]
 
 
 class TestPinnedValues:
