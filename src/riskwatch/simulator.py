@@ -149,9 +149,8 @@ def _exp(x: float) -> float:
 
 @cache
 def _standard_normal():
-    """The standard normal's inverse CDF: the C function that
-    statistics.NormalDist's inv_cdf wraps, so a draw loads neither
-    statistics nor its decimal, or where there is none inv_cdf itself."""
+    """The C function NormalDist.inv_cdf wraps, which loads neither statistics
+    nor its decimal, for the standard normal; where there is none, inv_cdf."""
     try:
         from _statistics import _normal_dist_inv_cdf
     except ImportError:

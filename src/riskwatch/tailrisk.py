@@ -52,8 +52,7 @@ def check_alpha(alpha) -> float:
 
 def _check(losses: Sequence[float], alpha: float) -> array:
     check_alpha(alpha)
-    # a float64 array is read as it is (the engine's losses are); any other
-    # sequence is copied into one
+    # the engine's float64 losses are read as they are, anything else copied
     x = losses if isinstance(losses, array) and losses.typecode == "d" else array("d", losses)
     if not x:
         raise EmptyLosses("loss vector is empty")
@@ -70,12 +69,10 @@ def _near_integer(value: float, n: int) -> int | None:
 
 
 def _top(x: array, m: int) -> list[float]:
-    """sorted(x)[-m:], for 1 <= m <= len(x), boxing about 2m values, not all:
-    the values at or above a bound, stably sorted, end in the same m, ties
-    (-0.0 and 0.0) in the same order, if m of them pass. The bound sits at
-    twice the tail's share of a sorted stride of about 1,000 values (R. W.
-    Floyd and R. L. Rivest, "Expected time bounds for selection", CACM
-    18(3), 1975); below 2,048 values, or where too few pass, x is sorted."""
+    """sorted(x)[-m:] for 1 <= m <= len(x), boxing about 2m values: if m
+    values pass a bound at twice the tail's share of a sorted stride of
+    about 1,000 (Floyd and Rivest, CACM 18(3), 1975), their stable sort ends
+    the same, -0.0 and 0.0 in order. Else, or below 2,048 values, sort all."""
     n = len(x)
     if n >= 2048:
         sample = sorted(x[::n // 1024])

@@ -241,22 +241,32 @@ as_list_or_array = st.sampled_from([
 ])
 
 
+def tiled(rows, long):
+    """rows as drawn, or repeated to at least 2,048: below that many values
+    the metrics cut one sorted copy into buckets, above it they bin in a loop."""
+    return rows * -(-2048 // len(rows)) if long else rows
+
+
 class TestSameBitsAsTheSortedFormulas:
     """The binned metrics give the bits of the sorts they replaced, on lists
-    and on the engine's typed arrays, bin edges and 1 - 2**-53 included."""
+    and on the engine's typed arrays, bin edges and 1 - 2**-53 included, by
+    both of their paths."""
 
-    @given(st.one_of(numpy_rows, edge_rows), st.integers(1, 30), as_list_or_array)
+    @given(st.one_of(numpy_rows, edge_rows), st.integers(1, 30), as_list_or_array,
+           st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_reliability_bins_and_ece(self, rows, n_bins, as_input):
+    def test_reliability_bins_and_ece(self, rows, n_bins, as_input, long):
+        rows = tiled(rows, long)
         probs, ys = [r[0] for r in rows], [r[1] for r in rows]
         want = sorted_reliability_bins(probs, ys, n_bins)
         assert repr(reliability_bins(*as_input(probs, ys), n_bins=n_bins)) == repr(want)
         assert repr(ece(*as_input(probs, ys), n_bins=n_bins)) == repr(
             sorted_ece(probs, ys, n_bins))
 
-    @given(st.one_of(numpy_rows, edge_rows), as_list_or_array)
+    @given(st.one_of(numpy_rows, edge_rows), as_list_or_array, st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_auc(self, rows, as_input):
+    def test_auc(self, rows, as_input, long):
+        rows = tiled(rows, long)
         probs, ys = [r[0] for r in rows], [r[1] for r in rows]
         assert repr(auc(*as_input(probs, ys))) == repr(sorted_auc(probs, ys))
 
@@ -270,9 +280,11 @@ class TestSameBitsAsTheSortedFormulas:
         ys = (rng.random(5000) < 0.3).astype(int).tolist()
         assert repr(auc(*as_input(probs, ys))) == repr(sorted_auc(probs, ys))
 
+    @pytest.mark.parametrize("long", [False, True], ids=["sorted", "looped"])
     @pytest.mark.parametrize("p", [1.0, 1.0 - 2.0 ** -53, 0.9, math.nextafter(0.9, 0.0), 0.0])
-    def test_the_top_edge(self, p):
-        probs, ys = [p, 0.05, p, 0.95, 0.5], [1, 0, 0, 1, 1]
+    def test_the_top_edge(self, p, long):
+        rows = tiled([(p, 1), (0.05, 0), (p, 0), (0.95, 1), (0.5, 1)], long)
+        probs, ys = [r[0] for r in rows], [r[1] for r in rows]
         for n_bins in (1, 3, 10):
             assert repr(reliability_bins(probs, ys, n_bins=n_bins)) == repr(
                 sorted_reliability_bins(probs, ys, n_bins))
