@@ -142,8 +142,7 @@ def brier(probs: Sequence[float], outcomes: Sequence[int]) -> float:
     """Mean squared error of the predicted probabilities."""
     p, y = _as_prob_outcome(probs, outcomes)
     # d * d, not d ** 2: ** is libm pow, which need not be correctly rounded
-    d = array("d", map(sub, p, y))
-    return math.fsum(map(mul, d, d)) / len(p)
+    return math.fsum(map(mul, map(sub, p, y), map(sub, p, y))) / len(p)
 
 
 def auc(probs: Sequence[float], outcomes: Sequence[int]) -> float | None:

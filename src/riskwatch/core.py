@@ -1,13 +1,8 @@
-"""Shared domain types and value rules, stream plumbing and the one sum (fsum).
+"""Shared domain types and value rules, and the one sum (fsum).
 
 The toolkit processes a totally ordered stream of prediction events that are
-later resolved by outcome records. The streaming engine joins them through
-the Joiner here, the one set of join rules, and scores each closed period
-into a MetricSnapshot.
-
-Ordering model: a single writer appends events with strictly increasing
-sequence numbers and nondecreasing periods. Outcomes may arrive out of order
-relative to events; the Joiner holds each event until its outcome arrives.
+later resolved by outcome records. The streaming engine (monitor) joins them
+and scores each closed period into a MetricSnapshot.
 """
 
 from __future__ import annotations
@@ -16,8 +11,6 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from typing import ClassVar, Sequence
-
-from .errors import DuplicateOutcome, OrphanOutcome
 
 _FLOAT_MAX = sys.float_info.max
 # (0, 1) and (0, max] as the closed ranges of their floats, for finite_number
@@ -254,52 +247,3 @@ def check_fields(record, ranges: dict) -> None:
             check_metrics({name: value}, ranges)
         elif kind in _NUMBERS and not (finite_number(value) or value is None and kind != "float"):
             raise ValueError(f"{name} must be {_NUMBERS[kind]}a finite number, got {value!r}")
-
-
-class Joiner:
-    """Predictions waiting for their outcome, and the ids resolved lately.
-
-    The one place that decides whether a record joins. Events must arrive
-    with increasing sequence numbers, so a repeated (or re-fed) event, whose
-    seq is not above the last accepted one, raises ValueError. An outcome
-    naming an id in resolved_ids (a dict, its values None) raises
-    DuplicateOutcome, and one naming an id not pending raises OrphanOutcome.
-    The owner may clear resolved_ids to keep its state bounded on an endless
-    stream (the engine does at each period close); a second outcome for a
-    cleared id is then an orphan. match() returns the pending event and only
-    checks, so a caller can validate the pair before resolve() retires it.
-    """
-
-    def __init__(self):
-        self.pending: dict[str, PredictionEvent] = {}
-        # a dict, not a set: at 20k ids a set's table is 2 MB, a dict's 0.4 MB
-        self.resolved_ids: dict[str, None] = {}
-        self.last_seq: int | None = None
-
-    def add(self, event: PredictionEvent) -> None:
-        seq = event.time.sequence
-        if self.last_seq is not None and seq <= self.last_seq:
-            raise ValueError(
-                f"duplicate event_id {event.event_id!r} or out-of-order event: "
-                f"seq {seq} is not above the last accepted seq {self.last_seq}"
-            )
-        if event.event_id in self.pending or event.event_id in self.resolved_ids:
-            raise ValueError(f"duplicate event_id {event.event_id!r} in event stream")
-        self.pending[event.event_id] = event
-        self.last_seq = seq
-
-    def match(self, outcome: OutcomeRecord) -> PredictionEvent:
-        """The pending event this outcome resolves; the joiner is left unchanged."""
-        if outcome.event_id in self.resolved_ids:
-            raise DuplicateOutcome(f"second outcome for event_id {outcome.event_id!r}")
-        event = self.pending.get(outcome.event_id)
-        if event is None:
-            raise OrphanOutcome(
-                f"outcome references unknown event_id {outcome.event_id!r}"
-            )
-        return event
-
-    def resolve(self, event: PredictionEvent) -> None:
-        """Retire a matched event from pending."""
-        del self.pending[event.event_id]
-        self.resolved_ids[event.event_id] = None

@@ -1,17 +1,17 @@
 """Incremental monitoring engine: streams in, per-period snapshots out.
 
 The engine consumes interleaved prediction events and outcome records,
-joins them through core.Joiner (events wait there until their outcome
-arrives), scores each decision's regret with regret.step_regret as the
-pair resolves, accumulates resolved pairs into the currently open period,
-and on period rollover computes a MetricSnapshot (calibration, tail risk,
+joins them itself (events wait in _pending until their outcome arrives),
+scores each decision's regret with regret.step_regret as the pair
+resolves, accumulates resolved pairs into the currently open period, and
+on period rollover computes a MetricSnapshot (calibration, tail risk,
 regret, belief) and advances the alarm state machine. The state holds only
 what the engine cannot recompute. A period's belief (posterior_mean,
 drift_score) is a function of its counts, n and positives, and the first
 period's, so a load derives it by the close's own step (_belief). The
 policy is fixed for the engine's life, so the alarm history is a pure
-function of the snapshots, and a load judges them again (_commit). The
-events and outcomes seen are sums over the tables. None of these is stored.
+function of the snapshots, and a load judges them again (_commit). Neither
+is stored.
 
 All engine state is plain JSON-serializable data, so a run can be frozen
 mid-stream with to_state(), persisted, reloaded with from_state() and
@@ -33,7 +33,7 @@ numbers and nondecreasing periods, and outcomes arrive after (and near)
 their events. A pair that resolves only after its period has already been
 closed is dropped with a warning rather than reopening history.
 
-State is bounded by the open period, not by the stream: the joiner keeps
+State is bounded by the open period, not by the stream: the engine keeps
 the pending events and the ids resolved since the last close, and a
 repeated event is caught by its sequence number. A second outcome for an
 event resolved before the last close is therefore an orphan, not a
@@ -55,10 +55,11 @@ from operator import attrgetter
 from . import belief as belief_mod
 from .alarms import AlarmState, ThresholdPolicy, evaluate
 from .calibration import auc, brier, ece
-from .core import (Joiner, MetricSnapshot, OutcomeRecord, PredictionEvent,
+from .core import (MetricSnapshot, OutcomeRecord, PredictionEvent,
                    TimeIndex, check_event_id, check_integer, finite_number,
                    fsum, is_outcome, is_probability)
-from .errors import CorruptSnapshot, NoMetrics, VersionMismatch
+from .errors import (CorruptSnapshot, DuplicateOutcome, NoMetrics, OrphanOutcome,
+                     VersionMismatch)
 from .regret import step_regret
 from .tailrisk import check_alpha, cvar_tail, var
 
@@ -92,7 +93,12 @@ class MonitorEngine:
         self.lines_consumed = 0
         self.stale_pairs = 0  # pairs that resolved after their period closed
 
-        self._join = Joiner()
+        # the join: events waiting for their outcome, the ids resolved since
+        # the last close (a dict, not a set: at 20k ids a set's table is 2 MB,
+        # a dict's 0.4 MB) and the last accepted event's seq
+        self._pending: dict[str, PredictionEvent] = {}
+        self._resolved_ids: dict[str, None] = {}
+        self._last_seq: int | None = None
         self._new_period()
 
     @property
@@ -100,38 +106,49 @@ class MonitorEngine:
         """Read-only, so every close is judged by it, and a load judges alike."""
         return self._policy
 
-    @property
-    def outcomes_seen(self) -> int:
-        """Outcomes accepted: the pairs closed, open and dropped as stale."""
-        return sum(s.n for s in self.snapshots) + len(self._acc_probs) + self.stale_pairs
-
-    @property
-    def events_seen(self) -> int:
-        """Events accepted: those resolved and those still pending."""
-        return self.outcomes_seen + len(self._join.pending)
-
     # -- stream intake -------------------------------------------------------
 
     def observe_event(self, event: PredictionEvent) -> None:
-        self._join.add(event)
+        """Hold an event until its outcome. A repeated (or re-fed) event, its
+        seq not above the last accepted one, or an id pending or resolved
+        since the last close, raises ValueError and changes nothing."""
+        seq = event.time.sequence
+        if self._last_seq is not None and seq <= self._last_seq:
+            raise ValueError(
+                f"duplicate event_id {event.event_id!r} or out-of-order event: "
+                f"seq {seq} is not above the last accepted seq {self._last_seq}"
+            )
+        if event.event_id in self._pending or event.event_id in self._resolved_ids:
+            raise ValueError(f"duplicate event_id {event.event_id!r} in event stream")
+        self._pending[event.event_id] = event
+        self._last_seq = seq
 
     def observe_outcome(self, outcome: OutcomeRecord) -> None:
-        event = self._join.match(outcome)
+        """Resolve the pending event the outcome names. An id resolved since
+        the last close raises DuplicateOutcome, and one not pending (a cleared
+        id too) OrphanOutcome; either changes nothing."""
+        event_id = outcome.event_id
+        if event_id in self._resolved_ids:
+            raise DuplicateOutcome(f"second outcome for event_id {event_id!r}")
+        event = self._pending.get(event_id)
+        if event is None:
+            raise OrphanOutcome(f"outcome references unknown event_id {event_id!r}")
         # scored (and range-checked) before the pair changes any state
         regret = None
         if event.action_id is not None and outcome.alt_losses is not None:
             regret = step_regret(event.action_id, outcome.alt_losses)
-        # a close forgets the resolved ids, so resolve this event after it
+        # a close forgets the resolved ids, so retire this event after it
         self._on_pair(event, outcome, regret)
-        self._join.resolve(event)
+        del self._pending[event_id]
+        self._resolved_ids[event_id] = None
 
     def finalize(self) -> None:
         """Close the open period and flush warnings for unresolved events."""
         if self._open_time is not None:
             self._close_period()
-        if self._join.pending:
+        if self._pending:
             logger.warning("monitor: %d events left unresolved at stream end",
-                           len(self._join.pending))
+                           len(self._pending))
         if self.stale_pairs:
             logger.warning("monitor: dropped %d pairs that resolved after their "
                            "period closed", self.stale_pairs)
@@ -193,7 +210,7 @@ class MonitorEngine:
                         snapshot.time, before.value, self.alarm.state.value,
                         ",".join(self.alarm.history[-1].breached) or "none")
         self._new_period()
-        self._join.resolved_ids.clear()  # later outcomes for them are orphans
+        self._resolved_ids.clear()  # later outcomes for them are orphans
 
     def _belief(self, n: int, positives: int) -> dict[str, float]:
         """The belief fields (_DERIVED) of a period closed now with n pairs,
@@ -233,9 +250,9 @@ class MonitorEngine:
             "open_time": list(astuple(self._open_time)) if self._open_time else None,
             "acc": {name: _pack(getattr(self, f"_acc_{name}"), typecode)
                     for name, (typecode, _) in _ACC.items()},
-            "pending": _columns(self._join.pending.values(), PredictionEvent),
-            "resolved_ids": sorted(self._join.resolved_ids),
-            "last_event_seq": self._join.last_seq,
+            "pending": _columns(self._pending.values(), PredictionEvent),
+            "resolved_ids": sorted(self._resolved_ids),
+            "last_event_seq": self._last_seq,
             # one row per closed period; a load derives its belief and judges it again
             "snapshots": _columns(self.snapshots, MetricSnapshot),
         }
@@ -245,7 +262,7 @@ class MonitorEngine:
         """Rebuild an engine from to_state() output.
 
         A state of another version raises VersionMismatch. A state loads
-        only if intake's own steps (_commit, _stale, Joiner.add) accept it
+        only if intake's own steps (_commit, _stale, observe_event) accept it
         and the engine they build writes it back unchanged under canonical
         JSON; any other raises CorruptSnapshot, naming the first key or
         column that differs, or the rule it breaks.
@@ -291,13 +308,13 @@ class MonitorEngine:
             engine._open_time = open_time
         if (engine._open_time is not None) != bool(engine._acc_probs):
             raise ValueError("the open period and its values disagree")
-        engine._join.resolved_ids = dict.fromkeys(
+        engine._resolved_ids = dict.fromkeys(
             check_event_id(i) for i in _typed(state["resolved_ids"], list, "resolved_ids"))
         for event in _from_columns(PredictionEvent, _typed(state["pending"], dict, "pending")):
-            engine._join.add(event)
+            engine.observe_event(event)
         if state["last_event_seq"] is not None:  # below a pending seq, it differs
             last_seq = check_integer("last_event_seq", state["last_event_seq"], 0)
-            engine._join.last_seq = max(last_seq, engine._join.last_seq or 0)
+            engine._last_seq = max(last_seq, engine._last_seq or 0)
         return engine
 
 

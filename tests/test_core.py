@@ -1,4 +1,4 @@
-"""Stream primitives: validation, the Joiner and the one summation rule."""
+"""Stream primitives: validation, the join's rules and the one summation rule."""
 
 import copy
 import dataclasses
@@ -17,7 +17,6 @@ from riskwatch.belief import BetaPosterior
 from riskwatch.core import (
     OPEN_UNIT,
     POSITIVE,
-    Joiner,
     MetricSnapshot,
     OutcomeRecord,
     PredictionEvent,
@@ -354,118 +353,102 @@ class TestSlottedRecords:
             dataclasses.replace(snap, drift_score=None)
 
 
-def joiner_of(*events):
-    joiner = Joiner()
+def engine_of(*events):
+    engine = MonitorEngine()
     for event in events:
-        joiner.add(event)
-    return joiner
-
-
-def state(joiner):
-    return dict(joiner.pending), dict(joiner.resolved_ids), joiner.last_seq
+        engine.observe_event(event)
+    return engine
 
 
 class TestJoin:
-    def test_pairs_each_outcome_with_its_event_in_any_order(self):
-        joiner = joiner_of(ev(0), ev(1), ev(2))
-        got = []
-        for outcome in [oc(2), oc(0), oc(1)]:
-            event = joiner.match(outcome)
-            joiner.resolve(event)
-            got.append((event.event_id, outcome.event_id))
-        assert got == [("e2", "e2"), ("e0", "e0"), ("e1", "e1")]
-        assert joiner.pending == {} and list(joiner.resolved_ids) == ["e2", "e0", "e1"]
+    """The join's rules, run through the engine's intake."""
 
-    def test_match_returns_the_event_and_resolve_retires_it(self):
-        joiner = Joiner()
-        joiner.add(ev(0))
-        before = (dict(joiner.pending), dict(joiner.resolved_ids), joiner.last_seq)
-        event = joiner.match(oc(0))
-        assert event is joiner.pending["e0"]
-        assert (joiner.pending, joiner.resolved_ids, joiner.last_seq) == before
-        joiner.resolve(event)
-        assert (joiner.pending, joiner.resolved_ids) == ({}, {"e0": None})
-        with pytest.raises(DuplicateOutcome):
-            joiner.match(oc(0))
+    def test_pairs_each_outcome_with_its_event_in_any_order(self):
+        # each event's prob is a tenth of its outcome's loss
+        engine = engine_of(*(ev(i, prob=i / 10) for i in range(3)))
+        for i in (2, 0, 1):
+            engine.observe_outcome(oc(i, loss=float(i)))
+        assert list(zip(engine._acc_probs, engine._acc_losses)) == [
+            (0.2, 2.0), (0.0, 0.0), (0.1, 1.0)]
+        assert engine._pending == {} and list(engine._resolved_ids) == ["e2", "e0", "e1"]
 
     def test_orphan_outcome(self):
         with pytest.raises(OrphanOutcome, match="unknown event_id 'e7'"):
-            joiner_of(ev(0)).match(oc(7))
+            engine_of(ev(0)).observe_outcome(oc(7))
 
     def test_duplicate_outcome(self):
-        joiner = joiner_of(ev(0))
-        joiner.resolve(joiner.match(oc(0)))
+        engine = engine_of(ev(0))
+        engine.observe_outcome(oc(0))
         with pytest.raises(DuplicateOutcome, match="second outcome for event_id 'e0'"):
-            joiner.match(oc(0))
+            engine.observe_outcome(oc(0))
 
     def test_duplicate_event_id_rejected(self):
         # its seq is above the last one, so only the id catches it, pending
         # or resolved
-        joiner = joiner_of(ev(0))
+        engine = engine_of(ev(0))
         with pytest.raises(ValueError, match="duplicate event_id 'e0' in event stream"):
-            joiner.add(PredictionEvent("e0", TimeIndex(1, 1), 0.5))
-        joiner.resolve(joiner.match(oc(0)))
+            engine.observe_event(PredictionEvent("e0", TimeIndex(1, 1), 0.5))
+        engine.observe_outcome(oc(0))
         with pytest.raises(ValueError, match="duplicate event_id 'e0' in event stream"):
-            joiner.add(PredictionEvent("e0", TimeIndex(1, 2), 0.5))
+            engine.observe_event(PredictionEvent("e0", TimeIndex(1, 2), 0.5))
 
     def test_out_of_order_seq_rejected(self):
         with pytest.raises(ValueError, match="seq 1 is not above the last accepted seq 2$"):
-            joiner_of(ev(2), ev(1))
+            engine_of(ev(2), ev(1))
 
     def test_duplicate_outcome_caught_across_periods(self):
-        # the joiner keeps every resolved id until its owner clears them;
-        # a second outcome for a cleared id is then an orphan
-        joiner = joiner_of(ev(0, period=1), ev(1, period=2))
-        for i in (0, 1):
-            joiner.resolve(joiner.match(oc(i)))
+        # the engine keeps each resolved id until the next period close; a
+        # second outcome for an id resolved before that close is an orphan
+        engine = engine_of(ev(0, period=1), ev(1, period=2))
+        engine.observe_outcome(oc(0))
         with pytest.raises(DuplicateOutcome):
-            joiner.match(oc(0))
-        joiner.resolved_ids.clear()
+            engine.observe_outcome(oc(0))
+        engine.observe_outcome(oc(1))  # closes period 1
+        assert [s.n for s in engine.snapshots] == [1]
+        with pytest.raises(DuplicateOutcome):
+            engine.observe_outcome(oc(1))
         with pytest.raises(OrphanOutcome):
-            joiner.match(oc(0))
+            engine.observe_outcome(oc(0))
 
     @pytest.mark.parametrize("error, late", [(OrphanOutcome, oc(7)), (DuplicateOutcome, oc(0))],
                              ids=["orphan", "duplicate"])
     def test_refused_match_changes_nothing(self, error, late):
-        joiner = joiner_of(ev(0), ev(1))
-        joiner.resolve(joiner.match(oc(0)))
-        before = state(joiner)
+        engine = engine_of(ev(0), ev(1))
+        engine.observe_outcome(oc(0))
+        before = engine.to_state()
         with pytest.raises(error):
-            joiner.match(late)
-        assert state(joiner) == before
+            engine.observe_outcome(late)
+        assert engine.to_state() == before
 
     @pytest.mark.parametrize("event", [
         ev(1), PredictionEvent("e1", TimeIndex(1, 4), 0.5),
         PredictionEvent("e0", TimeIndex(1, 4), 0.5),
     ], ids=["out-of-order", "pending-id", "resolved-id"])
     def test_refused_add_changes_nothing(self, event):
-        joiner = joiner_of(ev(0), ev(1), ev(3))
-        joiner.resolve(joiner.match(oc(0)))
-        before = state(joiner)
+        engine = engine_of(ev(0), ev(1), ev(3))
+        engine.observe_outcome(oc(0))
+        before = engine.to_state()
         with pytest.raises(ValueError):
-            joiner.add(event)
-        assert state(joiner) == before
+            engine.observe_event(event)
+        assert engine.to_state() == before
 
     def test_unresolved_events_stay_pending(self):
-        joiner = joiner_of(ev(0), ev(1))
-        joiner.resolve(joiner.match(oc(0)))
-        assert list(joiner.pending) == ["e1"] and joiner.pending["e1"] == ev(1)
+        engine = engine_of(ev(0), ev(1))
+        engine.observe_outcome(oc(0))
+        assert list(engine._pending) == ["e1"] and engine._pending["e1"] == ev(1)
 
     def test_resolved_pairs_behind_an_unresolved_event_are_matched(self):
-        joiner = joiner_of(ev(0), ev(1), ev(2))
-        got = []
+        engine = engine_of(ev(0), ev(1), ev(2))
         for outcome in (oc(1), oc(2)):
-            event = joiner.match(outcome)
-            joiner.resolve(event)
-            got.append(event.event_id)
-        assert got == ["e1", "e2"] and list(joiner.pending) == ["e0"]
+            engine.observe_outcome(outcome)
+        assert list(engine._resolved_ids) == ["e1", "e2"] and list(engine._pending) == ["e0"]
 
     @given(n=st.integers(1, 40), lookahead=st.integers(0, 5), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_in_any_order_within_lookahead(self, n, lookahead, data):
         # outcomes arrive shuffled but never more than `lookahead` behind,
-        # and a drawn subset never arrives
-        joiner = joiner_of(*(ev(i) for i in range(n)))
+        # and a drawn subset never arrives; each event's prob names it
+        engine = engine_of(*(ev(i, prob=i / 64) for i in range(n)))
         order = list(range(n))
         for i in range(n):
             j = data.draw(st.integers(i, min(n - 1, i + lookahead)))
@@ -473,12 +456,11 @@ class TestJoin:
         dropped = data.draw(st.sets(st.sampled_from(range(n))))
         arrived = [k for k in order if k not in dropped]
         for k in arrived:
-            event = joiner.match(oc(k))
-            assert event == ev(k)
-            joiner.resolve(event)
-        assert list(joiner.resolved_ids) == [f"e{k}" for k in arrived]
-        assert list(joiner.pending) == [f"e{i}" for i in range(n) if i in dropped]
-        assert joiner.last_seq == n - 1
+            engine.observe_outcome(oc(k))
+        assert list(engine._acc_probs) == [k / 64 for k in arrived]
+        assert list(engine._resolved_ids) == [f"e{k}" for k in arrived]
+        assert list(engine._pending) == [f"e{i}" for i in range(n) if i in dropped]
+        assert engine._last_seq == n - 1
 
 
 # finite floats of every size, subnormals and both zeros included, with the

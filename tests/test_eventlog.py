@@ -167,7 +167,7 @@ class TestLenientVsStrict:
         engine.lines_consumed = 40
         with caplog.at_level("WARNING"):
             ingest_log(engine, io.StringIO(text))
-        assert engine.events_seen == 1
+        assert list(engine._pending) == ["b"]
         assert "event log line 42 skipped" in caplog.text
         engine = MonitorEngine()
         engine.lines_consumed = 40
@@ -235,7 +235,7 @@ class TestLenientVsStrict:
         with caplog.at_level("WARNING"):
             feed_engine(engine, enumerate(records, 1))
         assert "2 unjoinable records skipped" in caplog.text
-        assert engine.outcomes_seen == 1
+        assert (len(engine._acc_probs), engine._pending) == (1, {})
 
     def test_feed_engine_strict_raises(self):
         engine = MonitorEngine()
@@ -261,7 +261,7 @@ class TestLenientVsStrict:
             feed_engine(engine, read_log(io.StringIO(self.BAD_ACTION_LOG % action)))
         engine.finalize()
         assert "1 unjoinable records skipped" in caplog.text
-        assert engine.outcomes_seen == 1
+        assert (len(engine.snapshots), len(engine._acc_probs), engine.stale_pairs) == (1, 0, 0)
         assert engine.snapshots[0].n == 1
         assert engine.snapshots[0].regret_cumulative == 0.0
 
@@ -282,7 +282,7 @@ class TestUnreadLines:
                 f'"period": 1, "seq": {seq}, "prob": 0.5}}\n')
 
     def pending(self, engine):
-        return list(engine._join.pending)
+        return list(engine._pending)
 
     def test_skips_consumed_lines_and_counts_the_rest(self):
         engine = MonitorEngine()
@@ -324,7 +324,8 @@ class TestLogPairs:
         log_pairs(buf, engine, zip(events, outcomes))
         assert buf.getvalue() == log_text(events, outcomes)
         assert engine.lines_consumed == 2 * len(events)
-        assert engine.outcomes_seen == len(outcomes)
+        assert not engine._pending and engine.stale_pairs == 0
+        assert sum(s.n for s in engine.snapshots) + len(engine._acc_probs) == len(outcomes)
 
     def test_join_rejection_is_strict_and_names_the_line_written(self):
         pair = (PredictionEvent("a", TimeIndex(1, 0), 0.5), OutcomeRecord("a", 0, 1.0))
@@ -492,7 +493,7 @@ class TestSnapshotIntegrity:
 
     def test_mid_period_save_load_to_state(self, canonical_output):
         engine = mid_period_engine(canonical_output)
-        assert engine.snapshots and engine._join.pending
+        assert engine.snapshots and engine._pending
         assert engine._acc_probs and engine._acc_regrets
         buf = io.StringIO()
         save_snapshot(engine, buf)
@@ -632,7 +633,7 @@ class TestSnapshotIntegrity:
         (lambda state: state["resolved_ids"].reverse(), "resolved-ids-unsorted",
          "engine state is malformed: .*'resolved_ids' is not as to_state"),
         # states no intake builds, which once loaded: the closes commit
-        # rising periods below the open one, and the joiner holds each id
+        # rising periods below the open one, and the join holds each id
         # once, its pending events in rising seq order, the last seq at least
         # theirs
         (_closed_periods(2, 1, 3), "closed-periods-out-of-order",
@@ -662,7 +663,7 @@ class TestSnapshotIntegrity:
             load_snapshot(checksummed(mutate(state) or state))
 
     def test_falling_snapshot_sequences_load(self):
-        # the joiner needs rising seqs, not rising periods: events at periods
+        # the join needs rising seqs, not rising periods: events at periods
         # 1, 2, 1 close period 1 at seq 2 and then period 2 at seq 1
         engine = MonitorEngine()
         for i, period in enumerate([1, 2, 1]):

@@ -460,8 +460,9 @@ class TestJoinDiscipline:
             engine.observe_outcome(oc(i))
         assert (engine.stale_pairs, len(engine.snapshots)) == (1, 1)
         loaded = MonitorEngine.from_state(engine.to_state())
-        for counted in (engine, loaded):
-            assert (counted.events_seen, counted.outcomes_seen) == (4, 3)
+        for counted in (engine, loaded):  # 3 outcomes accepted, and 4 events
+            assert ([s.n for s in counted.snapshots], len(counted._acc_probs),
+                    counted.stale_pairs, list(counted._pending)) == ([1], 1, 1, ["e3"])
 
     def test_unresolved_events_warned(self, caplog):
         engine = MonitorEngine()
