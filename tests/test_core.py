@@ -372,6 +372,18 @@ class TestJoin:
             (0.2, 2.0), (0.0, 0.0), (0.1, 1.0)]
         assert engine._pending == {} and list(engine._resolved_ids) == ["e2", "e0", "e1"]
 
+    def test_outcome_scores_its_event_then_retires_it(self):
+        # the pair that closes period 1 is retired after the close clears the
+        # resolved ids, so its own id is the one the new period keeps
+        engine = engine_of(ev(0, period=1), ev(1, period=2, prob=0.25))
+        engine.observe_outcome(oc(0))
+        engine.observe_outcome(oc(1, loss=3.0))
+        assert [s.n for s in engine.snapshots] == [1]
+        assert (list(engine._acc_probs), list(engine._acc_losses)) == ([0.25], [3.0])
+        assert (engine._pending, engine._resolved_ids, engine._last_seq) == ({}, {"e1": None}, 1)
+        with pytest.raises(DuplicateOutcome):
+            engine.observe_outcome(oc(1))
+
     def test_orphan_outcome(self):
         with pytest.raises(OrphanOutcome, match="unknown event_id 'e7'"):
             engine_of(ev(0)).observe_outcome(oc(7))
