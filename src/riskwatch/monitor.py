@@ -34,10 +34,10 @@ their events. A pair that resolves only after its period has already been
 closed is dropped with a warning rather than reopening history.
 
 State is bounded by the open period, not by the stream: the engine keeps
-the pending events and the ids resolved since the last close, and a
-repeated event is caught by its sequence number. A second outcome for an
-event resolved before the last close is therefore an orphan, not a
-duplicate.
+the pending events and the ids resolved since the last close, these as
+bytes in typed buffers (_IdSet), not one str each, and a repeated event
+is caught by its sequence number. A second outcome for an event resolved
+before the last close is therefore an orphan, not a duplicate.
 """
 
 from __future__ import annotations
@@ -94,10 +94,10 @@ class MonitorEngine:
         self.stale_pairs = 0  # pairs that resolved after their period closed
 
         # the join: events waiting for their outcome, the ids resolved since
-        # the last close (a dict, not a set: at 20k ids a set's table is 2 MB,
-        # a dict's 0.4 MB) and the last accepted event's seq
+        # the last close (an _IdSet, which keeps no str per id) and the last
+        # accepted event's seq
         self._pending: dict[str, PredictionEvent] = {}
-        self._resolved_ids: dict[str, None] = {}
+        self._resolved_ids = _IdSet()
         self._last_seq: int | None = None
         self._new_period()
 
@@ -128,10 +128,10 @@ class MonitorEngine:
         the last close raises DuplicateOutcome, and one not pending (a cleared
         id too) OrphanOutcome; either changes nothing."""
         event_id = outcome.event_id
-        if event_id in self._resolved_ids:
-            raise DuplicateOutcome(f"second outcome for event_id {event_id!r}")
         event = self._pending.get(event_id)
-        if event is None:
+        if event is None:  # a pending id is never a resolved one
+            if event_id in self._resolved_ids:
+                raise DuplicateOutcome(f"second outcome for event_id {event_id!r}")
             raise OrphanOutcome(f"outcome references unknown event_id {event_id!r}")
         # scored (and range-checked) before the pair changes any state
         regret = None
@@ -140,7 +140,7 @@ class MonitorEngine:
         # a close forgets the resolved ids, so retire this event after it
         self._on_pair(event, outcome, regret)
         del self._pending[event_id]
-        self._resolved_ids[event_id] = None
+        self._resolved_ids.add(event_id)
 
     def finalize(self) -> None:
         """Close the open period and flush warnings for unresolved events."""
@@ -308,14 +308,66 @@ class MonitorEngine:
             engine._open_time = open_time
         if (engine._open_time is not None) != bool(engine._acc_probs):
             raise ValueError("the open period and its values disagree")
-        engine._resolved_ids = dict.fromkeys(
-            check_event_id(i) for i in _typed(state["resolved_ids"], list, "resolved_ids"))
+        for event_id in _typed(state["resolved_ids"], list, "resolved_ids"):
+            if check_event_id(event_id) not in engine._resolved_ids:  # a repeat differs
+                engine._resolved_ids.add(event_id)
         for event in _from_columns(PredictionEvent, _typed(state["pending"], dict, "pending")):
             engine.observe_event(event)
         if state["last_event_seq"] is not None:  # below a pending seq, it differs
             last_seq = check_integer("last_event_seq", state["last_event_seq"], 0)
             engine._last_seq = max(last_seq, engine._last_seq or 0)
         return engine
+
+
+class _IdSet:
+    """A set of ids, iterated in insertion order, that keeps no object per
+    id: the ids' UTF-8 bytes end to end (surrogatepass, so every str
+    round-trips, lone surrogates included), the offsets that bound them,
+    and an open-addressed table, at most half full and probed linearly,
+    that maps hash(id) to its number, 1 for the first. The table's order,
+    per process as hash() is, reaches no output."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self._bytes = bytearray()
+        self._ends = array("q", [0])  # id k is _bytes[_ends[k - 1]:_ends[k]]
+        self._table = array("i", bytes(32))  # 8 empty slots
+
+    def __len__(self) -> int:
+        return len(self._ends) - 1
+
+    def __iter__(self):
+        return map(self._id, range(1, len(self._ends)))
+
+    def __contains__(self, event_id: str) -> bool:
+        table, mask = self._table, len(self._table) - 1
+        slot = hash(event_id) & mask
+        while k := table[slot]:
+            if self._id(k) == event_id:
+                return True
+            slot = (slot + 1) & mask
+        return False
+
+    def add(self, event_id: str) -> None:
+        """Add an id that is not in the set."""
+        self._bytes += event_id.encode("utf-8", "surrogatepass")
+        self._ends.append(len(self._bytes))
+        n = len(self._ends) - 1
+        placed = ((n, hash(event_id)),)
+        if 2 * n > len(self._table):  # grow, and rehash one id at a time
+            self._table = array("i", bytes(8 * len(self._table)))
+            placed = ((k, hash(self._id(k))) for k in range(1, n + 1))
+        table, mask = self._table, len(self._table) - 1
+        for k, h in placed:
+            slot = h & mask
+            while table[slot]:
+                slot = (slot + 1) & mask
+            table[slot] = k
+
+    def _id(self, k: int) -> str:
+        return self._bytes[self._ends[k - 1]:self._ends[k]].decode("utf-8", "surrogatepass")
 
 
 # engine settings and their defaults, read off the constructor: the one list

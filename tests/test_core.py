@@ -380,7 +380,7 @@ class TestJoin:
         engine.observe_outcome(oc(1, loss=3.0))
         assert [s.n for s in engine.snapshots] == [1]
         assert (list(engine._acc_probs), list(engine._acc_losses)) == ([0.25], [3.0])
-        assert (engine._pending, engine._resolved_ids, engine._last_seq) == ({}, {"e1": None}, 1)
+        assert (engine._pending, list(engine._resolved_ids), engine._last_seq) == ({}, ["e1"], 1)
         with pytest.raises(DuplicateOutcome):
             engine.observe_outcome(oc(1))
 

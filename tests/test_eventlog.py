@@ -18,6 +18,7 @@ from riskwatch.core import (
 from riskwatch.errors import (
     BadConfig,
     CorruptSnapshot,
+    DuplicateOutcome,
     EmptyReport,
     ParseError,
     SchemaError,
@@ -499,6 +500,24 @@ class TestSnapshotIntegrity:
         save_snapshot(engine, buf)
         assert load_snapshot(io.StringIO(buf.getvalue())).to_state() == engine.to_state()
 
+    def test_resolved_ids_of_any_text_round_trip(self):
+        # ids the JSON decoder can make: non-ASCII text, and a lone surrogate
+        # and a NUL, which strict UTF-8 or C strings cannot hold
+        ids = ["caf\u00e9", "\ud800", "a\x00b", "\U0001f600", "pending"]
+        engine = MonitorEngine()
+        for i, event_id in enumerate(ids):
+            engine.observe_event(PredictionEvent(event_id, TimeIndex(1, i), 0.5))
+        for event_id in ids[:-1]:
+            engine.observe_outcome(OutcomeRecord(event_id, 1, 0.5))
+        buf = io.StringIO()
+        save_snapshot(engine, buf)
+        loaded = load_snapshot(io.StringIO(buf.getvalue()))
+        assert loaded.to_state() == engine.to_state()
+        assert loaded.to_state()["resolved_ids"] == sorted(ids[:-1])
+        for event_id in ids[:-1]:
+            with pytest.raises(DuplicateOutcome):
+                loaded.observe_outcome(OutcomeRecord(event_id, 1, 0.5))
+
     def test_document_is_the_canonical_state_it_hashes(self, canonical_output):
         engine = mid_period_engine(canonical_output)
         buf = io.StringIO()
@@ -631,6 +650,9 @@ class TestSnapshotIntegrity:
         (_set_metrics(math.inf, "var"), "var-inf",
          "engine state is malformed: .*var must be a number in .*got inf"),
         (lambda state: state["resolved_ids"].reverse(), "resolved-ids-unsorted",
+         "engine state is malformed: .*'resolved_ids' is not as to_state"),
+        (lambda state: state.update(resolved_ids=sorted(
+            state["resolved_ids"] + state["resolved_ids"][:1])), "resolved-id-repeated",
          "engine state is malformed: .*'resolved_ids' is not as to_state"),
         # states no intake builds, which once loaded: the closes commit
         # rising periods below the open one, and the join holds each id

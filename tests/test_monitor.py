@@ -23,7 +23,7 @@ from riskwatch.errors import (BadAlpha, DuplicateOutcome, NoMetrics, OrphanOutco
                               SchemaError, VersionMismatch)
 from riskwatch.eventlog import (emit_report, feed_engine, ingest_log, load_snapshot, log_line,
                                 save_snapshot)
-from riskwatch.monitor import MonitorEngine, _pack, _unpack
+from riskwatch.monitor import MonitorEngine, _IdSet, _pack, _unpack
 from riskwatch.simulator import canonical_scenario, generate, scenario_pairs
 from riskwatch.tailrisk import cvar_tail, var
 
@@ -474,6 +474,47 @@ class TestJoinDiscipline:
         assert "1 events left unresolved" in caplog.text
 
 
+# ids the JSON decoder can make: any non-empty text, and the characters
+# UTF-8 alone cannot hold (a NUL, lone surrogates) or holds in 4 bytes
+IDS = st.one_of(st.text(min_size=1),
+                st.sampled_from(["\x00", "\ud800", "\udfff", "\ud83d\ude00", "\U0001f600"]))
+
+
+class TestResolvedIdSet:
+    """_IdSet, the engine's resolved ids, against a dict of the same ids."""
+
+    @given(steps=st.lists(st.one_of(
+        st.tuples(st.just("add"), IDS),
+        st.tuples(st.just("burst"), IDS, st.integers(1, 300)),
+        st.tuples(st.just("clear")),
+        st.tuples(st.just("iter")))))
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    def test_agrees_with_a_dict(self, steps):
+        ids, expected = _IdSet(), {}
+
+        def add(event_id):  # the engine adds only an id not in the set
+            assert (event_id in ids) == (event_id in expected)
+            if event_id not in expected:
+                ids.add(event_id)
+                expected[event_id] = None
+            assert len(ids) == len(expected)
+
+        # a closing burst of 300 ids crosses several table growths
+        for step in [*steps, ("burst", "\ud800\x00", 300)]:
+            if step[0] == "add":
+                add(step[1])
+            elif step[0] == "burst":
+                for k in range(step[2]):
+                    add(f"{step[1]}{k}")
+            elif step[0] == "clear":
+                ids.clear()
+                expected.clear()
+            else:
+                assert list(ids) == list(expected)
+        assert list(ids) == list(expected) and len(ids) == len(expected)
+        assert all(event_id in ids for event_id in expected)
+
+
 def _leaves(value, path=()):
     """The (path of keys and indexes, value) of each scalar in a JSON value,
     keys in sorted order."""
@@ -543,8 +584,8 @@ class TestBoundedState:
     def test_open_period_costs_few_bytes_per_pair(self):
         # The records are built (and kept) outside the traced region, so the
         # growth is what the engine holds per pair: typed-array values plus
-        # a dict slot for the resolved id, 46 B on CPython 3.11. Float lists
-        # or a set of ids put it near 78 B; 110 B with both.
+        # the resolved id's bytes, end offset and table slots, 57.1 B on
+        # CPython 3.11 (46 B when a dict shared the caller's id strings).
         n = 10_000
         alts = [(0.25 + (i % 13) / 13, 0.5 + (i % 7) / 7) for i in range(n)]
         events = [PredictionEvent(f"ev-{i:06d}", TimeIndex(1, i), (i % 997) / 997, i % 2)
@@ -566,12 +607,12 @@ class TestBoundedState:
         assert per_pair < 64, f"{per_pair:.1f} B per open pair"
 
     @pytest.mark.parametrize("n", [2_000, 20_000])
-    def test_log_intake_of_an_open_period_costs_under_128_bytes_per_pair(self, n):
+    def test_log_intake_of_an_open_period_costs_under_80_bytes_per_pair(self, n):
         # Only ingest_log is traced, over period 1 of a scenario log, so the
         # records die inside the region and the growth is all the engine
-        # keeps: CPython 3.11 read 110.6 B per pair at 2k and 105.0 B at 20k,
-        # more than half of it each resolved id's string. Keeping every
-        # record alive as well puts it past 128 B.
+        # keeps: CPython 3.11 read 53.3 B per pair at 2k and 58.6 B at 20k.
+        # Keeping each resolved id's string, as a dict of ids did, read
+        # 110.6 B and 105.0 B.
         config = replace(canonical_scenario(), patients_per_period=n)
         lines = [log_line(r) for pair in islice(scenario_pairs(config), n) for r in pair]
         engine = MonitorEngine()
@@ -585,7 +626,7 @@ class TestBoundedState:
             tracemalloc.stop()
         assert engine._open_time.period == 1 and len(engine._acc_regrets) == n
         assert engine.lines_consumed == len(lines)
-        assert per_pair < 128, f"{per_pair:.1f} B per open pair"
+        assert per_pair < 80, f"{per_pair:.1f} B per open pair"
 
     @pytest.mark.parametrize("period", ["canonical", "uniform"])
     def test_a_close_boxes_no_copy_of_a_period_column(self, period):
